@@ -102,6 +102,7 @@ type Stats struct {
 	Scanned      uint64 `json:"scanned"`
 	Skipped      uint64 `json:"skipped"`
 	SkippedIndex uint64 `json:"skipped_index"`
+	Reused       uint64 `json:"reused"`
 }
 
 // Page is one /eval response: the window's matches, the exact total (nil

@@ -240,12 +240,18 @@ type EvalStats struct {
 	Scanned uint64
 	// Skipped counts documents the prefilter excluded: skip-index
 	// non-candidates plus documents failing the literal requirement scan.
-	// Scanned+Skipped equals the snapshot size once the stream drains.
+	// Scanned+Skipped+Reused equals the snapshot size once the stream
+	// drains.
 	Skipped uint64
 	// SkippedIndex is the subset of Skipped the skip index excluded
 	// outright — never visited, not even for a substring scan. Zero
 	// without WithIndex.
 	SkippedIndex uint64
+	// Reused counts documents whose match counts a page of a cached
+	// pattern (EvalPage, EvalSearchPage, EvalCursor) took from the
+	// pattern's count memo instead of visiting them. Zero for streams and
+	// for spanners the caller compiled.
+	Reused uint64
 	// Work is the work units spent so far — one per byte of every scanned
 	// document plus one per delivered result; the meter WithBudget is
 	// charged against.
@@ -310,22 +316,31 @@ func (c *Corpus) evalOptions(req prefilter.Requirement, o core.Options) corpus.E
 // documents, like Spanner.Eval; use EvalSearch for substring semantics.
 // Options bound the evaluation: WithTimeout, WithLimit, WithBudget.
 func (c *Corpus) Eval(ctx context.Context, pattern string, opts ...Option) (*CorpusMatches, error) {
-	sp, err := c.compileCached(ctx, "anchor", pattern, Compile)
+	q, err := c.compileCached(ctx, "anchor", pattern, Compile)
 	if err != nil {
 		return nil, err
 	}
-	return c.EvalSpanner(ctx, sp, opts...)
+	return c.EvalSpanner(ctx, q.sp, opts...)
 }
 
 // EvalSearch is Eval with substring semantics: the pattern is compiled
 // unanchored (CompileSearch), cached separately from anchored compiles of
 // the same source.
 func (c *Corpus) EvalSearch(ctx context.Context, pattern string, opts ...Option) (*CorpusMatches, error) {
-	sp, err := c.compileCached(ctx, "search", pattern, CompileSearch)
+	q, err := c.compileCached(ctx, "search", pattern, CompileSearch)
 	if err != nil {
 		return nil, err
 	}
-	return c.EvalSpanner(ctx, sp, opts...)
+	return c.EvalSpanner(ctx, q.sp, opts...)
+}
+
+// cachedQuery is one entry of the compiled-query cache: the compiled
+// spanner and its count memo, which lives and dies with the entry. The
+// memo is what lets a repeated Count, page or Sample of a cached pattern
+// count only the documents appended since the pattern's last sweep.
+type cachedQuery struct {
+	sp   *Spanner
+	memo corpus.CountMemo
 }
 
 // compileCached deduplicates compilation through the LRU cache, keyed by
@@ -335,18 +350,22 @@ func (c *Corpus) EvalSearch(ctx context.Context, pattern string, opts ...Option)
 // the flag needs no synchronization) and Items=0 on a hit.
 //
 //spanjoin:stage cache
-func (c *Corpus) compileCached(ctx context.Context, mode, pattern string, compile func(string) (*Spanner, error)) (*Spanner, error) {
+func (c *Corpus) compileCached(ctx context.Context, mode, pattern string, compile func(string) (*Spanner, error)) (*cachedQuery, error) {
 	t0 := time.Now()
 	var missed int64
 	v, err := c.cache.Get(mode+"\x00"+pattern, func() (any, error) {
 		missed = 1
-		return compile(pattern)
+		sp, err := compile(pattern)
+		if err != nil {
+			return nil, err
+		}
+		return &cachedQuery{sp: sp}, nil
 	})
 	obs.FromContext(ctx).ObserveItems(obs.StageCache, time.Since(t0), missed)
 	if err != nil {
 		return nil, err
 	}
-	return v.(*Spanner), nil
+	return v.(*cachedQuery), nil
 }
 
 // recordPlanBuild attributes a plan compilation that this query actually

@@ -158,3 +158,135 @@ func TestCorpusConcurrentAddEvalCache(t *testing.T) {
 		}
 	}
 }
+
+// TestCountMemoHammer: writers append documents while readers Count and
+// EvalPage one cached pattern, so sweeps that started at different memo
+// marks publish into the pattern's count memo concurrently. Every count
+// must lie between the counts before and after the hammer (and never
+// fall, per reader), and once the writers are done the memoized counts —
+// corpus-wide and per document — must equal a fresh corpus's.
+func TestCountMemoHammer(t *testing.T) {
+	const pattern = `.*x{ab+}.*`
+	ctx := context.Background()
+	c := spanjoin.NewCorpus(spanjoin.WithShards(4), spanjoin.WithWorkers(2))
+	// Documents hold zero to three matches of x, so memo entries carry
+	// different counts and some documents none at all.
+	makeDoc := func(g, i int) string {
+		return fmt.Sprintf("%d %s %d", g, strings.Repeat("abb ", i%4), i)
+	}
+	var docs []string
+	for i := 0; i < 40; i++ {
+		docs = append(docs, makeDoc(9, i))
+	}
+	c.AddAll(docs...)
+	count := func() uint64 {
+		n, err := c.Count(ctx, pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, _ := n.Uint64()
+		return u
+	}
+	before := count()
+
+	const writers, readers, perWriter = 2, 3, 60
+	added := make([][]string, writers)
+	seen := make([][]uint64, readers)
+	var wg, writing sync.WaitGroup
+	// Each read offers a tick and each add takes one, so the appends
+	// interleave with the reads instead of finishing before the first.
+	ticks := make(chan struct{}, readers)
+	done := make(chan struct{})
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		writing.Add(1)
+		go func() {
+			defer wg.Done()
+			defer writing.Done()
+			for i := 0; i < perWriter; i++ {
+				<-ticks
+				doc := makeDoc(g, i)
+				c.Add(doc)
+				added[g] = append(added[g], doc)
+			}
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; ; k++ {
+				select {
+				case <-done:
+					return
+				case ticks <- struct{}{}:
+				default:
+				}
+				var (
+					n   spanjoin.MatchCount
+					err error
+				)
+				if k%2 == 0 {
+					n, err = c.Count(ctx, pattern)
+				} else {
+					var pg *spanjoin.Page
+					if pg, err = c.EvalPage(ctx, pattern, uint64(k), 3); err == nil {
+						n = pg.Total
+					}
+				}
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				u, _ := n.Uint64()
+				seen[r] = append(seen[r], u)
+			}
+		}()
+	}
+	writing.Wait()
+	close(done)
+	wg.Wait()
+
+	after := count()
+	for r, counts := range seen {
+		for k, u := range counts {
+			if u < before || u > after {
+				t.Fatalf("reader %d count %d = %d, outside [%d, %d]", r, k, u, before, after)
+			}
+			if k > 0 && u < counts[k-1] {
+				t.Fatalf("reader %d count fell from %d to %d", r, counts[k-1], u)
+			}
+		}
+	}
+
+	fresh := spanjoin.NewCorpus(spanjoin.WithShards(4))
+	fresh.AddAll(docs...)
+	for _, a := range added {
+		fresh.AddAll(a...)
+	}
+	want, err := fresh.Count(ctx, pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u, _ := want.Uint64(); u != after {
+		t.Fatalf("memoized count %d, fresh corpus %d", after, u)
+	}
+	sp := spanjoin.MustCompile(pattern)
+	per, err := c.CountAll(ctx, pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := spanjoin.DocID(0); int(id) < c.Len(); id++ {
+		doc, ok := c.Doc(id)
+		if !ok {
+			t.Fatalf("doc %d missing from a corpus of %d", id, c.Len())
+		}
+		n, err := sp.Count(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if per[id].String() != n.String() {
+			t.Fatalf("doc %d: CountAll %v, Spanner.Count %v", id, per[id], n)
+		}
+	}
+}

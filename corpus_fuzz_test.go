@@ -2,6 +2,7 @@ package spanjoin_test
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"testing"
 
@@ -63,12 +64,123 @@ func fuzzDocs(blob string) []string {
 	return docs
 }
 
+// fuzzCorpus builds a 3-shard corpus over docs in two batches. Between
+// them it fills the pattern's count memo through the cached Count,
+// CountAll and EvalPage, so every later cached count merges memoized
+// documents with a sweep of the second batch.
+func fuzzCorpus(t *testing.T, pattern string, docs []string, opts ...spanjoin.CorpusOption) (*spanjoin.Corpus, []spanjoin.DocID) {
+	t.Helper()
+	c := spanjoin.NewCorpus(append([]spanjoin.CorpusOption{spanjoin.WithShards(3), spanjoin.WithWorkers(2)}, opts...)...)
+	half := len(docs) / 2
+	ids := c.AddAll(docs[:half]...)
+	ctx := context.Background()
+	if _, err := c.Count(ctx, pattern); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CountAll(ctx, pattern); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.EvalPage(ctx, pattern, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	return c, append(ids, c.AddAll(docs[half:]...)...)
+}
+
+// checkMemoCounts pins the cached counting paths against the
+// per-document reference. Each check runs on its own fuzzCorpus, so each
+// merges a partly filled count memo with a sweep: Count must equal the
+// sum of Spanner.Count, CountAll must match it document by document, and
+// a full-corpus EvalPage must reproduce Spanner.Eval's matches in
+// ascending-DocID order.
+func checkMemoCounts(t *testing.T, sp *spanjoin.Spanner, pattern string, docs []string, opts ...spanjoin.CorpusOption) {
+	t.Helper()
+	ctx := context.Background()
+	var total uint64
+	perDoc := make([]uint64, len(docs))
+	for i, doc := range docs {
+		n, err := sp.Count(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perDoc[i], _ = n.Uint64()
+		total += perDoc[i]
+	}
+
+	c, _ := fuzzCorpus(t, pattern, docs, opts...)
+	n, err := c.Count(ctx, pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u, ok := n.Uint64(); !ok || u != total {
+		t.Fatalf("pattern %q: Count = %v, per-document counts sum to %d", pattern, n, total)
+	}
+
+	c, ids := fuzzCorpus(t, pattern, docs, opts...)
+	per, err := c.CountAll(ctx, pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matched := 0
+	for i, u := range perDoc {
+		if u == 0 {
+			continue
+		}
+		matched++
+		if got, ok := per[ids[i]].Uint64(); !ok || got != u {
+			t.Fatalf("pattern %q doc %q: CountAll %v, Spanner.Count %d", pattern, docs[i], per[ids[i]], u)
+		}
+	}
+	if len(per) != matched {
+		t.Fatalf("pattern %q: CountAll has %d documents, want %d", pattern, len(per), matched)
+	}
+
+	c, ids = fuzzCorpus(t, pattern, docs, opts...)
+	pg, err := c.EvalPage(ctx, pattern, 0, int(total)+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u, ok := pg.Total.Uint64(); !ok || u != total {
+		t.Fatalf("pattern %q: page Total = %v, want %d", pattern, pg.Total, total)
+	}
+	if st := pg.Stats; st.Scanned+st.Skipped+st.Reused != uint64(len(docs)) || st.Reused != uint64(len(docs)/2) {
+		t.Fatalf("pattern %q: page stats %+v, want %d reused of %d docs", pattern, st, len(docs)/2, len(docs))
+	}
+	order := make([]int, len(docs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return ids[order[a]] < ids[order[b]] })
+	k := 0
+	for _, i := range order {
+		ms, err := sp.Eval(docs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ms {
+			if k >= len(pg.Matches) {
+				t.Fatalf("pattern %q: page ends after %d matches", pattern, k)
+			}
+			got := pg.Matches[k]
+			if got.Doc != ids[i] || tupleOf(got.Match).Compare(tupleOf(m)) != 0 {
+				t.Fatalf("pattern %q: page match %d is %v@%d, want %v@%d", pattern, k, tupleOf(got.Match), got.Doc, tupleOf(m), ids[i])
+			}
+			k++
+		}
+	}
+	if k != len(pg.Matches) {
+		t.Fatalf("pattern %q: page has %d matches, reference %d", pattern, len(pg.Matches), k)
+	}
+}
+
 // FuzzCorpusVsEval is the differential harness for the corpus engine:
 // random small patterns and document sets go through Corpus.Eval (sharded,
 // pooled, streamed) and through per-document Spanner.Eval (the
 // polynomial-delay reference, Theorem 3.3), and the match multisets must
 // be identical per document — any lost, duplicated or misattributed
-// result across the shard/worker/channel machinery fails.
+// result across the shard/worker/channel machinery fails. The documents
+// arrive in two batches with the pattern's count memo filled in between,
+// and the cached counts, per-document counts and full-corpus page must
+// then match the per-document reference — with and without the index.
 func FuzzCorpusVsEval(f *testing.F) {
 	f.Add(uint8(0), "aab|ba|abab")
 	f.Add(uint8(1), "aaaa|b|")
@@ -83,8 +195,7 @@ func FuzzCorpusVsEval(f *testing.F) {
 			t.Fatalf("fuzz pattern %q must compile: %v", pattern, err)
 		}
 
-		c := spanjoin.NewCorpus(spanjoin.WithShards(3), spanjoin.WithWorkers(2))
-		ids := c.AddAll(docs...)
+		c, ids := fuzzCorpus(t, pattern, docs)
 		ms, err := c.Eval(context.Background(), pattern)
 		if err != nil {
 			t.Fatal(err)
@@ -105,8 +216,7 @@ func FuzzCorpusVsEval(f *testing.F) {
 
 		// The skip index must be invisible in the results: same tuples per
 		// document, same per-document order.
-		ci := spanjoin.NewCorpus(spanjoin.WithShards(3), spanjoin.WithWorkers(2), spanjoin.WithIndex())
-		idsIdx := ci.AddAll(docs...)
+		ci, idsIdx := fuzzCorpus(t, pattern, docs, spanjoin.WithIndex())
 		msIdx, err := ci.Eval(context.Background(), pattern)
 		if err != nil {
 			t.Fatal(err)
@@ -139,6 +249,8 @@ func FuzzCorpusVsEval(f *testing.F) {
 		if st.Scanned+st.Skipped != uint64(len(docs)) {
 			t.Fatalf("pattern %q: indexed stats %+v don't cover %d docs", pattern, st, len(docs))
 		}
+		checkMemoCounts(t, sp, pattern, docs)
+		checkMemoCounts(t, sp, pattern, docs, spanjoin.WithIndex())
 
 		// The corpus fan-out (and Spanner.Eval) run on the byte-class
 		// compiled transition table; the preserved per-transition reference

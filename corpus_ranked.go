@@ -24,28 +24,38 @@ import (
 // shard workers aggregate per-document ranked counts (one graph build
 // per document, cost independent of its result count), and documents the
 // prefilter or skip index excludes count as 0 without being visited.
+// The cache entry's count memo keeps every document's count, so a
+// repeated Count of a cached pattern visits only the documents appended
+// since the pattern's last counting sweep.
 func (c *Corpus) Count(ctx context.Context, pattern string, opts ...Option) (MatchCount, error) {
-	sp, err := c.compileCached(ctx, "anchor", pattern, Compile)
+	q, err := c.compileCached(ctx, "anchor", pattern, Compile)
 	if err != nil {
 		return MatchCount{}, err
 	}
-	return c.CountSpanner(ctx, sp, opts...)
+	return c.countTotal(ctx, q.sp, &q.memo, opts)
 }
 
 // CountSearch is Count with substring semantics (CompileSearch).
 func (c *Corpus) CountSearch(ctx context.Context, pattern string, opts ...Option) (MatchCount, error) {
-	sp, err := c.compileCached(ctx, "search", pattern, CompileSearch)
+	q, err := c.compileCached(ctx, "search", pattern, CompileSearch)
 	if err != nil {
 		return MatchCount{}, err
 	}
-	return c.CountSpanner(ctx, sp, opts...)
+	return c.countTotal(ctx, q.sp, &q.memo, opts)
 }
 
-// CountSpanner is Count for a precompiled spanner (bypassing the cache).
+// CountSpanner is Count for a precompiled spanner (bypassing the cache,
+// and so its count memo: every call sweeps the whole corpus).
 // Counts honor WithTimeout and the corpus admission gate (shedding with
 // ErrOverloaded); WithLimit and WithBudget apply to result streams only.
 func (c *Corpus) CountSpanner(ctx context.Context, sp *Spanner, opts ...Option) (MatchCount, error) {
-	res, err := c.countSpanner(ctx, sp, buildOptions(opts), false)
+	return c.countTotal(ctx, sp, nil, opts)
+}
+
+// countTotal is the corpus-wide total behind Count, CountSearch and
+// CountSpanner.
+func (c *Corpus) countTotal(ctx context.Context, sp *Spanner, memo *corpus.CountMemo, opts []Option) (MatchCount, error) {
+	res, err := c.countSpanner(ctx, sp, memo, buildOptions(opts), false)
 	if err != nil {
 		return MatchCount{}, err
 	}
@@ -55,11 +65,11 @@ func (c *Corpus) CountSpanner(ctx context.Context, sp *Spanner, opts ...Option) 
 // CountAll is Count broken down by document: the exact per-document
 // match counts, keyed by DocID. Documents without matches have no entry.
 func (c *Corpus) CountAll(ctx context.Context, pattern string, opts ...Option) (map[DocID]MatchCount, error) {
-	sp, err := c.compileCached(ctx, "anchor", pattern, Compile)
+	q, err := c.compileCached(ctx, "anchor", pattern, Compile)
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.countSpanner(ctx, sp, buildOptions(opts), true)
+	res, err := c.countSpanner(ctx, q.sp, &q.memo, buildOptions(opts), true)
 	if err != nil {
 		return nil, err
 	}
@@ -70,13 +80,15 @@ func (c *Corpus) CountAll(ctx context.Context, pattern string, opts ...Option) (
 	return out, nil
 }
 
-func (c *Corpus) countSpanner(ctx context.Context, sp *Spanner, o core.Options, perDoc bool) (*corpus.CountResult, error) {
+// countSpanner runs the spanner's counting sweep; memo is its cache
+// entry's count memo, or nil for a spanner the caller compiled.
+func (c *Corpus) countSpanner(ctx context.Context, sp *Spanner, memo *corpus.CountMemo, o core.Options, perDoc bool) (*corpus.CountResult, error) {
 	p, built, err := sp.compiledPlan()
 	if err != nil {
 		return nil, err
 	}
 	c.recordPlanBuild(ctx, p, built)
-	return c.store.CountPlan(ctx, p, c.evalOptions(sp.req, o), perDoc)
+	return c.store.CountPlan(ctx, p, memo, c.evalOptions(sp.req, o), perDoc)
 }
 
 // CountQuery returns the exact corpus-wide result count of a conjunctive
@@ -94,7 +106,7 @@ func (c *Corpus) CountQuery(ctx context.Context, q *Query, opts ...Option) (Matc
 			return MatchCount{}, err
 		}
 		c.recordPlanBuild(ctx, p, built)
-		res, err := c.store.CountPlan(ctx, p, eo, false)
+		res, err := c.store.CountPlan(ctx, p, nil, eo, false)
 		if err != nil {
 			return MatchCount{}, err
 		}
@@ -122,34 +134,43 @@ type Page struct {
 }
 
 // EvalPage compiles the pattern (through the corpus cache) and serves
-// one page of its corpus-wide results. The counting sweep runs through
-// the shard workers in parallel — documents outside the window
-// contribute one ranked count each, a graph build, never an enumeration
-// — and the window itself is entered with a single DAG descent, so page
-// N costs the same as page 0: offset does not buy offset Next calls.
-// The exact Total rides along for pagination UIs.
+// one page of its corpus-wide results. A page costs a counting sweep
+// plus one descent. The sweep runs through the shard workers in
+// parallel — a document contributes one ranked count, a graph build,
+// never an enumeration — and visits only the documents appended since
+// the pattern's last sweep: the cache entry's count memo serves the
+// rest (a first-time pattern sweeps the whole corpus). The window itself
+// is entered with a single DAG descent, so offset does not buy offset
+// Next calls. The exact Total rides along for pagination UIs.
 func (c *Corpus) EvalPage(ctx context.Context, pattern string, offset uint64, limit int, opts ...Option) (*Page, error) {
-	sp, err := c.compileCached(ctx, "anchor", pattern, Compile)
+	q, err := c.compileCached(ctx, "anchor", pattern, Compile)
 	if err != nil {
 		return nil, err
 	}
-	return c.EvalSpannerPage(ctx, sp, offset, limit, opts...)
+	return c.evalPage(ctx, q.sp, &q.memo, offset, limit, opts)
 }
 
 // EvalSearchPage is EvalPage with substring semantics (CompileSearch).
 func (c *Corpus) EvalSearchPage(ctx context.Context, pattern string, offset uint64, limit int, opts ...Option) (*Page, error) {
-	sp, err := c.compileCached(ctx, "search", pattern, CompileSearch)
+	q, err := c.compileCached(ctx, "search", pattern, CompileSearch)
 	if err != nil {
 		return nil, err
 	}
-	return c.EvalSpannerPage(ctx, sp, offset, limit, opts...)
+	return c.evalPage(ctx, q.sp, &q.memo, offset, limit, opts)
 }
 
-// EvalSpannerPage is EvalPage for a precompiled spanner. WithTimeout
-// bounds both phases — the counting sweep and the page stream — via a
-// derived context; WithLimit/WithBudget do not apply (the page's window
-// is the limit).
+// EvalSpannerPage is EvalPage for a precompiled spanner. It bypasses the
+// cache and its count memo, so every page sweeps the whole corpus.
+// WithTimeout bounds both phases — the counting sweep and the page
+// stream — via a derived context; WithLimit/WithBudget do not apply (the
+// page's window is the limit).
 func (c *Corpus) EvalSpannerPage(ctx context.Context, sp *Spanner, offset uint64, limit int, opts ...Option) (*Page, error) {
+	return c.evalPage(ctx, sp, nil, offset, limit, opts)
+}
+
+// evalPage serves a page; memo is the cache entry's count memo, or nil
+// for a spanner the caller compiled.
+func (c *Corpus) evalPage(ctx context.Context, sp *Spanner, memo *corpus.CountMemo, offset uint64, limit int, opts []Option) (*Page, error) {
 	o := buildOptions(opts)
 	if o.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -162,14 +183,14 @@ func (c *Corpus) EvalSpannerPage(ctx context.Context, sp *Spanner, offset uint64
 		return nil, err
 	}
 	c.recordPlanBuild(ctx, p, built)
-	res, err := c.store.PagePlan(ctx, p, c.evalOptions(sp.req, o), offset, limit)
+	res, err := c.store.PagePlan(ctx, p, memo, c.evalOptions(sp.req, o), offset, limit)
 	if err != nil {
 		return nil, err
 	}
 	page := &Page{
 		Matches: make([]CorpusMatch, 0, len(res.Matches)),
 		Total:   newMatchCount(res.Total),
-		Stats:   EvalStats{Scanned: res.Scanned, Skipped: res.Skipped, SkippedIndex: res.SkippedIndex},
+		Stats:   EvalStats{Scanned: res.Scanned, Skipped: res.Skipped, SkippedIndex: res.SkippedIndex, Reused: res.Reused},
 	}
 	var (
 		lastID  DocID
@@ -192,35 +213,44 @@ func (c *Corpus) EvalSpannerPage(ctx context.Context, sp *Spanner, offset uint64
 // Sample draws k matches i.i.d. uniformly (with replacement) from the
 // corpus-wide result set of the pattern, compiled through the corpus
 // cache. Uniformity is exact at any result-set size, including corpus
-// totals beyond 2^64: one parallel counting sweep weights the documents,
-// then each draw is a weighted document pick plus one ranked DAG descent
-// — no enumeration anywhere. Returns nil when there are no matches.
+// totals beyond 2^64: one parallel counting sweep weights the documents
+// (visiting, like EvalPage's, only documents the cache entry's count
+// memo has not seen), then each draw is a weighted document pick plus
+// one ranked DAG descent — no enumeration anywhere. Returns nil when
+// there are no matches.
 func (c *Corpus) Sample(ctx context.Context, pattern string, rng *rand.Rand, k int, opts ...Option) ([]CorpusMatch, error) {
-	sp, err := c.compileCached(ctx, "anchor", pattern, Compile)
+	q, err := c.compileCached(ctx, "anchor", pattern, Compile)
 	if err != nil {
 		return nil, err
 	}
-	return c.SampleSpanner(ctx, sp, rng, k, opts...)
+	return c.sample(ctx, q.sp, &q.memo, rng, k, opts)
 }
 
 // SampleSearch is Sample with substring semantics (CompileSearch).
 func (c *Corpus) SampleSearch(ctx context.Context, pattern string, rng *rand.Rand, k int, opts ...Option) ([]CorpusMatch, error) {
-	sp, err := c.compileCached(ctx, "search", pattern, CompileSearch)
+	q, err := c.compileCached(ctx, "search", pattern, CompileSearch)
 	if err != nil {
 		return nil, err
 	}
-	return c.SampleSpanner(ctx, sp, rng, k, opts...)
+	return c.sample(ctx, q.sp, &q.memo, rng, k, opts)
 }
 
-// SampleSpanner is Sample for a precompiled spanner. The counting sweep
-// honors WithTimeout and the admission gate; ranked views built for the
-// draws are cached per document, so k draws cost at most min(k, matched
-// docs) graph builds on top of the sweep.
+// SampleSpanner is Sample for a precompiled spanner (bypassing the cache
+// and its count memo). The counting sweep honors WithTimeout and the
+// admission gate; ranked views built for the draws are cached per
+// document, so k draws cost at most min(k, matched docs) graph builds on
+// top of the sweep.
 func (c *Corpus) SampleSpanner(ctx context.Context, sp *Spanner, rng *rand.Rand, k int, opts ...Option) ([]CorpusMatch, error) {
+	return c.sample(ctx, sp, nil, rng, k, opts)
+}
+
+// sample draws the k matches; memo is the cache entry's count memo, or
+// nil for a spanner the caller compiled.
+func (c *Corpus) sample(ctx context.Context, sp *Spanner, memo *corpus.CountMemo, rng *rand.Rand, k int, opts []Option) ([]CorpusMatch, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	res, err := c.countSpanner(ctx, sp, buildOptions(opts), true)
+	res, err := c.countSpanner(ctx, sp, memo, buildOptions(opts), true)
 	if err != nil {
 		return nil, err
 	}
@@ -270,8 +300,10 @@ func (c *Corpus) SampleSpanner(ctx context.Context, sp *Spanner, rng *rand.Rand,
 // compilation mode ("anchor" or "search"), the pattern, and the rank of
 // the next result to serve. Token/ParseCursor round-trip it through an
 // opaque URL-safe string, so services can hand deep-pagination state to
-// clients without keeping any per-client state server-side — resuming a
-// cursor is one EvalSpannerPage call, O(1) per page at any depth.
+// clients without keeping any per-client state server-side. Resuming a
+// cursor is one EvalPage call at any depth: a counting sweep over the
+// documents appended since the pattern's last sweep (every document, the
+// first time the pattern is seen) plus one descent.
 type Cursor struct {
 	Mode    string // "anchor" (Compile) or "search" (CompileSearch)
 	Pattern string

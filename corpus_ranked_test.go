@@ -198,8 +198,14 @@ func TestCorpusEvalPage(t *testing.T) {
 					t.Fatalf("page match decodes substring %q", s)
 				}
 			}
-			if st := pg.Stats; st.Scanned+st.Skipped != uint64(c.Len()) {
+			st := pg.Stats
+			if st.Scanned+st.Skipped+st.Reused != uint64(c.Len()) {
 				t.Fatalf("offset %d: stats %+v do not partition %d docs", off, st, c.Len())
+			}
+			// The first page sweeps the corpus; every later page of the
+			// cached pattern takes all of it from the count memo.
+			if wantReused := uint64(c.Len()) * min(off, 1); st.Reused != wantReused {
+				t.Fatalf("offset %d: Reused = %d, want %d", off, st.Reused, wantReused)
 			}
 		}
 	}

@@ -237,3 +237,46 @@ func TestInjectedDealerPanic(t *testing.T) {
 		}
 	})
 }
+
+// TestInjectedCountDeadlineKeepsMemo: a count whose WithTimeout fires
+// mid-sweep fails with DeadlineExceeded and publishes nothing to the
+// pattern's count memo, so the next count still equals a fresh corpus's.
+func TestInjectedCountDeadlineKeepsMemo(t *testing.T) {
+	const pattern = `.*x{(ab)+}.*`
+	ctx := context.Background()
+	var docs []string
+	for i := 0; i < 32; i++ {
+		docs = append(docs, strings.Repeat("ab", i%5)+" zz")
+	}
+	c := spanjoin.NewCorpus(spanjoin.WithShards(4), spanjoin.WithWorkers(2))
+	c.AddAll(docs[:16]...)
+	// The memo holds the first half, so the failed sweep below would
+	// extend a real prefix if it published.
+	if _, err := c.Count(ctx, pattern); err != nil {
+		t.Fatal(err)
+	}
+	c.AddAll(docs[16:]...)
+
+	// 16 documents at 5ms each over two workers: ~40ms of sweep against
+	// a 12ms deadline.
+	disarm := resilience.Enable(resilience.FailCountDoc, resilience.SleepAction(5*time.Millisecond))
+	_, err := c.Count(ctx, pattern, spanjoin.WithTimeout(12*time.Millisecond))
+	disarm()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+
+	fresh := spanjoin.NewCorpus(spanjoin.WithShards(4))
+	fresh.AddAll(docs...)
+	want, err := fresh.Count(ctx, pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Count(ctx, pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("count after the failed sweep = %v, fresh corpus %v", got, want)
+	}
+}

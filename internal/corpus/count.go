@@ -2,7 +2,6 @@ package corpus
 
 import (
 	"context"
-	"errors"
 	"sort"
 	"sync"
 	"time"
@@ -30,6 +29,9 @@ type CountResult struct {
 	// Scanned/Skipped/SkippedIndex mirror Results' prefilter counters:
 	// prefiltered documents contribute 0 without being visited.
 	Scanned, Skipped, SkippedIndex uint64
+	// Reused counts documents whose counts came from the count memo
+	// without being visited. Scanned+Skipped+Reused is the snapshot size.
+	Reused uint64
 }
 
 // docCounter counts one document's results.
@@ -42,7 +44,12 @@ type docCounter func(doc string) (ranked.Count, error)
 // excludes — skip-index non-candidates and literal-scan failures — count
 // as 0 without being visited. perDoc additionally collects the non-zero
 // per-document counts.
-func (s *Store) CountPlan(ctx context.Context, p *enum.Plan, opt EvalOptions, perDoc bool) (res *CountResult, err error) {
+//
+// memo, when non-nil, is the plan's count memo (see CountMemo): documents
+// below its per-shard marks are served from it, only the rest are swept,
+// and a sweep that completes cleanly extends it. A nil memo sweeps the
+// whole snapshot.
+func (s *Store) CountPlan(ctx context.Context, p *enum.Plan, memo *CountMemo, opt EvalOptions, perDoc bool) (res *CountResult, err error) {
 	defer resilience.RecoverTo(&err)
 	return s.countDocs(ctx, func(stop func() bool) docCounter {
 		e := p.NewEnumerator()
@@ -53,7 +60,7 @@ func (s *Store) CountPlan(ctx context.Context, p *enum.Plan, opt EvalOptions, pe
 			e.Reset(doc)
 			return e.Rank().Count(), nil
 		}
-	}, opt, perDoc)
+	}, memo, opt, perDoc)
 }
 
 // CountFunc is CountPlan for evaluators that cannot share a compiled
@@ -69,19 +76,23 @@ func (s *Store) CountFunc(ctx context.Context, newEval NewDocEval, opt EvalOptio
 			err := eval(doc, func(span.Tuple) bool { n++; return true })
 			return ranked.CountOf(n), err
 		}
-	}, opt, perDoc)
+	}, nil, opt, perDoc)
 }
 
 // countDocs is the shared fan-out: shards are dealt to workers exactly
-// like run(), each worker aggregates locally and merges once at the end,
-// so the only cross-worker synchronization is one mutex acquisition per
-// worker. Like run it reports into a trace carried on ctx: the admission
-// wait and, after the sweep, the count stage with the scanned-document
-// tally.
+// like run(), and each worker tallies every shard it is dealt into that
+// shard's own sweep record, merged once the pool has drained. Like run it
+// reports into a trace carried on ctx: the admission wait and, after the
+// sweep, the count stage with the scanned-document tally.
+//
+// The memo is read before the snapshot is captured, so its prefixes never
+// reach past the snapshot; the sweep starts at each shard's mark and is
+// published back only when it finished with no error, cancellation or
+// deadline — a build the stop probe interrupted reports a false 0.
 //
 //spanjoin:stage admission_wait
 //spanjoin:stage count
-func (s *Store) countDocs(ctx context.Context, newCounter func(stop func() bool) docCounter, opt EvalOptions, perDoc bool) (*CountResult, error) {
+func (s *Store) countDocs(ctx context.Context, newCounter func(stop func() bool) docCounter, memo *CountMemo, opt EvalOptions, perDoc bool) (*CountResult, error) {
 	tr := obs.FromContext(ctx)
 	cctx, cancel := opt.evalCtx(ctx)
 	defer cancel()
@@ -98,14 +109,17 @@ func (s *Store) countDocs(ctx context.Context, newCounter func(stop func() bool)
 		defer g.Release(1)
 	}
 
+	prefix := memo.load()
 	shards := s.planTraced(ctx, opt.Required)
-	res := &CountResult{}
-	idxSkipped, busy := planStats(shards)
-	res.Skipped += idxSkipped
-	res.SkippedIndex += idxSkipped
-	if busy == 0 {
-		return res, ctx.Err()
+	sweeps := make([]shardSweep, len(shards))
+	for si := range shards {
+		if prefix != nil {
+			shards[si].startAt(prefix[si].mark)
+		}
+		sweeps[si] = shardSweep{from: shards[si].from, end: len(shards[si].docs)}
 	}
+	// The memo needs every non-zero count of the sweep to extend itself.
+	collect := perDoc || memo != nil
 
 	var (
 		mu       sync.Mutex
@@ -121,89 +135,93 @@ func (s *Store) countDocs(ctx context.Context, newCounter func(stop func() bool)
 		cancel()
 	}
 
-	// Materialize every worker's counter before starting any goroutine:
-	// like run()'s evaluators, counter constructors may read shared state
-	// that a running worker would already be mutating; a constructor panic
-	// fails the count, not the process.
-	workers := clampWorkers(opt.workers(), busy)
-	counters := make([]docCounter, workers)
-	if err := func() (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = resilience.NewPanicError(resilience.NoDoc, p)
-			}
-		}()
-		for w := range counters {
-			counters[w] = newCounter(stop)
-		}
-		return nil
-	}(); err != nil {
-		return nil, err
-	}
-
-	shardCh := dealShards(cctx, shards, fail)
+	idxSkipped, busy := planStats(shards)
 	sweepStart := time.Now()
-	for w := 0; w < workers; w++ {
-		counter := counters[w]
-		wg.Add(1)
-		go func() {
-			cur := resilience.NoDoc
+	if busy > 0 {
+		// Materialize every worker's counter before starting any goroutine:
+		// like run()'s evaluators, counter constructors may read shared
+		// state that a running worker would already be mutating; a
+		// constructor panic fails the count, not the process.
+		counters := make([]docCounter, clampWorkers(opt.workers(), busy))
+		if err := func() (err error) {
 			defer func() {
 				if p := recover(); p != nil {
-					fail(resilience.NewPanicError(cur, p))
+					err = resilience.NewPanicError(resilience.NoDoc, p)
 				}
-				wg.Done()
 			}()
-			var (
-				total            ranked.Count
-				docs             []DocCount
-				scanned, skipped uint64
-			)
-			for si := range shardCh {
-				es := &shards[si]
-				n := es.work()
-				for k := 0; k < n; k++ {
-					if cctx.Err() != nil {
-						break
+			for w := range counters {
+				counters[w] = newCounter(stop)
+			}
+			return nil
+		}(); err != nil {
+			return nil, err
+		}
+
+		shardCh := dealShards(cctx, shards, fail)
+		for _, counter := range counters {
+			wg.Add(1)
+			go func() {
+				cur := resilience.NoDoc
+				defer func() {
+					if p := recover(); p != nil {
+						fail(resilience.NewPanicError(cur, p))
 					}
-					pos := k
-					if es.constrained {
-						pos = int(es.cand[k])
-					}
-					doc := es.docs[pos]
-					if !opt.Required.IsEmpty() && !opt.Required.Match(doc) {
-						skipped++
-						continue
-					}
-					scanned++
-					cur = uint64(s.idOf(uint64(si), uint64(pos)))
-					resilience.Inject(resilience.FailCountDoc, doc)
-					c, err := counter(doc)
-					if err != nil {
-						fail(err)
-						break
-					}
-					cur = resilience.NoDoc
-					if c.IsZero() {
-						continue
-					}
-					total = total.Add(c)
-					if perDoc {
-						docs = append(docs, DocCount{Doc: s.idOf(uint64(si), uint64(pos)), N: c})
+					wg.Done()
+				}()
+				// A shard is dealt to exactly one worker, so its sweep
+				// record needs no lock; wg.Wait publishes it.
+				for si := range shardCh {
+					es, sw := &shards[si], &sweeps[si]
+					for k, n := 0, es.work(); k < n; k++ {
+						if cctx.Err() != nil {
+							break
+						}
+						pos := es.pos(k)
+						doc := es.docs[pos]
+						if !opt.Required.IsEmpty() && !opt.Required.Match(doc) {
+							sw.skipped++
+							continue
+						}
+						sw.scanned++
+						id := s.idOf(uint64(si), uint64(pos))
+						cur = uint64(id)
+						resilience.Inject(resilience.FailCountDoc, doc)
+						c, err := counter(doc)
+						if err != nil {
+							fail(err)
+							break
+						}
+						cur = resilience.NoDoc
+						if c.IsZero() {
+							continue
+						}
+						sw.total = sw.total.Add(c)
+						if collect {
+							sw.docs = append(sw.docs, DocCount{Doc: id, N: c})
+						}
 					}
 				}
-			}
-			mu.Lock()
-			res.Total = res.Total.Add(total)
-			res.PerDoc = append(res.PerDoc, docs...)
-			res.Scanned += scanned
-			res.Skipped += skipped
-			mu.Unlock()
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	sweep := time.Since(sweepStart)
+
+	res := &CountResult{Skipped: idxSkipped, SkippedIndex: idxSkipped}
+	for si := range sweeps {
+		sw := &sweeps[si]
+		res.Total = res.Total.Add(sw.total)
+		res.Scanned += sw.scanned
+		res.Skipped += sw.skipped
+		if prefix != nil {
+			res.Total = res.Total.Add(prefix[si].total)
+			res.Reused += uint64(prefix[si].mark)
+		}
+	}
 	s.met.countDur.Observe(sweep)
+	s.met.docsScanned.Add(res.Scanned)
+	s.met.docsSkipped.Add(res.Skipped)
+	s.met.docsReused.Add(res.Reused)
 	tr.ObserveItems(obs.StageCount, sweep, int64(res.Scanned))
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -211,11 +229,20 @@ func (s *Store) countDocs(ctx context.Context, newCounter func(stop func() bool)
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	if errors.Is(cctx.Err(), context.DeadlineExceeded) {
+	if err := cctx.Err(); err != nil {
 		// The per-count deadline (EvalOptions.Deadline) fired.
-		return nil, context.DeadlineExceeded
+		return nil, err
 	}
-	sort.Slice(res.PerDoc, func(i, j int) bool { return res.PerDoc[i].Doc < res.PerDoc[j].Doc })
+	memo.publish(s, sweeps)
+	if perDoc {
+		for si := range sweeps {
+			if prefix != nil {
+				res.PerDoc = append(res.PerDoc, prefix[si].docs...)
+			}
+			res.PerDoc = append(res.PerDoc, sweeps[si].docs...)
+		}
+		sort.Slice(res.PerDoc, func(i, j int) bool { return res.PerDoc[i].Doc < res.PerDoc[j].Doc })
+	}
 	return res, nil
 }
 
@@ -226,21 +253,22 @@ type PageResult struct {
 	// in the engine's radix order.
 	Matches []Result
 	// Total is the exact corpus-wide result count.
-	Total                          ranked.Count
-	Scanned, Skipped, SkippedIndex uint64
+	Total                                  ranked.Count
+	Scanned, Skipped, SkippedIndex, Reused uint64
 }
 
 // PagePlan serves offset/limit pagination over the snapshot in ascending
 // DocID order, in two phases: the corpus-wide counting sweep runs through
 // CountPlan's shard workers (parallel, skip-index aware, no enumeration
-// anywhere), then the window — located in the per-document prefix sums —
-// is entered with a single DAG descent and streamed from only the
-// documents it intersects. A page deep in the result sequence therefore
-// costs the same as page 0 plus the parallel counting sweep, and the
-// exact total rides along for free.
-func (s *Store) PagePlan(ctx context.Context, p *enum.Plan, opt EvalOptions, offset uint64, limit int) (page *PageResult, err error) {
+// anywhere, and — given the plan's memo — visiting only documents the
+// memo has not counted yet), then the window — located in the
+// per-document prefix sums — is entered with a single DAG descent and
+// streamed from only the documents it intersects. A page deep in the
+// result sequence therefore costs the same as page 0: the counting sweep
+// plus one descent, and the exact total rides along for free.
+func (s *Store) PagePlan(ctx context.Context, p *enum.Plan, memo *CountMemo, opt EvalOptions, offset uint64, limit int) (page *PageResult, err error) {
 	defer resilience.RecoverTo(&err)
-	cnt, err := s.CountPlan(ctx, p, opt, true)
+	cnt, err := s.CountPlan(ctx, p, memo, opt, true)
 	if err != nil {
 		return nil, err
 	}
@@ -249,6 +277,7 @@ func (s *Store) PagePlan(ctx context.Context, p *enum.Plan, opt EvalOptions, off
 		Scanned:      cnt.Scanned,
 		Skipped:      cnt.Skipped,
 		SkippedIndex: cnt.SkippedIndex,
+		Reused:       cnt.Reused,
 	}
 	if limit <= 0 {
 		return res, nil

@@ -29,7 +29,7 @@ func TestCountPlanMatchesDrain(t *testing.T) {
 	docs := []string{"aba", "bb", "", "aaab", "ba", "abab", "a", "baab", "bbba", "aaaa"}
 	for _, workers := range []int{0, 1, 3, 8} {
 		s, ids, p := countStore(t, 4, docs, `(a|b)*x{a+}(a|b)*`)
-		res, err := s.CountPlan(context.Background(), p, EvalOptions{Workers: workers}, true)
+		res, err := s.CountPlan(context.Background(), p, nil, EvalOptions{Workers: workers}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestCountPlanSkipsViaIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := prefilter.New("needle")
-	res, err := s.CountPlan(context.Background(), p, EvalOptions{Required: req}, true)
+	res, err := s.CountPlan(context.Background(), p, nil, EvalOptions{Required: req}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestCountPlanCancellation(t *testing.T) {
 	s, _, p := countStore(t, 4, docs, `a*x{a+}a*`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.CountPlan(ctx, p, EvalOptions{}, false); err == nil {
+	if _, err := s.CountPlan(ctx, p, nil, EvalOptions{}, false); err == nil {
 		t.Fatal("cancelled CountPlan returned nil error")
 	}
 }
@@ -148,7 +148,7 @@ func TestPagePlanWindowsAndTotal(t *testing.T) {
 	s, _, p := countStore(t, 2, docs, `a*x{a+}a*`)
 
 	// Reference: the full result sequence in ascending DocID order.
-	full, err := s.PagePlan(context.Background(), p, EvalOptions{}, 0, 1<<30)
+	full, err := s.PagePlan(context.Background(), p, nil, EvalOptions{}, 0, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestPagePlanWindowsAndTotal(t *testing.T) {
 	// Every window must be the exact slice of the full sequence.
 	for off := uint64(0); off <= total+2; off++ {
 		for _, limit := range []int{1, 3, int(total) + 1} {
-			pg, err := s.PagePlan(context.Background(), p, EvalOptions{}, off, limit)
+			pg, err := s.PagePlan(context.Background(), p, nil, EvalOptions{}, off, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +192,7 @@ func TestPagePlanWindowsAndTotal(t *testing.T) {
 		}
 	}
 	// limit 0: counting sweep only.
-	pg, err := s.PagePlan(context.Background(), p, EvalOptions{}, 0, 0)
+	pg, err := s.PagePlan(context.Background(), p, nil, EvalOptions{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestPagePlanWithIndex(t *testing.T) {
 	}
 	// "ab" is bigram-indexable, so non-candidates are skipped outright.
 	req := prefilter.New("ab")
-	full, err := s.PagePlan(context.Background(), p, EvalOptions{Required: req}, 0, 1<<30)
+	full, err := s.PagePlan(context.Background(), p, nil, EvalOptions{Required: req}, 0, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestPagePlanWithIndex(t *testing.T) {
 	for _, d := range docs {
 		noIdx.Add(d)
 	}
-	ref, err := noIdx.PagePlan(context.Background(), p, EvalOptions{Required: req}, 0, 1<<30)
+	ref, err := noIdx.PagePlan(context.Background(), p, nil, EvalOptions{Required: req}, 0, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestPagePlanWithIndex(t *testing.T) {
 func TestPagePlanOffsetBoundary(t *testing.T) {
 	docs := []string{"aa", "b", "aaa", "", "a", "aaaa"}
 	s, _, p := countStore(t, 2, docs, `a*x{a+}a*`)
-	full, err := s.PagePlan(context.Background(), p, EvalOptions{}, 0, 1<<30)
+	full, err := s.PagePlan(context.Background(), p, nil, EvalOptions{}, 0, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestPagePlanOffsetBoundary(t *testing.T) {
 	}
 	for _, off := range []uint64{total, total + 1, ^uint64(0) - 1, ^uint64(0)} {
 		for _, limit := range []int{1, int(total), 1 << 30} {
-			pg, err := s.PagePlan(context.Background(), p, EvalOptions{}, off, limit)
+			pg, err := s.PagePlan(context.Background(), p, nil, EvalOptions{}, off, limit)
 			if err != nil {
 				t.Fatalf("page(%d,%d): %v", off, limit, err)
 			}
@@ -268,7 +268,7 @@ func TestPagePlanOffsetBoundary(t *testing.T) {
 		}
 	}
 	// The last addressable window still works right at the edge.
-	pg, err := s.PagePlan(context.Background(), p, EvalOptions{}, total-1, 1<<30)
+	pg, err := s.PagePlan(context.Background(), p, nil, EvalOptions{}, total-1, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,8 +104,9 @@ func OpenStore(dir string, n int, opt wal.Options, snapThreshold int64) (*Store,
 		s.shards[i].docs = rec.Shards[i]
 		total += uint64(len(rec.Shards[i]))
 	}
-	// Seed the round-robin chooser so new appends continue the rotation
-	// instead of piling onto shard 0 after every restart.
+	// Seed the round-robin chooser with the recovered count, so new
+	// appends continue the rotation — and the ID sequence — where the
+	// previous run left off instead of piling onto shard 0.
 	s.rr.Store(total)
 	s.dur = &durability{
 		log:           rec.Log,
@@ -180,7 +181,7 @@ func (s *Store) AddErrCtx(ctx context.Context, doc string) (DocID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	t0 := time.Now()
-	si := s.rr.Add(1) % uint64(len(s.shards))
+	si := (s.rr.Add(1) - 1) % uint64(len(s.shards))
 	seq, err := d.log.Append(uint32(si), doc)
 	if tr != nil {
 		total := time.Since(t0)

@@ -299,12 +299,12 @@ func (s *Store) EvalFunc(ctx context.Context, vars span.VarList, newEval NewDocE
 }
 
 // planStats tallies a planned snapshot: the documents the skip index
-// excluded outright (everything outside a constrained shard's candidate
-// list) and the number of shards with work.
+// excluded outright (the positions from a constrained shard's start on
+// that its candidate list leaves out) and the number of shards with work.
 func planStats(shards []evalShard) (idxSkipped uint64, busy int) {
 	for i := range shards {
 		if shards[i].constrained {
-			idxSkipped += uint64(len(shards[i].docs) - len(shards[i].cand))
+			idxSkipped += uint64(len(shards[i].docs) - shards[i].from - len(shards[i].cand))
 		}
 		if shards[i].work() > 0 {
 			busy++
@@ -466,10 +466,7 @@ func (s *Store) run(ctx context.Context, shards []evalShard, vars span.VarList, 
 				es := &shards[si]
 				n := es.work()
 				for k := 0; k < n; k++ {
-					pos := k
-					if es.constrained {
-						pos = int(es.cand[k])
-					}
+					pos := es.pos(k)
 					if cctx.Err() != nil {
 						return
 					}

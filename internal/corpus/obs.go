@@ -21,6 +21,7 @@ type storeMetrics struct {
 
 	docsScanned *obs.Counter
 	docsSkipped *obs.Counter
+	docsReused  *obs.Counter
 	results     *obs.Counter
 }
 
@@ -36,8 +37,9 @@ func (s *Store) SetRegistry(r *obs.Registry) {
 		evalDur:     r.Histogram("spanjoin_eval_seconds", "Worker-pool lifetime of one corpus operation.", nil, obs.Label{Key: "op", Value: "eval"}),
 		countDur:    r.Histogram("spanjoin_eval_seconds", "Worker-pool lifetime of one corpus operation.", nil, obs.Label{Key: "op", Value: "count"}),
 		prefilter:   r.Histogram("spanjoin_prefilter_seconds", "Snapshot capture plus skip-index candidate selection.", nil),
-		docsScanned: r.Counter("spanjoin_docs_scanned_total", "Documents actually evaluated (streaming evaluations)."),
-		docsSkipped: r.Counter("spanjoin_docs_skipped_total", "Documents excluded by the prefilter (streaming evaluations)."),
+		docsScanned: r.Counter("spanjoin_docs_scanned_total", "Documents actually evaluated or counted (streaming evaluations and counting sweeps)."),
+		docsSkipped: r.Counter("spanjoin_docs_skipped_total", "Documents excluded by the prefilter (streaming evaluations and counting sweeps)."),
+		docsReused:  r.Counter("spanjoin_docs_reused_total", "Documents whose counts a counting sweep took from its query's count memo."),
 		results:     r.Counter("spanjoin_results_total", "Result tuples delivered by streaming evaluations."),
 	}
 	r.Gauge("spanjoin_docs", "Documents in the store.", func() float64 { return float64(s.Len()) })

@@ -17,6 +17,7 @@ package corpus
 
 import (
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -37,7 +38,10 @@ type DocID uint64
 // captured under the read lock stays valid forever.
 type Store struct {
 	shards []shard
-	rr     atomic.Uint64 // round-robin shard chooser
+	// rr counts Adds and chooses their shards round-robin: the k-th Add
+	// (from 0) goes to shard k mod n, so a single writer's IDs run
+	// 0, 1, 2, ….
+	rr atomic.Uint64
 
 	// gate, when set, is the store's admission controller: every
 	// evaluation and count acquires one slot for the lifetime of its
@@ -137,7 +141,7 @@ func (s *Store) Add(doc string) DocID {
 		}
 		return id
 	}
-	si := s.rr.Add(1) % uint64(len(s.shards))
+	si := (s.rr.Add(1) - 1) % uint64(len(s.shards))
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	pos := uint64(len(sh.docs))
@@ -176,10 +180,13 @@ func (s *Store) Len() int {
 // evalShard is one shard's slice of an evaluation plan: the snapshotted
 // documents plus, when the skip index constrained the requirement, the
 // sorted candidate positions (constrained=false means every position).
+// Positions below from are not visited: a counting sweep with a memo
+// starts at the memo's high-water mark.
 type evalShard struct {
 	docs        []string
 	cand        []uint32
 	constrained bool
+	from        int
 }
 
 // plan captures every shard's current document prefix plus its skip-index
@@ -210,5 +217,22 @@ func (es evalShard) work() int {
 	if es.constrained {
 		return len(es.cand)
 	}
-	return len(es.docs)
+	return len(es.docs) - es.from
+}
+
+// pos maps the k-th visit (0 ≤ k < work) to its document position.
+func (es evalShard) pos(k int) int {
+	if es.constrained {
+		return int(es.cand[k])
+	}
+	return es.from + k
+}
+
+// startAt drops the positions below from from the shard's plan.
+func (es *evalShard) startAt(from int) {
+	es.from = from
+	if es.constrained {
+		j := sort.Search(len(es.cand), func(j int) bool { return int(es.cand[j]) >= from })
+		es.cand = es.cand[j:]
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"spanjoin/internal/wal"
 )
 
 func TestStoreAddGetRoundtrip(t *testing.T) {
@@ -26,6 +28,53 @@ func TestStoreAddGetRoundtrip(t *testing.T) {
 	}
 	if _, ok := s.Get(DocID(1 << 40)); ok {
 		t.Fatal("Get of unknown ID reported ok")
+	}
+}
+
+// TestStoreSequentialIDs: a single writer's Adds return 0, 1, 2, … on
+// every shard count — on a RAM store, and on a durable store, where the
+// sequence continues across a reopen and every earlier ID still resolves
+// to its document.
+func TestStoreSequentialIDs(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		t.Run(fmt.Sprintf("ram/shards=%d", n), func(t *testing.T) {
+			s := NewStore(n)
+			for want := DocID(0); want < 13; want++ {
+				if got := s.Add(fmt.Sprint(want)); got != want {
+					t.Fatalf("Add #%d returned ID %d", want, got)
+				}
+			}
+		})
+		t.Run(fmt.Sprintf("durable/shards=%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			var next DocID
+			// Seven documents per run: the reopen lands mid-rotation on
+			// every shard count above one.
+			for run := 0; run < 2; run++ {
+				s, err := OpenStore(dir, n, wal.Options{Policy: wal.SyncNever}, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id := DocID(0); id < next; id++ {
+					if doc, ok := s.Get(id); !ok || doc != fmt.Sprint(id) {
+						t.Fatalf("run %d: Get(%d) = %q, %v after reopen", run, id, doc, ok)
+					}
+				}
+				for i := 0; i < 7; i++ {
+					got, err := s.AddErr(fmt.Sprint(next))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != next {
+						t.Fatalf("run %d: Add #%d returned ID %d", run, next, got)
+					}
+					next++
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

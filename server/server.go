@@ -3,7 +3,8 @@
 //
 //	GET /eval   paginated evaluation, NDJSON result rows + a trailer
 //	            carrying the exact total and an opaque cursor token;
-//	            deep pages cost O(1) via the ranked Page machinery
+//	            any page costs a count of the documents appended since
+//	            the pattern's last sweep plus one ranked descent
 //	GET /count  exact corpus-wide result count, no enumeration
 //	GET /sample i.i.d. uniform matches from the corpus-wide result set
 //	GET /stats  document, cache, admission-gate, server and (for a
@@ -191,10 +192,19 @@ func RowOf(cm spanjoin.CorpusMatch) Row {
 }
 
 // Stats is one /eval evaluation's prefilter/work counters on the wire.
+// Scanned+Skipped+Reused is the number of documents evaluated over;
+// Reused counts those whose match counts came from the pattern's count
+// memo.
 type Stats struct {
 	Scanned      uint64 `json:"scanned"`
 	Skipped      uint64 `json:"skipped"`
 	SkippedIndex uint64 `json:"skipped_index"`
+	Reused       uint64 `json:"reused"`
+}
+
+// statsOf converts an evaluation's counters to their wire form.
+func statsOf(st spanjoin.EvalStats) *Stats {
+	return &Stats{Scanned: st.Scanned, Skipped: st.Skipped, SkippedIndex: st.SkippedIndex, Reused: st.Reused}
 }
 
 // Trailer is the final NDJSON line of /eval and /sample: pagination state
@@ -328,8 +338,10 @@ func ndjson(w http.ResponseWriter, status int) *json.Encoder {
 // handleEval serves one page of a corpus evaluation as NDJSON: result
 // rows, then a trailer with the exact total and the next page's cursor
 // token. Pagination state lives entirely in the token — the server keeps
-// nothing per client, and a resumed token is one O(1)-per-page ranked
-// descent, not a re-enumeration. With budget set the page instead runs
+// nothing per client. A page, first or resumed, is a counting sweep over
+// the documents appended since the pattern's last sweep (every document
+// when the pattern is not in the corpus cache) plus one ranked descent,
+// not a re-enumeration. With budget set the page instead runs
 // the streaming evaluator under WithBudget/WithLimit; a spent budget
 // answers 413 with the partial rows in the body.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
@@ -404,7 +416,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		Done:      true,
 		Delivered: len(page.Matches),
 		Total:     page.Total.String(),
-		Stats:     &Stats{Scanned: page.Stats.Scanned, Skipped: page.Stats.Skipped, SkippedIndex: page.Stats.SkippedIndex},
+		Stats:     statsOf(page.Stats),
 		Trace:     traceSpans(r),
 	}
 	if more {
@@ -462,7 +474,7 @@ func (s *Server) evalBudgeted(w http.ResponseWriter, r *http.Request, cur spanjo
 	t := Trailer{
 		Done:      evalErr == nil,
 		Delivered: len(rows),
-		Stats:     &Stats{Scanned: st.Scanned, Skipped: st.Skipped, SkippedIndex: st.SkippedIndex},
+		Stats:     statsOf(st),
 		Trace:     traceSpans(r),
 	}
 	if evalErr != nil {

@@ -99,6 +99,12 @@ func TestEvalRoundTripByteIdentical(t *testing.T) {
 		if tu := page.Total.Uint64(); tu != uint64(len(want)) {
 			t.Fatalf("page %d: total %v, want %d", pages, page.Total, len(want))
 		}
+		// The first page sweeps every document; the cursor pages that
+		// follow take all of them from the pattern's count memo.
+		st, n := page.Stats, uint64(corpus.Len())
+		if wantReused := n * uint64(min(pages, 1)); st.Reused != wantReused || st.Scanned+st.Skipped+st.Reused != n {
+			t.Fatalf("page %d: stats %+v, want %d of %d documents reused", pages, st, wantReused, n)
+		}
 		pages++
 		if page.Next == "" {
 			break
