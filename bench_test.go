@@ -468,26 +468,11 @@ func BenchmarkPrefilterAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelEnumeration: the §6 parallelization direction — worker
-// scaling on a match-heavy workload.
-func BenchmarkParallelEnumeration(b *testing.B) {
-	a := rgx.MustCompilePattern(".*x{a+}.*y{b+}.*")
-	s := workload.RandomString(workload.Rand(12), 384, 2)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := enum.EvalParallel(a, s, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCorpusEval: the corpus engine end to end — sharded fan-out with
 // per-worker enumerator reuse and the compiled-query cache (every
-// iteration after the first is a cache hit), vs the flat EvalAllParallel
-// worker pool over the same documents.
+// iteration after the first is a cache hit), vs the EvalAllParallel batch
+// (the same shard executor over a one-shard-per-document store, no cache)
+// over the same documents.
 func BenchmarkCorpusEval(b *testing.B) {
 	r := workload.Rand(77)
 	docs := make([]string, 256)

@@ -280,3 +280,54 @@ func TestInjectedCountDeadlineKeepsMemo(t *testing.T) {
 		t.Fatalf("count after the failed sweep = %v, fresh corpus %v", got, want)
 	}
 }
+
+// TestInjectedBatchWorkerPanic: a panic while EvalAllParallel evaluates
+// one document fails the batch with *PanicError naming that document's
+// index in docs — the process survives and the pool is gone.
+func TestInjectedBatchWorkerPanic(t *testing.T) {
+	const poison = 11
+	docs := make([]string, 16)
+	for i := range docs {
+		docs[i] = strings.Repeat("ab", 8)
+	}
+	docs[poison] = "ab zz ab" // passes the spanner's "ab" prefilter
+	disarm := resilience.Enable(resilience.FailWorkerDoc, resilience.PanicOnArg(docs[poison], "injected"))
+	defer disarm()
+	sp := spanjoin.MustCompile(`.*x{(ab)+}.*`)
+	leakcheck.Check(t, func() {
+		_, err := sp.EvalAllParallel(docs, 4)
+		var pe *spanjoin.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("err = %v, want *PanicError", err)
+		}
+		if pe.Doc != poison {
+			t.Fatalf("PanicError.Doc = %d, want %d", pe.Doc, poison)
+		}
+	})
+}
+
+// TestInjectedCountPanicReleasesGate: a count whose worker panics gives
+// its admission slot back, so the next count on a one-slot corpus is
+// admitted.
+func TestInjectedCountPanicReleasesGate(t *testing.T) {
+	const pattern = `x{(ab|z)+}`
+	ctx := context.Background()
+	c := spanjoin.NewCorpus(spanjoin.WithMaxConcurrent(1))
+	for i := 0; i < 8; i++ {
+		c.Add("abab")
+	}
+	c.Add("zz")
+	disarm := resilience.Enable(resilience.FailCountDoc, resilience.PanicOnArg("zz", "injected"))
+	_, err := c.CountSearch(ctx, pattern)
+	disarm()
+	var pe *spanjoin.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *PanicError", err)
+	}
+	if st := c.GateStats(); st.Active != 0 {
+		t.Fatalf("GateStats.Active = %d after a panicked count, want 0", st.Active)
+	}
+	if _, err := c.CountSearch(ctx, pattern); err != nil {
+		t.Fatalf("count after a panicked count: %v", err)
+	}
+}

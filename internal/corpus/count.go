@@ -3,7 +3,6 @@ package corpus
 import (
 	"context"
 	"sort"
-	"sync"
 	"time"
 
 	"spanjoin/internal/enum"
@@ -79,140 +78,56 @@ func (s *Store) CountFunc(ctx context.Context, newEval NewDocEval, opt EvalOptio
 	}, nil, opt, perDoc)
 }
 
-// countDocs is the shared fan-out: shards are dealt to workers exactly
-// like run(), and each worker tallies every shard it is dealt into that
-// shard's own sweep record, merged once the pool has drained. Like run it
-// reports into a trace carried on ctx: the admission wait and, after the
-// sweep, the count stage with the scanned-document tally.
+// countDocs is the counting visitor on the shard executor: each worker
+// tallies every document it is dealt into that shard's own sweep record,
+// merged once the pool has drained. It reports into a trace carried on
+// ctx the count stage with the scanned-document tally.
 //
-// The memo is read before the snapshot is captured, so its prefixes never
-// reach past the snapshot; the sweep starts at each shard's mark and is
-// published back only when it finished with no error, cancellation or
-// deadline — a build the stop probe interrupted reports a false 0.
+// The executor reads the memo after admission and before it captures the
+// snapshot, so its prefixes never reach past the snapshot; the sweep
+// starts at each shard's mark and is published back only when it finished
+// with no error, cancellation or deadline — a build the stop probe
+// interrupted reports a false 0.
 //
-//spanjoin:stage admission_wait
 //spanjoin:stage count
 func (s *Store) countDocs(ctx context.Context, newCounter func(stop func() bool) docCounter, memo *CountMemo, opt EvalOptions, perDoc bool) (*CountResult, error) {
-	tr := obs.FromContext(ctx)
-	cctx, cancel := opt.evalCtx(ctx)
-	defer cancel()
-	stop := func() bool { return cctx.Err() != nil }
-	if g := s.gate; g != nil {
-		// Counts spin the same worker pools as streams, so they pass the
-		// same admission gate; the queue wait respects the deadline.
-		t0 := time.Now()
-		err := g.Acquire(cctx, 1)
-		tr.Observe(obs.StageAdmission, time.Since(t0))
-		if err != nil {
-			return nil, err
-		}
-		defer g.Release(1)
-	}
-
-	prefix := memo.load()
-	shards := s.planTraced(ctx, opt.Required)
-	sweeps := make([]shardSweep, len(shards))
-	for si := range shards {
-		if prefix != nil {
-			shards[si].startAt(prefix[si].mark)
-		}
-		sweeps[si] = shardSweep{from: shards[si].from, end: len(shards[si].docs)}
-	}
+	sweeps := make([]shardSweep, len(s.shards))
 	// The memo needs every non-zero count of the sweep to extend itself.
 	collect := perDoc || memo != nil
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-
-	idxSkipped, busy := planStats(shards)
-	sweepStart := time.Now()
-	if busy > 0 {
-		// Materialize every worker's counter before starting any goroutine:
-		// like run()'s evaluators, counter constructors may read shared
-		// state that a running worker would already be mutating; a
-		// constructor panic fails the count, not the process.
-		counters := make([]docCounter, clampWorkers(opt.workers(), busy))
-		if err := func() (err error) {
-			defer func() {
-				if p := recover(); p != nil {
-					err = resilience.NewPanicError(resilience.NoDoc, p)
+	x, err := s.startSweep(ctx, sweepSpec{
+		opt:       opt,
+		failpoint: resilience.FailCountDoc,
+		memo:      memo,
+		newVisitor: func(x *sweep) visitor {
+			counter := newCounter(x.stop)
+			return func(si int, id DocID, doc string) error {
+				c, err := counter(doc)
+				if err != nil || c.IsZero() {
+					return err
 				}
-			}()
-			for w := range counters {
-				counters[w] = newCounter(stop)
-			}
-			return nil
-		}(); err != nil {
-			return nil, err
-		}
-
-		shardCh := dealShards(cctx, shards, fail)
-		for _, counter := range counters {
-			wg.Add(1)
-			go func() {
-				cur := resilience.NoDoc
-				defer func() {
-					if p := recover(); p != nil {
-						fail(resilience.NewPanicError(cur, p))
-					}
-					wg.Done()
-				}()
 				// A shard is dealt to exactly one worker, so its sweep
-				// record needs no lock; wg.Wait publishes it.
-				for si := range shardCh {
-					es, sw := &shards[si], &sweeps[si]
-					for k, n := 0, es.work(); k < n; k++ {
-						if cctx.Err() != nil {
-							break
-						}
-						pos := es.pos(k)
-						doc := es.docs[pos]
-						if !opt.Required.IsEmpty() && !opt.Required.Match(doc) {
-							sw.skipped++
-							continue
-						}
-						sw.scanned++
-						id := s.idOf(uint64(si), uint64(pos))
-						cur = uint64(id)
-						resilience.Inject(resilience.FailCountDoc, doc)
-						c, err := counter(doc)
-						if err != nil {
-							fail(err)
-							break
-						}
-						cur = resilience.NoDoc
-						if c.IsZero() {
-							continue
-						}
-						sw.total = sw.total.Add(c)
-						if collect {
-							sw.docs = append(sw.docs, DocCount{Doc: id, N: c})
-						}
-					}
+				// record needs no lock; the pool's wait publishes it.
+				sw := &sweeps[si]
+				sw.total = sw.total.Add(c)
+				if collect {
+					sw.docs = append(sw.docs, DocCount{Doc: id, N: c})
 				}
-			}()
-		}
-		wg.Wait()
+				return nil
+			}
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	sweep := time.Since(sweepStart)
+	defer x.finish()
+	err = x.wait()
+	sweep := time.Since(x.start)
 
-	res := &CountResult{Skipped: idxSkipped, SkippedIndex: idxSkipped}
+	prefix := x.prefix
+	res := &CountResult{Scanned: x.scanned.Load(), Skipped: x.skipped.Load(), SkippedIndex: x.skippedIndex.Load()}
 	for si := range sweeps {
-		sw := &sweeps[si]
-		res.Total = res.Total.Add(sw.total)
-		res.Scanned += sw.scanned
-		res.Skipped += sw.skipped
+		sweeps[si].from, sweeps[si].end = x.shards[si].from, len(x.shards[si].docs)
+		res.Total = res.Total.Add(sweeps[si].total)
 		if prefix != nil {
 			res.Total = res.Total.Add(prefix[si].total)
 			res.Reused += uint64(prefix[si].mark)
@@ -222,15 +137,8 @@ func (s *Store) countDocs(ctx context.Context, newCounter func(stop func() bool)
 	s.met.docsScanned.Add(res.Scanned)
 	s.met.docsSkipped.Add(res.Skipped)
 	s.met.docsReused.Add(res.Reused)
-	tr.ObserveItems(obs.StageCount, sweep, int64(res.Scanned))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := cctx.Err(); err != nil {
-		// The per-count deadline (EvalOptions.Deadline) fired.
+	obs.FromContext(ctx).ObserveItems(obs.StageCount, sweep, int64(res.Scanned))
+	if err != nil {
 		return nil, err
 	}
 	memo.publish(s, sweeps)

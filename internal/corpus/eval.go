@@ -13,7 +13,6 @@ import (
 	"spanjoin/internal/prefilter"
 	"spanjoin/internal/resilience"
 	"spanjoin/internal/span"
-	"spanjoin/internal/vsa"
 )
 
 // Result is one streamed match: the document it was extracted from and the
@@ -103,9 +102,11 @@ type NewDocEval func(stop func() bool) DocEval
 // goroutine; Close may additionally be called from any number of
 // goroutines, at any time, concurrently with Next.
 type Results struct {
-	vars   span.VarList
-	ch     chan Result
-	cancel context.CancelFunc
+	vars span.VarList
+	ch   chan Result
+	// x is the executor sweep feeding the channel; it carries the
+	// prefilter counters and the pool's cancel.
+	x *sweep
 
 	// limit/budget copy the options; reserved is the limit reservation
 	// counter (reservations, not deliveries — see emit), work the budget
@@ -116,15 +117,6 @@ type Results struct {
 	work      atomic.Uint64
 	delivered atomic.Uint64
 
-	// scanned counts documents the evaluator actually ran on; skipped
-	// counts documents excluded by the prefilter (skip-index candidate
-	// selection or the literal scan). They sum to the snapshot size once
-	// the stream drains without cancellation. skippedIndex is the subset
-	// of skipped that the index excluded without even a substring scan.
-	scanned      atomic.Uint64
-	skipped      atomic.Uint64
-	skippedIndex atomic.Uint64
-
 	mu     sync.Mutex
 	err    error
 	closed bool
@@ -134,15 +126,15 @@ type Results struct {
 func (r *Results) Vars() span.VarList { return r.vars }
 
 // Scanned reports how many documents the evaluator has run on so far.
-func (r *Results) Scanned() uint64 { return r.scanned.Load() }
+func (r *Results) Scanned() uint64 { return r.x.scanned.Load() }
 
 // Skipped reports how many documents the prefilter has excluded so far
 // (index non-candidates plus documents failing the literal scan).
-func (r *Results) Skipped() uint64 { return r.skipped.Load() }
+func (r *Results) Skipped() uint64 { return r.x.skipped.Load() }
 
 // SkippedIndex reports the subset of Skipped the skip index excluded
 // outright — documents never visited, not even for a substring scan.
-func (r *Results) SkippedIndex() uint64 { return r.skippedIndex.Load() }
+func (r *Results) SkippedIndex() uint64 { return r.x.skippedIndex.Load() }
 
 // Work reports the work units spent so far: one per byte of every scanned
 // document plus one per delivered result. It is the meter EvalOptions'
@@ -201,7 +193,7 @@ func (r *Results) Close() {
 	r.mu.Lock()
 	r.closed = true
 	r.mu.Unlock()
-	r.cancel()
+	r.x.cancel()
 	// Drain until the closer goroutine closes the channel. Concurrent
 	// Closes (and a concurrent Next) all just race for leftover buffered
 	// results; every path unblocks once the pool is gone.
@@ -217,58 +209,22 @@ func (r *Results) setErr(err error) {
 	r.mu.Unlock()
 }
 
-// exhausted returns an already-drained Results — the empty-corpus fast
-// path, costing neither an enum.Prepare nor a worker goroutine.
-func exhausted(vars span.VarList) *Results {
-	r := &Results{vars: vars, ch: make(chan Result), cancel: func() {}}
-	close(r.ch)
-	return r
-}
-
-// Eval evaluates the compiled automaton over every document in the store
-// (snapshotted at call time), fanning the shards out to a pool of workers.
-// Each worker owns a Reset-able clone of one shared compiled enumerator,
-// so the per-document cost is a single graph rebuild into preallocated
-// arenas — the corpus-wide analogue of Spanner.NewStream. Results stream
-// through a bounded channel in no guaranteed global order; per document
-// they arrive in the engine's deterministic radix order.
-func (s *Store) Eval(ctx context.Context, a *vsa.VSA, opt EvalOptions) (res *Results, err error) {
-	defer resilience.RecoverTo(&err)
-	shards := s.planTraced(ctx, opt.Required)
-	total := 0
-	for i := range shards {
-		total += len(shards[i].docs)
-	}
-	if total == 0 {
-		// Empty snapshot: nothing to compile, no pool to spin up.
-		return exhausted(a.Vars), nil
-	}
-	p, err := enum.NewPlan(a)
-	if err != nil {
-		return nil, err
-	}
-	return s.evalShards(ctx, p, shards, opt)
-}
-
-// EvalPlan is Eval for a plan compiled ahead of time. The corpus layer
-// caches one plan per compiled query, so repeated evaluations over the
-// whole store reuse the trimmed automaton, closures, letter table and
-// byte-class transition matrices with no per-call compilation at all. It
-// returns resilience.ErrOverloaded (without starting anything) when the
-// store's admission gate sheds the query.
+// EvalPlan evaluates a compiled plan over every document in the store
+// (snapshotted once the query is admitted), fanning the shards out to the
+// shard executor's workers. Each worker owns its own enumerator over the
+// shared plan and cycles its documents through it with Reset, so the
+// per-document cost is a single graph rebuild into preallocated arenas —
+// the corpus-wide analogue of Spanner.NewStream. The corpus layer caches
+// one plan per compiled query, so repeated evaluations reuse the trimmed
+// automaton, closures, letter table and byte-class transition matrices
+// with no per-call compilation at all. Results stream through a bounded
+// channel in no guaranteed global order; per document they arrive in the
+// engine's deterministic radix order. It returns
+// resilience.ErrOverloaded (without starting anything) when the store's
+// admission gate sheds the query.
 func (s *Store) EvalPlan(ctx context.Context, p *enum.Plan, opt EvalOptions) (res *Results, err error) {
 	defer resilience.RecoverTo(&err)
-	return s.evalShards(ctx, p, s.planTraced(ctx, opt.Required), opt)
-}
-
-// evalShards runs the shared-enumerator fast path over a planned snapshot:
-// every worker gets its own enumerator over the shared plan (one arena
-// allocation) and cycles its documents through it with Reset. The query's
-// stop probe doubles as the enumerator's amortized build interrupt, so a
-// deadline or budget that dies mid-build on a huge document abandons the
-// sweep instead of finishing it.
-func (s *Store) evalShards(ctx context.Context, p *enum.Plan, shards []evalShard, opt EvalOptions) (*Results, error) {
-	newEval := func(stop func() bool) DocEval {
+	return s.run(ctx, p.Vars(), func(stop func() bool) DocEval {
 		e := p.NewEnumerator()
 		e.SetInterrupt(stop)
 		return func(doc string, emit func(span.Tuple) bool) error {
@@ -283,249 +239,87 @@ func (s *Store) evalShards(ctx context.Context, p *enum.Plan, shards []evalShard
 				}
 			}
 		}
-	}
-	return s.run(ctx, shards, p.Vars(), newEval, opt)
+	}, opt)
 }
 
-// EvalFunc is Eval for evaluators that cannot share a compiled enumerator
-// (per-document query plans, string-equality selections): newEval is
-// called once per worker and the returned DocEval is applied to each of
-// the worker's documents. Like Eval, it honors opt.Required — candidate
-// selection and the literal prefilter run before the evaluator sees a
-// document.
+// EvalFunc is EvalPlan for evaluators that cannot share a compiled
+// enumerator (per-document query plans, string-equality selections):
+// newEval is called once per worker and the returned DocEval is applied
+// to each of the worker's documents. Like EvalPlan, it honors
+// opt.Required — candidate selection and the literal prefilter run before
+// the evaluator sees a document.
 func (s *Store) EvalFunc(ctx context.Context, vars span.VarList, newEval NewDocEval, opt EvalOptions) (res *Results, err error) {
 	defer resilience.RecoverTo(&err)
-	return s.run(ctx, s.planTraced(ctx, opt.Required), vars, newEval, opt)
+	return s.run(ctx, vars, newEval, opt)
 }
 
-// planStats tallies a planned snapshot: the documents the skip index
-// excluded outright (the positions from a constrained shard's start on
-// that its candidate list leaves out) and the number of shards with work.
-func planStats(shards []evalShard) (idxSkipped uint64, busy int) {
-	for i := range shards {
-		if shards[i].constrained {
-			idxSkipped += uint64(len(shards[i].docs) - shards[i].from - len(shards[i].cand))
-		}
-		if shards[i].work() > 0 {
-			busy++
-		}
-	}
-	return idxSkipped, busy
-}
-
-// clampWorkers bounds the pool to the shards with work — the dealer never
-// hands out empty ones, so extra workers (and their enumerator clones)
-// would be allocated to idle forever.
-func clampWorkers(workers, busy int) int {
-	if workers > busy {
-		workers = busy
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// dealShards starts the dealer: non-empty shards are handed to workers
-// over the returned channel (a worker finishing a small shard immediately
-// picks up the next); the dealer selects on ctx so cancellation stops the
-// deal. A panic in the dealer is recovered into fail — the channel still
-// closes, so workers drain and the pool shuts down cleanly.
-func dealShards(ctx context.Context, shards []evalShard, fail func(error)) <-chan int {
-	shardCh := make(chan int)
-	go func() {
-		defer close(shardCh)
-		defer func() {
-			if p := recover(); p != nil {
-				fail(resilience.NewPanicError(resilience.NoDoc, p))
-			}
-		}()
-		for si := range shards {
-			if shards[si].work() == 0 {
-				continue
-			}
-			resilience.Inject(resilience.FailDealer, si)
-			select {
-			case shardCh <- si:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return shardCh
-}
-
-// materializeEvals constructs every worker's evaluator before any
-// goroutine starts (EvalFunc constructors may read shared state that a
-// running worker would already be mutating), recovering a constructor
-// panic into an error so a broken evaluator fails its query, not the
-// process.
-func materializeEvals(newEval NewDocEval, stop func() bool, workers int) (evals []DocEval, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			evals, err = nil, resilience.NewPanicError(resilience.NoDoc, p)
-		}
-	}()
-	evals = make([]DocEval, workers)
-	for w := range evals {
-		evals[w] = newEval(stop)
-	}
-	return evals, nil
-}
-
-// run is the shared fan-out loop: shards are dealt to workers over a
-// channel, every emitted tuple is tagged with its stable DocID, and both
-// the dealer and the emit path select on the derived context so
-// cancellation aborts mid-enumeration. Shards planned with skip-index
-// candidates visit only those positions; documents failing the literal
-// requirement are counted skipped and never reach the evaluator.
+// run is the streaming visitor on the shard executor: every emitted tuple
+// is tagged with its stable DocID and sent on the result channel, and the
+// send selects on the pool context so cancellation aborts
+// mid-enumeration. The visitor meters the limit and the budget: a spent
+// budget fails the query with resilience.ErrBudgetExceeded, a reserved
+// limit halts it quietly. A closer goroutine waits for the pool, records
+// the enumerate stage with the delivered-result count into a trace
+// carried on ctx (and the store's metrics), gives the admission slot back
+// and closes the channel.
 //
-// run is also where the resilience layer hooks in: the pool context
-// carries the per-query deadline, the store's admission gate is acquired
-// before anything spawns (a shed returns resilience.ErrOverloaded with no
-// goroutine started), every pool goroutine — worker, dealer, closer —
-// recovers panics into *resilience.PanicError on the stream, and the
-// worker loop meters the limit and budget.
-//
-// run is also where the observability layer hooks in: a trace carried on
-// ctx (obs.WithTrace) receives the admission wait and, once the pool has
-// drained, the enumerate stage with the delivered-result count; the
-// store's metrics record the same numbers corpus-wide.
-//
-//spanjoin:stage admission_wait
 //spanjoin:stage enumerate
-func (s *Store) run(ctx context.Context, shards []evalShard, vars span.VarList, newEval NewDocEval, opt EvalOptions) (*Results, error) {
-	tr := obs.FromContext(ctx)
-	cctx, cancel := opt.evalCtx(ctx)
-	release := func() {}
-	if g := s.gate; g != nil {
-		// The admission wait respects the query's own deadline: a queued
-		// query whose deadline fires sheds with the context's error.
-		t0 := time.Now()
-		err := g.Acquire(cctx, 1)
-		tr.Observe(obs.StageAdmission, time.Since(t0))
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		var once sync.Once
-		release = func() { once.Do(func() { g.Release(1) }) }
-	}
+func (s *Store) run(ctx context.Context, vars span.VarList, newEval NewDocEval, opt EvalOptions) (*Results, error) {
 	res := &Results{
 		vars:   vars,
 		ch:     make(chan Result, opt.buffer()),
-		cancel: cancel,
 		limit:  opt.Limit,
 		budget: opt.Budget,
 	}
-
-	idxSkipped, busy := planStats(shards)
-	res.skipped.Add(idxSkipped)
-	res.skippedIndex.Add(idxSkipped)
-	if busy == 0 {
-		// Nothing to visit (empty snapshot, or the index excluded every
-		// document): no pool, no dealer — the stream is born exhausted.
-		cancel() // release the derived context's registration on ctx
-		release()
-		close(res.ch)
-		return res, nil
-	}
-
-	// stop is the query liveness probe workers and builds poll: dead
-	// context (cancelled, deadline fired) or spent budget.
-	stop := func() bool { return cctx.Err() != nil || res.overBudget() }
-	evals, err := materializeEvals(newEval, stop, clampWorkers(opt.workers(), busy))
+	x, err := s.startSweep(ctx, sweepSpec{
+		opt:       opt,
+		failpoint: resilience.FailWorkerDoc,
+		halt: func() error {
+			if res.limitExhausted() {
+				// Every result slot is reserved: the query is done;
+				// reserved sends complete, nothing new starts.
+				return errHalt
+			}
+			if res.overBudget() {
+				return resilience.ErrBudgetExceeded
+			}
+			return nil
+		},
+		newVisitor: func(x *sweep) visitor {
+			eval := newEval(x.stop)
+			done := x.ctx.Done()
+			return func(_ int, id DocID, doc string) error {
+				// Charge the document's scan cost up front, so a build
+				// that would blow the budget trips the stop probe
+				// mid-sweep instead of completing.
+				res.work.Add(uint64(len(doc)))
+				return eval(doc, func(t span.Tuple) bool {
+					if res.limit > 0 && res.reserved.Add(1) > res.limit {
+						// Over-reserved: this tuple is beyond the limit.
+						// Stop this producer; the halt stops the rest.
+						// No error — a met limit is exhaustion.
+						return false
+					}
+					select {
+					case res.ch <- Result{Doc: id, Tuple: t}:
+						res.delivered.Add(1)
+						res.work.Add(1)
+						return true
+					case <-done:
+						return false
+					}
+				})
+			}
+		},
+	})
 	if err != nil {
-		cancel()
-		release()
 		return nil, err
 	}
-
-	shardCh := dealShards(cctx, shards, func(err error) {
-		res.setErr(err)
-		cancel()
-	})
-	done := cctx.Done()
-	poolStart := time.Now()
-	var wg sync.WaitGroup
-	for w := range evals {
-		eval := evals[w]
-		wg.Add(1)
-		go func() {
-			// cur tracks the document under evaluation so a recovered
-			// panic can name it; NoDoc between documents.
-			cur := resilience.NoDoc
-			defer func() {
-				if p := recover(); p != nil {
-					res.setErr(resilience.NewPanicError(cur, p))
-					cancel()
-				}
-				wg.Done()
-			}()
-			for si := range shardCh {
-				es := &shards[si]
-				n := es.work()
-				for k := 0; k < n; k++ {
-					pos := es.pos(k)
-					if cctx.Err() != nil {
-						return
-					}
-					if res.limitExhausted() {
-						// Every result slot is reserved: the query is done;
-						// reserved sends complete, nothing new starts.
-						return
-					}
-					if res.overBudget() {
-						res.setErr(resilience.ErrBudgetExceeded)
-						cancel()
-						return
-					}
-					doc := es.docs[pos]
-					if !opt.Required.IsEmpty() && !opt.Required.Match(doc) {
-						// Candidate selection over-approximates (n-gram
-						// false positives) or the index is off: the literal
-						// scan is the exact filter.
-						res.skipped.Add(1)
-						continue
-					}
-					res.scanned.Add(1)
-					// Charge the document's scan cost up front, so a build
-					// that would blow the budget trips the stop probe
-					// mid-sweep instead of completing.
-					res.work.Add(uint64(len(doc)))
-					id := s.idOf(uint64(si), uint64(pos))
-					cur = uint64(id)
-					resilience.Inject(resilience.FailWorkerDoc, doc)
-					emit := func(t span.Tuple) bool {
-						if res.limit > 0 && res.reserved.Add(1) > res.limit {
-							// Over-reserved: this tuple is beyond the limit.
-							// Stop this producer; the loop above stops the
-							// rest. No error — a met limit is exhaustion.
-							return false
-						}
-						select {
-						case res.ch <- Result{Doc: id, Tuple: t}:
-							res.delivered.Add(1)
-							res.work.Add(1)
-							return true
-						case <-done:
-							return false
-						}
-					}
-					if err := eval(doc, emit); err != nil {
-						res.setErr(err)
-						cancel()
-						return
-					}
-					cur = resilience.NoDoc
-				}
-			}
-		}()
-	}
-
+	res.x = x
+	tr := obs.FromContext(ctx)
 	go func() {
 		// The closer owns shutdown: it must close the channel and release
-		// the gate on every path, including a panic in wg.Wait bookkeeping.
+		// the gate on every path, including a panic in wait's bookkeeping.
 		defer func() {
 			if p := recover(); p != nil {
 				res.setErr(resilience.NewPanicError(resilience.NoDoc, p))
@@ -534,35 +328,80 @@ func (s *Store) run(ctx context.Context, shards []evalShard, vars span.VarList, 
 			// and final counters before the channel closes — the consumer
 			// reads the trace only after Next returns false, so the close
 			// below publishes these writes to it.
-			d := time.Since(poolStart)
+			d := time.Since(x.start)
 			s.met.evalDur.Observe(d)
 			tr.ObserveItems(obs.StageEnumerate, d, int64(res.delivered.Load()))
-			s.met.docsScanned.Add(res.scanned.Load())
-			s.met.docsSkipped.Add(res.skipped.Load())
+			s.met.docsScanned.Add(x.scanned.Load())
+			s.met.docsSkipped.Add(x.skipped.Load())
 			s.met.results.Add(res.delivered.Load())
-			// Release the derived context's registration on ctx so streams
-			// drained without Close don't leak it (Close's own cancel stays
-			// idempotent), and give the admission slot back only now —
-			// admission bounds live pools, not just query starts.
-			cancel()
-			release()
+			// Admission bounds live pools, not just query starts: the
+			// slot goes back only now.
+			x.finish()
 			close(res.ch)
 		}()
-		wg.Wait()
-		// Surface cancellation that came from the caller's context (not
-		// from Close) as the stream error; a deadline set via EvalOptions
-		// lives on the derived context only, so check it second.
-		if err := ctx.Err(); err != nil {
-			res.setErr(err)
-		} else if errors.Is(cctx.Err(), context.DeadlineExceeded) {
-			res.setErr(context.DeadlineExceeded)
-		} else if res.overBudget() {
+		err := x.wait()
+		if err == nil && res.overBudget() {
 			// A budget that ran out mid-document trips the build interrupt
 			// without reaching another worker's pre-document check (the
 			// single-large-document case); the meter itself is the record
 			// that output may be truncated.
-			res.setErr(resilience.ErrBudgetExceeded)
+			err = resilience.ErrBudgetExceeded
+		}
+		if err != nil {
+			res.setErr(err)
 		}
 	}()
 	return res, nil
+}
+
+// EvalDocs evaluates a compiled plan over docs on the shard executor and
+// returns every document's tuples, indexed like docs, each in the
+// engine's radix order. The executor runs synchronously over a throwaway
+// store with one shard per document, so a document's DocID is its index:
+// a panic fails the call with *resilience.PanicError naming that index.
+// Documents failing opt.Required get no tuples without being visited. A
+// cancelled ctx or an expired deadline returns its error, not a partial
+// result.
+func EvalDocs(ctx context.Context, p *enum.Plan, docs []string, opt EvalOptions) (out [][]span.Tuple, err error) {
+	defer resilience.RecoverTo(&err)
+	s := &Store{shards: make([]shard, len(docs))}
+	for i := range docs {
+		s.shards[i].docs = docs[i : i+1 : i+1]
+	}
+	out = make([][]span.Tuple, len(docs))
+	x, err := s.startSweep(ctx, sweepSpec{
+		opt:       opt,
+		failpoint: resilience.FailWorkerDoc,
+		newVisitor: func(x *sweep) visitor {
+			e := p.NewEnumerator()
+			return func(_ int, id DocID, doc string) error {
+				e.Reset(doc)
+				var ts []span.Tuple
+				for i := 1; ; i++ {
+					// A huge enumeration stays abortable: the pool context
+					// is checked every 64 tuples.
+					if i&63 == 0 && x.ctx.Err() != nil {
+						return nil
+					}
+					t, ok := e.Next()
+					if !ok {
+						break
+					}
+					ts = append(ts, t)
+				}
+				// One shard per document, each dealt to one worker: no
+				// two visitors write the same slot.
+				out[id] = ts
+				return nil
+			}
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer x.finish()
+	if err := x.wait(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -13,6 +13,15 @@ import (
 	"spanjoin/internal/vsa"
 )
 
+// evalVSA streams the automaton over the store through EvalPlan.
+func evalVSA(ctx context.Context, s *Store, a *vsa.VSA, opt EvalOptions) (*Results, error) {
+	p, err := enum.NewPlan(a)
+	if err != nil {
+		return nil, err
+	}
+	return s.EvalPlan(ctx, p, opt)
+}
+
 func drainResults(t *testing.T, r *Results) map[DocID][]span.Tuple {
 	t.Helper()
 	out := make(map[DocID][]span.Tuple)
@@ -40,7 +49,7 @@ func TestEvalMatchesPerDocumentEnum(t *testing.T) {
 		ids[i] = s.Add(d)
 	}
 	for _, workers := range []int{0, 1, 3, 8} {
-		res, err := s.Eval(context.Background(), a, EvalOptions{Workers: workers})
+		res, err := evalVSA(context.Background(), s, a, EvalOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,12 +74,16 @@ func TestEvalMatchesPerDocumentEnum(t *testing.T) {
 
 func TestEvalEmptyStore(t *testing.T) {
 	a := rgx.MustCompilePattern(`x{a}`)
-	res, err := NewStore(3).Eval(context.Background(), a, EvalOptions{})
+	res, err := evalVSA(context.Background(), NewStore(3), a, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := drainResults(t, res); len(got) != 0 {
 		t.Fatalf("got %d docs with results from empty store", len(got))
+	}
+	res.Close() // must be safe on an exhausted stream
+	if res.Scanned() != 0 || res.Skipped() != 0 {
+		t.Fatalf("stats = %d/%d, want 0/0", res.Scanned(), res.Skipped())
 	}
 }
 
@@ -79,7 +92,7 @@ func TestEvalRequiredLiteralPrefilter(t *testing.T) {
 	s := NewStore(2)
 	hit := s.Add("aaneedlebb")
 	s.Add("abcabc")
-	res, err := s.Eval(context.Background(), a, EvalOptions{Required: prefilter.New("needle")})
+	res, err := evalVSA(context.Background(), s, a, EvalOptions{Required: prefilter.New("needle")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +115,7 @@ func TestEvalCancellation(t *testing.T) {
 		s.Add(big)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	res, err := s.Eval(ctx, a, EvalOptions{Buffer: 1})
+	res, err := evalVSA(ctx, s, a, EvalOptions{Buffer: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +149,7 @@ func TestEvalCloseAbandonsStream(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s.Add("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa")
 	}
-	res, err := s.Eval(context.Background(), a, EvalOptions{Buffer: 1})
+	res, err := evalVSA(context.Background(), s, a, EvalOptions{Buffer: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +209,7 @@ func TestEvalSeesSnapshotAtCall(t *testing.T) {
 			s.Add("aaa")
 		}
 	}()
-	res, err := s.Eval(context.Background(), a, EvalOptions{})
+	res, err := evalVSA(context.Background(), s, a, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,32 +219,6 @@ func TestEvalSeesSnapshotAtCall(t *testing.T) {
 		if len(got[id]) == 0 {
 			t.Fatalf("doc %d added before Eval missing from results", id)
 		}
-	}
-}
-
-// TestEvalEmptyStoreSkipsPrepare: an empty snapshot must return an
-// exhausted stream without paying enum.Prepare or spawning a worker. The
-// automaton is deliberately non-functional — Prepare would error — so a
-// nil error proves the early return.
-func TestEvalEmptyStoreSkipsPrepare(t *testing.T) {
-	bad := vsa.New(span.NewVarList("x"))
-	bad.AddOpen(bad.Init, 0, bad.Final) // x opens, never closes
-	if _, err := enum.Prepare(bad, ""); err == nil {
-		t.Fatal("test automaton unexpectedly functional")
-	}
-	res, err := NewStore(3).Eval(context.Background(), bad, EvalOptions{})
-	if err != nil {
-		t.Fatalf("empty store must not reach Prepare, got %v", err)
-	}
-	if _, ok := res.Next(); ok {
-		t.Fatal("empty store produced a result")
-	}
-	if err := res.Err(); err != nil {
-		t.Fatal(err)
-	}
-	res.Close() // must be safe on the exhausted fast path
-	if res.Scanned() != 0 || res.Skipped() != 0 {
-		t.Fatalf("stats = %d/%d, want 0/0", res.Scanned(), res.Skipped())
 	}
 }
 
@@ -254,7 +241,7 @@ func TestEvalIndexedCandidates(t *testing.T) {
 		for i, d := range docs {
 			ids[i] = s.Add(d)
 		}
-		res, err := s.Eval(context.Background(), a, EvalOptions{Required: req})
+		res, err := evalVSA(context.Background(), s, a, EvalOptions{Required: req})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +276,7 @@ func TestEvalIndexBackfill(t *testing.T) {
 	s.EnableIndex()
 	s.EnableIndex() // idempotent
 	s.Add("late signal")
-	res, err := s.Eval(context.Background(), a, EvalOptions{Required: prefilter.New("signal")})
+	res, err := evalVSA(context.Background(), s, a, EvalOptions{Required: prefilter.New("signal")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,10 +37,9 @@ type memoShard struct {
 // positions [from, end), their total and, when collected, their non-zero
 // counts in ascending position order.
 type shardSweep struct {
-	from, end        int
-	total            ranked.Count
-	docs             []DocCount
-	scanned, skipped uint64
+	from, end int
+	total     ranked.Count
+	docs      []DocCount
 }
 
 // load returns the memo's per-shard prefixes, or nil for an absent or

@@ -185,7 +185,7 @@ func TestEvalDeadline(t *testing.T) {
 		s.Add("aaaa")
 	}
 	a := rgx.MustCompilePattern(`(a)*x{a+}(a)*`)
-	res, err := s.Eval(context.Background(), a, EvalOptions{Deadline: time.Now().Add(-time.Second)})
+	res, err := evalVSA(context.Background(), s, a, EvalOptions{Deadline: time.Now().Add(-time.Second)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestEvalBudget(t *testing.T) {
 		s.Add("aaaaaaaaaaaaaaaa") // 16 bytes each
 	}
 	a := rgx.MustCompilePattern(`(a)*x{a+}(a)*`)
-	res, err := s.Eval(context.Background(), a, EvalOptions{Workers: 1, Budget: 20})
+	res, err := evalVSA(context.Background(), s, a, EvalOptions{Workers: 1, Budget: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestEvalLimit(t *testing.T) {
 	}
 	a := rgx.MustCompilePattern(`(a|b)*x{a+}(a|b)*`)
 	for _, limit := range []uint64{1, 7, 32} {
-		res, err := s.Eval(context.Background(), a, EvalOptions{Limit: limit})
+		res, err := evalVSA(context.Background(), s, a, EvalOptions{Limit: limit})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestGateShedsAndReleases(t *testing.T) {
 	}
 	a := rgx.MustCompilePattern(`(a)*x{a+}(a)*`)
 
-	res, err := s.Eval(context.Background(), a, EvalOptions{Buffer: 1, Workers: 1})
+	res, err := evalVSA(context.Background(), s, a, EvalOptions{Buffer: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestGateShedsAndReleases(t *testing.T) {
 	}
 	// The first pool is alive (blocked producing into a full buffer): the
 	// slot is held, so the second query sheds synchronously.
-	if _, err := s.Eval(context.Background(), a, EvalOptions{}); !errors.Is(err, resilience.ErrOverloaded) {
+	if _, err := evalVSA(context.Background(), s, a, EvalOptions{}); !errors.Is(err, resilience.ErrOverloaded) {
 		t.Fatalf("second Eval err = %v, want ErrOverloaded", err)
 	}
 	if st := s.GateStats(); st.Rejected == 0 {
@@ -290,7 +290,7 @@ func TestGateShedsAndReleases(t *testing.T) {
 	}
 	res.Close()
 	// Slot released: admission works again.
-	res2, err := s.Eval(context.Background(), a, EvalOptions{})
+	res2, err := evalVSA(context.Background(), s, a, EvalOptions{})
 	if err != nil {
 		t.Fatalf("Eval after release: %v", err)
 	}
@@ -306,7 +306,7 @@ func TestResultsCloseConcurrent(t *testing.T) {
 		for i := 0; i < 32; i++ {
 			s.Add("aaaaaa")
 		}
-		res, err := s.Eval(context.Background(), a, EvalOptions{Buffer: 1})
+		res, err := evalVSA(context.Background(), s, a, EvalOptions{Buffer: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

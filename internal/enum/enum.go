@@ -27,7 +27,6 @@
 package enum
 
 import (
-	"context"
 	"math"
 	"sort"
 	"sync"
@@ -727,37 +726,6 @@ func growTail(s []int32, n int) []int32 {
 	return s[:need]
 }
 
-// letterTarget and groupByLetter remain the reference grouping used by the
-// parallel prefix splitter, where setup cost is irrelevant.
-type letterTarget struct {
-	letter int32
-	target int32
-}
-
-func groupByLetter(pairs []letterTarget) ([]int32, [][]int32) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].letter != pairs[j].letter {
-			return pairs[i].letter < pairs[j].letter
-		}
-		return pairs[i].target < pairs[j].target
-	})
-	var letters []int32
-	var byLetter [][]int32
-	for _, p := range pairs {
-		k := len(letters)
-		if k == 0 || letters[k-1] != p.letter {
-			letters = append(letters, p.letter)
-			byLetter = append(byLetter, nil)
-			k++
-		}
-		lst := byLetter[k-1]
-		if len(lst) == 0 || lst[len(lst)-1] != p.target {
-			byLetter[k-1] = append(lst, p.target)
-		}
-	}
-	return letters, byLetter
-}
-
 func internLetters(t *vsa.VSA, ct *vsa.ConfigTable) (letterOf []int32, configs []vsa.Config) {
 	n := t.NumStates()
 	type entry struct {
@@ -993,25 +961,6 @@ func (e *Enumerator) All() []span.Tuple {
 		t, ok := e.Next()
 		if !ok {
 			return out
-		}
-		out = append(out, t)
-	}
-}
-
-// AllCtx drains the enumerator like All but checks ctx every 64 tuples, so
-// huge enumerations are abortable mid-stream. On cancellation it returns
-// the tuples collected so far together with ctx's error.
-func (e *Enumerator) AllCtx(ctx context.Context) ([]span.Tuple, error) {
-	var out []span.Tuple
-	for i := 0; ; i++ {
-		if i&63 == 0 {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
-		}
-		t, ok := e.Next()
-		if !ok {
-			return out, nil
 		}
 		out = append(out, t)
 	}

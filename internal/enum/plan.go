@@ -1,7 +1,6 @@
 package enum
 
 import (
-	"context"
 	"sort"
 	"time"
 
@@ -177,11 +176,4 @@ func (p *Plan) Prepare(s string) *Enumerator {
 	e := p.NewEnumerator()
 	e.Reset(s)
 	return e
-}
-
-// EvalAllDocsPlan is EvalAllDocs for a plan compiled ahead of time: the
-// worker pool shares every compiled artifact, so per-worker setup is one
-// arena allocation and the per-document cost is a graph rebuild.
-func EvalAllDocsPlan(p *Plan, docs []string, workers int) (span.VarList, [][]span.Tuple, error) {
-	return EvalAllDocsPlanCtx(context.Background(), p, docs, workers)
 }

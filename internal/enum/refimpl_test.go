@@ -29,6 +29,37 @@ type refEnumerator struct {
 	sets    [][]int32
 }
 
+// letterTarget and groupByLetter are the reference's edge grouping: sort
+// (letter, target) pairs and split them into ascending letter groups.
+type letterTarget struct {
+	letter int32
+	target int32
+}
+
+func groupByLetter(pairs []letterTarget) ([]int32, [][]int32) {
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].letter != pairs[j].letter {
+			return pairs[i].letter < pairs[j].letter
+		}
+		return pairs[i].target < pairs[j].target
+	})
+	var letters []int32
+	var byLetter [][]int32
+	for _, p := range pairs {
+		k := len(letters)
+		if k == 0 || letters[k-1] != p.letter {
+			letters = append(letters, p.letter)
+			byLetter = append(byLetter, nil)
+			k++
+		}
+		lst := byLetter[k-1]
+		if len(lst) == 0 || lst[len(lst)-1] != p.target {
+			byLetter[k-1] = append(lst, p.target)
+		}
+	}
+	return letters, byLetter
+}
+
 // refPrepare is the pre-change Prepare: per-level []bool buffers and
 // [][]int32 closure walks, no reuse.
 func refPrepare(a *vsa.VSA, s string) (*refEnumerator, error) {

@@ -34,13 +34,15 @@ var ErrBudgetExceeded = resilience.ErrBudgetExceeded
 // Detect with errors.Is; the wrapped message names the file and offset.
 var ErrCorrupt = resilience.ErrCorrupt
 
-// PanicError is a panic recovered inside the engine — in a corpus worker,
-// the shard dealer, a cache fill, or an evaluator constructor — converted
-// into an error on the failing query's stream. One poisoned document
-// fails its own query; concurrent queries and the process are unaffected.
-// Detect with errors.As; Doc names the offending document when the panic
-// struck inside a per-document evaluation (resilience.NoDoc otherwise),
-// and Stack carries the recovered goroutine's stack trace.
+// PanicError is a panic recovered inside the engine — in a corpus worker
+// (an EvalAllParallel batch's included), the shard dealer, a cache fill,
+// or an evaluator constructor — converted into an error on the failing
+// query's stream. One poisoned document fails its own query; concurrent
+// queries and the process are unaffected. Detect with errors.As; Doc
+// names the offending document (its DocID, or for EvalAllParallel its
+// index in docs) when the panic struck inside a per-document evaluation
+// (resilience.NoDoc otherwise), and Stack carries the recovered
+// goroutine's stack trace.
 type PanicError = resilience.PanicError
 
 // NoDoc marks a PanicError not attributable to a single document (a panic

@@ -160,6 +160,19 @@ func TestCountHonorsLimits(t *testing.T) {
 	if err := ms.Err(); err != nil {
 		t.Fatalf("holder Err = %v, want nil", err)
 	}
+
+	// A count admitted on the only slot whose deadline then fires gives
+	// the slot back: the gate is idle and the next count is admitted.
+	one := resilienceCorpus(t, spanjoin.WithMaxConcurrent(1))
+	if _, err := one.CountSearch(context.Background(), resiliencePattern, spanjoin.WithTimeout(time.Nanosecond)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("count with expired deadline: %v, want DeadlineExceeded", err)
+	}
+	if st := one.GateStats(); st.Active != 0 {
+		t.Fatalf("GateStats.Active = %d after a timed-out count, want 0", st.Active)
+	}
+	if _, err := one.CountSearch(context.Background(), resiliencePattern); err != nil {
+		t.Fatalf("count after a timed-out count: %v", err)
+	}
 }
 
 // TestQueueAdmitsFIFO: with a one-deep queue, a second query waits for
@@ -347,6 +360,62 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			ms.Close()
 		})
 	})
+	// Counts, pages and batches run on the same shard executor as streams
+	// but return synchronously: their pools must be gone once the call
+	// returns, whether it ran to the end, was cancelled, or timed out.
+	const pattern = `.*` + resiliencePattern + `.*`
+	sp := spanjoin.MustCompile(pattern)
+	docs := make([]string, 48)
+	for i := range docs {
+		docs[i] = strings.Repeat("ab", 12)
+	}
+	ops := []struct {
+		name string
+		run  func(ctx context.Context, c *spanjoin.Corpus, timeout time.Duration) error
+	}{
+		{"count", func(ctx context.Context, c *spanjoin.Corpus, timeout time.Duration) error {
+			_, err := c.Count(ctx, pattern, timeoutOpts(timeout)...)
+			return err
+		}},
+		{"page", func(ctx context.Context, c *spanjoin.Corpus, timeout time.Duration) error {
+			_, err := c.EvalPage(ctx, pattern, 5, 10, timeoutOpts(timeout)...)
+			return err
+		}},
+		{"batch", func(ctx context.Context, _ *spanjoin.Corpus, timeout time.Duration) error {
+			if timeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, timeout)
+				defer cancel()
+			}
+			_, err := sp.EvalAllParallelCtx(ctx, docs, 0)
+			return err
+		}},
+	}
+	for _, op := range ops {
+		t.Run(op.name+"-drained", func(t *testing.T) {
+			leakcheck.Check(t, func() {
+				if err := op.run(context.Background(), resilienceCorpus(t), 0); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+		t.Run(op.name+"-cancelled", func(t *testing.T) {
+			leakcheck.Check(t, func() {
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				if err := op.run(ctx, resilienceCorpus(t), 0); !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+			})
+		})
+		t.Run(op.name+"-deadline", func(t *testing.T) {
+			leakcheck.Check(t, func() {
+				if err := op.run(context.Background(), resilienceCorpus(t), time.Nanosecond); !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+				}
+			})
+		})
+	}
 	t.Run("abandoned", func(t *testing.T) {
 		// The hard case: the caller reads a bit and drops the stream
 		// without Close. The dealer and workers are parked on a full
@@ -364,6 +433,14 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			}()
 		})
 	})
+}
+
+// timeoutOpts is WithTimeout(d) as an option list, empty for d = 0.
+func timeoutOpts(d time.Duration) []spanjoin.Option {
+	if d == 0 {
+		return nil
+	}
+	return []spanjoin.Option{spanjoin.WithTimeout(d)}
 }
 
 // TestIterateCtxCancellation: single-document iteration with a context

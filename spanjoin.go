@@ -38,6 +38,7 @@ import (
 	"sync"
 
 	"spanjoin/internal/core"
+	"spanjoin/internal/corpus"
 	"spanjoin/internal/enum"
 	"spanjoin/internal/prefilter"
 	"spanjoin/internal/rgx"
@@ -379,8 +380,12 @@ func (s *Spanner) EvalAll(docs []string, opts ...Option) ([][]Match, error) {
 }
 
 // EvalAllParallel is EvalAll with a pool of workers, each owning one
-// reusable enumerator over the shared compiled automaton. Results keep the
-// order of docs; workers ≤ 0 selects GOMAXPROCS.
+// reusable enumerator over the shared compiled automaton. The batch runs
+// on the corpus layer's shard executor, so it skips documents that fail
+// the spanner's required-literal prefilter without building their graphs,
+// and a panic while evaluating a document fails the call with a
+// *PanicError whose Doc is that document's index in docs. Results keep
+// the order of docs; workers ≤ 0 selects GOMAXPROCS.
 func (s *Spanner) EvalAllParallel(docs []string, workers int) ([][]Match, error) {
 	return s.EvalAllParallelCtx(context.Background(), docs, workers)
 }
@@ -393,10 +398,11 @@ func (s *Spanner) EvalAllParallelCtx(ctx context.Context, docs []string, workers
 	if err != nil {
 		return nil, err
 	}
-	vars, tuples, err := enum.EvalAllDocsPlanCtx(ctx, p, docs, workers)
+	tuples, err := corpus.EvalDocs(ctx, p, docs, corpus.EvalOptions{Workers: workers, Required: s.req})
 	if err != nil {
 		return nil, err
 	}
+	vars := p.Vars()
 	out := make([][]Match, len(docs))
 	for i, ts := range tuples {
 		ms := make([]Match, len(ts))

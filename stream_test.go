@@ -1,7 +1,10 @@
 package spanjoin_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"spanjoin"
@@ -86,5 +89,53 @@ func TestEvalAllParallelEmptyAndSingle(t *testing.T) {
 	out, err := sp.EvalAllParallel([]string{"xax"}, 8)
 	if err != nil || len(out) != 1 || len(out[0]) != 1 {
 		t.Fatalf("single doc: %v, %v", out, err)
+	}
+}
+
+// TestWorkerCountDefaults: zero and negative worker counts mean
+// GOMAXPROCS — the same matches in the same order as EvalAll, no panic,
+// no silent serialization into a wrong answer.
+func TestWorkerCountDefaults(t *testing.T) {
+	sp := spanjoin.MustCompile(`(a|b)*x{a+}(a|b)*`)
+	docs := []string{"aab", "bba", "abab", "", "aaaa", "b"}
+	want, err := sp.EvalAll(docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, -1, -100} {
+		got, err := sp.EvalAllParallel(docs, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, doc := range docs {
+			if fmt.Sprint(matchStrings(got[i])) != fmt.Sprint(matchStrings(want[i])) {
+				t.Fatalf("workers=%d doc %q: %v, want %v", workers, doc, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestEvalAllParallelCtxCancellation: a cancelled context must abort the
+// batch and surface the context error instead of a partial result.
+func TestEvalAllParallelCtxCancellation(t *testing.T) {
+	sp := spanjoin.MustCompile(`a*x{a*}a*`)
+	docs := make([]string, 64)
+	for i := range docs {
+		docs[i] = strings.Repeat("a", 400)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if out, err := sp.EvalAllParallelCtx(ctx, docs, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v (%d documents returned), want context.Canceled", err, len(out))
+	}
+	// A live context still evaluates normally.
+	live := []string{"aa"}
+	want, err := sp.EvalAll(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sp.EvalAllParallelCtx(context.Background(), live, 0)
+	if err != nil || len(got[0]) != 6 || fmt.Sprint(matchStrings(got[0])) != fmt.Sprint(matchStrings(want[0])) {
+		t.Fatalf("live ctx: %v (err %v), want %v", got, err, want)
 	}
 }
