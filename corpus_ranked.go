@@ -21,9 +21,10 @@ import (
 
 // Count compiles the pattern (through the corpus cache) and returns the
 // exact number of matches across every document — with no enumeration:
-// shard workers aggregate per-document ranked counts (one graph build
-// per document, cost independent of its result count), and documents the
-// prefilter or skip index excludes count as 0 without being visited.
+// shard workers aggregate per-document counts from the count kernel (a
+// matrix sweep and a two-level subset count per document, no graph, cost
+// independent of its result count), and documents the prefilter or skip
+// index excludes count as 0 without being visited.
 // The cache entry's count memo keeps every document's count, so a
 // repeated Count of a cached pattern visits only the documents appended
 // since the pattern's last counting sweep.
@@ -93,7 +94,7 @@ func (c *Corpus) countSpanner(ctx context.Context, sp *Spanner, memo *corpus.Cou
 
 // CountQuery returns the exact corpus-wide result count of a conjunctive
 // query. Equality-free queries not forced onto the canonical plan count
-// through the shared compiled plan and the ranked DP (no enumeration
+// through the shared compiled plan and the count kernel (no enumeration
 // anywhere); queries with string equalities or a forced canonical plan
 // count by draining each document's per-document evaluation — still
 // parallel and still prefiltered.
@@ -136,12 +137,14 @@ type Page struct {
 // EvalPage compiles the pattern (through the corpus cache) and serves
 // one page of its corpus-wide results. A page costs a counting sweep
 // plus one descent. The sweep runs through the shard workers in
-// parallel — a document contributes one ranked count, a graph build,
-// never an enumeration — and visits only the documents appended since
-// the pattern's last sweep: the cache entry's count memo serves the
-// rest (a first-time pattern sweeps the whole corpus). The window itself
-// is entered with a single DAG descent, so offset does not buy offset
-// Next calls. The exact Total rides along for pagination UIs.
+// parallel — a document contributes one count from the count kernel,
+// never a graph or an enumeration — and visits only the documents
+// appended since the pattern's last sweep: the cache entry's count memo
+// serves the rest (a first-time pattern sweeps the whole corpus). The
+// window's documents are the only graph builds: the first is entered
+// with a single DAG descent, so offset does not buy offset Next calls.
+// WithTimeout interrupts those builds too. The exact Total rides along
+// for pagination UIs.
 func (c *Corpus) EvalPage(ctx context.Context, pattern string, offset uint64, limit int, opts ...Option) (*Page, error) {
 	q, err := c.compileCached(ctx, "anchor", pattern, Compile)
 	if err != nil {

@@ -10,10 +10,7 @@
 // WordsFor/NewRow/Matrix helpers). A zero-length Row is a valid empty set.
 package bitset
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 const (
 	wordBits  = 64
@@ -222,35 +219,5 @@ func (m *Matrix) Resize(rows, n int) {
 func (m *Matrix) Zero() {
 	for i := range m.bits {
 		m.bits[i] = 0
-	}
-}
-
-// Pool is a sync.Pool of rows for one universe size, for per-call scratch
-// rows in code without a long-lived struct to hang buffers off.
-type Pool struct {
-	words int
-	p     sync.Pool
-}
-
-// NewPool returns a pool of rows sized for n bits.
-func NewPool(n int) *Pool {
-	w := WordsFor(n)
-	return &Pool{
-		words: w,
-		p:     sync.Pool{New: func() any { return make(Row, w) }},
-	}
-}
-
-// Get returns a zeroed row from the pool.
-func (p *Pool) Get() Row {
-	r := p.p.Get().(Row)
-	r.Zero()
-	return r
-}
-
-// Put returns a row obtained from Get.
-func (p *Pool) Put(r Row) {
-	if len(r) == p.words {
-		p.p.Put(r)
 	}
 }

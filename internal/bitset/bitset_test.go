@@ -140,15 +140,3 @@ func TestMatrixResizeReuse(t *testing.T) {
 		}
 	}
 }
-
-func TestPool(t *testing.T) {
-	p := NewPool(65)
-	r := p.Get()
-	r.Set(64)
-	p.Put(r)
-	r2 := p.Get()
-	if r2.Any() {
-		t.Fatal("pooled row must come back zeroed")
-	}
-	p.Put(r2)
-}

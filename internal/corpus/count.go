@@ -37,9 +37,10 @@ type CountResult struct {
 type docCounter func(doc string) (ranked.Count, error)
 
 // CountPlan counts the plan's results over every document of the
-// snapshot without enumerating any of them: shard workers run the ranked
-// path-count DP per document (one graph build each, cost independent of
-// that document's result count) and aggregate. Documents the prefilter
+// snapshot without enumerating any of them: shard workers run the count
+// kernel per document (enum.Enumerator.CountDoc: the matrix sweep and a
+// two-level subset count, no graph and no DAG; cost independent of that
+// document's result count) and aggregate. Documents the prefilter
 // excludes — skip-index non-candidates and literal-scan failures — count
 // as 0 without being visited. perDoc additionally collects the non-zero
 // per-document counts.
@@ -52,12 +53,11 @@ func (s *Store) CountPlan(ctx context.Context, p *enum.Plan, memo *CountMemo, op
 	defer resilience.RecoverTo(&err)
 	return s.countDocs(ctx, func(stop func() bool) docCounter {
 		e := p.NewEnumerator()
-		// A deadline that fires mid-build abandons the sweep (the count
+		// A deadline that fires mid-count abandons the sweep (the count
 		// comes up 0, but the whole count errors out anyway).
 		e.SetInterrupt(stop)
 		return func(doc string) (ranked.Count, error) {
-			e.Reset(doc)
-			return e.Rank().Count(), nil
+			return e.CountDoc(doc), nil
 		}
 	}, memo, opt, perDoc)
 }
@@ -168,12 +168,14 @@ type PageResult struct {
 // PagePlan serves offset/limit pagination over the snapshot in ascending
 // DocID order, in two phases: the corpus-wide counting sweep runs through
 // CountPlan's shard workers (parallel, skip-index aware, no enumeration
-// anywhere, and — given the plan's memo — visiting only documents the
-// memo has not counted yet), then the window — located in the
-// per-document prefix sums — is entered with a single DAG descent and
-// streamed from only the documents it intersects. A page deep in the
-// result sequence therefore costs the same as page 0: the counting sweep
-// plus one descent, and the exact total rides along for free.
+// and no graph anywhere, and — given the plan's memo — visiting only
+// documents the memo has not counted yet), then the window — located in
+// the per-document prefix sums — is entered with a single DAG descent and
+// streamed from only the documents it intersects, one graph build each.
+// A page deep in the result sequence therefore costs the same as page 0:
+// the counting sweep plus one descent, and the exact total rides along
+// for free. The query's context and deadline interrupt the window's
+// builds too: a page they cut short fails with the context's error.
 func (s *Store) PagePlan(ctx context.Context, p *enum.Plan, memo *CountMemo, opt EvalOptions, offset uint64, limit int) (page *PageResult, err error) {
 	defer resilience.RecoverTo(&err)
 	cnt, err := s.CountPlan(ctx, p, memo, opt, true)
@@ -201,7 +203,10 @@ func (s *Store) PagePlan(ctx context.Context, p *enum.Plan, memo *CountMemo, opt
 	// PerDoc is ascending by DocID — exactly the page order. Documents
 	// wholly before the window are subtracted from offset by count; the
 	// first intersecting document is entered at rank offset.
+	ctx, cancel := opt.evalCtx(ctx)
+	defer cancel()
 	e := p.NewEnumerator()
+	e.SetInterrupt(func() bool { return ctx.Err() != nil })
 	var wbuf []int32
 	for _, dc := range cnt.PerDoc {
 		if len(res.Matches) >= limit {
@@ -219,6 +224,9 @@ func (s *Store) PagePlan(ctx context.Context, p *enum.Plan, memo *CountMemo, opt
 			continue // unreachable: snapshot documents are immutable
 		}
 		e.Reset(doc)
+		if err := ctx.Err(); err != nil {
+			return nil, err // the build may have been interrupted
+		}
 		if offset > 0 {
 			// Only the window's first document needs the rank descent;
 			// later ones stream from their beginning.

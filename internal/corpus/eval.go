@@ -38,10 +38,10 @@ type EvalOptions struct {
 
 	// Deadline, when non-zero, bounds the whole evaluation: the worker
 	// pool runs under a context derived with this deadline, covering the
-	// admission-queue wait, every graph build (aborted mid-sweep via the
-	// enumerator's amortized interrupt), and every emit. An exceeded
-	// deadline surfaces as context.DeadlineExceeded on Results.Err, with
-	// the results produced so far already delivered.
+	// admission-queue wait, every graph build and count (aborted
+	// mid-sweep via the enumerator's amortized interrupt), and every
+	// emit. An exceeded deadline surfaces as context.DeadlineExceeded on
+	// Results.Err, with the results produced so far already delivered.
 	Deadline time.Time
 	// Limit, when > 0, caps the number of results the stream delivers:
 	// exactly Limit tuples are reserved across the worker pool, workers

@@ -187,7 +187,7 @@ func TestResetAllocsSteadyState(t *testing.T) {
 	// This assertion gates the matrix sweep and the bitset kernels it is
 	// fused from.
 	//
-	//spanjoin:allocgate spanjoin/internal/enum.(*Enumerator).buildMatrix spanjoin/internal/bitset.(*Matrix).MulOr spanjoin/internal/bitset.Row.Intersects
+	//spanjoin:allocgate spanjoin/internal/enum.(*Enumerator).buildMatrix spanjoin/internal/enum.(*Enumerator).sweepAlive spanjoin/internal/bitset.(*Matrix).MulOr spanjoin/internal/bitset.Row.Intersects
 	avg := alloctest.Run(t, 20, func() {
 		e.Reset(s)
 		drain()

@@ -75,13 +75,14 @@ type Enumerator struct {
 
 	// Document-independent compiled state, shared through the Plan by
 	// Reset, Clone and every corpus worker.
-	auto      *vsa.VSA // trimmed functional automaton
-	cl        *vsa.Closures
-	tt        *vsa.TransitionTable
-	link      *linkLists
-	letterOf  []int32
-	charAdj   [][]vsa.Tr // character transitions per state
-	emptyLang bool       // the automaton's language is empty for every s
+	auto       *vsa.VSA // trimmed functional automaton
+	cl         *vsa.Closures
+	tt         *vsa.TransitionTable
+	link       *linkLists
+	letterOf   []int32
+	letterMask *bitset.Matrix
+	charAdj    [][]vsa.Tr // character transitions per state
+	emptyLang  bool       // the automaton's language is empty for every s
 	// refBuild selects the preserved per-transition graph build instead of
 	// the byte-class matrix sweep (PrepareRef; differential testing only).
 	refBuild bool
@@ -116,10 +117,11 @@ type Enumerator struct {
 	mergeRow bitset.Row // scratch for multi-source set merges
 }
 
-// prepScratch holds the transient buffers of one graph build: forward and
-// backward level rows, the flattened rawEdges arrays, and the letter
-// grouping counters. Instances are pooled so even fresh Prepare calls reuse
-// the allocations of earlier ones.
+// prepScratch holds the transient buffers of one graph build or count:
+// forward and backward level rows, the flattened rawEdges arrays, the
+// letter grouping counters and the count kernel's level tables. Instances
+// are pooled so even fresh Prepare calls reuse the allocations of earlier
+// ones.
 type prepScratch struct {
 	fwd   bitset.Matrix // (N+1)×n: boundary-state sets per level
 	alive bitset.Matrix // (N+1)×n: backward-reachability prune
@@ -147,6 +149,9 @@ type prepScratch struct {
 	cnt      []int32
 	pos      []int32
 	distinct []int32
+
+	// The count kernel's two levels of state sets (CountDoc).
+	count [2]subsetTable
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(prepScratch) }}
@@ -182,6 +187,9 @@ func (sc *prepScratch) retainedBytes() int {
 		cap(sc.edgeTgt) + cap(sc.rowStates) + cap(sc.groupStart) +
 		cap(sc.cnt) + cap(sc.pos) + cap(sc.distinct))
 	b += 8 * (cap(sc.lsSpan) + cap(sc.edgeSpan) + cap(sc.lvlEdge))
+	for i := range sc.count {
+		b += sc.count[i].retainedBytes()
+	}
 	return b
 }
 
@@ -309,18 +317,19 @@ func (e *Enumerator) Reset(s string) {
 // clone has no document prepared: call Reset before Next.
 func (e *Enumerator) Clone() *Enumerator {
 	c := &Enumerator{
-		vars:      e.vars,
-		n:         e.n,
-		empty:     true, // nothing prepared yet
-		emptyLang: e.emptyLang,
-		configs:   e.configs,
-		auto:      e.auto,
-		cl:        e.cl,
-		tt:        e.tt,
-		link:      e.link,
-		letterOf:  e.letterOf,
-		charAdj:   e.charAdj,
-		refBuild:  e.refBuild,
+		vars:       e.vars,
+		n:          e.n,
+		empty:      true, // nothing prepared yet
+		emptyLang:  e.emptyLang,
+		configs:    e.configs,
+		auto:       e.auto,
+		cl:         e.cl,
+		tt:         e.tt,
+		link:       e.link,
+		letterOf:   e.letterOf,
+		letterMask: e.letterMask,
+		charAdj:    e.charAdj,
+		refBuild:   e.refBuild,
 	}
 	if e.auto != nil {
 		c.mergeRow = bitset.NewRow(e.auto.NumStates())
@@ -362,67 +371,22 @@ func (e *Enumerator) build(s string) {
 	e.buildMatrix(s)
 }
 
-// buildMatrix is the byte-class matrix sweep: the forward pass advances the
-// whole frontier with one fused row×matrix multiply per document position
-// (next = frontier × M_class(s[i])), the backward prune is a word-parallel
-// row∩alive test per surviving state, and level linking reads each node's
-// successor set straight off its precomputed matrix row — no per-transition
-// work anywhere; δ, the byte membership tests and the variable-ε closure
-// were all folded into the matrices at plan compilation.
+// buildMatrix is the byte-class matrix sweep: sweepAlive's forward pass
+// and backward prune mark the surviving nodes, and level linking reads
+// each node's successor set straight off its precomputed matrix row — no
+// per-transition work anywhere; δ, the byte membership tests and the
+// variable-ε closure were all folded into the matrices at plan
+// compilation.
 //
 //spanjoin:hotpath
 func (e *Enumerator) buildMatrix(s string) {
-	t, tt := e.auto, e.tt
-	n := t.NumStates()
+	tt := e.tt
+	n := e.auto.NumStates()
 	N := len(s)
 	sc := scratchPool.Get().(*prepScratch)
 	defer putScratch(sc)
 	sc.init(n, N, len(e.configs))
-
-	// Forward pass: fwd.Row(i) = possible boundary states q̂_i.
-	cur := sc.fwd.Row(0)
-	cur.CopyFrom(e.cl.VEB.Row(int(t.Init)))
-	sc.pushLevel(0, cur)
-	for i := 0; i < N; i++ {
-		if e.interrupted(i) {
-			e.markEmpty()
-			return
-		}
-		m := tt.Mat(s[i])
-		if m == nil {
-			// No transition anywhere accepts this byte: no run consumes it.
-			e.markEmpty()
-			return
-		}
-		next := sc.fwd.Row(i + 1)
-		m.MulOr(next, sc.fwd.Row(i))
-		sc.pushLevel(i+1, next)
-	}
-	// The last boundary state must be the final state exactly (q̂_N = qf).
-	if !sc.fwd.Row(N).Test(t.Final) {
-		e.markEmpty()
-		return
-	}
-
-	// Backward prune: keep nodes from which (N, qf) is reachable — state p
-	// at level i survives iff its successor row meets the alive set of
-	// level i+1.
-	sc.alive.Row(N).Set(t.Final)
-	for i := N - 1; i >= 0; i-- {
-		if e.interrupted(i) {
-			e.markEmpty()
-			return
-		}
-		aliveCur, aliveNext := sc.alive.Row(i), sc.alive.Row(i+1)
-		m := tt.Mat(s[i])
-		for _, p := range sc.levelStates(i) {
-			if m.Row(int(p)).Intersects(aliveNext) {
-				aliveCur.Set(p)
-			}
-		}
-	}
-
-	if !e.assembleLevels(sc, N) {
+	if !e.sweepAlive(sc, s) || !e.assembleLevels(sc, N) {
 		e.markEmpty()
 		return
 	}
@@ -465,6 +429,62 @@ func (e *Enumerator) buildMatrix(s string) {
 	}
 
 	e.linkStart(sc, N)
+}
+
+// sweepAlive runs the matrix build's first two passes over s into sc —
+// the part of a build that decides which layered-graph nodes exist. The
+// forward pass advances the whole frontier with one fused row×matrix
+// multiply per document position (fwd.Row(i+1) = fwd.Row(i) ×
+// M_class(s[i])), listing each level's states; the backward prune keeps
+// the states from which (N, qf) is reachable, a word-parallel row∩alive
+// test per state, leaving alive.Row(i) = the nodes of level i. It reports
+// false when no run accepts s or the interrupt fired. buildMatrix links
+// the alive nodes into the graph; CountDoc counts words over them.
+//
+//spanjoin:hotpath
+func (e *Enumerator) sweepAlive(sc *prepScratch, s string) bool {
+	t, tt := e.auto, e.tt
+	N := len(s)
+
+	// Forward pass: fwd.Row(i) = possible boundary states q̂_i.
+	cur := sc.fwd.Row(0)
+	cur.CopyFrom(e.cl.VEB.Row(int(t.Init)))
+	sc.pushLevel(0, cur)
+	for i := 0; i < N; i++ {
+		if e.interrupted(i) {
+			return false
+		}
+		m := tt.Mat(s[i])
+		if m == nil {
+			// No transition anywhere accepts this byte: no run consumes it.
+			return false
+		}
+		next := sc.fwd.Row(i + 1)
+		m.MulOr(next, sc.fwd.Row(i))
+		sc.pushLevel(i+1, next)
+	}
+	// The last boundary state must be the final state exactly (q̂_N = qf).
+	if !sc.fwd.Row(N).Test(t.Final) {
+		return false
+	}
+
+	// Backward prune: keep nodes from which (N, qf) is reachable — state p
+	// at level i survives iff its successor row meets the alive set of
+	// level i+1.
+	sc.alive.Row(N).Set(t.Final)
+	for i := N - 1; i >= 0; i-- {
+		if e.interrupted(i) {
+			return false
+		}
+		aliveCur, aliveNext := sc.alive.Row(i), sc.alive.Row(i+1)
+		m := tt.Mat(s[i])
+		for _, p := range sc.levelStates(i) {
+			if m.Row(int(p)).Intersects(aliveNext) {
+				aliveCur.Set(p)
+			}
+		}
+	}
+	return true
 }
 
 // appendGroupsFromList groups the live targets of a pre-sorted
@@ -716,10 +736,10 @@ func (e *Enumerator) appendLetterGroups(states []int32, sc *prepScratch) ([]int3
 
 // growTail extends s by n elements in place, reallocating geometrically;
 // the new elements are overwritten by the caller.
-func growTail(s []int32, n int) []int32 {
+func growTail[T any](s []T, n int) []T {
 	need := len(s) + n
 	if cap(s) < need {
-		ns := make([]int32, len(s), max(2*cap(s), need))
+		ns := make([]T, len(s), max(2*cap(s), need))
 		copy(ns, s)
 		s = ns
 	}

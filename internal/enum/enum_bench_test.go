@@ -72,3 +72,29 @@ func BenchmarkMembershipVsEnumeration(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCountDoc compares the two ways to count one document's results:
+// the count kernel (matrix sweep + two-level subset count) and a graph
+// build followed by the ranked DAG, on a search pattern over a 4 KiB
+// text-like document.
+func BenchmarkCountDoc(b *testing.B) {
+	p, err := enum.NewPlan(rgx.MustCompilePattern(`.*mail{[a-z]+@[a-z]+\.[a-z]+}.*`))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := workload.RandomString(workload.Rand(3), 4096, 26) + " bob@example.org "
+	e := p.NewEnumerator()
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			e.CountDoc(s)
+		}
+	})
+	b.Run("graph+dag", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			e.Reset(s)
+			e.Rank().Count()
+		}
+	})
+}

@@ -41,6 +41,41 @@ func TestInterruptAbandonsBuild(t *testing.T) {
 	}
 }
 
+// TestInterruptAbandonsCount: an interrupted count returns 0 whichever
+// pass the interrupt lands in, and the next count on the same enumerator
+// is exact.
+func TestInterruptAbandonsCount(t *testing.T) {
+	p, err := NewPlan(rgx.MustCompilePattern(".*x{z+}.*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := strings.Repeat("a", interruptStride*3) + "zz"
+	e := p.NewEnumerator()
+	want := e.CountDoc(doc)
+	if want.IsZero() {
+		t.Fatal("workload produced no tuples")
+	}
+	// The forward pass, the prune and the count pass poll 3 times each on
+	// this document; firing at poll k lands the interrupt in each of them.
+	polls := 0
+	e.SetInterrupt(func() bool { polls++; return false })
+	e.CountDoc(doc)
+	if polls != 9 {
+		t.Fatalf("an unfired interrupt was polled %d times, want 3 per pass", polls)
+	}
+	for k := 1; k <= 9; k++ {
+		polls := 0
+		e.SetInterrupt(func() bool { polls++; return polls == k })
+		if got := e.CountDoc(doc); !got.IsZero() {
+			t.Fatalf("interrupt at poll %d: count %v, want 0", k, got)
+		}
+		e.SetInterrupt(nil)
+		if got := e.CountDoc(doc); got.String() != want.String() {
+			t.Fatalf("after an interrupt at poll %d: count %v, want %v", k, got, want)
+		}
+	}
+}
+
 // TestInterruptUnfiredIsInvisible: an installed interrupt that never
 // fires must not change results on either build path.
 func TestInterruptUnfiredIsInvisible(t *testing.T) {

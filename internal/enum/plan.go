@@ -19,16 +19,19 @@ import (
 // including the transition-table construction — is paid exactly once per
 // query however many documents, workers and Eval calls consume it.
 type Plan struct {
-	vars      span.VarList
-	auto      *vsa.VSA
-	cl        *vsa.Closures
-	tt        *vsa.TransitionTable
-	link      *linkLists
-	letterOf  []int32
-	configs   []vsa.Config
-	charAdj   [][]vsa.Tr
-	emptyLang bool
-	buildDur  time.Duration
+	vars     span.VarList
+	auto     *vsa.VSA
+	cl       *vsa.Closures
+	tt       *vsa.TransitionTable
+	link     *linkLists
+	letterOf []int32
+	// letterMask row l holds the states whose letter is l (table plans
+	// only): the count kernel's per-letter split of a state set.
+	letterMask *bitset.Matrix
+	configs    []vsa.Config
+	charAdj    [][]vsa.Tr
+	emptyLang  bool
+	buildDur   time.Duration
 }
 
 // maxLinkListEntries caps the precomputed per-class successor lists at 2²¹
@@ -129,6 +132,10 @@ func newPlan(a *vsa.VSA, withTable bool) (*Plan, error) {
 	if withTable {
 		p.tt = vsa.NewTransitionTable(t, p.cl)
 		p.link = buildLinkLists(p.tt, p.letterOf, t.NumStates())
+		p.letterMask = bitset.NewMatrix(len(p.configs), t.NumStates())
+		for q, l := range p.letterOf {
+			p.letterMask.Row(int(l)).Set(int32(q))
+		}
 	}
 	return p, nil
 }
@@ -154,16 +161,17 @@ func (p *Plan) ByteClasses() int {
 // arenas and cursor. No document is prepared: call Reset before Next.
 func (p *Plan) NewEnumerator() *Enumerator {
 	e := &Enumerator{
-		vars:      p.vars,
-		empty:     true, // nothing prepared yet
-		emptyLang: p.emptyLang,
-		configs:   p.configs,
-		auto:      p.auto,
-		cl:        p.cl,
-		tt:        p.tt,
-		link:      p.link,
-		letterOf:  p.letterOf,
-		charAdj:   p.charAdj,
+		vars:       p.vars,
+		empty:      true, // nothing prepared yet
+		emptyLang:  p.emptyLang,
+		configs:    p.configs,
+		auto:       p.auto,
+		cl:         p.cl,
+		tt:         p.tt,
+		link:       p.link,
+		letterOf:   p.letterOf,
+		letterMask: p.letterMask,
+		charAdj:    p.charAdj,
 	}
 	if !p.emptyLang {
 		e.mergeRow = bitset.NewRow(p.auto.NumStates())

@@ -13,9 +13,11 @@ import (
 )
 
 // checkRankedVsNext pins every ranked-access operation against the
-// enumeration itself: Count against the drain count, WordAt(i) (decoded)
-// against the i-th Next result for every i, and SeekLetters against the
-// tuple suffix starting at sampled positions.
+// enumeration itself: Count and the CountDoc kernel against the drain
+// count, WordAt(i) (decoded) against the i-th Next result for every i, and
+// SeekLetters against the tuple suffix starting at sampled positions.
+// CountDoc runs on the enumerator under test before the descents, which
+// therefore also check that it left the built graph and Rank intact.
 func checkRankedVsNext(t *testing.T, a *vsa.VSA, s string) {
 	t.Helper()
 	e, err := Prepare(a, s)
@@ -35,6 +37,9 @@ func checkRankedVsNext(t *testing.T, a *vsa.VSA, s string) {
 	}
 	if cnt != uint64(len(all)) {
 		t.Fatalf("Count = %d, drain found %d on %q", cnt, len(all), s)
+	}
+	if k, fits := e.CountDoc(s).Uint64(); !fits || k != cnt {
+		t.Fatalf("CountDoc = %v, Rank().Count() = %d on %q", e.CountDoc(s), cnt, s)
 	}
 
 	var buf []int32
@@ -155,6 +160,9 @@ func TestRankCountOverflow(t *testing.T) {
 	want := new(big.Int).Binomial(m+k, 2*k)
 	if c.BigInt().Cmp(want) != 0 {
 		t.Fatalf("count = %v, want C(%d,%d) = %v", c, m+k, 2*k, want)
+	}
+	if kc := e.CountDoc(strings.Repeat("a", m)); kc.BigInt().Cmp(want) != 0 {
+		t.Fatalf("CountDoc = %v, want C(%d,%d) = %v", kc, m+k, 2*k, want)
 	}
 	// Saturating int view.
 	if e.Count() != int(^uint(0)>>1) {

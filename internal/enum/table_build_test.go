@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"spanjoin/internal/oracle"
+	"spanjoin/internal/ranked"
 	"spanjoin/internal/rgx"
 	"spanjoin/internal/span"
 	"spanjoin/internal/vsa"
@@ -248,6 +249,23 @@ func TestScratchPoolDropsOversized(t *testing.T) {
 	}
 	if scratchDrops.Load() != drops+1 {
 		t.Fatal("drop counter did not advance")
+	}
+
+	// The count kernel's level tables are accounted too: one level of
+	// 200,000 two-word sets outgrows the cap on its own.
+	wide := new(prepScratch)
+	tb := &wide.count[1]
+	tb.reset(2)
+	for i := uint64(0); i < 200_000; i++ {
+		key := tb.push()
+		key[0], key[1] = i, 0
+		tb.add(ranked.CountOf(1))
+	}
+	if wide.retainedBytes() <= maxScratchRetain {
+		t.Fatalf("scratch with a wide count table accounts only %d bytes", wide.retainedBytes())
+	}
+	if putScratch(wide) {
+		t.Fatal("scratch with an oversized count table must be dropped")
 	}
 }
 

@@ -31,7 +31,7 @@ const (
 	// StageEnumerate is the worker pool's lifetime — graph builds and
 	// result streaming; Items is the number of delivered results.
 	StageEnumerate Stage = "enumerate"
-	// StageCount is the counting sweep (the ranked DP fan-out behind
+	// StageCount is the counting sweep (the count-kernel fan-out behind
 	// /count and cursor pagination).
 	StageCount Stage = "count"
 	// StageWALAppend is the write-ahead-log append of one added

@@ -23,6 +23,13 @@
 // produce in practice, where a prefix's configuration history pins the
 // live states. Differential fuzzing pins every operation against the
 // enumeration itself.
+//
+// A count alone needs neither the graph nor the DAG: enum's CountDoc runs
+// the same subset construction over state bitsets keeping only each
+// level's set counts, and corpus counting sweeps use it. Build serves the
+// descents (WordAt, SampleWord), Spanner.Count, Query.Count and Ranked,
+// and stays the reference the kernel is differentially tested against;
+// both add with Count.
 package ranked
 
 import (

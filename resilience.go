@@ -76,10 +76,10 @@ func WithMaxQueue(n int) CorpusOption {
 }
 
 // WithTimeout bounds an evaluation's wall-clock time, measured from the
-// Eval call: admission wait, every graph build (aborted mid-sweep), and
-// every result delivery all count. On expiry the stream stops with
-// context.DeadlineExceeded on Err — results already streamed are valid
-// partial output. d ≤ 0 means no timeout.
+// Eval call: admission wait, every graph build and per-document count
+// (aborted mid-sweep), and every result delivery all count. On expiry
+// the stream stops with context.DeadlineExceeded on Err — results
+// already streamed are valid partial output. d ≤ 0 means no timeout.
 func WithTimeout(d time.Duration) Option {
 	return func(o *core.Options) {
 		if d > 0 {

@@ -175,6 +175,32 @@ func TestCountHonorsLimits(t *testing.T) {
 	}
 }
 
+// TestPageBuildHonorsDeadline: with the count served from the count memo,
+// a page's only document-length-dependent work is the window document's
+// graph build. The page's deadline must interrupt that build and fail the
+// page — not let it finish late, nor return the page short with a nil
+// error. Uninterrupted, the build below takes about 200 ms on a 2-vCPU
+// x86-64 host, two orders of magnitude past the deadline.
+func TestPageBuildHonorsDeadline(t *testing.T) {
+	c := spanjoin.NewCorpus()
+	c.Add(strings.Repeat("a", 512<<10) + "b")
+	ctx := context.Background()
+	// An untimed page fills the pattern's count memo.
+	page, err := c.EvalSearchPage(ctx, "x{b}", 0, 1)
+	if err != nil || len(page.Matches) != 1 {
+		t.Fatalf("untimed page: %v, %v", page, err)
+	}
+	t0 := time.Now()
+	page, err = c.EvalSearchPage(ctx, "x{b}", 0, 1, spanjoin.WithTimeout(2*time.Millisecond))
+	elapsed := time.Since(t0)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("page past its deadline: %v, %v; want DeadlineExceeded", page, err)
+	}
+	if elapsed > 100*time.Millisecond {
+		t.Fatalf("page failed after %v; the build must stop at the deadline", elapsed)
+	}
+}
+
 // TestQueueAdmitsFIFO: with a one-deep queue, a second query waits for
 // the slot instead of shedding, and a third sheds.
 func TestQueueAdmitsFIFO(t *testing.T) {

@@ -492,8 +492,8 @@ type CountBody struct {
 	Trace []spanjoin.StageSpan `json:"trace,omitempty"`
 }
 
-// handleCount serves the exact corpus-wide result count — the ranked DP
-// through the shard workers, no enumeration anywhere.
+// handleCount serves the exact corpus-wide result count — the count
+// kernel through the shard workers, no enumeration anywhere.
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	pattern := r.URL.Query().Get("q")
 	if pattern == "" {
