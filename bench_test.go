@@ -610,3 +610,42 @@ func BenchmarkEN_CorpusCount(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkFirstTimeQuery is the cache-miss lookup: a never-seen
+// pattern's CountSearch plus its first EvalSearchPage on an indexed corpus
+// of 3,000 address documents. The skip index leaves one or two candidate
+// documents per pattern, so compilation, the plan and the candidates'
+// count and window build are the whole cost. Patterns cycle through the
+// 3,000 documents' zip codes, far more than the cache holds, so no
+// iteration hits the cache.
+func BenchmarkFirstTimeQuery(b *testing.B) {
+	streets := []string{"Elm Street", "Oak Avenue", "Mill Road", "Church Lane", "Station Road", "High Street"}
+	cities := []string{"Ashford", "Bexley", "Carlton", "Dover", "Exeter", "Fulham"}
+	r := rand.New(rand.NewSource(3000))
+	docs := make([]string, 3000)
+	zips := make([]int, len(docs))
+	for i := range docs {
+		zips[i] = 1000 + r.Intn(9000)
+		docs[i] = fmt.Sprintf("Parcel %d leaves for %d %s, %d %s. Call the depot before noon if nobody is home.",
+			i, 1+r.Intn(999), streets[r.Intn(len(streets))], zips[i], cities[r.Intn(len(cities))])
+	}
+	c := spanjoin.NewCorpus(spanjoin.WithShards(2), spanjoin.WithIndex())
+	c.AddAll(docs...)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pattern := fmt.Sprintf("z{%d} c{[A-Z][a-z]+}", zips[i%len(zips)])
+		n, err := c.CountSearch(ctx, pattern)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pg, err := c.EvalSearchPage(ctx, pattern, 0, 10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if u, _ := n.Uint64(); u == 0 || len(pg.Matches) == 0 {
+			b.Fatalf("%s: count %v, %d page matches; the pattern's own document must match", pattern, n, len(pg.Matches))
+		}
+	}
+}

@@ -125,7 +125,7 @@ func newCorpus(store *corpus.Store, cfg corpusConfig) *Corpus {
 		reg:     obs.NewRegistry(),
 	}
 	store.SetRegistry(c.reg)
-	c.planBuild = c.reg.Histogram("spanjoin_plan_build_seconds", "Compilations of a query plan actually run (cache misses).", nil)
+	c.planBuild = c.reg.Histogram("spanjoin_plan_build_seconds", "Compilations of a query plan actually run (cache misses): the eager part only; kernels built on first use count toward the count or enumerate stage.", nil)
 	c.reg.CounterFunc("spanjoin_cache_hits_total", "Compiled-query cache hits, including singleflight joiners.", func() uint64 { h, _ := c.cache.Stats(); return h })
 	c.reg.CounterFunc("spanjoin_cache_misses_total", "Compiled-query cache misses (compilations run).", func() uint64 { _, m := c.cache.Stats(); return m })
 	c.reg.Gauge("spanjoin_cache_resident", "Compiled artifacts currently cached.", func() float64 { return float64(c.cache.Len()) })
@@ -385,10 +385,11 @@ func (c *Corpus) recordPlanBuild(ctx context.Context, p *enum.Plan, built bool) 
 // EvalSpanner evaluates a precompiled spanner over every document in the
 // corpus (bypassing the cache). The spanner's required-literal prefilter
 // skips non-matching documents before any per-document work, and its
-// compiled plan — closures, letter table, byte-class transition table — is
-// memoized on the spanner itself, so the corpus cache's Spanners carry
-// their plan across Eval calls: one compilation per cached query, then
-// pure matrix sweeps over every document the store will ever hold.
+// compiled plan — closures, letter table, and the byte-class transition
+// table built when its first document is swept — is memoized on the
+// spanner itself, so the corpus cache's Spanners carry their plan across
+// Eval calls: at most one compilation per cached query, then pure matrix
+// sweeps over every document the store will ever hold.
 // An overloaded corpus (WithMaxConcurrent) sheds the call synchronously
 // with ErrOverloaded before any worker starts.
 func (c *Corpus) EvalSpanner(ctx context.Context, sp *Spanner, opts ...Option) (*CorpusMatches, error) {

@@ -3,6 +3,7 @@ package spanjoin_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -289,4 +290,67 @@ func TestCountMemoHammer(t *testing.T) {
 			t.Fatalf("doc %d: CountAll %v, Spanner.Count %v", id, per[id], n)
 		}
 	}
+}
+
+// TestConcurrentFirstPagesPooledArenas: sixteen goroutines page sixteen
+// different never-seen patterns at once, so window enumerators build on
+// graph arenas drawn from the shared pool and release them concurrently.
+// Every page must equal its slice of the per-document Spanner.Eval
+// sequence, which a page built on an arena another live enumerator still
+// held would not.
+func TestConcurrentFirstPagesPooledArenas(t *testing.T) {
+	words := []string{"amber", "birch", "cedar", "delta", "ember", "fjord", "grove", "heron",
+		"ivory", "jolly", "koala", "lemon", "maple", "nylon", "olive", "pearl"}
+	r := rand.New(rand.NewSource(16))
+	docs := make([]string, 48)
+	for i := range docs {
+		var sb strings.Builder
+		for k := 0; k < 4+r.Intn(8); k++ {
+			fmt.Fprintf(&sb, "%s %s ", words[r.Intn(len(words))], words[r.Intn(len(words))])
+		}
+		docs[i] = sb.String()
+	}
+	c := spanjoin.NewCorpus(spanjoin.WithShards(2), spanjoin.WithWorkers(2), spanjoin.WithIndex())
+	c.AddAll(docs...)
+
+	const limit = 3
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, w := range words {
+		pattern := "x{" + w + "} y{[a-p]+}"
+		sp, err := spanjoin.CompileSearch(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := corpusRefSequenceOf(t, c, sp)
+		if len(want) < 2*limit {
+			t.Fatalf("%s: weak instance, %d results", pattern, len(want))
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for off := 0; off <= len(want); off += limit {
+				pg, err := c.EvalSearchPage(context.Background(), pattern, uint64(off), limit)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ref := want[off:min(off+limit, len(want))]
+				if len(pg.Matches) != len(ref) {
+					t.Errorf("%s offset %d: %d matches, want %d", pattern, off, len(pg.Matches), len(ref))
+					return
+				}
+				for k, m := range pg.Matches {
+					if m.Doc != ref[k].Doc || matchKey(m.Match) != matchKey(ref[k].Match) {
+						t.Errorf("%s offset %d match %d: %v@%d, want %v@%d",
+							pattern, off, k, m.Match, m.Doc, ref[k].Match, ref[k].Doc)
+						return
+					}
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
 }

@@ -28,6 +28,42 @@ func TestCursorTokenRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseCursor feeds ParseCursor arbitrary tokens — the one input a
+// network client hands the pagination path verbatim. It must never panic;
+// a token it accepts must round-trip (the parsed cursor's Token parses
+// back to the same cursor); a token it rejects must say so with
+// ErrBadCursor.
+func FuzzParseCursor(f *testing.F) {
+	for _, cur := range []spanjoin.Cursor{
+		{Mode: "anchor", Pattern: `.*x{mail}.*`, Offset: 0},
+		{Mode: "search", Pattern: `z{1234} c{[A-Z][a-z]+}`, Offset: 7},
+		{Mode: "search", Pattern: "x{é}\x00", Offset: math.MaxUint64},
+	} {
+		tok := cur.Token()
+		f.Add(tok)
+		f.Add(tok[:len(tok)-3])
+	}
+	f.Add("")
+	f.Add("sj1.")
+	f.Add("sj1.e30")
+	f.Fuzz(func(t *testing.T, tok string) {
+		cur, err := spanjoin.ParseCursor(tok)
+		if err != nil {
+			if !errors.Is(err, spanjoin.ErrBadCursor) {
+				t.Fatalf("ParseCursor(%q) = %v, not an ErrBadCursor", tok, err)
+			}
+			return
+		}
+		again, err := spanjoin.ParseCursor(cur.Token())
+		if err != nil {
+			t.Fatalf("accepted %q, but its cursor's token does not parse: %v", tok, err)
+		}
+		if again != cur {
+			t.Fatalf("accepted %q as %+v, which round-trips to %+v", tok, cur, again)
+		}
+	})
+}
+
 func TestCursorTokenRejectsTampering(t *testing.T) {
 	tok := spanjoin.Cursor{Mode: "anchor", Pattern: "x{a}", Offset: 7}.Token()
 	bad := []string{

@@ -136,6 +136,12 @@ func corpusRefSequence(t *testing.T, c *spanjoin.Corpus, pattern string) []spanj
 	if err != nil {
 		t.Fatal(err)
 	}
+	return corpusRefSequenceOf(t, c, sp)
+}
+
+// corpusRefSequenceOf is corpusRefSequence for a compiled spanner.
+func corpusRefSequenceOf(t *testing.T, c *spanjoin.Corpus, sp *spanjoin.Spanner) []spanjoin.CorpusMatch {
+	t.Helper()
 	var ids []spanjoin.DocID
 	for id := spanjoin.DocID(0); int(id) < 4*c.Len(); id++ {
 		if _, ok := c.Doc(id); ok {

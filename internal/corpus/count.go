@@ -171,7 +171,8 @@ type PageResult struct {
 // and no graph anywhere, and — given the plan's memo — visiting only
 // documents the memo has not counted yet), then the window — located in
 // the per-document prefix sums — is entered with a single DAG descent and
-// streamed from only the documents it intersects, one graph build each.
+// streamed from only the documents it intersects, one graph build each,
+// on graph arenas drawn from the process-wide pool and returned to it.
 // A page deep in the result sequence therefore costs the same as page 0:
 // the counting sweep plus one descent, and the exact total rides along
 // for free. The query's context and deadline interrupt the window's
@@ -206,6 +207,7 @@ func (s *Store) PagePlan(ctx context.Context, p *enum.Plan, memo *CountMemo, opt
 	ctx, cancel := opt.evalCtx(ctx)
 	defer cancel()
 	e := p.NewEnumerator()
+	defer e.Release() // decode allocates every tuple: nothing views the graph after return
 	e.SetInterrupt(func() bool { return ctx.Err() != nil })
 	var wbuf []int32
 	for _, dc := range cnt.PerDoc {

@@ -23,24 +23,28 @@ import (
 // polled in all three passes; an interrupted count returns 0.
 //
 // CountDoc leaves the enumerator's prepared document, cursor and Rank
-// untouched. Plans compiled without a transition table (PrepareOnce,
-// PrepareRef) have no class matrices to sweep; there CountDoc falls back
-// to Reset(s) and Rank().Count(), replacing the prepared document.
+// untouched, and builds only the plan's transition table (on the plan's
+// first swept document), never its link lists or any graph arena. Plans
+// compiled without a transition table (PrepareOnce, PrepareRef) have no
+// class matrices to sweep; there CountDoc falls back to Reset(s) and
+// Rank().Count(), replacing the prepared document.
 //
 //spanjoin:hotpath
 func (e *Enumerator) CountDoc(s string) ranked.Count {
-	if e.emptyLang {
+	p := e.plan
+	if p.emptyLang {
 		return ranked.Count{}
 	}
-	if e.tt == nil {
+	if !p.table {
 		e.Reset(s)
 		return e.Rank().Count()
 	}
+	tt := p.transitions()
 	N := len(s)
 	sc := scratchPool.Get().(*prepScratch)
 	defer putScratch(sc)
-	sc.init(e.auto.NumStates(), N, len(e.configs))
-	if !e.sweepAlive(sc, s) {
+	sc.init(p.auto.NumStates(), N, len(p.configs))
+	if !e.sweepAlive(sc, s, tt) {
 		return ranked.Count{}
 	}
 
@@ -55,7 +59,7 @@ func (e *Enumerator) CountDoc(s string) ranked.Count {
 		if e.interrupted(i) {
 			return ranked.Count{}
 		}
-		m := e.tt.Mat(s[i])
+		m := tt.Mat(s[i])
 		aliveNext := sc.alive.Row(i + 1)
 		next.reset(w)
 		for k := range cur.counts {
@@ -80,9 +84,10 @@ func (e *Enumerator) CountDoc(s string) ranked.Count {
 //
 //spanjoin:hotpath
 func (e *Enumerator) splitByLetter(t *subsetTable, row bitset.Row, c ranked.Count) {
+	p := e.plan
 	for q := row.NextOne(0); q >= 0; q = row.NextOne(q) {
 		key := t.push()
-		mask := e.letterMask.Row(int(e.letterOf[q]))
+		mask := p.letterMask.Row(int(p.letterOf[q]))
 		for j := range key {
 			key[j] = row[j] & mask[j]
 		}

@@ -18,12 +18,14 @@
 // one fused row×matrix multiply per document position, the backward prune a
 // word-parallel intersection test per state, and per-level edges are read
 // straight off the matrix rows. Every document-independent artifact
-// (trimmed automaton, closures, letter table, transition table) is computed
-// once per Plan and shared. An Enumerator is resettable: Reset(s)
-// rebuilds the layered graph for a new document into the enumerator's own
-// arenas, so streaming many documents through one compiled pattern
-// allocates almost nothing per document; transient build scratch is shared
-// through a sync.Pool even across fresh Prepare calls.
+// (trimmed automaton, closures, letter table, transition table, link
+// lists) is computed at most once per Plan and shared; the kernels are
+// built on first use. An Enumerator is resettable: Reset(s) rebuilds the
+// layered graph for a new document into the enumerator's own arenas, so
+// streaming many documents through one compiled pattern allocates almost
+// nothing per document; transient build scratch is shared through a
+// sync.Pool even across fresh Prepare calls, and an enumerator's Release
+// hands its graph arenas to the next enumerator's first build.
 package enum
 
 import (
@@ -31,9 +33,9 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"spanjoin/internal/bitset"
-	"spanjoin/internal/nfa"
 	"spanjoin/internal/ranked"
 	"spanjoin/internal/span"
 	"spanjoin/internal/vsa"
@@ -60,37 +62,22 @@ type GraphNode struct {
 //
 // An Enumerator owns its graph arenas: Reset(s) rebuilds the layered graph
 // for a new document in place, invalidating any in-progress enumeration but
-// reusing all buffers. Enumerators are not safe for concurrent use; use
-// Clone to give each goroutine its own cursor over the shared compiled
-// state.
+// reusing all buffers, and Release returns the buffers to a process-wide
+// pool. Enumerators are not safe for concurrent use; use Clone to give
+// each goroutine its own cursor over the shared compiled state.
 type Enumerator struct {
-	vars    span.VarList
-	n       int // |s|
-	empty   bool
-	configs []vsa.Config // letter id → configuration
-	levels  [][]GraphNode
-	// start nodes (level 0) grouped by letter, like GraphNode targets
-	startLetters  []int32
-	startByLetter [][]int32
-
-	// Document-independent compiled state, shared through the Plan by
-	// Reset, Clone and every corpus worker.
-	auto       *vsa.VSA // trimmed functional automaton
-	cl         *vsa.Closures
-	tt         *vsa.TransitionTable
-	link       *linkLists
-	letterOf   []int32
-	letterMask *bitset.Matrix
-	charAdj    [][]vsa.Tr // character transitions per state
-	emptyLang  bool       // the automaton's language is empty for every s
+	// plan is the document-independent compiled state, shared by Clone and
+	// every corpus worker; builds read its kernels through it.
+	plan  *Plan
+	n     int // |s|
+	empty bool
 	// refBuild selects the preserved per-transition graph build instead of
 	// the byte-class matrix sweep (PrepareRef; differential testing only).
 	refBuild bool
 
-	// Persistent graph arenas, resliced and refilled by every build.
-	letterArena   []int32
-	tgtArena      []int32
-	byLetterArena [][]int32
+	// g holds the graph and cursor buffers, drawn from graphPool by the
+	// first graph build and returned by Release; nil until then.
+	g *graph
 
 	// rank is the memoized ranked-access DP over the current build
 	// (counting, i-th access, sampling — package ranked); built on first
@@ -110,11 +97,59 @@ type Enumerator struct {
 	done    bool
 	// pending marks a cursor positioned by SeekLetters on a word not yet
 	// handed out: the next Next returns it without advancing first.
-	pending  bool
+	pending bool
+}
+
+// graph holds an enumerator's plan-independent buffers: the layered graph
+// — its levels over one node arena, the letter, target and by-letter edge
+// arenas, and the virtual start's fan-out — and the enumeration cursor.
+// Every build reslices and refills them. Enumerators draw one from
+// graphPool on their first graph build and return it with Release, so
+// one-shot window builds reuse the arenas earlier ones grew.
+type graph struct {
+	levels        [][]GraphNode // levels[i] views level i's run of nodes
+	nodes         []GraphNode
+	letterArena   []int32
+	tgtArena      []int32
+	byLetterArena [][]int32
+	// start nodes (level 0) grouped by letter, like GraphNode targets
+	startLetters  []int32
+	startByLetter [][]int32
+
 	letters  []int32    // current word κ_0..κ_N
 	sets     [][]int32  // sets[i] = node indices at level i consistent with κ_0..κ_i
 	setsBuf  [][]int32  // per-level merge buffers backing multi-source sets
 	mergeRow bitset.Row // scratch for multi-source set merges
+}
+
+var graphPool = sync.Pool{New: func() any { return new(graph) }}
+
+// graphDrops counts graphs dropped at maxScratchRetain instead of pooled.
+var graphDrops atomic.Uint64
+
+// putGraph pools g for reuse unless its buffers outgrew maxScratchRetain;
+// it reports whether g was pooled.
+func putGraph(g *graph) bool {
+	if g.retainedBytes() > maxScratchRetain {
+		graphDrops.Add(1)
+		return false
+	}
+	graphPool.Put(g)
+	return true
+}
+
+// retainedBytes sums the capacity of every buffer g would carry back into
+// the pool.
+func (g *graph) retainedBytes() int {
+	const sliceHeader, nodeSize = int(unsafe.Sizeof([]int32(nil))), int(unsafe.Sizeof(GraphNode{}))
+	b := sliceHeader * (cap(g.levels) + cap(g.byLetterArena) + cap(g.sets) + cap(g.setsBuf))
+	b += nodeSize * cap(g.nodes)
+	b += 4 * (cap(g.letterArena) + cap(g.tgtArena) + cap(g.letters))
+	b += 8 * cap(g.mergeRow)
+	for _, buf := range g.setsBuf[:cap(g.setsBuf)] {
+		b += 4 * cap(buf)
+	}
+	return b
 }
 
 // prepScratch holds the transient buffers of one graph build or count:
@@ -249,11 +284,10 @@ func growKeep[T any](s []T, n int) []T {
 	return ns
 }
 
-// Prepare trims A, verifies functionality, compiles the plan (closures,
-// letter table, byte-class transition table) and builds the layered graph
-// for s. It returns vsa.ErrNotFunctional (wrapped) for non-functional
-// automata. Callers evaluating many documents through one automaton should
-// build the Plan once and reuse it instead.
+// Prepare trims A, verifies functionality, compiles the plan and builds
+// the layered graph for s. It returns vsa.ErrNotFunctional (wrapped) for
+// non-functional automata. Callers evaluating many documents through one
+// automaton should build the Plan once and reuse it instead.
 func Prepare(a *vsa.VSA, s string) (*Enumerator, error) {
 	p, err := NewPlan(a)
 	if err != nil {
@@ -264,17 +298,16 @@ func Prepare(a *vsa.VSA, s string) (*Enumerator, error) {
 
 // PrepareOnce is Prepare for a single-use automaton — the per-document
 // compilation paths (string-equality selections, per-document query
-// plans), where the automaton exists for exactly one document. It skips
-// the byte-class transition table and link lists, whose construction cost
-// can never amortize, and builds the graph with the per-transition pass.
+// plans), where the automaton exists for exactly one document. It never
+// builds the byte-class transition table or link lists, whose
+// construction cost can never amortize, and builds the graph with the
+// per-transition pass.
 func PrepareOnce(a *vsa.VSA, s string) (*Enumerator, error) {
 	p, err := newPlan(a, false)
 	if err != nil {
 		return nil, err
 	}
-	e := p.NewEnumerator()
-	e.Reset(s)
-	return e, nil
+	return p.Prepare(s), nil
 }
 
 // PrepareRef is Prepare on the preserved per-transition reference build:
@@ -298,17 +331,34 @@ func PrepareRef(a *vsa.VSA, s string) (*Enumerator, error) {
 // Reset rebuilds the enumerator for a new document, reusing every buffer of
 // the previous build. The enumeration restarts from the beginning; tuples
 // handed out earlier remain valid (they are freshly allocated), but Levels
-// and AsNFA views of the previous document do not.
+// and Rank views of the previous document do not.
 func (e *Enumerator) Reset(s string) {
 	e.started, e.done, e.pending = false, false, false
 	e.rank = nil
 	e.n = len(s)
-	if e.emptyLang {
-		e.empty = true
+	if e.plan.emptyLang {
+		e.markEmpty()
 		return
 	}
 	e.empty = false
 	e.build(s)
+}
+
+// Release returns the enumerator's graph arenas to a process-wide pool,
+// where the next enumerator's first graph build draws them, and leaves the
+// enumerator with no document prepared, as NewEnumerator does: call Reset
+// before Next. Levels and Rank views of the released graph are invalid;
+// tuples handed out earlier remain valid (they are freshly allocated).
+// Like the build scratch, arenas grown past maxScratchRetain are dropped
+// rather than pooled. Release is idempotent.
+func (e *Enumerator) Release() {
+	e.started, e.done, e.pending = false, false, false
+	e.empty = true
+	e.rank = nil
+	if e.g != nil {
+		putGraph(e.g)
+		e.g = nil
+	}
 }
 
 // Clone returns an enumerator sharing e's document-independent compiled
@@ -316,24 +366,8 @@ func (e *Enumerator) Reset(s string) {
 // its own build arenas and cursor, for use from another goroutine. The
 // clone has no document prepared: call Reset before Next.
 func (e *Enumerator) Clone() *Enumerator {
-	c := &Enumerator{
-		vars:       e.vars,
-		n:          e.n,
-		empty:      true, // nothing prepared yet
-		emptyLang:  e.emptyLang,
-		configs:    e.configs,
-		auto:       e.auto,
-		cl:         e.cl,
-		tt:         e.tt,
-		link:       e.link,
-		letterOf:   e.letterOf,
-		letterMask: e.letterMask,
-		charAdj:    e.charAdj,
-		refBuild:   e.refBuild,
-	}
-	if e.auto != nil {
-		c.mergeRow = bitset.NewRow(e.auto.NumStates())
-	}
+	c := e.plan.NewEnumerator()
+	c.refBuild = e.refBuild
 	return c
 }
 
@@ -364,7 +398,7 @@ func (e *Enumerator) interrupted(i int) bool {
 //
 //spanjoin:hotpath
 func (e *Enumerator) build(s string) {
-	if e.refBuild || e.tt == nil {
+	if e.refBuild || !e.plan.table {
 		e.buildTransitions(s)
 		return
 	}
@@ -380,13 +414,13 @@ func (e *Enumerator) build(s string) {
 //
 //spanjoin:hotpath
 func (e *Enumerator) buildMatrix(s string) {
-	tt := e.tt
-	n := e.auto.NumStates()
+	tt := e.plan.transitions()
+	n := e.plan.auto.NumStates()
 	N := len(s)
 	sc := scratchPool.Get().(*prepScratch)
 	defer putScratch(sc)
-	sc.init(n, N, len(e.configs))
-	if !e.sweepAlive(sc, s) || !e.assembleLevels(sc, N) {
+	sc.init(n, N, len(e.plan.configs))
+	if !e.sweepAlive(sc, s, tt) || !e.assembleLevels(sc, N) {
 		e.markEmpty()
 		return
 	}
@@ -396,9 +430,11 @@ func (e *Enumerator) buildMatrix(s string) {
 	// persistent arenas. With the plan's link lists the grouping order is
 	// precomputed per (class, state), so one node links in a single pass;
 	// without them (size cap) the row is materialized and counting-sorted.
-	e.letterArena = e.letterArena[:0]
-	e.tgtArena = e.tgtArena[:0]
-	e.byLetterArena = e.byLetterArena[:0]
+	g := e.g
+	link := e.plan.linkLists()
+	g.letterArena = g.letterArena[:0]
+	g.tgtArena = g.tgtArena[:0]
+	g.byLetterArena = g.byLetterArena[:0]
 	for i := 0; i < N; i++ {
 		if e.interrupted(i) {
 			e.markEmpty()
@@ -407,21 +443,21 @@ func (e *Enumerator) buildMatrix(s string) {
 		for _, q := range sc.levelStates(i + 1) {
 			sc.stateIdx[q] = -1
 		}
-		for j := range e.levels[i+1] {
-			sc.stateIdx[e.levels[i+1][j].State] = int32(j)
+		for j := range g.levels[i+1] {
+			sc.stateIdx[g.levels[i+1][j].State] = int32(j)
 		}
-		if e.link != nil {
+		if link != nil {
 			base := tt.ClassOf(s[i]) * n
-			for k := range e.levels[i] {
-				node := &e.levels[i][k]
+			for k := range g.levels[i] {
+				node := &g.levels[i][k]
 				node.TargetLetters, node.TargetsByLetter =
-					e.appendGroupsFromList(e.link.list(base, node.State), sc)
+					e.appendGroupsFromList(link.list(base, node.State), sc)
 			}
 			continue
 		}
 		m := tt.Mat(s[i])
-		for k := range e.levels[i] {
-			node := &e.levels[i][k]
+		for k := range g.levels[i] {
+			node := &g.levels[i][k]
 			sc.rowStates = m.Row(int(node.State)).AppendOnes(sc.rowStates[:0])
 			node.TargetLetters, node.TargetsByLetter =
 				e.appendLetterGroups(sc.rowStates, sc)
@@ -442,13 +478,13 @@ func (e *Enumerator) buildMatrix(s string) {
 // the alive nodes into the graph; CountDoc counts words over them.
 //
 //spanjoin:hotpath
-func (e *Enumerator) sweepAlive(sc *prepScratch, s string) bool {
-	t, tt := e.auto, e.tt
+func (e *Enumerator) sweepAlive(sc *prepScratch, s string, tt *vsa.TransitionTable) bool {
+	t := e.plan.auto
 	N := len(s)
 
 	// Forward pass: fwd.Row(i) = possible boundary states q̂_i.
 	cur := sc.fwd.Row(0)
-	cur.CopyFrom(e.cl.VEB.Row(int(t.Init)))
+	cur.CopyFrom(e.plan.cl.VEB.Row(int(t.Init)))
 	sc.pushLevel(0, cur)
 	for i := 0; i < N; i++ {
 		if e.interrupted(i) {
@@ -493,8 +529,9 @@ func (e *Enumerator) sweepAlive(sc *prepScratch, s string) bool {
 // enumerator's arenas; earlier nodes' slices stay valid across arena growth
 // because their contents are written before any later reallocation.
 func (e *Enumerator) appendGroupsFromList(list []int32, sc *prepScratch) ([]int32, [][]int32) {
-	lstart := len(e.letterArena)
-	tstart := len(e.tgtArena)
+	g, letterOf := e.g, e.plan.letterOf
+	lstart := len(g.letterArena)
+	tstart := len(g.tgtArena)
 	starts := sc.groupStart[:0]
 	cur := int32(-1)
 	for _, q := range list {
@@ -502,28 +539,28 @@ func (e *Enumerator) appendGroupsFromList(list []int32, sc *prepScratch) ([]int3
 		if j < 0 {
 			continue
 		}
-		if l := e.letterOf[q]; l != cur {
+		if l := letterOf[q]; l != cur {
 			cur = l
-			e.letterArena = append(e.letterArena, l)
-			starts = append(starts, int32(len(e.tgtArena)))
+			g.letterArena = append(g.letterArena, l)
+			starts = append(starts, int32(len(g.tgtArena)))
 		}
-		e.tgtArena = append(e.tgtArena, j)
+		g.tgtArena = append(g.tgtArena, j)
 	}
 	sc.groupStart = starts
-	if len(e.tgtArena) == tstart {
+	if len(g.tgtArena) == tstart {
 		return nil, nil
 	}
-	letters := e.letterArena[lstart:len(e.letterArena):len(e.letterArena)]
-	bstart := len(e.byLetterArena)
+	letters := g.letterArena[lstart:len(g.letterArena):len(g.letterArena)]
+	bstart := len(g.byLetterArena)
 	for gi := range starts {
 		lo := int(starts[gi])
-		hi := len(e.tgtArena)
+		hi := len(g.tgtArena)
 		if gi+1 < len(starts) {
 			hi = int(starts[gi+1])
 		}
-		e.byLetterArena = append(e.byLetterArena, e.tgtArena[lo:hi:hi])
+		g.byLetterArena = append(g.byLetterArena, g.tgtArena[lo:hi:hi])
 	}
-	return letters, e.byLetterArena[bstart:len(e.byLetterArena):len(e.byLetterArena)]
+	return letters, g.byLetterArena[bstart:len(g.byLetterArena):len(g.byLetterArena)]
 }
 
 // buildTransitions is the preserved per-transition reference build: it
@@ -532,12 +569,12 @@ func (e *Enumerator) appendGroupsFromList(list []int32, sc *prepScratch) ([]int3
 // selects it; differential tests cross-validate the matrix sweep against
 // it on random automata and documents.
 func (e *Enumerator) buildTransitions(s string) {
-	t, cl := e.auto, e.cl
+	t, cl := e.plan.auto, e.plan.cl
 	n := t.NumStates()
 	N := len(s)
 	sc := scratchPool.Get().(*prepScratch)
 	defer putScratch(sc)
-	sc.init(n, N, len(e.configs))
+	sc.init(n, N, len(e.plan.configs))
 
 	// Forward pass: fwd.Row(i) = possible boundary states q̂_i.
 	cur := sc.fwd.Row(0)
@@ -552,7 +589,7 @@ func (e *Enumerator) buildTransitions(s string) {
 		lvlStart := int32(len(sc.edgeOwner))
 		for _, p := range sc.levelStates(i) {
 			any := false
-			for _, tr := range e.charAdj[p] {
+			for _, tr := range e.plan.charAdj[p] {
 				if !tr.Class.Contains(s[i]) {
 					continue
 				}
@@ -602,20 +639,21 @@ func (e *Enumerator) buildTransitions(s string) {
 	// Link targets level by level, grouping successors by letter into the
 	// persistent arenas. Edge owners and nodes are both ascending by state,
 	// so a lockstep walk pairs them without an index.
-	e.letterArena = e.letterArena[:0]
-	e.tgtArena = e.tgtArena[:0]
-	e.byLetterArena = e.byLetterArena[:0]
+	g := e.g
+	g.letterArena = g.letterArena[:0]
+	g.tgtArena = g.tgtArena[:0]
+	g.byLetterArena = g.byLetterArena[:0]
 	for i := 0; i < N; i++ {
 		for _, q := range sc.levelStates(i + 1) {
 			sc.stateIdx[q] = -1
 		}
-		for j := range e.levels[i+1] {
-			sc.stateIdx[e.levels[i+1][j].State] = int32(j)
+		for j := range g.levels[i+1] {
+			sc.stateIdx[g.levels[i+1][j].State] = int32(j)
 		}
 		rng := sc.lvlEdge[i]
 		ek := rng[0]
-		for k := range e.levels[i] {
-			node := &e.levels[i][k]
+		for k := range g.levels[i] {
+			node := &g.levels[i][k]
 			for ek < rng[1] && sc.edgeOwner[ek] < node.State {
 				ek++
 			}
@@ -634,45 +672,62 @@ func (e *Enumerator) buildTransitions(s string) {
 }
 
 // assembleLevels materializes the alive states of every level in ascending
-// order (level N is {qf}); it reports false when level 0 died, i.e. no
-// accepting path survives the prune. The prune only marks states of the
-// level's forward set, so reading the alive row directly yields exactly
-// the surviving subsequence of the level's state list.
+// order (level N is {qf}) into one node arena sized from the alive rows'
+// popcounts, drawing e's graph buffers from graphPool on its first build;
+// it reports false when level 0 died, i.e. no accepting path survives the
+// prune. The prune only marks states of the level's forward set, so
+// reading the alive row directly yields exactly the surviving subsequence
+// of the level's state list.
+//
+//spanjoin:hotpath
 func (e *Enumerator) assembleLevels(sc *prepScratch, N int) bool {
-	e.levels = growKeep(e.levels, N+1)
-	for i := 0; i <= N; i++ {
-		lvl := e.levels[i][:0]
-		sc.rowStates = sc.alive.Row(i).AppendOnes(sc.rowStates[:0])
-		for _, q := range sc.rowStates {
-			lvl = append(lvl, GraphNode{State: q, Letter: e.letterOf[q]})
-		}
-		e.levels[i] = lvl
+	if e.g == nil {
+		e.g = graphPool.Get().(*graph)
 	}
-	return len(e.levels[0]) > 0
+	g, letterOf := e.g, e.plan.letterOf
+	total := 0
+	for i := 0; i <= N; i++ {
+		total += sc.alive.Row(i).Count()
+	}
+	g.nodes = grow(g.nodes, total)
+	g.levels = grow(g.levels, N+1)
+	k := 0
+	for i := 0; i <= N; i++ {
+		start := k
+		row := sc.alive.Row(i)
+		for q := row.NextOne(0); q >= 0; q = row.NextOne(q + 1) {
+			g.nodes[k] = GraphNode{State: q, Letter: letterOf[q]}
+			k++
+		}
+		g.levels[i] = g.nodes[start:k:k]
+	}
+	return len(g.levels[0]) > 0
 }
 
 // linkStart groups the virtual initial state's fan-out to every level-0
 // node by letter, and sizes the enumeration cursor slices.
 func (e *Enumerator) linkStart(sc *prepScratch, N int) {
+	g := e.g
 	for _, q := range sc.levelStates(0) {
 		sc.stateIdx[q] = -1
 	}
-	for k := range e.levels[0] {
-		sc.stateIdx[e.levels[0][k].State] = int32(k)
+	for k := range g.levels[0] {
+		sc.stateIdx[g.levels[0][k].State] = int32(k)
 	}
-	e.startLetters, e.startByLetter = e.appendLetterGroups(sc.levelStates(0), sc)
+	g.startLetters, g.startByLetter = e.appendLetterGroups(sc.levelStates(0), sc)
 
-	e.letters = grow(e.letters, N+1)
-	e.sets = grow(e.sets, N+1)
-	e.setsBuf = growKeep(e.setsBuf, N+1)
+	g.letters = grow(g.letters, N+1)
+	g.sets = grow(g.sets, N+1)
+	g.setsBuf = growKeep(g.setsBuf, N+1)
+	g.mergeRow = grow(g.mergeRow, bitset.WordsFor(e.plan.auto.NumStates()))
 }
 
 func (e *Enumerator) markEmpty() {
 	e.empty = true
-	if e.levels != nil {
-		e.levels = e.levels[:0]
+	if g := e.g; g != nil {
+		g.levels = g.levels[:0]
+		g.startLetters, g.startByLetter = nil, nil
 	}
-	e.startLetters, e.startByLetter = nil, nil
 }
 
 // appendLetterGroups groups the live targets among the candidate states by
@@ -681,13 +736,14 @@ func (e *Enumerator) markEmpty() {
 // comes from the enumerator's arenas; states whose stateIdx is -1 are
 // skipped. cnt is left zeroed for the next call.
 func (e *Enumerator) appendLetterGroups(states []int32, sc *prepScratch) ([]int32, [][]int32) {
+	g, letterOf := e.g, e.plan.letterOf
 	distinct := sc.distinct[:0]
 	total := 0
 	for _, q := range states {
 		if sc.stateIdx[q] < 0 {
 			continue
 		}
-		l := e.letterOf[q]
+		l := letterOf[q]
 		if sc.cnt[l] == 0 {
 			distinct = append(distinct, l)
 		}
@@ -704,28 +760,28 @@ func (e *Enumerator) appendLetterGroups(states []int32, sc *prepScratch) ([]int3
 			distinct[j], distinct[j-1] = distinct[j-1], distinct[j]
 		}
 	}
-	lstart := len(e.letterArena)
-	e.letterArena = append(e.letterArena, distinct...)
-	letters := e.letterArena[lstart:len(e.letterArena):len(e.letterArena)]
+	lstart := len(g.letterArena)
+	g.letterArena = append(g.letterArena, distinct...)
+	letters := g.letterArena[lstart:len(g.letterArena):len(g.letterArena)]
 
-	tstart := len(e.tgtArena)
-	e.tgtArena = growTail(e.tgtArena, total)
-	bstart := len(e.byLetterArena)
+	tstart := len(g.tgtArena)
+	g.tgtArena = growTail(g.tgtArena, total)
+	bstart := len(g.byLetterArena)
 	run := int32(tstart)
 	for _, l := range distinct {
 		c := sc.cnt[l]
-		e.byLetterArena = append(e.byLetterArena, e.tgtArena[run:run+c:run+c])
+		g.byLetterArena = append(g.byLetterArena, g.tgtArena[run:run+c:run+c])
 		sc.pos[l] = run
 		run += c
 	}
-	byLetter := e.byLetterArena[bstart:len(e.byLetterArena):len(e.byLetterArena)]
+	byLetter := g.byLetterArena[bstart:len(g.byLetterArena):len(g.byLetterArena)]
 	for _, q := range states {
 		j := sc.stateIdx[q]
 		if j < 0 {
 			continue
 		}
-		l := e.letterOf[q]
-		e.tgtArena[sc.pos[l]] = j
+		l := letterOf[q]
+		g.tgtArena[sc.pos[l]] = j
 		sc.pos[l]++
 	}
 	for _, l := range distinct {
@@ -786,7 +842,7 @@ func internLetters(t *vsa.VSA, ct *vsa.ConfigTable) (letterOf []int32, configs [
 
 // Vars returns the variable list of the underlying spanner; tuples returned
 // by Next are aligned with it.
-func (e *Enumerator) Vars() span.VarList { return e.vars }
+func (e *Enumerator) Vars() span.VarList { return e.plan.vars }
 
 // Empty reports whether [[A]](s) = ∅, known after preprocessing.
 func (e *Enumerator) Empty() bool { return e.empty }
@@ -836,15 +892,16 @@ func searchLetters(letters []int32, letter int32) int {
 // minLetterInto returns the minimal letter available into level l given
 // S_{l-1} (or the virtual start when l == 0); ok is false if none.
 func (e *Enumerator) minLetterInto(l int) (int32, bool) {
+	g := e.g
 	if l == 0 {
-		if len(e.startLetters) == 0 {
+		if len(g.startLetters) == 0 {
 			return -1, false
 		}
-		return e.startLetters[0], true
+		return g.startLetters[0], true
 	}
 	best := int32(-1)
-	for _, u := range e.sets[l-1] {
-		ls := e.levels[l-1][u].TargetLetters
+	for _, u := range g.sets[l-1] {
+		ls := g.levels[l-1][u].TargetLetters
 		if len(ls) > 0 && (best < 0 || ls[0] < best) {
 			best = ls[0]
 		}
@@ -855,16 +912,17 @@ func (e *Enumerator) minLetterInto(l int) (int32, bool) {
 // nextLetterInto returns the minimal available letter strictly greater than
 // after; ok is false if none.
 func (e *Enumerator) nextLetterInto(l int, after int32) (int32, bool) {
+	g := e.g
 	if l == 0 {
-		k := searchLetters(e.startLetters, after+1)
-		if k == len(e.startLetters) {
+		k := searchLetters(g.startLetters, after+1)
+		if k == len(g.startLetters) {
 			return -1, false
 		}
-		return e.startLetters[k], true
+		return g.startLetters[k], true
 	}
 	best := int32(-1)
-	for _, u := range e.sets[l-1] {
-		ls := e.levels[l-1][u].TargetLetters
+	for _, u := range g.sets[l-1] {
+		ls := g.levels[l-1][u].TargetLetters
 		k := searchLetters(ls, after+1)
 		if k < len(ls) && (best < 0 || ls[k] < best) {
 			best = ls[k]
@@ -878,20 +936,21 @@ func (e *Enumerator) nextLetterInto(l int, after int32) (int32, bool) {
 // through the merge bitset row and the level's reusable buffer, so steady-
 // state enumeration does not allocate.
 func (e *Enumerator) setLevel(l int, letter int32) {
-	e.letters[l] = letter
+	g := e.g
+	g.letters[l] = letter
 	if l == 0 {
-		k := searchLetters(e.startLetters, letter)
-		if k < len(e.startLetters) && e.startLetters[k] == letter {
-			e.sets[0] = e.startByLetter[k]
+		k := searchLetters(g.startLetters, letter)
+		if k < len(g.startLetters) && g.startLetters[k] == letter {
+			g.sets[0] = g.startByLetter[k]
 		} else {
-			e.sets[0] = nil
+			g.sets[0] = nil
 		}
 		return
 	}
 	var single []int32
 	merged := false
-	for _, u := range e.sets[l-1] {
-		node := &e.levels[l-1][u]
+	for _, u := range g.sets[l-1] {
+		node := &g.levels[l-1][u]
 		k := searchLetters(node.TargetLetters, letter)
 		if k >= len(node.TargetLetters) || node.TargetLetters[k] != letter {
 			continue
@@ -903,22 +962,22 @@ func (e *Enumerator) setLevel(l int, letter int32) {
 		}
 		if !merged {
 			merged = true
-			e.mergeRow.Zero()
+			g.mergeRow.Zero()
 			for _, v := range single {
-				e.mergeRow.Set(v)
+				g.mergeRow.Set(v)
 			}
 		}
 		for _, v := range lst {
-			e.mergeRow.Set(v)
+			g.mergeRow.Set(v)
 		}
 	}
 	if !merged {
-		e.sets[l] = single
+		g.sets[l] = single
 		return
 	}
-	buf := e.mergeRow.AppendOnes(e.setsBuf[l][:0])
-	e.setsBuf[l] = buf
-	e.sets[l] = buf
+	buf := g.mergeRow.AppendOnes(g.setsBuf[l][:0])
+	g.setsBuf[l] = buf
+	g.sets[l] = buf
 }
 
 // minString completes the word with the radix-minimal suffix from level l on.
@@ -940,7 +999,7 @@ func (e *Enumerator) minString(l int) bool {
 // completes with minString.
 func (e *Enumerator) nextString() bool {
 	for i := e.n; i >= 0; i-- {
-		letter, ok := e.nextLetterInto(i, e.letters[i])
+		letter, ok := e.nextLetterInto(i, e.g.letters[i])
 		if !ok {
 			continue
 		}
@@ -952,26 +1011,9 @@ func (e *Enumerator) nextString() bool {
 	return false
 }
 
-// decode converts the current configuration word κ_0..κ_N into a tuple:
-// µ(x) = [i+1, j+1⟩ with i minimal such that κ_i(x) ≠ w and j minimal such
-// that κ_j(x) = c.
+// decode converts the current configuration word κ_0..κ_N into a tuple.
 func (e *Enumerator) decode() span.Tuple {
-	t := make(span.Tuple, len(e.vars))
-	for vi := range e.vars {
-		start, end := -1, -1
-		for i := 0; i <= e.n; i++ {
-			st := e.configs[e.letters[i]][vi]
-			if start < 0 && st != vsa.W {
-				start = i + 1
-			}
-			if end < 0 && st == vsa.C {
-				end = i + 1
-				break
-			}
-		}
-		t[vi] = span.Span{Start: start, End: end}
-	}
-	return t
+	return e.DecodeLetters(e.g.letters[:e.n+1])
 }
 
 // All drains the enumerator and returns every tuple.
@@ -1004,7 +1046,7 @@ func (e *Enumerator) Count() int {
 // and uniform word sampling, all without enumeration. It is computed on
 // first use and memoized until the next Reset; building it does not
 // disturb the enumeration cursor. The returned Rank views the current
-// graph — it is invalidated, like Levels, by Reset.
+// graph — it is invalidated, like Levels, by Reset and Release.
 func (e *Enumerator) Rank() *ranked.Rank {
 	if e.rank == nil {
 		e.rank = ranked.Build(graphView{e})
@@ -1026,15 +1068,15 @@ func (g graphView) NumLevels() int {
 	if g.e.empty {
 		return 0
 	}
-	return len(g.e.levels)
+	return len(g.e.g.levels)
 }
 
 func (g graphView) Start() ([]int32, [][]int32) {
-	return g.e.startLetters, g.e.startByLetter
+	return g.e.g.startLetters, g.e.g.startByLetter
 }
 
 func (g graphView) Edges(level, idx int) ([]int32, [][]int32) {
-	nd := &g.e.levels[level][idx]
+	nd := &g.e.g.levels[level][idx]
 	return nd.TargetLetters, nd.TargetsByLetter
 }
 
@@ -1050,7 +1092,7 @@ func (e *Enumerator) SeekLetters(w []int32) bool {
 	}
 	for l, letter := range w {
 		e.setLevel(l, letter)
-		if len(e.sets[l]) == 0 {
+		if len(e.g.sets[l]) == 0 {
 			return false
 		}
 	}
@@ -1059,16 +1101,22 @@ func (e *Enumerator) SeekLetters(w []int32) bool {
 }
 
 // Levels exposes the layered graph (for tests reproducing Figure 1 and the
-// worked examples, and for spanbench's F1 output).
-func (e *Enumerator) Levels() [][]GraphNode { return e.levels }
+// worked examples, and for spanbench's F1 output); nil before the first
+// graph build and after Release.
+func (e *Enumerator) Levels() [][]GraphNode {
+	if e.g == nil {
+		return nil
+	}
+	return e.g.levels
+}
 
 // LetterConfig returns the configuration a letter id denotes.
-func (e *Enumerator) LetterConfig(letter int32) vsa.Config { return e.configs[letter] }
+func (e *Enumerator) LetterConfig(letter int32) vsa.Config { return e.plan.configs[letter] }
 
 // GraphSize returns the node and edge counts of G (preprocessing cost
 // witnesses for the benchmarks).
 func (e *Enumerator) GraphSize() (nodes, edges int) {
-	for _, lvl := range e.levels {
+	for _, lvl := range e.Levels() {
 		nodes += len(lvl)
 		for _, nd := range lvl {
 			for _, ts := range nd.TargetsByLetter {
@@ -1089,53 +1137,16 @@ func Eval(a *vsa.VSA, s string) (span.VarList, []span.Tuple, error) {
 	return e.Vars(), e.All(), nil
 }
 
-// AsNFA exports the layered automaton A_G as a generic NFA over the letter
-// alphabet (symbol ids = letter ids), for cross-validation against the
-// generic Ackerman–Shallit cross-section enumerator in package nfa.
-// State 0 is the virtual start; node (i, k) becomes state 1 + offset(i) + k.
-func (e *Enumerator) AsNFA() *nfa.NFA {
-	offsets := make([]int, len(e.levels)+1)
-	total := 1
-	for i, lvl := range e.levels {
-		offsets[i] = total
-		total += len(lvl)
-	}
-	offsets[len(e.levels)] = total
-	m := nfa.New(total, len(e.configs))
-	m.Start = []int32{0}
-	if e.empty || len(e.levels) == 0 {
-		return m
-	}
-	for k := range e.startLetters {
-		for _, tgt := range e.startByLetter[k] {
-			m.Add(0, e.startLetters[k], int32(offsets[0])+tgt)
-		}
-	}
-	for i, lvl := range e.levels {
-		for k := range lvl {
-			nd := &lvl[k]
-			for li := range nd.TargetLetters {
-				for _, tgt := range nd.TargetsByLetter[li] {
-					m.Add(int32(offsets[i]+k), nd.TargetLetters[li], int32(offsets[i+1])+tgt)
-				}
-			}
-		}
-	}
-	last := len(e.levels) - 1
-	for k := range e.levels[last] {
-		m.Final = append(m.Final, int32(offsets[last]+k))
-	}
-	return m
-}
-
 // DecodeLetters converts a configuration word (letter ids κ_0..κ_N) into
-// the corresponding tuple, as decode does for the enumerator's own state.
+// the corresponding tuple: µ(x) = [i+1, j+1⟩ with i minimal such that
+// κ_i(x) ≠ w and j minimal such that κ_j(x) = c.
 func (e *Enumerator) DecodeLetters(letters []int32) span.Tuple {
-	t := make(span.Tuple, len(e.vars))
-	for vi := range e.vars {
+	configs := e.plan.configs
+	t := make(span.Tuple, len(e.plan.vars))
+	for vi := range t {
 		start, end := -1, -1
 		for i := 0; i < len(letters); i++ {
-			st := e.configs[letters[i]][vi]
+			st := configs[letters[i]][vi]
 			if start < 0 && st != vsa.W {
 				start = i + 1
 			}

@@ -1,4 +1,4 @@
-package nfa
+package enum
 
 import (
 	"math/rand"
@@ -54,7 +54,7 @@ func less(a, b []int32) bool {
 
 func TestCrossSectionFixed(t *testing.T) {
 	// (ab)* over {a=0, b=1}.
-	m := New(2, 2)
+	m := NewNFA(2, 2)
 	m.Start = []int32{0}
 	m.Final = []int32{0}
 	m.Add(0, 0, 1)
@@ -73,7 +73,7 @@ func TestCrossSectionFixed(t *testing.T) {
 
 func TestCrossSectionAllWords(t *testing.T) {
 	// Σ* accepts everything: cross-section is all Σ^n in radix order.
-	m := New(1, 3)
+	m := NewNFA(1, 3)
 	m.Start = []int32{0}
 	m.Final = []int32{0}
 	for s := int32(0); s < 3; s++ {
@@ -95,7 +95,7 @@ func TestCrossSectionRandomAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		states := r.Intn(5) + 1
 		syms := r.Intn(3) + 1
-		m := New(states, syms)
+		m := NewNFA(states, syms)
 		m.Start = []int32{int32(r.Intn(states))}
 		for i := r.Intn(2) + 1; i > 0; i-- {
 			m.Final = append(m.Final, int32(r.Intn(states)))
@@ -124,7 +124,7 @@ func TestCrossSectionRandomAgainstBruteForce(t *testing.T) {
 }
 
 func TestCrossSectionMultipleStarts(t *testing.T) {
-	m := New(3, 2)
+	m := NewNFA(3, 2)
 	m.Start = []int32{0, 1}
 	m.Final = []int32{2}
 	m.Add(0, 0, 2) // a from state 0
@@ -136,7 +136,7 @@ func TestCrossSectionMultipleStarts(t *testing.T) {
 }
 
 func TestNegativeLength(t *testing.T) {
-	m := New(1, 1)
+	m := NewNFA(1, 1)
 	if _, err := m.EnumerateLength(-1); err == nil {
 		t.Error("negative length must error")
 	}

@@ -1,13 +1,15 @@
-// Package nfa implements plain NFAs over an abstract integer alphabet and
-// the cross-section enumeration of Ackerman and Shallit ("Efficient
+package enum
+
+// This file holds plain NFAs over an abstract integer alphabet and the
+// cross-section enumeration of Ackerman and Shallit ("Efficient
 // enumeration of words in regular languages", TCS 2009) that Theorem 3.3's
 // algorithm is reduced to: given an NFA M and a length ℓ, enumerate
 // L(M) ∩ Σ^ℓ in radix order with polynomial delay and no repetitions.
 //
-// Package enum contains a version specialized to the layered automaton A_G;
+// The enumerator is a version specialized to the layered automaton A_G;
 // this generic implementation serves as an independently tested substrate
-// and as a cross-validation target for it.
-package nfa
+// (nfa_crosssection_test.go) and as a cross-validation target for it
+// (crossvalidate_test.go, through AsNFA).
 
 import (
 	"fmt"
@@ -33,8 +35,8 @@ type NFA struct {
 	Adj       [][]Edge
 }
 
-// New returns an empty automaton with n states.
-func New(states, syms int) *NFA {
+// NewNFA returns an empty automaton with n states.
+func NewNFA(states, syms int) *NFA {
 	return &NFA{NumStates: states, NumSyms: syms, Adj: make([][]Edge, states)}
 }
 
@@ -251,4 +253,44 @@ func (m *NFA) Accepts(word []int32) bool {
 		}
 	}
 	return false
+}
+
+// AsNFA exports the layered automaton A_G as a generic NFA over the letter
+// alphabet (symbol ids = letter ids), for cross-validation against the
+// generic cross-section enumerator above. State 0 is the virtual start;
+// node (i, k) becomes state 1 + offset(i) + k.
+func (e *Enumerator) AsNFA() *NFA {
+	levels := e.Levels()
+	offsets := make([]int, len(levels)+1)
+	total := 1
+	for i, lvl := range levels {
+		offsets[i] = total
+		total += len(lvl)
+	}
+	offsets[len(levels)] = total
+	m := NewNFA(total, len(e.plan.configs))
+	m.Start = []int32{0}
+	if e.empty || len(levels) == 0 {
+		return m
+	}
+	for k := range e.g.startLetters {
+		for _, tgt := range e.g.startByLetter[k] {
+			m.Add(0, e.g.startLetters[k], int32(offsets[0])+tgt)
+		}
+	}
+	for i, lvl := range levels {
+		for k := range lvl {
+			nd := &lvl[k]
+			for li := range nd.TargetLetters {
+				for _, tgt := range nd.TargetsByLetter[li] {
+					m.Add(int32(offsets[i]+k), nd.TargetLetters[li], int32(offsets[i+1])+tgt)
+				}
+			}
+		}
+	}
+	last := len(levels) - 1
+	for k := range levels[last] {
+		m.Final = append(m.Final, int32(offsets[last]+k))
+	}
+	return m
 }

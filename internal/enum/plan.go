@@ -1,7 +1,8 @@
 package enum
 
 import (
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"spanjoin/internal/bitset"
@@ -10,28 +11,42 @@ import (
 )
 
 // Plan is the document-independent compiled state of a functional
-// vset-automaton: the trimmed automaton, its closures, the interned
-// configuration letters, the per-state character adjacency (kept as the
-// per-transition reference build's input), and the byte-class compiled
-// transition table. A Plan is immutable after NewPlan
-// and safe to share between any number of enumerators and goroutines; the
-// corpus compiled-query cache stores one per cached query, so its cost —
-// including the transition-table construction — is paid exactly once per
-// query however many documents, workers and Eval calls consume it.
+// vset-automaton: the trimmed automaton, its closures and the interned
+// configuration letters, built by NewPlan, plus the kernels the builds read
+// — the byte-class transition table with its per-letter state masks, and
+// the level-linking lists — built once, on first use: the table when the
+// plan's first document is swept (by CountDoc or a graph build), the link
+// lists on its first graph build. A query whose documents the prefilter
+// excludes therefore builds neither, and a count-only query never builds
+// the link lists. A Plan is safe to share between any number of
+// enumerators and goroutines; the corpus compiled-query cache stores one
+// per cached query, so each kernel is paid for at most once per query
+// however many documents, workers and Eval calls consume it.
 type Plan struct {
-	vars     span.VarList
-	auto     *vsa.VSA
-	cl       *vsa.Closures
-	tt       *vsa.TransitionTable
-	link     *linkLists
-	letterOf []int32
-	// letterMask row l holds the states whose letter is l (table plans
-	// only): the count kernel's per-letter split of a state set.
+	vars      span.VarList
+	auto      *vsa.VSA
+	cl        *vsa.Closures
+	letterOf  []int32
+	configs   []vsa.Config
+	emptyLang bool
+	buildDur  time.Duration
+
+	// table selects the byte-class matrix build. Plans without it
+	// (PrepareOnce, PrepareRef) walk charAdj, the character transitions
+	// per state, instead.
+	table   bool
+	charAdj [][]vsa.Tr
+
+	// The sweep kernels: tt, and letterMask, whose row l holds the states
+	// whose letter is l (the count kernel's per-letter split of a state
+	// set). Built under sweepOnce; read only after transitions returns.
+	sweepOnce  sync.Once
+	tt         *vsa.TransitionTable
 	letterMask *bitset.Matrix
-	configs    []vsa.Config
-	charAdj    [][]vsa.Tr
-	emptyLang  bool
-	buildDur   time.Duration
+
+	// The link lists, built under linkOnce (nil above the size cap).
+	linkOnce sync.Once
+	link     *linkLists
 }
 
 // maxLinkListEntries caps the precomputed per-class successor lists at 2²¹
@@ -56,8 +71,11 @@ func (ll *linkLists) list(base int, q int32) []int32 {
 }
 
 // buildLinkLists materializes the sorted successor lists, or returns nil
-// when the automaton is too big for the cap.
-func buildLinkLists(tt *vsa.TransitionTable, letterOf []int32, n int) *linkLists {
+// when the automaton is too big for the cap. Each row is counting-sorted
+// by letter straight into the arena: AppendOnes lists the row's states
+// ascending, so placing them in that order into per-letter runs yields
+// (letter, state) order.
+func buildLinkLists(tt *vsa.TransitionTable, letterOf []int32, letters, n int) *linkLists {
 	total := 0
 	for c := 0; c < tt.NumClasses(); c++ {
 		m := tt.ClassMat(c)
@@ -72,10 +90,12 @@ func buildLinkLists(tt *vsa.TransitionTable, letterOf []int32, n int) *linkLists
 		}
 	}
 	ll := &linkLists{
-		arena: make([]int32, 0, total),
+		arena: make([]int32, total),
 		span:  make([][2]int32, tt.NumClasses()*n),
 	}
-	var buf []int32
+	next := make([]int32, letters) // letter → its run's next slot; zero between rows
+	var row, distinct []int32
+	at := int32(0)
 	for c := 0; c < tt.NumClasses(); c++ {
 		m := tt.ClassMat(c)
 		if m == nil {
@@ -83,37 +103,54 @@ func buildLinkLists(tt *vsa.TransitionTable, letterOf []int32, n int) *linkLists
 		}
 		base := c * n
 		for q := 0; q < n; q++ {
-			buf = m.Row(q).AppendOnes(buf[:0])
-			// AppendOnes is ascending by state; a stable sort by letter
-			// yields (letter, state) order.
-			sort.SliceStable(buf, func(i, j int) bool {
-				return letterOf[buf[i]] < letterOf[buf[j]]
-			})
-			start := int32(len(ll.arena))
-			ll.arena = append(ll.arena, buf...)
-			ll.span[base+q] = [2]int32{start, int32(len(ll.arena))}
+			row = m.Row(q).AppendOnes(row[:0])
+			distinct = distinct[:0]
+			for _, p := range row {
+				l := letterOf[p]
+				if next[l] == 0 {
+					distinct = append(distinct, l)
+				}
+				next[l]++
+			}
+			slices.Sort(distinct)
+			end := at
+			for _, l := range distinct {
+				next[l], end = end, end+next[l]
+			}
+			for _, p := range row {
+				l := letterOf[p]
+				ll.arena[next[l]] = p
+				next[l]++
+			}
+			for _, l := range distinct {
+				next[l] = 0
+			}
+			ll.span[base+q] = [2]int32{at, end}
+			at = end
 		}
 	}
 	return ll
 }
 
-// NewPlan trims a, verifies functionality, and compiles every
-// document-independent artifact, including the byte-class transition table.
-// It returns vsa.ErrNotFunctional (wrapped) for non-functional automata.
+// NewPlan trims a, verifies functionality, and computes the closures and
+// the letter table. The plan's kernels — the byte-class transition table
+// and the link lists — are built once, on first use. It returns
+// vsa.ErrNotFunctional (wrapped) for non-functional automata.
 func NewPlan(a *vsa.VSA) (*Plan, error) {
 	return newPlan(a, true)
 }
 
 // newPlan is NewPlan with the transition table optional: single-use plans
-// (per-document automata, the differential reference) skip the table and
-// link-list construction, whose cost only pays off across repeated builds.
+// (per-document automata, the differential reference) never build the
+// table or the link lists, whose cost only pays off across repeated
+// builds, and keep the per-state character adjacency instead.
 func newPlan(a *vsa.VSA, withTable bool) (*Plan, error) {
 	t0 := time.Now()
 	t, ct, err := a.RequireFunctional()
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{vars: t.Vars, auto: t}
+	p := &Plan{vars: t.Vars, auto: t, table: withTable}
 	defer func() { p.buildDur = time.Since(t0) }()
 	if t.NumStates() == 2 && t.NumTransitions() == 0 && t.Init != t.Final {
 		p.emptyLang = true
@@ -121,62 +158,73 @@ func newPlan(a *vsa.VSA, withTable bool) (*Plan, error) {
 	}
 	p.cl = t.NewClosures()
 	p.letterOf, p.configs = internLetters(t, ct)
-	p.charAdj = make([][]vsa.Tr, t.NumStates())
-	for q := range p.charAdj {
-		for _, tr := range t.Adj[q] {
-			if tr.Kind == vsa.KChar {
-				p.charAdj[q] = append(p.charAdj[q], tr)
+	if !withTable {
+		p.charAdj = make([][]vsa.Tr, t.NumStates())
+		for q := range p.charAdj {
+			for _, tr := range t.Adj[q] {
+				if tr.Kind == vsa.KChar {
+					p.charAdj[q] = append(p.charAdj[q], tr)
+				}
 			}
-		}
-	}
-	if withTable {
-		p.tt = vsa.NewTransitionTable(t, p.cl)
-		p.link = buildLinkLists(p.tt, p.letterOf, t.NumStates())
-		p.letterMask = bitset.NewMatrix(len(p.configs), t.NumStates())
-		for q, l := range p.letterOf {
-			p.letterMask.Row(int(l)).Set(int32(q))
 		}
 	}
 	return p, nil
 }
 
+// transitions returns the byte-class transition table, building it and
+// the letter masks the first time any enumerator of the plan sweeps a
+// document. Callers read it once per document, never per byte.
+func (p *Plan) transitions() *vsa.TransitionTable {
+	p.sweepOnce.Do(p.buildSweepKernels)
+	return p.tt
+}
+
+func (p *Plan) buildSweepKernels() {
+	p.tt = vsa.NewTransitionTable(p.auto, p.cl)
+	p.letterMask = bitset.NewMatrix(len(p.configs), p.auto.NumStates())
+	for q, l := range p.letterOf {
+		p.letterMask.Row(int(l)).Set(int32(q))
+	}
+}
+
+// linkLists returns the level-linking lists (nil above the size cap),
+// building them on the plan's first graph build.
+func (p *Plan) linkLists() *linkLists {
+	p.linkOnce.Do(p.buildLinkLists)
+	return p.link
+}
+
+func (p *Plan) buildLinkLists() {
+	p.link = buildLinkLists(p.transitions(), p.letterOf, len(p.configs), p.auto.NumStates())
+}
+
 // Vars returns the variable list of the compiled spanner.
 func (p *Plan) Vars() span.VarList { return p.vars }
 
-// BuildDuration reports the wall time NewPlan spent compiling this plan
-// — the number a plan_build trace span records when the compilation
-// actually ran this query (memoized plans are free and record nothing).
+// BuildDuration reports the wall time NewPlan spent on the plan's eager
+// part — trim, functionality check, closures and letter table — the
+// number a plan_build trace span records when the compilation actually
+// ran this query (memoized plans are free and record nothing). The
+// kernels built on first use are not included: their cost lands in the
+// count or enumerate stage of the query whose document first needs them.
 func (p *Plan) BuildDuration() time.Duration { return p.buildDur }
 
 // ByteClasses reports the number of byte equivalence classes of the
-// compiled transition table (0 for empty-language plans, which carry none).
+// compiled transition table, building the table if no document has yet
+// (0 for empty-language plans and plans without a table).
 func (p *Plan) ByteClasses() int {
-	if p.tt == nil {
+	if p.emptyLang || !p.table {
 		return 0
 	}
-	return p.tt.NumClasses()
+	return p.transitions().NumClasses()
 }
 
-// NewEnumerator returns a fresh enumerator over the plan with its own build
-// arenas and cursor. No document is prepared: call Reset before Next.
+// NewEnumerator returns a fresh enumerator over the plan with its own
+// cursor. No document is prepared: call Reset before Next. The graph
+// arenas are drawn on the enumerator's first graph build, so an
+// enumerator used only through CountDoc never holds any.
 func (p *Plan) NewEnumerator() *Enumerator {
-	e := &Enumerator{
-		vars:       p.vars,
-		empty:      true, // nothing prepared yet
-		emptyLang:  p.emptyLang,
-		configs:    p.configs,
-		auto:       p.auto,
-		cl:         p.cl,
-		tt:         p.tt,
-		link:       p.link,
-		letterOf:   p.letterOf,
-		letterMask: p.letterMask,
-		charAdj:    p.charAdj,
-	}
-	if !p.emptyLang {
-		e.mergeRow = bitset.NewRow(p.auto.NumStates())
-	}
-	return e
+	return &Enumerator{plan: p, empty: true}
 }
 
 // Prepare builds the layered graph for s on a fresh enumerator of the plan.

@@ -17,13 +17,18 @@ import (
 // count, WordAt(i) (decoded) against the i-th Next result for every i, and
 // SeekLetters against the tuple suffix starting at sampled positions.
 // CountDoc runs on the enumerator under test before the descents, which
-// therefore also check that it left the built graph and Rank intact.
+// therefore also check that it left the built graph and Rank intact. The
+// enumerator under test builds on arenas recycled from a longer
+// document's build, so every buffer shrinks onto stale contents.
 func checkRankedVsNext(t *testing.T, a *vsa.VSA, s string) {
 	t.Helper()
-	e, err := Prepare(a, s)
+	p, err := NewPlan(a)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := p.NewEnumerator()
+	e.g = recycledArenas(t, s+s+"ab")
+	e.Reset(s)
 	ref, err := Prepare(a, s)
 	if err != nil {
 		t.Fatal(err)

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
+	"spanjoin/internal/alloctest"
 	"spanjoin/internal/oracle"
 	"spanjoin/internal/ranked"
 	"spanjoin/internal/rgx"
@@ -58,20 +60,47 @@ func graphsEqual(matrix, ref *Enumerator) error {
 			}
 		}
 	}
-	if !groupsEqual(matrix.startLetters, matrix.startByLetter, ref.startLetters, ref.startByLetter) {
+	if !groupsEqual(matrix.g.startLetters, matrix.g.startByLetter, ref.g.startLetters, ref.g.startByLetter) {
 		return fmt.Errorf("start fan-out differs")
 	}
 	return nil
 }
 
-// checkBuildVsRef builds s both ways and requires identical graphs and
-// identical tuple streams.
-func checkBuildVsRef(t *testing.T, a *vsa.VSA, s string) {
+// recycledArenas returns the graph arenas of a build of donor under a
+// different pattern — other states, other letters, so every buffer holds
+// stale contents — as Release and the next enumerator's first build would
+// pass them on. They are handed over directly because the pool may drop
+// what it is given.
+func recycledArenas(t *testing.T, donor string) *graph {
 	t.Helper()
-	m, err := Prepare(a, s)
+	p, err := NewPlan(rgx.MustCompilePattern(".*x{.*}y{.*}.*"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := p.Prepare(donor)
+	for k := 0; k < 8; k++ {
+		e.Next() // fill the cursor buffers too
+	}
+	g := e.g
+	if g == nil {
+		t.Fatal("donor build drew no arenas")
+	}
+	e.g = nil
+	return g
+}
+
+// checkBuildVsRef builds s both ways and requires identical graphs and
+// identical tuple streams. The matrix build runs on arenas recycled from a
+// shorter document's build, so every buffer grows from stale contents.
+func checkBuildVsRef(t *testing.T, a *vsa.VSA, s string) {
+	t.Helper()
+	p, err := NewPlan(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := p.NewEnumerator()
+	m.g = recycledArenas(t, s[:len(s)/2])
+	m.Reset(s)
 	r, err := PrepareRef(a, s)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +116,7 @@ func checkBuildVsRef(t *testing.T, a *vsa.VSA, s string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.tt != nil {
+	if o.plan.table || o.plan.tt != nil {
 		t.Fatal("PrepareOnce compiled a transition table")
 	}
 	if err := graphsEqual(m, o); err != nil {
@@ -284,5 +313,191 @@ func TestBuildDropsOversizedScratch(t *testing.T) {
 	}
 	if scratchDrops.Load() <= drops {
 		t.Fatal("huge build did not drop its scratch")
+	}
+}
+
+// TestGraphPoolDropsOversized: Release must not pool graph arenas grown by
+// a huge document — putGraph drops anything over the cap, like the build
+// scratch — while ordinary arenas keep cycling through the pool.
+func TestGraphPoolDropsOversized(t *testing.T) {
+	a := rgx.MustCompilePattern("a*x{a}a*")
+	small, err := Prepare(a, strings.Repeat("a", 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := small.g
+	small.g = nil
+	if g.retainedBytes() > maxScratchRetain {
+		t.Fatalf("small graph accounts %d bytes, expected under the %d cap", g.retainedBytes(), maxScratchRetain)
+	}
+	if !putGraph(g) {
+		t.Fatal("small graph must be pooled")
+	}
+
+	// The per-level merge buffers are accounted too.
+	wide := &graph{setsBuf: make([][]int32, 1, 4)}
+	wide.setsBuf[0] = make([]int32, maxScratchRetain/4+1)
+	drops := graphDrops.Load()
+	if putGraph(wide) {
+		t.Fatal("graph with an oversized merge buffer must be dropped")
+	}
+	if graphDrops.Load() != drops+1 {
+		t.Fatal("drop counter did not advance")
+	}
+
+	// Through the real path: releasing an enumerator that built a huge
+	// document routes its arenas to the drop branch, once.
+	big, err := Prepare(a, strings.Repeat("a", 100_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if big.g.retainedBytes() <= maxScratchRetain {
+		t.Fatalf("huge build's graph accounts only %d bytes", big.g.retainedBytes())
+	}
+	drops = graphDrops.Load()
+	big.Release()
+	big.Release()
+	if got := graphDrops.Load() - drops; got != 1 {
+		t.Fatalf("two Releases dropped %d graphs, want 1", got)
+	}
+	if big.Levels() != nil || !big.Empty() {
+		t.Fatal("a released enumerator still shows a graph")
+	}
+	if _, ok := big.Next(); ok {
+		t.Fatal("a released enumerator must enumerate nothing")
+	}
+}
+
+// TestWindowBuildPooledArenaAllocs: a window build as Store.PagePlan runs
+// it — a fresh enumerator over a plan whose kernels are built, one Reset,
+// then Release — draws its graph arenas from the warm pool and allocates
+// nothing.
+func TestWindowBuildPooledArenaAllocs(t *testing.T) {
+	p, err := NewPlan(rgx.MustCompilePattern(".*x{a+}.*y{b+}.*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := randDoc(rand.New(rand.NewSource(5)), 256)
+	warm := p.Prepare(s)
+	if warm.Empty() {
+		t.Fatal("test document has no results")
+	}
+	warm.Release()
+	// This assertion gates the level assembly that draws the arenas.
+	//
+	//spanjoin:allocgate spanjoin/internal/enum.(*Enumerator).assembleLevels
+	avg := alloctest.Run(t, 20, func() {
+		e := p.NewEnumerator()
+		e.Reset(s)
+		e.Release()
+	})
+	if avg != 0 {
+		t.Fatalf("window build on a warm pool allocates %.1f per document, want 0", avg)
+	}
+}
+
+// TestKernelsBuiltOnFirstUse: NewPlan builds neither kernel; a plan used
+// only through CountDoc builds the transition table and never the link
+// lists or a graph arena; the first graph build adds the link lists. The
+// count kernel and the DAG agree whichever runs first, and a second
+// enumerator over the plan builds nothing.
+func TestKernelsBuiltOnFirstUse(t *testing.T) {
+	a := rgx.MustCompilePattern(".*x{a+}.*y{b+}.*")
+	doc := randDoc(rand.New(rand.NewSource(7)), 40)
+	for _, countFirst := range []bool{true, false} {
+		before := vsa.TableBuildCount()
+		p, err := NewPlan(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.tt != nil || p.letterMask != nil || p.link != nil || p.charAdj != nil {
+			t.Fatal("NewPlan built a kernel")
+		}
+		e := p.NewEnumerator()
+		var got ranked.Count
+		if countFirst {
+			got = e.CountDoc(doc)
+			if p.tt == nil || p.letterMask == nil {
+				t.Fatal("CountDoc did not build the sweep kernels")
+			}
+			if p.link != nil || e.g != nil {
+				t.Fatal("a count-only plan holds link lists or graph arenas")
+			}
+		}
+		e.Reset(doc)
+		if p.link == nil {
+			t.Fatal("the first graph build did not build the link lists")
+		}
+		want := e.Rank().Count()
+		if !countFirst {
+			got = e.CountDoc(doc)
+		}
+		if got.String() != want.String() || got.IsZero() {
+			t.Fatalf("countFirst=%v: CountDoc = %v, Rank().Count() = %v", countFirst, got, want)
+		}
+		o := p.NewEnumerator()
+		if c := o.CountDoc(doc); c.String() != want.String() {
+			t.Fatalf("second enumerator counts %v, want %v", c, want)
+		}
+		if n := vsa.TableBuildCount() - before; n != 1 {
+			t.Fatalf("countFirst=%v: %d transition tables built, want 1", countFirst, n)
+		}
+	}
+}
+
+// TestPlanKernelsFirstUseConcurrent: eight enumerators over one fresh plan
+// make its first CountDoc and Reset calls at once, half counting first and
+// half building first, so both kernels are built under contention. Every
+// result must match a sequential reference, and the plan builds one table.
+func TestPlanKernelsFirstUseConcurrent(t *testing.T) {
+	a := rgx.MustCompilePattern(".*x{a+}.*y{b+}.*")
+	r := rand.New(rand.NewSource(8))
+	const workers = 8
+	docs := make([]string, workers)
+	want := make([][]span.Tuple, workers)
+	ref, err := NewPlan(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := range docs {
+		docs[w] = randDoc(r, 24+w)
+		want[w] = ref.Prepare(docs[w]).All()
+	}
+	before := vsa.TableBuildCount()
+	p, err := NewPlan(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			e := p.NewEnumerator()
+			doc := docs[w]
+			<-start
+			var n ranked.Count
+			if w%2 == 0 {
+				n = e.CountDoc(doc)
+				e.Reset(doc)
+			} else {
+				e.Reset(doc)
+				n = e.CountDoc(doc)
+			}
+			got := e.All()
+			e.Release()
+			if !tuplesEqual(got, want[w]) {
+				t.Errorf("worker %d: %d tuples differ from the sequential reference's %d", w, len(got), len(want[w]))
+			}
+			if u, ok := n.Uint64(); !ok || u != uint64(len(want[w])) {
+				t.Errorf("worker %d: CountDoc = %v, want %d", w, n, len(want[w]))
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	if n := vsa.TableBuildCount() - before; n != 1 {
+		t.Fatalf("%d transition tables built for one plan, want 1", n)
 	}
 }

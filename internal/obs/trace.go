@@ -21,9 +21,12 @@ const (
 	// compilation when the lookup misses (the span's Items is 0 on a hit,
 	// 1 on a miss).
 	StageCache Stage = "cache"
-	// StagePlan is the enum.Plan build — automaton trim, closures,
-	// letter table, transition matrices. Recorded only when the plan was
-	// actually built (memoized plans cost nothing).
+	// StagePlan is the eager part of the enum.Plan build — automaton
+	// trim, functionality check, closures, letter table. Recorded only
+	// when the plan was actually built (memoized plans cost nothing). The
+	// plan's kernels (transition matrices, link lists) are built on first
+	// use, inside the stage whose document first needs them: count or
+	// enumerate, or a page's window build, which is no stage.
 	StagePlan Stage = "plan_build"
 	// StagePrefilter is candidate selection: the snapshot capture plus
 	// the skip-index posting intersection.

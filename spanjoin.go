@@ -123,11 +123,12 @@ type Spanner struct {
 
 // compiledPlan memoizes enum.NewPlan over the spanner's automaton. Every
 // evaluation path (Iterate, Stream, EvalAllParallel, the corpus fan-out)
-// shares it, so trimming, the functionality check, closure computation and
-// the transition-table build happen once per Spanner however the spanner
-// is driven. built reports whether this call ran the compilation — the
-// corpus layer records the plan_build stage only then, so cached queries
-// never report a phantom build.
+// shares it, so trimming, the functionality check and closure computation
+// happen once per Spanner however the spanner is driven, and the plan's
+// transition table and link lists at most once, on first use. built
+// reports whether this call ran the compilation — the corpus layer
+// records the plan_build stage only then, so cached queries never report
+// a phantom build.
 func (s *Spanner) compiledPlan() (p *enum.Plan, built bool, err error) {
 	s.planOnce.Do(func() {
 		s.plan, s.planErr = enum.NewPlan(s.auto)

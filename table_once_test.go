@@ -77,3 +77,32 @@ func TestCompiledTableBuiltOncePerCachedQuery(t *testing.T) {
 		t.Fatalf("query plan's table built %d times across 2 evaluations, want exactly 1", got)
 	}
 }
+
+// TestZeroCandidateQueryBuildsNoTable: a fresh pattern whose required
+// literal no document contains visits no document — the skip index
+// excludes them all — so its plan never needs, and never builds, the
+// transition table that is built on first use. Neither the count nor the
+// page path may build one.
+func TestZeroCandidateQueryBuildsNoTable(t *testing.T) {
+	c := spanjoin.NewCorpus(spanjoin.WithShards(2), spanjoin.WithIndex())
+	c.AddAll("alice sent mail", "bob read mail", "carol", "")
+
+	before := vsa.TableBuildCount()
+	n, err := c.CountSearch(context.Background(), `x{zebra}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u, ok := n.Uint64(); !ok || u != 0 {
+		t.Fatalf("CountSearch = %v, want 0", n)
+	}
+	pg, err := c.EvalSearchPage(context.Background(), `y{quokka} z{[a-z]+}`, 0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pg.Matches) != 0 || pg.Stats.Scanned != 0 {
+		t.Fatalf("page = %d matches, %d scanned; want none", len(pg.Matches), pg.Stats.Scanned)
+	}
+	if got := vsa.TableBuildCount() - before; got != 0 {
+		t.Fatalf("zero-candidate queries built %d transition tables, want 0", got)
+	}
+}
