@@ -486,7 +486,7 @@ func BenchmarkCorpusEval(b *testing.B) {
 		c.AddAll(docs...)
 		b.Run(fmt.Sprintf("corpus/shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ms, err := c.EvalSearch(ctx, pattern)
+				ms, err := c.Eval(ctx, spanjoin.Search(pattern))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -586,14 +586,14 @@ func BenchmarkEN_CorpusCount(b *testing.B) {
 	const pattern = ".*x{a+}.*"
 	b.Run("count", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := c.Count(context.Background(), pattern); err != nil {
+			if _, err := c.Count(context.Background(), spanjoin.Anchored(pattern)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("drain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ms, err := c.Eval(context.Background(), pattern)
+			ms, err := c.Eval(context.Background(), spanjoin.Anchored(pattern))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -612,12 +612,12 @@ func BenchmarkEN_CorpusCount(b *testing.B) {
 }
 
 // BenchmarkFirstTimeQuery is the cache-miss lookup: a never-seen
-// pattern's CountSearch plus its first EvalSearchPage on an indexed corpus
-// of 3,000 address documents. The skip index leaves one or two candidate
-// documents per pattern, so compilation, the plan and the candidates'
-// count and window build are the whole cost. Patterns cycle through the
-// 3,000 documents' zip codes, far more than the cache holds, so no
-// iteration hits the cache.
+// pattern's Count plus its first Page, both on a Search target, over an
+// indexed corpus of 3,000 address documents. The skip index leaves one
+// or two candidate documents per pattern, so compilation, the plan and
+// the candidates' count and window build are the whole cost. Patterns
+// cycle through the 3,000 documents' zip codes, far more than the cache
+// holds, so no iteration hits the cache.
 func BenchmarkFirstTimeQuery(b *testing.B) {
 	streets := []string{"Elm Street", "Oak Avenue", "Mill Road", "Church Lane", "Station Road", "High Street"}
 	cities := []string{"Ashford", "Bexley", "Carlton", "Dover", "Exeter", "Fulham"}
@@ -636,11 +636,11 @@ func BenchmarkFirstTimeQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pattern := fmt.Sprintf("z{%d} c{[A-Z][a-z]+}", zips[i%len(zips)])
-		n, err := c.CountSearch(ctx, pattern)
+		n, err := c.Count(ctx, spanjoin.Search(pattern))
 		if err != nil {
 			b.Fatal(err)
 		}
-		pg, err := c.EvalSearchPage(ctx, pattern, 0, 10)
+		pg, err := c.Page(ctx, spanjoin.Search(pattern), 0, 10)
 		if err != nil {
 			b.Fatal(err)
 		}

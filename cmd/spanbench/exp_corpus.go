@@ -40,7 +40,7 @@ func runEC(quick bool) {
 
 	fmt.Printf("Corpus: %d synthetic documents (~%d bytes each); query: search `%s`.\n",
 		nDocs, len(docs[0]), ecPattern)
-	fmt.Println("Throughput of Corpus.EvalSearch fan-out vs shard count (workers = shards;")
+	fmt.Println("Throughput of Corpus.Eval(Search) fan-out vs shard count (workers = shards;")
 	fmt.Println("GOMAXPROCS =", runtime.GOMAXPROCS(0), "caps real parallelism), best of", rounds, "passes after warmup.")
 	fmt.Println()
 
@@ -53,7 +53,7 @@ func runEC(quick bool) {
 		matches := 0
 		pass := func() {
 			matches = 0
-			ms, err := c.EvalSearch(ctx, ecPattern)
+			ms, err := c.Eval(ctx, spanjoin.Search(ecPattern))
 			if err != nil {
 				panic(err)
 			}
@@ -109,7 +109,7 @@ func runEC(quick bool) {
 	evals := 0
 	for r := 0; r < cacheRounds; r++ {
 		for _, q := range queries {
-			ms, err := c.EvalSearch(ctx, q)
+			ms, err := c.Eval(ctx, spanjoin.Search(q))
 			if err != nil {
 				panic(err)
 			}

@@ -18,17 +18,9 @@ func init() {
 
 // eoPass drains one corpus evaluation under ctx and returns its wall
 // time and match count.
-func eoPass(ctx context.Context, c *spanjoin.Corpus, sp *spanjoin.Spanner, search bool, pattern string) (time.Duration, int) {
+func eoPass(ctx context.Context, c *spanjoin.Corpus, target spanjoin.Target) (time.Duration, int) {
 	t0 := time.Now()
-	var (
-		ms  *spanjoin.CorpusMatches
-		err error
-	)
-	if search {
-		ms, err = c.EvalSearch(ctx, pattern)
-	} else {
-		ms, err = c.EvalSpanner(ctx, sp)
-	}
+	ms, err := c.Eval(ctx, target)
 	if err != nil {
 		panic(err)
 	}
@@ -106,7 +98,7 @@ func runEO(quick bool) {
 	ce1 := spanjoin.NewCorpus(spanjoin.WithShards(1), spanjoin.WithWorkers(1))
 	ce1.Add(e1doc)
 	eoCompare(t, "E1 single-doc enumerate", rounds, func(ctx context.Context) (time.Duration, int) {
-		return eoPass(ctx, ce1, e1sp, false, "")
+		return eoPass(ctx, ce1, spanjoin.Of(e1sp))
 	})
 
 	// EC-style: the sharded corpus search fan-out over the synthetic
@@ -114,7 +106,7 @@ func runEO(quick bool) {
 	cec := spanjoin.NewCorpus(spanjoin.WithShards(4), spanjoin.WithWorkers(4))
 	cec.AddAll(ecDocs(nDocs)...)
 	eoCompare(t, fmt.Sprintf("EC search, %d docs", nDocs), rounds, func(ctx context.Context) (time.Duration, int) {
-		return eoPass(ctx, cec, nil, true, ecPattern)
+		return eoPass(ctx, cec, spanjoin.Search(ecPattern))
 	})
 	t.print()
 

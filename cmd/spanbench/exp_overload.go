@@ -42,7 +42,7 @@ func erRun(c *spanjoin.Corpus, trial erTrial, perClient int) (lat []time.Duratio
 			defer wg.Done()
 			for q := 0; q < perClient; q++ {
 				start := time.Now()
-				ms, evalErr := c.EvalSearch(ctx, erPattern)
+				ms, evalErr := c.Eval(ctx, spanjoin.Search(erPattern))
 				if evalErr != nil {
 					mu.Lock()
 					if errors.Is(evalErr, spanjoin.ErrOverloaded) {
@@ -121,7 +121,7 @@ func runER(quick bool) {
 			c := spanjoin.NewCorpus(opts...)
 			c.AddAll(docs...)
 			// Warmup compiles the pattern into this corpus's cache.
-			ms, err := c.EvalSearch(context.Background(), erPattern)
+			ms, err := c.Eval(context.Background(), spanjoin.Search(erPattern))
 			if err != nil {
 				panic(err)
 			}

@@ -31,7 +31,7 @@ func epDocs(n int, hitRate float64) (docs []string, matching int) {
 
 // epPass drains one evaluation and returns the match count and stats.
 func epPass(c *spanjoin.Corpus, sp *spanjoin.Spanner) (int, spanjoin.EvalStats) {
-	ms, err := c.EvalSpanner(context.Background(), sp)
+	ms, err := c.Eval(context.Background(), spanjoin.Of(sp))
 	if err != nil {
 		panic(err)
 	}

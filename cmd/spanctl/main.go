@@ -434,7 +434,7 @@ func evalResilient(sp *spanjoin.Spanner, text string, timeout time.Duration, lim
 	if trace {
 		ctx, tr = spanjoin.WithTrace(ctx)
 	}
-	ms, err := c.EvalSpanner(ctx, sp, resilientOpts(timeout, limit, budget)...)
+	ms, err := c.Eval(ctx, spanjoin.Of(sp), resilientOpts(timeout, limit, budget)...)
 	if err != nil {
 		return err
 	}
@@ -776,7 +776,7 @@ func cmdQuery(args []string, stdout, stderr io.Writer) error {
 		// (same plan, same document) for typed deadline/limit/budget errors.
 		c := spanjoin.NewCorpus(spanjoin.WithShards(1), spanjoin.WithWorkers(1))
 		c.Add(text)
-		cms, err := c.EvalQuery(context.Background(), q,
+		cms, err := c.Eval(context.Background(), spanjoin.OfQuery(q),
 			append(opts, resilientOpts(*timeout, *limit, *budget)...)...)
 		if err != nil {
 			return err

@@ -76,6 +76,25 @@ import (
 	"spanjoin/server"
 )
 
+// Connection limits of the HTTP server. Without them one client holds a
+// connection, and the goroutine serving it, forever: by trickling its
+// request header or by parking an idle keep-alive connection.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is spand's HTTP server around h, its errors logged to
+// stderr.
+func newHTTPServer(h http.Handler, stderr io.Writer) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		ErrorLog:          log.New(stderr, "spand: ", 0),
+	}
+}
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -138,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "listening on %s\n", ln.Addr())
 
 	rd := server.NewReadiness("recovering corpus")
-	hs := &http.Server{Handler: rd, ErrorLog: log.New(stderr, "spand: ", 0)}
+	hs := newHTTPServer(rd, stderr)
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 

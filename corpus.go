@@ -2,6 +2,7 @@ package spanjoin
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"time"
 
@@ -20,15 +21,15 @@ type DocID = corpus.DocID
 
 // Corpus is a sharded, append-only collection of documents with a shared
 // compiled-query cache — the engine's multi-document layer. Add documents
-// from any number of goroutines; evaluate patterns, spanners and queries
-// over the whole corpus with Eval and friends, which fan the shards out to
-// a worker pool (each worker owning one Reset-able enumerator over the
-// shared compiled automaton) and stream (DocID, Match) results through a
-// bounded channel with context cancellation.
+// from any number of goroutines; run a Target — a pattern, spanner or
+// query — over the whole corpus with Eval, Count, Page or Sample, which
+// fan the shards out to a worker pool (each worker owning one Reset-able
+// enumerator over the shared compiled automaton). Eval streams (DocID,
+// Match) results through a bounded channel with context cancellation.
 //
-// Repeated Eval calls with the same pattern hit the LRU compiled-query
-// cache; concurrent identical misses compile once (singleflight). A Corpus
-// is safe for concurrent use.
+// Repeated operations on the same Anchored or Search pattern hit the LRU
+// compiled-query cache; concurrent identical misses compile once
+// (singleflight). A Corpus is safe for concurrent use.
 type Corpus struct {
 	store   *corpus.Store
 	cache   *corpus.Cache
@@ -135,7 +136,7 @@ func newCorpus(store *corpus.Store, cfg corpusConfig) *Corpus {
 // Add appends a document and returns its stable ID. The empty string is
 // a valid document — counted by Len, durable on a durable corpus, and
 // evaluated like any other. On a durable corpus whose log has failed Add
-// panics with the log's error; use AddErr to handle it instead.
+// panics with the log's error; use AddErrCtx to handle it instead.
 func (c *Corpus) Add(doc string) DocID { return c.store.Add(doc) }
 
 // AddAll appends documents and returns their IDs, indexed like docs.
@@ -161,7 +162,7 @@ func (c *Corpus) NumShards() int { return c.store.NumShards() }
 
 // CacheStats is a snapshot of the compiled-query cache counters.
 type CacheStats struct {
-	// Hits counts Eval compilations served from the cache, including
+	// Hits counts pattern compilations served from the cache, including
 	// callers that joined an in-flight compilation (singleflight).
 	Hits uint64
 	// Misses counts compilations actually run.
@@ -192,8 +193,8 @@ type CorpusMatch struct {
 	Match Match
 }
 
-// CorpusMatches streams the results of a corpus evaluation. Drain it with
-// Next, then check Err; Close aborts early. Results arrive in no
+// CorpusMatches streams the results of Corpus.Eval. Drain it with Next,
+// then check Err; Close aborts early. Results arrive in no
 // guaranteed order across documents, but within one document in the
 // engine's deterministic radix order.
 type CorpusMatches struct {
@@ -247,10 +248,10 @@ type EvalStats struct {
 	// outright — never visited, not even for a substring scan. Zero
 	// without WithIndex.
 	SkippedIndex uint64
-	// Reused counts documents whose match counts a page of a cached
-	// pattern (EvalPage, EvalSearchPage, EvalCursor) took from the
-	// pattern's count memo instead of visiting them. Zero for streams and
-	// for spanners the caller compiled.
+	// Reused counts documents whose match counts a page of an Anchored
+	// or Search target (Page, EvalCursor) took from the pattern's count
+	// memo instead of visiting them. Zero for streams and for Of and
+	// OfQuery targets.
 	Reused uint64
 	// Work is the work units spent so far — one per byte of every scanned
 	// document plus one per delivered result; the meter WithBudget is
@@ -311,27 +312,135 @@ func (c *Corpus) evalOptions(req prefilter.Requirement, o core.Options) corpus.E
 	return eo
 }
 
-// Eval compiles the pattern (through the corpus cache) and evaluates it
-// over every document, streaming matches. The pattern must match whole
-// documents, like Spanner.Eval; use EvalSearch for substring semantics.
-// Options bound the evaluation: WithTimeout, WithLimit, WithBudget.
-func (c *Corpus) Eval(ctx context.Context, pattern string, opts ...Option) (*CorpusMatches, error) {
-	q, err := c.compileCached(ctx, "anchor", pattern, Compile)
-	if err != nil {
-		return nil, err
-	}
-	return c.EvalSpanner(ctx, q.sp, opts...)
+// Target is what a corpus operation evaluates: a pattern compiled through
+// the corpus cache (Anchored, Search), a spanner the caller compiled (Of)
+// or a conjunctive query (OfQuery). Eval, Count, Page and Sample take any
+// target. The zero Target names nothing, and every operation that
+// resolves it fails.
+type Target struct {
+	mode    string // "anchor" or "search": a pattern compiled through the cache
+	pattern string
+	sp      *Spanner
+	q       *Query
 }
 
-// EvalSearch is Eval with substring semantics: the pattern is compiled
-// unanchored (CompileSearch), cached separately from anchored compiles of
-// the same source.
-func (c *Corpus) EvalSearch(ctx context.Context, pattern string, opts ...Option) (*CorpusMatches, error) {
-	q, err := c.compileCached(ctx, "search", pattern, CompileSearch)
+// Anchored targets a pattern that must match whole documents (Compile),
+// like Spanner.Eval. It compiles through the corpus cache: repeated
+// operations share one compiled plan, and its count memo lets a repeated
+// Count, Page or Sample visit only the documents appended since the
+// pattern's last counting sweep.
+func Anchored(pattern string) Target { return Target{mode: "anchor", pattern: pattern} }
+
+// Search targets a pattern with substring semantics (CompileSearch),
+// cached like Anchored but separately from anchored compiles of the same
+// source.
+func Search(pattern string) Target { return Target{mode: "search", pattern: pattern} }
+
+// Of targets a precompiled spanner. It bypasses the cache, and so the
+// count memo: every Count, Page or Sample sweeps the whole corpus. The
+// spanner's plan is memoized on the spanner itself.
+func Of(sp *Spanner) Target { return Target{sp: sp} }
+
+// OfQuery targets a conjunctive query. A query without string equalities
+// compiles once into a single automaton (Theorem 3.11) and runs like a
+// spanner. A query with equalities, whose automata exist only per input
+// string (Theorem 5.4), or one run under WithStrategy(StrategyCanonical)
+// evaluates document by document: Eval and Count serve it, Page and
+// Sample fail on it.
+func OfQuery(q *Query) Target { return Target{q: q} }
+
+// perDocument reports whether t is a query that cannot share one plan:
+// one with string equalities, or any query under StrategyCanonical.
+func (t Target) perDocument(o core.Options) bool {
+	return t.q != nil && (len(t.q.cq.Equalities) > 0 || o.Strategy == core.Canonical)
+}
+
+// resolved is a target bound to what runs it: a compiled plan every
+// document shares or, for a query that cannot share one, a per-document
+// evaluator over vars. req is the literal requirement that prefilters
+// either; memo is a cached pattern's count memo, nil for other targets.
+type resolved struct {
+	plan   *enum.Plan
+	memo   *corpus.CountMemo
+	req    prefilter.Requirement
+	vars   span.VarList
+	perDoc corpus.NewDocEval
+}
+
+var (
+	errNoTarget    = errors.New("spanjoin: empty corpus target (build one with Anchored, Search, Of or OfQuery)")
+	errPerDocument = errors.New("spanjoin: a query with string equalities or StrategyCanonical evaluates per document and cannot be paged or sampled")
+)
+
+// resolve binds t for one operation: a pattern compiles through the cache,
+// a spanner's or an equality-free query's plan is memoized on it — the
+// call that builds it records the plan_build stage — and any other query
+// gets a per-document evaluator. The requirement is the plan-level one
+// for queries (the conjunction of the atoms'): equalities and projection
+// only restrict results further, so it stays necessary under every plan.
+func (c *Corpus) resolve(ctx context.Context, t Target, o core.Options) (r resolved, err error) {
+	var (
+		p     *enum.Plan
+		built bool
+	)
+	switch {
+	case t.mode != "":
+		compile := Compile
+		if t.mode == "search" {
+			compile = CompileSearch
+		}
+		var cq *cachedQuery
+		if cq, err = c.compileCached(ctx, t.mode, t.pattern, compile); err != nil {
+			return r, err
+		}
+		r.memo, r.req = &cq.memo, cq.sp.req
+		p, built, err = cq.sp.compiledPlan()
+	case t.sp != nil:
+		r.req = t.sp.req
+		p, built, err = t.sp.compiledPlan()
+	case t.q == nil:
+		return r, errNoTarget
+	case t.perDocument(o):
+		r.req, r.vars = t.q.requirement(), t.q.cq.OutVars()
+		r.perDoc, err = queryDocEval(t.q, o)
+		return r, err
+	default:
+		r.req = t.q.requirement()
+		p, built, err = t.q.compiledPlan()
+	}
+	if err != nil {
+		return resolved{}, err
+	}
+	c.recordPlanBuild(ctx, p, built)
+	r.plan = p
+	return r, nil
+}
+
+// Eval evaluates the target over every document, streaming matches. A
+// plan-backed target compiles at most once and then runs pure matrix
+// sweeps — each worker Resets one enumerator over the shared plan, whose
+// byte-class transition table is built when its first document is swept
+// — and the target's required-literal prefilter skips non-matching
+// documents before any per-document work. Options bound the evaluation:
+// WithTimeout, WithLimit, WithBudget. An overloaded corpus
+// (WithMaxConcurrent) sheds the call synchronously with ErrOverloaded
+// before any worker starts.
+func (c *Corpus) Eval(ctx context.Context, t Target, opts ...Option) (*CorpusMatches, error) {
+	o := buildOptions(opts)
+	r, err := c.resolve(ctx, t, o)
 	if err != nil {
 		return nil, err
 	}
-	return c.EvalSpanner(ctx, q.sp, opts...)
+	var res *corpus.Results
+	if r.plan != nil {
+		res, err = c.store.EvalPlan(ctx, r.plan, c.evalOptions(r.req, o))
+	} else {
+		res, err = c.store.EvalFunc(ctx, r.vars, r.perDoc, c.evalOptions(r.req, o))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c.newMatches(res), nil
 }
 
 // cachedQuery is one entry of the compiled-query cache: the compiled
@@ -382,74 +491,9 @@ func (c *Corpus) recordPlanBuild(ctx context.Context, p *enum.Plan, built bool) 
 	obs.FromContext(ctx).Observe(obs.StagePlan, d)
 }
 
-// EvalSpanner evaluates a precompiled spanner over every document in the
-// corpus (bypassing the cache). The spanner's required-literal prefilter
-// skips non-matching documents before any per-document work, and its
-// compiled plan — closures, letter table, and the byte-class transition
-// table built when its first document is swept — is memoized on the
-// spanner itself, so the corpus cache's Spanners carry their plan across
-// Eval calls: at most one compilation per cached query, then pure matrix
-// sweeps over every document the store will ever hold.
-// An overloaded corpus (WithMaxConcurrent) sheds the call synchronously
-// with ErrOverloaded before any worker starts.
-func (c *Corpus) EvalSpanner(ctx context.Context, sp *Spanner, opts ...Option) (*CorpusMatches, error) {
-	p, built, err := sp.compiledPlan()
-	if err != nil {
-		return nil, err
-	}
-	c.recordPlanBuild(ctx, p, built)
-	res, err := c.store.EvalPlan(ctx, p, c.evalOptions(sp.req, buildOptions(opts)))
-	if err != nil {
-		return nil, err
-	}
-	return c.newMatches(res), nil
-}
-
-// EvalQuery evaluates a conjunctive query over every document. Queries
-// without string equalities compile once into a single automaton (Theorem
-// 3.11) and take the shared-enumerator fast path; queries with equalities
-// — whose automata exist only per input string (Theorem 5.4) — and
-// queries forced onto the canonical strategy evaluate document by
-// document with the chosen plan.
-func (c *Corpus) EvalQuery(ctx context.Context, q *Query, opts ...Option) (*CorpusMatches, error) {
-	o := buildOptions(opts)
-	// The plan-level requirement (conjunction of the atoms' literal
-	// requirements) prefilters every evaluation path, exactly like
-	// EvalSpanner: equalities and projection only restrict results
-	// further, so the requirement stays necessary under every strategy.
-	req := q.requirement()
-	forcedCanonical := o.Strategy == core.Canonical
-	if len(q.cq.Equalities) == 0 && !forcedCanonical {
-		// Equality-free fast path: the whole plan (join + projection) is
-		// document independent; compile once per Query — automaton,
-		// closures and transition table — and share it across the worker
-		// pool and across repeated EvalQuery calls.
-		p, built, err := q.compiledPlan()
-		if err != nil {
-			return nil, err
-		}
-		c.recordPlanBuild(ctx, p, built)
-		res, err := c.store.EvalPlan(ctx, p, c.evalOptions(req, o))
-		if err != nil {
-			return nil, err
-		}
-		return c.newMatches(res), nil
-	}
-	newEval, err := queryDocEval(q, o)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.store.EvalFunc(ctx, q.cq.OutVars(), newEval, c.evalOptions(req, o))
-	if err != nil {
-		return nil, err
-	}
-	return c.newMatches(res), nil
-}
-
 // queryDocEval builds the per-document evaluator for query plans that
 // cannot share a compiled enumerator, hoisting the document-independent
-// atom join when the automata plan applies (Thm 5.4). EvalQuery and
-// CountQuery share it.
+// atom join when the automata plan applies (Thm 5.4).
 // Per-document plans rebuild their iterator per document, so the
 // query-liveness probe (stop) has no long build to interrupt — the emit
 // path already observes cancellation per tuple; they ignore it.
@@ -491,26 +535,4 @@ func emitAll(it core.Iterator, emit func(span.Tuple) bool) error {
 			return nil
 		}
 	}
-}
-
-// EvalAll is Eval materialized: all matches grouped by document. Documents
-// without matches have no entry.
-func (c *Corpus) EvalAll(ctx context.Context, pattern string, opts ...Option) (map[DocID][]Match, error) {
-	ms, err := c.Eval(ctx, pattern, opts...)
-	if err != nil {
-		return nil, err
-	}
-	defer ms.Close()
-	out := make(map[DocID][]Match)
-	for {
-		m, ok := ms.Next()
-		if !ok {
-			break
-		}
-		out[m.Doc] = append(out[m.Doc], m.Match)
-	}
-	if err := ms.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -66,7 +66,7 @@ func TestCorpusConcurrentAddEvalCache(t *testing.T) {
 
 	runEval := func(pat string) error {
 		pre := snapshotKnown() // all IDs added before this evaluation began
-		ms, err := c.Eval(ctx, pat)
+		ms, err := c.Eval(ctx, spanjoin.Anchored(pat))
 		if err != nil {
 			return err
 		}
@@ -161,11 +161,13 @@ func TestCorpusConcurrentAddEvalCache(t *testing.T) {
 }
 
 // TestCountMemoHammer: writers append documents while readers Count and
-// EvalPage one cached pattern, so sweeps that started at different memo
+// Page one cached pattern, so sweeps that started at different memo
 // marks publish into the pattern's count memo concurrently. Every count
 // must lie between the counts before and after the hammer (and never
-// fall, per reader), and once the writers are done the memoized counts —
-// corpus-wide and per document — must equal a fresh corpus's.
+// fall, per reader), and once the writers are done the memoized total
+// must equal a fresh corpus's and each memoized per-document count —
+// read back through one-row pages, whose windows are placed by those
+// counts — must equal Spanner.Count.
 func TestCountMemoHammer(t *testing.T) {
 	const pattern = `.*x{ab+}.*`
 	ctx := context.Background()
@@ -181,7 +183,7 @@ func TestCountMemoHammer(t *testing.T) {
 	}
 	c.AddAll(docs...)
 	count := func() uint64 {
-		n, err := c.Count(ctx, pattern)
+		n, err := c.Count(ctx, spanjoin.Anchored(pattern))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,10 +230,10 @@ func TestCountMemoHammer(t *testing.T) {
 					err error
 				)
 				if k%2 == 0 {
-					n, err = c.Count(ctx, pattern)
+					n, err = c.Count(ctx, spanjoin.Anchored(pattern))
 				} else {
 					var pg *spanjoin.Page
-					if pg, err = c.EvalPage(ctx, pattern, uint64(k), 3); err == nil {
+					if pg, err = c.Page(ctx, spanjoin.Anchored(pattern), uint64(k), 3); err == nil {
 						n = pg.Total
 					}
 				}
@@ -265,7 +267,7 @@ func TestCountMemoHammer(t *testing.T) {
 	for _, a := range added {
 		fresh.AddAll(a...)
 	}
-	want, err := fresh.Count(ctx, pattern)
+	want, err := fresh.Count(ctx, spanjoin.Anchored(pattern))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +275,7 @@ func TestCountMemoHammer(t *testing.T) {
 		t.Fatalf("memoized count %d, fresh corpus %d", after, u)
 	}
 	sp := spanjoin.MustCompile(pattern)
-	per, err := c.CountAll(ctx, pattern)
-	if err != nil {
-		t.Fatal(err)
-	}
+	per := pageCounts(t, c, spanjoin.Anchored(pattern))
 	for id := spanjoin.DocID(0); int(id) < c.Len(); id++ {
 		doc, ok := c.Doc(id)
 		if !ok {
@@ -286,8 +285,8 @@ func TestCountMemoHammer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if per[id].String() != n.String() {
-			t.Fatalf("doc %d: CountAll %v, Spanner.Count %v", id, per[id], n)
+		if u, _ := n.Uint64(); per[id] != u {
+			t.Fatalf("doc %d: page rows %d, Spanner.Count %v", id, per[id], n)
 		}
 	}
 }
@@ -331,7 +330,7 @@ func TestConcurrentFirstPagesPooledArenas(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for off := 0; off <= len(want); off += limit {
-				pg, err := c.EvalSearchPage(context.Background(), pattern, uint64(off), limit)
+				pg, err := c.Page(context.Background(), spanjoin.Search(pattern), uint64(off), limit)
 				if err != nil {
 					t.Error(err)
 					return

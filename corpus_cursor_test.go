@@ -102,7 +102,7 @@ func TestCursorAdvanceSaturates(t *testing.T) {
 // TestEvalCursorMatchesSpannerPage drives pagination through cursor
 // tokens (parse → eval → advance → re-encode, like a client would) and
 // checks every page is identical to addressing the same window directly
-// with EvalSpannerPage.
+// with Page on an Of target.
 func TestEvalCursorMatchesSpannerPage(t *testing.T) {
 	c, _ := rankedTestCorpus(t, spanjoin.WithShards(3))
 	const pattern = `.*x{mail}.*`
@@ -127,12 +127,12 @@ func TestEvalCursorMatchesSpannerPage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := c.EvalSpannerPage(ctx, sp, cur.Offset, limit)
+		ref, err := c.Page(ctx, spanjoin.Of(sp), cur.Offset, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(page.Matches) != len(ref.Matches) {
-			t.Fatalf("page at %d: %d matches, EvalSpannerPage %d", cur.Offset, len(page.Matches), len(ref.Matches))
+			t.Fatalf("page at %d: %d matches, Page(Of(sp)) %d", cur.Offset, len(page.Matches), len(ref.Matches))
 		}
 		for i := range page.Matches {
 			if page.Matches[i].Doc != ref.Matches[i].Doc || page.Matches[i].Match.String() != ref.Matches[i].Match.String() {
@@ -146,12 +146,32 @@ func TestEvalCursorMatchesSpannerPage(t *testing.T) {
 		cur = next
 	}
 	// The concatenation of all pages is the whole result sequence.
-	total, err := c.Count(ctx, pattern)
+	total, err := c.Count(ctx, spanjoin.Anchored(pattern))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u, ok := total.Uint64(); !ok || u != uint64(len(got)) {
 		t.Fatalf("paged out %d matches, Count says %v", len(got), total)
+	}
+}
+
+// TestEvalCursorEmptyModeToken: EvalCursor resumes an empty mode as
+// "anchor", and the cursor it returns must say so — its token has to
+// parse and page on to the same results as an explicit anchored cursor.
+func TestEvalCursorEmptyModeToken(t *testing.T) {
+	c, _ := rankedTestCorpus(t, spanjoin.WithShards(2))
+	const pattern = `.*x{mail}.*`
+	ctx := context.Background()
+	_, next, more, err := c.EvalCursor(ctx, spanjoin.Cursor{Pattern: pattern}, 1)
+	if err != nil || !more {
+		t.Fatalf("first page: more=%v, %v", more, err)
+	}
+	parsed, err := spanjoin.ParseCursor(next.Token())
+	if err != nil {
+		t.Fatalf("token of the returned cursor %+v: %v", next, err)
+	}
+	if want := (spanjoin.Cursor{Mode: "anchor", Pattern: pattern, Offset: 1}); parsed != want {
+		t.Fatalf("returned cursor %+v, want %+v", parsed, want)
 	}
 }
 
@@ -163,7 +183,7 @@ func TestEvalPageOffsetBoundary(t *testing.T) {
 	c, _ := rankedTestCorpus(t, spanjoin.WithShards(2))
 	const pattern = `.*x{mail}.*`
 	ctx := context.Background()
-	total, err := c.Count(ctx, pattern)
+	total, err := c.Count(ctx, spanjoin.Anchored(pattern))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +193,7 @@ func TestEvalPageOffsetBoundary(t *testing.T) {
 	}
 	for _, offset := range []uint64{tu, tu + 1, math.MaxUint64 - 1, math.MaxUint64} {
 		for _, limit := range []int{1, 7, 1 << 20} {
-			page, err := c.EvalPage(ctx, pattern, offset, limit)
+			page, err := c.Page(ctx, spanjoin.Anchored(pattern), offset, limit)
 			if err != nil {
 				t.Fatalf("offset %d limit %d: %v", offset, limit, err)
 			}
@@ -202,7 +222,7 @@ func TestCorpusSampleUniform(t *testing.T) {
 	c, _ := rankedTestCorpus(t, spanjoin.WithShards(2))
 	const pattern = `.*x{mail}.*`
 	ctx := context.Background()
-	ms, err := c.Sample(ctx, pattern, rand.New(rand.NewSource(42)), 64)
+	ms, err := c.Sample(ctx, spanjoin.Anchored(pattern), rand.New(rand.NewSource(42)), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +241,7 @@ func TestCorpusSampleUniform(t *testing.T) {
 	}
 	// Same seed, same draws — the contract /sample's seed parameter
 	// exposes over the wire.
-	again, err := c.Sample(ctx, pattern, rand.New(rand.NewSource(42)), 64)
+	again, err := c.Sample(ctx, spanjoin.Anchored(pattern), rand.New(rand.NewSource(42)), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,15 +258,25 @@ func TestCorpusSampleUniform(t *testing.T) {
 	for _, m := range ms {
 		seen[m.Doc] = true
 	}
-	n, _ := c.Count(ctx, pattern)
+	n, _ := c.Count(ctx, spanjoin.Anchored(pattern))
 	if u, _ := n.Uint64(); u >= 3 && len(seen) < 3 {
 		t.Errorf("64 uniform draws hit only docs %v", seen)
 	}
-	// k <= 0 and empty result sets are nil, not errors.
-	if ms, err := c.Sample(ctx, pattern, rand.New(rand.NewSource(1)), 0); err != nil || ms != nil {
-		t.Errorf("k=0: got %v, %v", ms, err)
+	// k <= 0 and empty result sets are nil, not errors. A k <= 0 returns
+	// before the target is resolved: no cache lookup, and no error even
+	// for a pattern that does not compile or an empty target.
+	st := c.CacheStats()
+	for _, k := range []int{0, -1} {
+		for _, target := range []spanjoin.Target{spanjoin.Anchored(pattern), spanjoin.Search(`x{`), {}} {
+			if ms, err := c.Sample(ctx, target, rand.New(rand.NewSource(1)), k); err != nil || ms != nil {
+				t.Errorf("k=%d: got %v, %v", k, ms, err)
+			}
+		}
 	}
-	if ms, err := c.Sample(ctx, `.*x{zzzz}.*`, rand.New(rand.NewSource(1)), 5); err != nil || ms != nil {
+	if got := c.CacheStats(); got.Hits+got.Misses != st.Hits+st.Misses {
+		t.Errorf("k <= 0 reached the compile cache: %+v, then %+v", st, got)
+	}
+	if ms, err := c.Sample(ctx, spanjoin.Anchored(`.*x{zzzz}.*`), rand.New(rand.NewSource(1)), 5); err != nil || ms != nil {
 		t.Errorf("no matches: got %v, %v", ms, err)
 	}
 }

@@ -2,6 +2,7 @@ package spanjoin_test
 
 import (
 	"context"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -65,22 +66,23 @@ func fuzzDocs(blob string) []string {
 }
 
 // fuzzCorpus builds a 3-shard corpus over docs in two batches. Between
-// them it fills the pattern's count memo through the cached Count,
-// CountAll and EvalPage, so every later cached count merges memoized
-// documents with a sweep of the second batch.
+// them it fills the pattern's count memo through the cached Count, Sample
+// and Page, so every later cached count merges memoized documents with a
+// sweep of the second batch.
 func fuzzCorpus(t *testing.T, pattern string, docs []string, opts ...spanjoin.CorpusOption) (*spanjoin.Corpus, []spanjoin.DocID) {
 	t.Helper()
 	c := spanjoin.NewCorpus(append([]spanjoin.CorpusOption{spanjoin.WithShards(3), spanjoin.WithWorkers(2)}, opts...)...)
 	half := len(docs) / 2
 	ids := c.AddAll(docs[:half]...)
 	ctx := context.Background()
-	if _, err := c.Count(ctx, pattern); err != nil {
+	target := spanjoin.Anchored(pattern)
+	if _, err := c.Count(ctx, target); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CountAll(ctx, pattern); err != nil {
+	if _, err := c.Sample(ctx, target, rand.New(rand.NewSource(1)), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.EvalPage(ctx, pattern, 0, 1); err != nil {
+	if _, err := c.Page(ctx, target, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	return c, append(ids, c.AddAll(docs[half:]...)...)
@@ -89,25 +91,47 @@ func fuzzCorpus(t *testing.T, pattern string, docs []string, opts ...spanjoin.Co
 // checkMemoCounts pins the cached counting paths against the
 // per-document reference. Each check runs on its own fuzzCorpus, so each
 // merges a partly filled count memo with a sweep: Count must equal the
-// sum of Spanner.Count, CountAll must match it document by document, and
-// a full-corpus EvalPage must reproduce Spanner.Eval's matches in
-// ascending-DocID order.
+// sum of Spanner.Count, and a page from the middle of the result sequence
+// and a full-corpus page — whose windows walk the memo's per-document
+// counts — must reproduce Spanner.Eval's matches in ascending-DocID order.
 func checkMemoCounts(t *testing.T, sp *spanjoin.Spanner, pattern string, docs []string, opts ...spanjoin.CorpusOption) {
 	t.Helper()
 	ctx := context.Background()
-	var total uint64
-	perDoc := make([]uint64, len(docs))
-	for i, doc := range docs {
-		n, err := sp.Count(doc)
+	target := spanjoin.Anchored(pattern)
+
+	c, ids := fuzzCorpus(t, pattern, docs, opts...)
+	order := make([]int, len(docs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return ids[order[a]] < ids[order[b]] })
+	type row struct {
+		doc spanjoin.DocID
+		t   span.Tuple
+	}
+	var (
+		ref   []row
+		total uint64
+	)
+	for _, i := range order {
+		ms, err := sp.Eval(docs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		perDoc[i], _ = n.Uint64()
-		total += perDoc[i]
+		for _, m := range ms {
+			ref = append(ref, row{ids[i], tupleOf(m)})
+		}
+		n, err := sp.Count(docs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, _ := n.Uint64()
+		total += u
 	}
-
-	c, _ := fuzzCorpus(t, pattern, docs, opts...)
-	n, err := c.Count(ctx, pattern)
+	if total != uint64(len(ref)) {
+		t.Fatalf("pattern %q: Spanner.Count sums to %d, Spanner.Eval finds %d", pattern, total, len(ref))
+	}
+	n, err := c.Count(ctx, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,60 +139,27 @@ func checkMemoCounts(t *testing.T, sp *spanjoin.Spanner, pattern string, docs []
 		t.Fatalf("pattern %q: Count = %v, per-document counts sum to %d", pattern, n, total)
 	}
 
-	c, ids := fuzzCorpus(t, pattern, docs, opts...)
-	per, err := c.CountAll(ctx, pattern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matched := 0
-	for i, u := range perDoc {
-		if u == 0 {
-			continue
-		}
-		matched++
-		if got, ok := per[ids[i]].Uint64(); !ok || got != u {
-			t.Fatalf("pattern %q doc %q: CountAll %v, Spanner.Count %d", pattern, docs[i], per[ids[i]], u)
-		}
-	}
-	if len(per) != matched {
-		t.Fatalf("pattern %q: CountAll has %d documents, want %d", pattern, len(per), matched)
-	}
-
-	c, ids = fuzzCorpus(t, pattern, docs, opts...)
-	pg, err := c.EvalPage(ctx, pattern, 0, int(total)+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u, ok := pg.Total.Uint64(); !ok || u != total {
-		t.Fatalf("pattern %q: page Total = %v, want %d", pattern, pg.Total, total)
-	}
-	if st := pg.Stats; st.Scanned+st.Skipped+st.Reused != uint64(len(docs)) || st.Reused != uint64(len(docs)/2) {
-		t.Fatalf("pattern %q: page stats %+v, want %d reused of %d docs", pattern, st, len(docs)/2, len(docs))
-	}
-	order := make([]int, len(docs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return ids[order[a]] < ids[order[b]] })
-	k := 0
-	for _, i := range order {
-		ms, err := sp.Eval(docs[i])
+	for _, offset := range []uint64{total / 2, 0} {
+		c, _ := fuzzCorpus(t, pattern, docs, opts...)
+		pg, err := c.Page(ctx, target, offset, int(total)+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range ms {
-			if k >= len(pg.Matches) {
-				t.Fatalf("pattern %q: page ends after %d matches", pattern, k)
-			}
-			got := pg.Matches[k]
-			if got.Doc != ids[i] || tupleOf(got.Match).Compare(tupleOf(m)) != 0 {
-				t.Fatalf("pattern %q: page match %d is %v@%d, want %v@%d", pattern, k, tupleOf(got.Match), got.Doc, tupleOf(m), ids[i])
-			}
-			k++
+		if u, ok := pg.Total.Uint64(); !ok || u != total {
+			t.Fatalf("pattern %q: page Total = %v, want %d", pattern, pg.Total, total)
 		}
-	}
-	if k != len(pg.Matches) {
-		t.Fatalf("pattern %q: page has %d matches, reference %d", pattern, len(pg.Matches), k)
+		if st := pg.Stats; st.Scanned+st.Skipped+st.Reused != uint64(len(docs)) || st.Reused != uint64(len(docs)/2) {
+			t.Fatalf("pattern %q: page stats %+v, want %d reused of %d docs", pattern, st, len(docs)/2, len(docs))
+		}
+		want := ref[offset:]
+		if len(pg.Matches) != len(want) {
+			t.Fatalf("pattern %q: page at %d has %d matches, reference suffix %d", pattern, offset, len(pg.Matches), len(want))
+		}
+		for k, got := range pg.Matches {
+			if got.Doc != want[k].doc || tupleOf(got.Match).Compare(want[k].t) != 0 {
+				t.Fatalf("pattern %q: page at %d, match %d is %v@%d, want %v@%d", pattern, offset, k, tupleOf(got.Match), got.Doc, want[k].t, want[k].doc)
+			}
+		}
 	}
 }
 
@@ -196,7 +187,7 @@ func FuzzCorpusVsEval(f *testing.F) {
 		}
 
 		c, ids := fuzzCorpus(t, pattern, docs)
-		ms, err := c.Eval(context.Background(), pattern)
+		ms, err := c.Eval(context.Background(), spanjoin.Anchored(pattern))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +208,7 @@ func FuzzCorpusVsEval(f *testing.F) {
 		// The skip index must be invisible in the results: same tuples per
 		// document, same per-document order.
 		ci, idsIdx := fuzzCorpus(t, pattern, docs, spanjoin.WithIndex())
-		msIdx, err := ci.Eval(context.Background(), pattern)
+		msIdx, err := ci.Eval(context.Background(), spanjoin.Anchored(pattern))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,31 +30,25 @@ func TestCorpusCountMatchesEvalAll(t *testing.T) {
 	} {
 		c, _ := rankedTestCorpus(t, opts...)
 		const pattern = `.*x{mail}.*`
-		all, err := c.EvalAll(context.Background(), pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
+		all := evalAll(t, c, spanjoin.Anchored(pattern))
 		wantTotal := uint64(0)
 		for _, ms := range all {
 			wantTotal += uint64(len(ms))
 		}
-		n, err := c.Count(context.Background(), pattern)
+		n, err := c.Count(context.Background(), spanjoin.Anchored(pattern))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if u, ok := n.Uint64(); !ok || u != wantTotal {
-			t.Fatalf("Count = %v, EvalAll found %d", n, wantTotal)
+			t.Fatalf("Count = %v, Eval found %d", n, wantTotal)
 		}
-		per, err := c.CountAll(context.Background(), pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
+		per := pageCounts(t, c, spanjoin.Anchored(pattern))
 		if len(per) != len(all) {
-			t.Fatalf("CountAll has %d docs, EvalAll %d", len(per), len(all))
+			t.Fatalf("full page has %d docs, Eval %d", len(per), len(all))
 		}
 		for id, ms := range all {
-			if u, ok := per[id].Uint64(); !ok || u != uint64(len(ms)) {
-				t.Fatalf("doc %d: CountAll %v, EvalAll %d", id, per[id], len(ms))
+			if per[id] != uint64(len(ms)) {
+				t.Fatalf("doc %d: page rows %d, Eval %d", id, per[id], len(ms))
 			}
 		}
 	}
@@ -66,7 +60,7 @@ func TestCorpusCountQuery(t *testing.T) {
 		Atom(`.*x{mail}.*`).
 		Atom(`.*y{aa}.*`).
 		MustBuild()
-	ref, err := c.EvalQuery(context.Background(), q)
+	ref, err := c.Eval(context.Background(), spanjoin.OfQuery(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,20 +76,20 @@ func TestCorpusCountQuery(t *testing.T) {
 	if err := ref.Err(); err != nil {
 		t.Fatal(err)
 	}
-	n, err := c.CountQuery(context.Background(), q)
+	n, err := c.Count(context.Background(), spanjoin.OfQuery(q))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u, ok := n.Uint64(); !ok || u != want {
-		t.Fatalf("CountQuery = %v, EvalQuery drained %d", n, want)
+		t.Fatalf("Count = %v, Eval drained %d", n, want)
 	}
 	// Forced canonical drains per document; counts must agree.
-	canon, err := c.CountQuery(context.Background(), q, spanjoin.WithStrategy(spanjoin.StrategyCanonical))
+	canon, err := c.Count(context.Background(), spanjoin.OfQuery(q), spanjoin.WithStrategy(spanjoin.StrategyCanonical))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if canon.String() != n.String() {
-		t.Fatalf("canonical CountQuery %v != ranked %v", canon, n)
+		t.Fatalf("canonical Count %v != ranked %v", canon, n)
 	}
 
 	// With equalities: the per-document drain path.
@@ -103,7 +97,7 @@ func TestCorpusCountQuery(t *testing.T) {
 		Atom(`.*x{[a-z]+} .*y{[a-z]+}.*`).
 		Equal("x", "y").
 		MustBuild()
-	eqRef, err := c.EvalQuery(context.Background(), eq)
+	eqRef, err := c.Eval(context.Background(), spanjoin.OfQuery(eq))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,17 +113,17 @@ func TestCorpusCountQuery(t *testing.T) {
 	if err := eqRef.Err(); err != nil {
 		t.Fatal(err)
 	}
-	eqN, err := c.CountQuery(context.Background(), eq)
+	eqN, err := c.Count(context.Background(), spanjoin.OfQuery(eq))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u, ok := eqN.Uint64(); !ok || u != wantEq {
-		t.Fatalf("equality CountQuery = %v, drain found %d", eqN, wantEq)
+		t.Fatalf("equality Count = %v, drain found %d", eqN, wantEq)
 	}
 }
 
 // corpusRefSequence materializes the full corpus result sequence in
-// EvalPage's order: ascending DocID, each document in radix order.
+// Page's order: ascending DocID, each document in radix order.
 func corpusRefSequence(t *testing.T, c *spanjoin.Corpus, pattern string) []spanjoin.CorpusMatch {
 	t.Helper()
 	sp, err := spanjoin.Compile(pattern)
@@ -175,7 +169,7 @@ func TestCorpusEvalPage(t *testing.T) {
 			t.Fatalf("weak instance: %d results", len(want))
 		}
 		for off := uint64(0); off <= uint64(len(want))+1; off++ {
-			pg, err := c.EvalPage(context.Background(), pattern, off, 2)
+			pg, err := c.Page(context.Background(), spanjoin.Anchored(pattern), off, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,10 @@ package spanjoin_test
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -46,6 +50,63 @@ func sameTupleMultiset(a, b []span.Tuple) bool {
 	return true
 }
 
+// evalAll drains the target's corpus Eval into its matches grouped by
+// document; documents without matches have no entry.
+func evalAll(t *testing.T, c *spanjoin.Corpus, target spanjoin.Target, opts ...spanjoin.Option) map[spanjoin.DocID][]spanjoin.Match {
+	t.Helper()
+	ms, err := c.Eval(context.Background(), target, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	out := make(map[spanjoin.DocID][]spanjoin.Match)
+	for {
+		m, ok := ms.Next()
+		if !ok {
+			break
+		}
+		out[m.Doc] = append(out[m.Doc], m.Match)
+	}
+	if err := ms.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// pageCounts pages the target's result sequence one row at a time and
+// tallies the rows per document. Every window is placed by subtracting
+// the counts of the documents before it — for a cached pattern, the count
+// memo's — so a document's tally is the count the corpus holds for it,
+// and a wrong per-document count moves rows between documents even when
+// the total still adds up.
+func pageCounts(t *testing.T, c *spanjoin.Corpus, target spanjoin.Target) map[spanjoin.DocID]uint64 {
+	t.Helper()
+	ctx := context.Background()
+	n, err := c.Count(ctx, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, _ := n.Uint64()
+	out := make(map[spanjoin.DocID]uint64)
+	var last spanjoin.DocID
+	for off := uint64(0); off < total; off++ {
+		pg, err := c.Page(ctx, target, off, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pg.Matches) != 1 {
+			t.Fatalf("page at offset %d of %d has %d rows", off, total, len(pg.Matches))
+		}
+		doc := pg.Matches[0].Doc
+		if off > 0 && doc < last {
+			t.Fatalf("offset %d: doc %d after doc %d", off, doc, last)
+		}
+		last = doc
+		out[doc]++
+	}
+	return out
+}
+
 func drainByDoc(t *testing.T, ms *spanjoin.CorpusMatches) map[spanjoin.DocID][]span.Tuple {
 	t.Helper()
 	out := make(map[spanjoin.DocID][]span.Tuple)
@@ -78,7 +139,7 @@ func TestCorpusEvalMatchesPerDocumentEval(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		c := spanjoin.NewCorpus(spanjoin.WithShards(shards))
 		ids := c.AddAll(docs...)
-		ms, err := c.EvalSearch(context.Background(), pattern)
+		ms, err := c.Eval(context.Background(), spanjoin.Search(pattern))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +171,7 @@ func TestCorpusEvalMatchesPerDocumentEval(t *testing.T) {
 func TestCorpusMatchBindsDocument(t *testing.T) {
 	c := spanjoin.NewCorpus(spanjoin.WithShards(3))
 	c.AddAll("write to alice@example.org now", "or to bob@example.net instead", "no address here")
-	ms, err := c.EvalSearch(context.Background(), `mail{[a-z]+@[a-z]+\.[a-z]+}`)
+	ms, err := c.Eval(context.Background(), spanjoin.Search(`mail{[a-z]+@[a-z]+\.[a-z]+}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +206,7 @@ func TestCorpusCompiledQueryCache(t *testing.T) {
 	c.AddAll("aaa", "aab")
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		ms, err := c.Eval(ctx, `x{a+}b?`)
+		ms, err := c.Eval(ctx, spanjoin.Anchored(`x{a+}b?`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,12 +224,12 @@ func TestCorpusCompiledQueryCache(t *testing.T) {
 		t.Fatalf("hit rate %.2f, want ≥ 0.9", rate)
 	}
 	// Same source, different mode: distinct artifact.
-	anchored, err := c.Eval(ctx, `x{a+}`)
+	anchored, err := c.Eval(ctx, spanjoin.Anchored(`x{a+}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	na := len(drainByDoc(t, anchored))
-	search, err := c.EvalSearch(ctx, `x{a+}`)
+	search, err := c.Eval(ctx, spanjoin.Search(`x{a+}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +244,12 @@ func TestCorpusCompiledQueryCache(t *testing.T) {
 
 func TestCorpusEvalCompileError(t *testing.T) {
 	c := spanjoin.NewCorpus()
-	if _, err := c.Eval(context.Background(), `x{a}|y{b}`); err == nil {
+	if _, err := c.Eval(context.Background(), spanjoin.Anchored(`x{a}|y{b}`)); err == nil {
 		t.Fatal("non-functional pattern must fail to compile")
 	}
 	// The error must not be cached: a later valid pattern with the same
 	// prefix still works, and the bad key re-compiles (and re-fails).
-	if _, err := c.Eval(context.Background(), `x{a}|y{b}`); err == nil {
+	if _, err := c.Eval(context.Background(), spanjoin.Anchored(`x{a}|y{b}`)); err == nil {
 		t.Fatal("second compile must fail too")
 	}
 	if st := c.CacheStats(); st.Resident != 0 {
@@ -227,7 +288,7 @@ func TestCorpusEvalQueryBothPlans(t *testing.T) {
 		// Two passes: the second reuses the Query's memoized compilation
 		// artifacts and must agree with the first.
 		for pass := 0; pass < 2; pass++ {
-			ms, err := c.EvalQuery(ctx, tc.q, tc.opts...)
+			ms, err := c.Eval(ctx, spanjoin.OfQuery(tc.q), tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +319,7 @@ func TestCorpusEvalCancellation(t *testing.T) {
 		c.Add(big)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	ms, err := c.Eval(ctx, `a*x{a*}a*`)
+	ms, err := c.Eval(ctx, spanjoin.Anchored(`a*x{a*}a*`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,14 +344,57 @@ func TestCorpusEvalCancellation(t *testing.T) {
 func TestCorpusEvalAll(t *testing.T) {
 	c := spanjoin.NewCorpus(spanjoin.WithShards(2))
 	ids := c.AddAll("aa", "b", "a")
-	got, err := c.EvalAll(context.Background(), `x{a+}`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := evalAll(t, c, spanjoin.Anchored(`x{a+}`))
 	if len(got) != 2 || len(got[ids[0]]) != 1 || len(got[ids[2]]) != 1 {
-		t.Fatalf("EvalAll = %v", got)
+		t.Fatalf("evalAll = %v", got)
 	}
 	if _, ok := got[ids[1]]; ok {
 		t.Fatal("non-matching document must have no entry")
+	}
+}
+
+// TestCorpusMethodSet pins *Corpus's exported methods: four operations
+// over a Target (Eval, Count, Page, Sample) plus EvalCursor, so a
+// per-mode or per-input variant cannot grow back unnoticed.
+func TestCorpusMethodSet(t *testing.T) {
+	want := []string{
+		"Add", "AddAll", "AddErrCtx", "CacheStats", "Close", "Count",
+		"CountSearch", "Doc", "Durable", "DurabilityStats", "Eval",
+		"EvalCursor", "GateStats", "Indexed", "Len", "Metrics",
+		"NumShards", "Page", "Sample", "SampleSearch", "Snapshot", "Sync",
+	}
+	typ := reflect.TypeOf((*spanjoin.Corpus)(nil))
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
+	}
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("*Corpus methods:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestEmptyTargetFails: the zero Target, Of(nil) and OfQuery(nil) name
+// nothing, so every operation fails on them — none compiles anything.
+func TestEmptyTargetFails(t *testing.T) {
+	c := spanjoin.NewCorpus()
+	c.AddAll("", "a")
+	ctx := context.Background()
+	for _, target := range []spanjoin.Target{{}, spanjoin.Of(nil), spanjoin.OfQuery(nil)} {
+		if _, err := c.Eval(ctx, target); err == nil {
+			t.Error("Eval of an empty target succeeded")
+		}
+		if _, err := c.Count(ctx, target); err == nil {
+			t.Error("Count of an empty target succeeded")
+		}
+		if _, err := c.Page(ctx, target, 0, 1); err == nil {
+			t.Error("Page of an empty target succeeded")
+		}
+		if _, err := c.Sample(ctx, target, rand.New(rand.NewSource(1)), 1); err == nil {
+			t.Error("Sample of an empty target succeeded")
+		}
+	}
+	if st := c.CacheStats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("empty targets reached the compile cache: %+v", st)
 	}
 }

@@ -94,17 +94,12 @@ func Open(dir string, opts ...CorpusOption) (*Corpus, error) {
 // Durable reports whether the corpus is backed by a data directory.
 func (c *Corpus) Durable() bool { return c.store.Durable() }
 
-// AddErr appends a document like Add but returns the durability error
+// AddErrCtx appends a document like Add but returns the durability error
 // instead of panicking: on a durable corpus whose log has failed (a full
-// disk, a failed fsync) every AddErr reports the sticky error and the
-// document is not added. On a RAM corpus AddErr never fails.
-func (c *Corpus) AddErr(doc string) (DocID, error) {
-	return c.store.AddErrCtx(context.Background(), doc)
-}
-
-// AddErrCtx is AddErr with the caller's context: a traced context
-// (WithTrace) records the write's WAL append and fsync stages. The
-// context does not cancel the write.
+// disk, a failed fsync) every AddErrCtx reports the sticky error and the
+// document is not added. On a RAM corpus AddErrCtx never fails. A traced
+// context (WithTrace) records the write's WAL append and fsync stages;
+// the context does not cancel the write.
 func (c *Corpus) AddErrCtx(ctx context.Context, doc string) (DocID, error) {
 	return c.store.AddErrCtx(ctx, doc)
 }

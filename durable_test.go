@@ -30,9 +30,9 @@ func TestDurableRoundTrip(t *testing.T) {
 	docs := []string{"mail bob@example now", "no match here", "", "mail eve@example too"}
 	var ids []spanjoin.DocID
 	for _, d := range docs {
-		id, err := c.AddErr(d)
+		id, err := c.AddErrCtx(context.Background(), d)
 		if err != nil {
-			t.Fatalf("AddErr(%q): %v", d, err)
+			t.Fatalf("AddErrCtx(%q): %v", d, err)
 		}
 		ids = append(ids, id)
 	}
@@ -56,10 +56,7 @@ func TestDurableRoundTrip(t *testing.T) {
 		}
 	}
 	// The recovered corpus evaluates like a RAM one.
-	out, err := c2.EvalAll(context.Background(), `.*x{mail [a-z]+@[a-z]+}.*`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := evalAll(t, c2, spanjoin.Anchored(`.*x{mail [a-z]+@[a-z]+}.*`))
 	if len(out) != 2 {
 		t.Fatalf("matched %d docs after recovery, want 2", len(out))
 	}
@@ -70,9 +67,9 @@ func TestDurableRoundTrip(t *testing.T) {
 func TestDurableEmptyDocument(t *testing.T) {
 	dir := t.TempDir()
 	c := openDurable(t, dir)
-	id, err := c.AddErr("")
+	id, err := c.AddErrCtx(context.Background(), "")
 	if err != nil {
-		t.Fatalf("AddErr(\"\"): %v", err)
+		t.Fatalf("AddErrCtx(\"\"): %v", err)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d after Add(\"\"), want 1", c.Len())
@@ -90,7 +87,7 @@ func TestDurableEmptyDocument(t *testing.T) {
 	}
 	// The empty document participates in evaluation: an anchored pattern
 	// matching the empty string finds it.
-	n, err := c2.Count(context.Background(), `x{(a|)}`)
+	n, err := c2.Count(context.Background(), spanjoin.Anchored(`x{(a|)}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +111,7 @@ func TestDurableSnapshotAndReplay(t *testing.T) {
 	dir := t.TempDir()
 	c := openDurable(t, dir, spanjoin.WithShards(2))
 	for i := 0; i < 10; i++ {
-		if _, err := c.AddErr(fmt.Sprintf("pre-snapshot %d", i)); err != nil {
+		if _, err := c.AddErrCtx(context.Background(), fmt.Sprintf("pre-snapshot %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,7 +119,7 @@ func TestDurableSnapshotAndReplay(t *testing.T) {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := c.AddErr(fmt.Sprintf("post-snapshot %d", i)); err != nil {
+		if _, err := c.AddErrCtx(context.Background(), fmt.Sprintf("post-snapshot %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +147,7 @@ func TestDurableSnapshotWithEmptyLog(t *testing.T) {
 	dir := t.TempDir()
 	c := openDurable(t, dir)
 	for i := 0; i < 4; i++ {
-		if _, err := c.AddErr(fmt.Sprintf("doc %d", i)); err != nil {
+		if _, err := c.AddErrCtx(context.Background(), fmt.Sprintf("doc %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +173,7 @@ func TestDurableLogOnlyRecovery(t *testing.T) {
 	dir := t.TempDir()
 	c := openDurable(t, dir)
 	for i := 0; i < 7; i++ {
-		if _, err := c.AddErr(fmt.Sprintf("doc %d", i)); err != nil {
+		if _, err := c.AddErrCtx(context.Background(), fmt.Sprintf("doc %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +191,7 @@ func TestDurableCorruptionIsTyped(t *testing.T) {
 	dir := t.TempDir()
 	c := openDurable(t, dir)
 	for i := 0; i < 8; i++ {
-		if _, err := c.AddErr(fmt.Sprintf("a document with some body %d", i)); err != nil {
+		if _, err := c.AddErrCtx(context.Background(), fmt.Sprintf("a document with some body %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,7 +237,7 @@ func TestDurableTornTailRepaired(t *testing.T) {
 	dir := t.TempDir()
 	c := openDurable(t, dir)
 	for i := 0; i < 5; i++ {
-		if _, err := c.AddErr(fmt.Sprintf("survives %d", i)); err != nil {
+		if _, err := c.AddErrCtx(context.Background(), fmt.Sprintf("survives %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,7 +281,7 @@ func TestDurableBackgroundSnapshotter(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 200; i++ {
-			if _, err := c.AddErr(fmt.Sprintf("document %04d padding padding padding padding", i)); err != nil {
+			if _, err := c.AddErrCtx(context.Background(), fmt.Sprintf("document %04d padding padding padding padding", i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -330,7 +327,7 @@ func TestDurableConcurrentAddsRecover(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		go func(w int) {
 			for i := 0; i < perWriter; i++ {
-				if _, err := c.AddErr(fmt.Sprintf("w%d-%d", w, i)); err != nil {
+				if _, err := c.AddErrCtx(context.Background(), fmt.Sprintf("w%d-%d", w, i)); err != nil {
 					errc <- err
 					return
 				}
@@ -371,7 +368,7 @@ func TestDurableRAMNoOps(t *testing.T) {
 	if ds := c.DurabilityStats(); ds != (spanjoin.DurabilityStats{}) {
 		t.Fatalf("RAM DurabilityStats = %+v, want zero", ds)
 	}
-	if _, err := c.AddErr("still works"); err != nil {
+	if _, err := c.AddErrCtx(context.Background(), "still works"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -382,11 +379,11 @@ func TestDurableRAMNoOps(t *testing.T) {
 func TestDurableIndexRecovery(t *testing.T) {
 	dir := t.TempDir()
 	c := openDurable(t, dir, spanjoin.WithIndex())
-	if _, err := c.AddErr("the needle document"); err != nil {
+	if _, err := c.AddErrCtx(context.Background(), "the needle document"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := c.AddErr(fmt.Sprintf("hay %d", i)); err != nil {
+		if _, err := c.AddErrCtx(context.Background(), fmt.Sprintf("hay %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -397,7 +394,7 @@ func TestDurableIndexRecovery(t *testing.T) {
 	if !c2.Indexed() {
 		t.Fatal("index not enabled after reopen")
 	}
-	ms, err := c2.EvalSearch(context.Background(), `x{needle}`)
+	ms, err := c2.Eval(context.Background(), spanjoin.Search(`x{needle}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,19 @@ func ExampleCorpus() {
 		"no ids here",
 		"retry id=beta7 queued",
 	)
-	byDoc, _ := c.EvalAll(context.Background(), `.*id=x{[a-z]+[0-9]+} .*`)
+	ms, err := c.Eval(context.Background(), spanjoin.Anchored(`.*id=x{[a-z]+[0-9]+} .*`))
+	if err != nil {
+		fmt.Println("eval failed:", err)
+		return
+	}
+	defer ms.Close()
+	byDoc := make(map[spanjoin.DocID][]spanjoin.Match)
+	for m, ok := ms.Next(); ok; m, ok = ms.Next() {
+		byDoc[m.Doc] = append(byDoc[m.Doc], m.Match)
+	}
+	if err := ms.Err(); err != nil {
+		fmt.Println("eval failed:", err)
+	}
 	for i, id := range ids {
 		for _, m := range byDoc[id] {
 			fmt.Println("doc", i, "->", m.MustSubstr("x"))
@@ -145,7 +157,7 @@ func ExampleCorpus_pagination() {
 	)
 	const pattern = `.*x{a+}.*`
 	for offset := uint64(0); ; offset += 3 {
-		page, _ := c.EvalPage(context.Background(), pattern, offset, 3)
+		page, _ := c.Page(context.Background(), spanjoin.Anchored(pattern), offset, 3)
 		if len(page.Matches) == 0 {
 			break
 		}

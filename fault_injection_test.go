@@ -44,7 +44,7 @@ func TestInjectedWorkerPanic(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ms, err := c.EvalSearch(context.Background(), `x{(ab)+}`)
+			ms, err := c.Eval(context.Background(), spanjoin.Search(`x{(ab)+}`))
 			if err != nil {
 				healthyErrs[i] = err
 				return
@@ -60,7 +60,7 @@ func TestInjectedWorkerPanic(t *testing.T) {
 		}()
 	}
 
-	ms, err := c.EvalSearch(context.Background(), `x{z+}`)
+	ms, err := c.Eval(context.Background(), spanjoin.Search(`x{z+}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +94,13 @@ func TestInjectedCacheFillPanic(t *testing.T) {
 	c := spanjoin.NewCorpus()
 	c.Add("abab")
 	disarm := resilience.Enable(resilience.FailCacheFill, resilience.PanicAction("compile exploded"))
-	_, err := c.EvalSearch(context.Background(), `x{(ab)+}`)
+	_, err := c.Eval(context.Background(), spanjoin.Search(`x{(ab)+}`))
 	var pe *spanjoin.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
 	}
 	disarm()
-	ms, err := c.EvalSearch(context.Background(), `x{(ab)+}`)
+	ms, err := c.Eval(context.Background(), spanjoin.Search(`x{(ab)+}`))
 	if err != nil {
 		t.Fatalf("after disarm: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestInjectedPlanPanic(t *testing.T) {
 	sp := spanjoin.MustCompile(`.*x{(ab)+}.*`)
 	disarm := resilience.Enable(resilience.FailPlanCandidates, resilience.PanicAction("index exploded"))
 	defer disarm()
-	_, err := c.EvalSpanner(context.Background(), sp)
+	_, err := c.Eval(context.Background(), spanjoin.Of(sp))
 	var pe *spanjoin.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -137,7 +137,7 @@ func TestInjectedCountPanic(t *testing.T) {
 	c.Add("zz")
 	disarm := resilience.Enable(resilience.FailCountDoc, resilience.PanicOnArg("zz", "injected"))
 	defer disarm()
-	_, err := c.CountSearch(context.Background(), `x{(ab|z)+}`)
+	_, err := c.Count(context.Background(), spanjoin.Search(`x{(ab|z)+}`))
 	var pe *spanjoin.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -154,7 +154,7 @@ func TestInjectedDealerDelay(t *testing.T) {
 		for i := 0; i < 32; i++ {
 			c.Add(strings.Repeat("ab", 8))
 		}
-		ms, err := c.EvalSearch(context.Background(), `x{(ab)+}`, spanjoin.WithTimeout(5*time.Millisecond))
+		ms, err := c.Eval(context.Background(), spanjoin.Search(`x{(ab)+}`), spanjoin.WithTimeout(5*time.Millisecond))
 		if err != nil {
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -186,7 +186,7 @@ func TestInjectedCancellation(t *testing.T) {
 	disarm := resilience.Enable(resilience.FailWorkerDoc, func(any) { cancel() })
 	defer disarm()
 	leakcheck.Check(t, func() {
-		ms, err := c.EvalSearch(ctx, `x{(ab)+}`)
+		ms, err := c.Eval(ctx, spanjoin.Search(`x{(ab)+}`))
 		if err != nil {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want Canceled", err)
@@ -217,7 +217,7 @@ func TestInjectedDealerPanic(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			c.Add(strings.Repeat("ab", 8))
 		}
-		ms, err := c.EvalSearch(context.Background(), `x{(ab)+}`)
+		ms, err := c.Eval(context.Background(), spanjoin.Search(`x{(ab)+}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestInjectedCountDeadlineKeepsMemo(t *testing.T) {
 	c.AddAll(docs[:16]...)
 	// The memo holds the first half, so the failed sweep below would
 	// extend a real prefix if it published.
-	if _, err := c.Count(ctx, pattern); err != nil {
+	if _, err := c.Count(ctx, spanjoin.Anchored(pattern)); err != nil {
 		t.Fatal(err)
 	}
 	c.AddAll(docs[16:]...)
@@ -260,7 +260,7 @@ func TestInjectedCountDeadlineKeepsMemo(t *testing.T) {
 	// 16 documents at 5ms each over two workers: ~40ms of sweep against
 	// a 12ms deadline.
 	disarm := resilience.Enable(resilience.FailCountDoc, resilience.SleepAction(5*time.Millisecond))
-	_, err := c.Count(ctx, pattern, spanjoin.WithTimeout(12*time.Millisecond))
+	_, err := c.Count(ctx, spanjoin.Anchored(pattern), spanjoin.WithTimeout(12*time.Millisecond))
 	disarm()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -268,11 +268,11 @@ func TestInjectedCountDeadlineKeepsMemo(t *testing.T) {
 
 	fresh := spanjoin.NewCorpus(spanjoin.WithShards(4))
 	fresh.AddAll(docs...)
-	want, err := fresh.Count(ctx, pattern)
+	want, err := fresh.Count(ctx, spanjoin.Anchored(pattern))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Count(ctx, pattern)
+	got, err := c.Count(ctx, spanjoin.Anchored(pattern))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestInjectedCountPanicReleasesGate(t *testing.T) {
 	}
 	c.Add("zz")
 	disarm := resilience.Enable(resilience.FailCountDoc, resilience.PanicOnArg("zz", "injected"))
-	_, err := c.CountSearch(ctx, pattern)
+	_, err := c.Count(ctx, spanjoin.Search(pattern))
 	disarm()
 	var pe *spanjoin.PanicError
 	if !errors.As(err, &pe) {
@@ -327,7 +327,7 @@ func TestInjectedCountPanicReleasesGate(t *testing.T) {
 	if st := c.GateStats(); st.Active != 0 {
 		t.Fatalf("GateStats.Active = %d after a panicked count, want 0", st.Active)
 	}
-	if _, err := c.CountSearch(ctx, pattern); err != nil {
+	if _, err := c.Count(ctx, spanjoin.Search(pattern)); err != nil {
 		t.Fatalf("count after a panicked count: %v", err)
 	}
 }

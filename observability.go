@@ -13,7 +13,7 @@ import (
 // traced per stage by attaching a QueryTrace to its context.
 //
 //	ctx, tr := spanjoin.WithTrace(ctx)
-//	ms, _ := c.Eval(ctx, pattern)
+//	ms, _ := c.Eval(ctx, spanjoin.Anchored(pattern))
 //	... drain ...
 //	for _, s := range tr.Spans() {
 //	    fmt.Println(s.Stage, s.Dur)

@@ -42,7 +42,7 @@ func TestJoinCarriesPrefilter(t *testing.T) {
 	c.Add("ERROR but not the other word")
 	c.Add("disk fine")
 	c.Add("nothing at all")
-	ms, err := c.EvalSpanner(context.Background(), j)
+	ms, err := c.Eval(context.Background(), spanjoin.Of(j))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestProjectCarriesPrefilter(t *testing.T) {
 	// Corpus-level skip, observed through the stats.
 	c := spanjoin.NewCorpus(spanjoin.WithShards(3))
 	c.AddAll("an ERROR hit the disk", "clean run", "ERROR only")
-	cms, err := c.EvalSpanner(context.Background(), p)
+	cms, err := c.Eval(context.Background(), spanjoin.Of(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +158,8 @@ func TestUnionPrefilter(t *testing.T) {
 }
 
 // TestEvalQueryPrefilters is the regression test for the corpus fast path:
-// equality-free EvalQuery passed no requirement and scanned every
-// document. It must now prefilter identically to EvalSpanner, under both
+// equality-free query evaluation passed no requirement and scanned every
+// document. It must now prefilter identically to a spanner target, under both
 // the compiled fast path and the forced canonical per-document path.
 func TestEvalQueryPrefilters(t *testing.T) {
 	q := spanjoin.NewQuery().
@@ -181,7 +181,7 @@ func TestEvalQueryPrefilters(t *testing.T) {
 		nil, // fast path (equality-free, compiled once)
 		{spanjoin.WithStrategy(spanjoin.StrategyCanonical)}, // per-document path
 	} {
-		ms, err := c.EvalQuery(context.Background(), q, opts...)
+		ms, err := c.Eval(context.Background(), spanjoin.OfQuery(q), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestEvalQueryAgreesWithIterate(t *testing.T) {
 		for sname, strat := range strategies {
 			c := spanjoin.NewCorpus(spanjoin.WithShards(3))
 			ids := c.AddAll(docs...)
-			ms, err := c.EvalQuery(context.Background(), q, spanjoin.WithStrategy(strat))
+			ms, err := c.Eval(context.Background(), spanjoin.OfQuery(q), spanjoin.WithStrategy(strat))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,7 +326,7 @@ func TestIndexedCorpusMatchesUnindexed(t *testing.T) {
 	}
 	sp := spanjoin.MustCompileSearch(`x{ERROR}`)
 	run := func(c *spanjoin.Corpus) (map[spanjoin.DocID]int, spanjoin.EvalStats) {
-		ms, err := c.EvalSpanner(context.Background(), sp)
+		ms, err := c.Eval(context.Background(), spanjoin.Of(sp))
 		if err != nil {
 			t.Fatal(err)
 		}

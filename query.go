@@ -237,7 +237,8 @@ func (q *Query) Iterate(doc string, opts ...Option) (*Matches, error) {
 // IterateCtx is Iterate with cancellation: the returned iterator checks
 // ctx periodically and stops once it is done. After Next returns ok=false,
 // a cancelled iteration is indistinguishable from exhaustion here; use
-// Corpus.EvalQuery when the distinction matters (its stream reports Err).
+// Corpus.Eval with an OfQuery target when the distinction matters (its
+// stream reports Err).
 func (q *Query) IterateCtx(ctx context.Context, doc string, opts ...Option) (*Matches, error) {
 	o := buildOptions(opts)
 	it, err := q.cq.Enumerate(doc, o)

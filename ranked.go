@@ -116,6 +116,13 @@ func (s *Spanner) rankedOpts(doc string, o core.Options) (*Ranked, error) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), o.Timeout)
 	defer cancel()
+	return rankedOn(ctx, p, doc)
+}
+
+// rankedOn builds doc's ranked view on plan p, interrupting the layered-
+// graph build once ctx is done: an interrupted build reports ctx's error
+// instead of an empty view.
+func rankedOn(ctx context.Context, p *enum.Plan, doc string) (*Ranked, error) {
 	e := p.NewEnumerator()
 	e.SetInterrupt(func() bool { return ctx.Err() != nil })
 	e.Reset(doc)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -31,16 +32,16 @@ const resiliencePattern = `x{(ab)+}`
 
 // TestErrorTaxonomy pins the public failure modes: each limit violation
 // surfaces as its distinct typed error, detectable with errors.Is /
-// errors.As, at both the pattern path (EvalSearch) and the query path
-// (EvalQuery).
+// errors.As, at both the pattern path (a Search target) and the query
+// path (an OfQuery target).
 func TestErrorTaxonomy(t *testing.T) {
 	q := spanjoin.NewQuery().Atom(`.*x{(ab)+}.*`).MustBuild()
 	eval := map[string]func(c *spanjoin.Corpus, opts ...spanjoin.Option) (*spanjoin.CorpusMatches, error){
 		"spanner": func(c *spanjoin.Corpus, opts ...spanjoin.Option) (*spanjoin.CorpusMatches, error) {
-			return c.EvalSearch(context.Background(), resiliencePattern, opts...)
+			return c.Eval(context.Background(), spanjoin.Search(resiliencePattern), opts...)
 		},
 		"query": func(c *spanjoin.Corpus, opts ...spanjoin.Option) (*spanjoin.CorpusMatches, error) {
-			return c.EvalQuery(context.Background(), q, opts...)
+			return c.Eval(context.Background(), spanjoin.OfQuery(q), opts...)
 		},
 	}
 	for name, ev := range eval {
@@ -139,13 +140,13 @@ func TestErrorTaxonomy(t *testing.T) {
 // streams.
 func TestCountHonorsLimits(t *testing.T) {
 	c := resilienceCorpus(t)
-	_, err := c.CountSearch(context.Background(), resiliencePattern, spanjoin.WithTimeout(time.Nanosecond))
+	_, err := c.Count(context.Background(), spanjoin.Search(resiliencePattern), spanjoin.WithTimeout(time.Nanosecond))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("count with expired deadline: %v, want DeadlineExceeded", err)
 	}
 
 	g := resilienceCorpus(t, spanjoin.WithMaxConcurrent(1), spanjoin.WithResultBuffer(1), spanjoin.WithWorkers(1))
-	ms, err := g.EvalSearch(context.Background(), resiliencePattern)
+	ms, err := g.Eval(context.Background(), spanjoin.Search(resiliencePattern))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestCountHonorsLimits(t *testing.T) {
 	if _, ok := ms.Next(); !ok {
 		t.Fatal("holder query produced nothing")
 	}
-	if _, err := g.CountSearch(context.Background(), resiliencePattern); !errors.Is(err, spanjoin.ErrOverloaded) {
+	if _, err := g.Count(context.Background(), spanjoin.Search(resiliencePattern)); !errors.Is(err, spanjoin.ErrOverloaded) {
 		t.Fatalf("count under overload: %v, want ErrOverloaded", err)
 	}
 	// spanlint/closecheck: the undrained holder must not have faulted.
@@ -164,13 +165,13 @@ func TestCountHonorsLimits(t *testing.T) {
 	// A count admitted on the only slot whose deadline then fires gives
 	// the slot back: the gate is idle and the next count is admitted.
 	one := resilienceCorpus(t, spanjoin.WithMaxConcurrent(1))
-	if _, err := one.CountSearch(context.Background(), resiliencePattern, spanjoin.WithTimeout(time.Nanosecond)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := one.Count(context.Background(), spanjoin.Search(resiliencePattern), spanjoin.WithTimeout(time.Nanosecond)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("count with expired deadline: %v, want DeadlineExceeded", err)
 	}
 	if st := one.GateStats(); st.Active != 0 {
 		t.Fatalf("GateStats.Active = %d after a timed-out count, want 0", st.Active)
 	}
-	if _, err := one.CountSearch(context.Background(), resiliencePattern); err != nil {
+	if _, err := one.Count(context.Background(), spanjoin.Search(resiliencePattern)); err != nil {
 		t.Fatalf("count after a timed-out count: %v", err)
 	}
 }
@@ -186,12 +187,12 @@ func TestPageBuildHonorsDeadline(t *testing.T) {
 	c.Add(strings.Repeat("a", 512<<10) + "b")
 	ctx := context.Background()
 	// An untimed page fills the pattern's count memo.
-	page, err := c.EvalSearchPage(ctx, "x{b}", 0, 1)
+	page, err := c.Page(ctx, spanjoin.Search("x{b}"), 0, 1)
 	if err != nil || len(page.Matches) != 1 {
 		t.Fatalf("untimed page: %v, %v", page, err)
 	}
 	t0 := time.Now()
-	page, err = c.EvalSearchPage(ctx, "x{b}", 0, 1, spanjoin.WithTimeout(2*time.Millisecond))
+	page, err = c.Page(ctx, spanjoin.Search("x{b}"), 0, 1, spanjoin.WithTimeout(2*time.Millisecond))
 	elapsed := time.Since(t0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("page past its deadline: %v, %v; want DeadlineExceeded", page, err)
@@ -201,11 +202,34 @@ func TestPageBuildHonorsDeadline(t *testing.T) {
 	}
 }
 
+// TestSampleBuildHonorsDeadline is TestPageBuildHonorsDeadline for
+// Sample: with the count served from the count memo, the drawn document's
+// ranked-view build is the draw's only document-length-dependent work,
+// and the sample's deadline must interrupt it and fail the sample.
+func TestSampleBuildHonorsDeadline(t *testing.T) {
+	c := spanjoin.NewCorpus()
+	c.Add(strings.Repeat("a", 512<<10) + "b")
+	ctx := context.Background()
+	// An untimed count fills the pattern's count memo.
+	if n, err := c.Count(ctx, spanjoin.Search("x{b}")); err != nil || n.String() != "1" {
+		t.Fatalf("untimed count: %v, %v", n, err)
+	}
+	t0 := time.Now()
+	ms, err := c.Sample(ctx, spanjoin.Search("x{b}"), rand.New(rand.NewSource(1)), 1, spanjoin.WithTimeout(2*time.Millisecond))
+	elapsed := time.Since(t0)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("sample past its deadline: %v, %v; want DeadlineExceeded", ms, err)
+	}
+	if elapsed > 100*time.Millisecond {
+		t.Fatalf("sample failed after %v; the build must stop at the deadline", elapsed)
+	}
+}
+
 // TestQueueAdmitsFIFO: with a one-deep queue, a second query waits for
 // the slot instead of shedding, and a third sheds.
 func TestQueueAdmitsFIFO(t *testing.T) {
 	c := resilienceCorpus(t, spanjoin.WithMaxConcurrent(1), spanjoin.WithMaxQueue(1), spanjoin.WithResultBuffer(1), spanjoin.WithWorkers(1))
-	ms, err := c.EvalSearch(context.Background(), resiliencePattern)
+	ms, err := c.Eval(context.Background(), spanjoin.Search(resiliencePattern))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +239,7 @@ func TestQueueAdmitsFIFO(t *testing.T) {
 
 	queuedDone := make(chan error, 1)
 	go func() {
-		q, err := c.EvalSearch(context.Background(), resiliencePattern)
+		q, err := c.Eval(context.Background(), spanjoin.Search(resiliencePattern))
 		if err != nil {
 			queuedDone <- err
 			return
@@ -238,7 +262,7 @@ func TestQueueAdmitsFIFO(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Queue full: a third query sheds.
-	if _, err := c.EvalSearch(context.Background(), resiliencePattern); !errors.Is(err, spanjoin.ErrOverloaded) {
+	if _, err := c.Eval(context.Background(), spanjoin.Search(resiliencePattern)); !errors.Is(err, spanjoin.ErrOverloaded) {
 		t.Fatalf("third query err = %v, want ErrOverloaded", err)
 	}
 	// spanlint/closecheck: the holder must not have faulted while parked.
@@ -257,7 +281,7 @@ func TestQueueAdmitsFIFO(t *testing.T) {
 func TestCorpusMatchesCloseConcurrent(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		c := resilienceCorpus(t, spanjoin.WithResultBuffer(1))
-		ms, err := c.EvalSearch(context.Background(), resiliencePattern)
+		ms, err := c.Eval(context.Background(), spanjoin.Search(resiliencePattern))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +347,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	t.Run("drained", func(t *testing.T) {
 		leakcheck.Check(t, func() {
 			c := resilienceCorpus(t)
-			ms, err := c.EvalSearch(context.Background(), resiliencePattern)
+			ms, err := c.Eval(context.Background(), spanjoin.Search(resiliencePattern))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +357,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	t.Run("closed-early", func(t *testing.T) {
 		leakcheck.Check(t, func() {
 			c := resilienceCorpus(t, spanjoin.WithResultBuffer(1))
-			ms, err := c.EvalSearch(context.Background(), resiliencePattern)
+			ms, err := c.Eval(context.Background(), spanjoin.Search(resiliencePattern))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,7 +373,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		leakcheck.Check(t, func() {
 			c := resilienceCorpus(t, spanjoin.WithResultBuffer(1))
 			ctx, cancel := context.WithCancel(context.Background())
-			ms, err := c.EvalSearch(ctx, resiliencePattern)
+			ms, err := c.Eval(ctx, spanjoin.Search(resiliencePattern))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,7 +385,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	t.Run("deadline", func(t *testing.T) {
 		leakcheck.Check(t, func() {
 			c := resilienceCorpus(t)
-			ms, err := c.EvalSearch(context.Background(), resiliencePattern, spanjoin.WithTimeout(time.Nanosecond))
+			ms, err := c.Eval(context.Background(), spanjoin.Search(resiliencePattern), spanjoin.WithTimeout(time.Nanosecond))
 			if err != nil {
 				return
 			}
@@ -371,12 +395,12 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	t.Run("shed", func(t *testing.T) {
 		leakcheck.Check(t, func() {
 			c := resilienceCorpus(t, spanjoin.WithMaxConcurrent(1), spanjoin.WithResultBuffer(1), spanjoin.WithWorkers(1))
-			ms, err := c.EvalSearch(context.Background(), resiliencePattern)
+			ms, err := c.Eval(context.Background(), spanjoin.Search(resiliencePattern))
 			if err != nil {
 				t.Fatal(err)
 			}
 			ms.Next()
-			if _, err := c.EvalSearch(context.Background(), resiliencePattern); !errors.Is(err, spanjoin.ErrOverloaded) {
+			if _, err := c.Eval(context.Background(), spanjoin.Search(resiliencePattern)); !errors.Is(err, spanjoin.ErrOverloaded) {
 				t.Fatalf("err = %v, want ErrOverloaded", err)
 			}
 			// spanlint/closecheck: check the holder before releasing it.
@@ -400,11 +424,11 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		run  func(ctx context.Context, c *spanjoin.Corpus, timeout time.Duration) error
 	}{
 		{"count", func(ctx context.Context, c *spanjoin.Corpus, timeout time.Duration) error {
-			_, err := c.Count(ctx, pattern, timeoutOpts(timeout)...)
+			_, err := c.Count(ctx, spanjoin.Anchored(pattern), timeoutOpts(timeout)...)
 			return err
 		}},
 		{"page", func(ctx context.Context, c *spanjoin.Corpus, timeout time.Duration) error {
-			_, err := c.EvalPage(ctx, pattern, 5, 10, timeoutOpts(timeout)...)
+			_, err := c.Page(ctx, spanjoin.Anchored(pattern), 5, 10, timeoutOpts(timeout)...)
 			return err
 		}},
 		{"batch", func(ctx context.Context, _ *spanjoin.Corpus, timeout time.Duration) error {
@@ -451,7 +475,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		leakcheck.Check(t, func() {
 			c := resilienceCorpus(t, spanjoin.WithResultBuffer(1))
 			func() {
-				ms, err := c.EvalSearch(context.Background(), resiliencePattern)
+				ms, err := c.Eval(context.Background(), spanjoin.Search(resiliencePattern))
 				if err != nil {
 					t.Fatal(err)
 				}

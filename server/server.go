@@ -311,6 +311,20 @@ func modeOf(r *http.Request) (string, error) {
 	}
 }
 
+// targetOf reads the corpus target of /count and /sample: the pattern q
+// compiled under the request's mode.
+func targetOf(r *http.Request, what string) (spanjoin.Target, error) {
+	pattern := r.URL.Query().Get("q")
+	if pattern == "" {
+		return spanjoin.Target{}, fmt.Errorf("q is required (the pattern to %s)", what)
+	}
+	mode, err := modeOf(r)
+	if err != nil {
+		return spanjoin.Target{}, err
+	}
+	return spanjoin.Cursor{Mode: mode, Pattern: pattern}.Target()
+}
+
 // pageLimitOf resolves /eval's limit and /sample's n against the
 // configured page clamp.
 func (s *Server) pageLimitOf(r *http.Request, param string, def int) (int, error) {
@@ -430,20 +444,12 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 // deadline, or panic) that fires mid-evaluation still maps onto a real
 // HTTP status — 413 carrying the partial rows, per the error contract.
 func (s *Server) evalBudgeted(w http.ResponseWriter, r *http.Request, cur spanjoin.Cursor, limit, budget int, timeout time.Duration) {
-	opts := []spanjoin.Option{spanjoin.WithTimeout(timeout), spanjoin.WithLimit(limit), spanjoin.WithBudget(budget)}
-	var (
-		ms  *spanjoin.CorpusMatches
-		err error
-	)
-	switch cur.Mode {
-	case "", "anchor":
-		ms, err = s.corpus.Eval(r.Context(), cur.Pattern, opts...)
-	case "search":
-		ms, err = s.corpus.EvalSearch(r.Context(), cur.Pattern, opts...)
-	default:
-		s.badRequest(w, "unknown mode %q", cur.Mode)
+	target, err := cur.Target()
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
+	ms, err := s.corpus.Eval(r.Context(), target, spanjoin.WithTimeout(timeout), spanjoin.WithLimit(limit), spanjoin.WithBudget(budget))
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -495,12 +501,7 @@ type CountBody struct {
 // handleCount serves the exact corpus-wide result count — the count
 // kernel through the shard workers, no enumeration anywhere.
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	pattern := r.URL.Query().Get("q")
-	if pattern == "" {
-		s.badRequest(w, "q is required (the pattern to count)")
-		return
-	}
-	mode, err := modeOf(r)
+	target, err := targetOf(r, "count")
 	if err != nil {
 		s.badRequest(w, "%v", err)
 		return
@@ -510,12 +511,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "%v", err)
 		return
 	}
-	var n spanjoin.MatchCount
-	if mode == "search" {
-		n, err = s.corpus.CountSearch(r.Context(), pattern, spanjoin.WithTimeout(timeout))
-	} else {
-		n, err = s.corpus.Count(r.Context(), pattern, spanjoin.WithTimeout(timeout))
-	}
+	n, err := s.corpus.Count(r.Context(), target, spanjoin.WithTimeout(timeout))
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -529,13 +525,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 // result set as NDJSON rows plus a trailer. The same seed draws the same
 // matches, so sampling is reproducible over the wire.
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	pattern := q.Get("q")
-	if pattern == "" {
-		s.badRequest(w, "q is required (the pattern to sample)")
-		return
-	}
-	mode, err := modeOf(r)
+	target, err := targetOf(r, "sample")
 	if err != nil {
 		s.badRequest(w, "%v", err)
 		return
@@ -551,19 +541,13 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	seed := int64(1)
-	if p := q.Get("seed"); p != "" {
+	if p := r.URL.Query().Get("seed"); p != "" {
 		if seed, err = strconv.ParseInt(p, 10, 64); err != nil || seed < 0 {
 			s.badRequest(w, "bad seed %q (want a non-negative integer)", p)
 			return
 		}
 	}
-	rng := rand.New(rand.NewSource(seed))
-	var ms []spanjoin.CorpusMatch
-	if mode == "search" {
-		ms, err = s.corpus.SampleSearch(r.Context(), pattern, rng, n, spanjoin.WithTimeout(timeout))
-	} else {
-		ms, err = s.corpus.Sample(r.Context(), pattern, rng, n, spanjoin.WithTimeout(timeout))
-	}
+	ms, err := s.corpus.Sample(r.Context(), target, rand.New(rand.NewSource(seed)), n, spanjoin.WithTimeout(timeout))
 	if err != nil {
 		s.writeError(w, err)
 		return

@@ -52,7 +52,7 @@ const testPattern = `.*x{mail}.*`
 
 // TestEvalRoundTripByteIdentical is the acceptance e2e: pagination over
 // the socket, resumed through cursor tokens, must be byte-identical to
-// driving Corpus.EvalSpannerPage directly — same rows, same order, same
+// driving Corpus.Page directly — same rows, same order, same
 // wire encoding.
 func TestEvalRoundTripByteIdentical(t *testing.T) {
 	corpus, cl, _ := newTestServer(t, testDocs(), server.Config{}, spanjoin.WithShards(3))
@@ -67,7 +67,7 @@ func TestEvalRoundTripByteIdentical(t *testing.T) {
 	// conversion the server uses.
 	var want []string
 	for off := uint64(0); ; off += limit {
-		page, err := corpus.EvalSpannerPage(ctx, sp, off, limit)
+		page, err := corpus.Page(ctx, spanjoin.Of(sp), off, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestOverloadShedsWith429(t *testing.T) {
 func TestCountAndSampleOverWire(t *testing.T) {
 	corpus, cl, _ := newTestServer(t, testDocs(), server.Config{})
 	ctx := context.Background()
-	want, err := corpus.Count(ctx, testPattern)
+	want, err := corpus.Count(ctx, spanjoin.Anchored(testPattern))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestStatsOverWire(t *testing.T) {
 func TestSearchModeOverWire(t *testing.T) {
 	corpus, cl, _ := newTestServer(t, testDocs(), server.Config{})
 	ctx := context.Background()
-	want, err := corpus.CountSearch(ctx, `x{mail}`)
+	want, err := corpus.Count(ctx, spanjoin.Search(`x{mail}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestCorpusMatchesCloseThenErr(t *testing.T) {
 	c := abandonCorpus(t)
 	leakcheck.Check(t, func() {
 		for i := 0; i < 200; i++ {
-			ms, err := c.Eval(context.Background(), `.*x{mail}.*`)
+			ms, err := c.Eval(context.Background(), spanjoin.Anchored(`.*x{mail}.*`))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +65,7 @@ func TestCorpusMatchesCloseErrHammer(t *testing.T) {
 	c := abandonCorpus(t)
 	leakcheck.Check(t, func() {
 		for i := 0; i < 60; i++ {
-			ms, err := c.Eval(context.Background(), `.*x{mail}.*`)
+			ms, err := c.Eval(context.Background(), spanjoin.Anchored(`.*x{mail}.*`))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestCorpusMatchesCloseKeepsRealErrors(t *testing.T) {
 	c := abandonCorpus(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	ms, err := c.Eval(ctx, `.*x{mail}.*`, spanjoin.WithTimeout(time.Nanosecond))
+	ms, err := c.Eval(ctx, spanjoin.Anchored(`.*x{mail}.*`), spanjoin.WithTimeout(time.Nanosecond))
 	if err != nil {
 		t.Skipf("evaluation failed synchronously: %v", err)
 	}

@@ -33,7 +33,7 @@ func TestCompiledTableBuiltOncePerCachedQuery(t *testing.T) {
 
 	pattern := `(a|b)*x{a+}(a|b)*`
 	before := vsa.TableBuildCount()
-	ms, err := c.Eval(context.Background(), pattern)
+	ms, err := c.Eval(context.Background(), spanjoin.Anchored(pattern))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestCompiledTableBuiltOncePerCachedQuery(t *testing.T) {
 		t.Fatal("test pattern matched nothing")
 	}
 	for i := 0; i < 3; i++ {
-		ms, err := c.Eval(context.Background(), pattern)
+		ms, err := c.Eval(context.Background(), spanjoin.Anchored(pattern))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,21 +57,21 @@ func TestCompiledTableBuiltOncePerCachedQuery(t *testing.T) {
 		t.Fatalf("cache hits = %d, want ≥ 3 (the table-once guarantee rides on the cache)", st.Hits)
 	}
 
-	// The equality-free EvalQuery fast path memoizes its plan on the Query.
+	// An equality-free OfQuery target memoizes its plan on the Query.
 	q := spanjoin.NewQuery().Atom(`(a|b)*x{a+}(a|b)*`).MustBuild()
 	before = vsa.TableBuildCount()
-	qm1, err := c.EvalQuery(context.Background(), q)
+	qm1, err := c.Eval(context.Background(), spanjoin.OfQuery(q))
 	if err != nil {
 		t.Fatal(err)
 	}
 	n1 := drainCorpus(t, qm1)
-	qm2, err := c.EvalQuery(context.Background(), q)
+	qm2, err := c.Eval(context.Background(), spanjoin.OfQuery(q))
 	if err != nil {
 		t.Fatal(err)
 	}
 	n2 := drainCorpus(t, qm2)
 	if n1 != n2 {
-		t.Fatalf("repeated EvalQuery disagrees: %d vs %d", n1, n2)
+		t.Fatalf("repeated Eval of the query disagrees: %d vs %d", n1, n2)
 	}
 	if got := vsa.TableBuildCount() - before; got != 1 {
 		t.Fatalf("query plan's table built %d times across 2 evaluations, want exactly 1", got)
@@ -88,14 +88,14 @@ func TestZeroCandidateQueryBuildsNoTable(t *testing.T) {
 	c.AddAll("alice sent mail", "bob read mail", "carol", "")
 
 	before := vsa.TableBuildCount()
-	n, err := c.CountSearch(context.Background(), `x{zebra}`)
+	n, err := c.Count(context.Background(), spanjoin.Search(`x{zebra}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u, ok := n.Uint64(); !ok || u != 0 {
-		t.Fatalf("CountSearch = %v, want 0", n)
+		t.Fatalf("Count = %v, want 0", n)
 	}
-	pg, err := c.EvalSearchPage(context.Background(), `y{quokka} z{[a-z]+}`, 0, 10)
+	pg, err := c.Page(context.Background(), spanjoin.Search(`y{quokka} z{[a-z]+}`), 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
