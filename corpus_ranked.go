@@ -21,9 +21,10 @@ import (
 
 // Count returns the exact number of the target's matches across every
 // document — with no enumeration for a plan-backed target: shard workers
-// aggregate per-document counts from the count kernel (a matrix sweep and
-// a two-level subset count per document, no graph, cost independent of
-// its result count), and documents the prefilter or skip index excludes
+// aggregate per-document counts from the count kernel (one pass per
+// document over the plan's lazily determinized count automaton, no graph,
+// cost independent of its result count), and documents the prefilter or
+// skip index excludes
 // count as 0 without being visited. A per-document query target counts by
 // draining each document's evaluation — still parallel and still
 // prefiltered. An Anchored or Search target's count memo keeps every

@@ -38,9 +38,11 @@ type docCounter func(doc string) (ranked.Count, error)
 
 // CountPlan counts the plan's results over every document of the
 // snapshot without enumerating any of them: shard workers run the count
-// kernel per document (enum.Enumerator.CountDoc: the matrix sweep and a
-// two-level subset count, no graph and no DAG; cost independent of that
-// document's result count) and aggregate. Documents the prefilter
+// kernel per document (enum.Enumerator.CountDoc: one pass over the plan's
+// lazily determinized count automaton, whose cached steps every later
+// document and sweep of the plan reuses; no graph and no DAG, and cost
+// independent of that document's result count) and aggregate. Documents
+// the prefilter
 // excludes — skip-index non-candidates and literal-scan failures — count
 // as 0 without being visited. perDoc additionally collects the non-zero
 // per-document counts.
@@ -168,8 +170,9 @@ type PageResult struct {
 // PagePlan serves offset/limit pagination over the snapshot in ascending
 // DocID order, in two phases: the corpus-wide counting sweep runs through
 // CountPlan's shard workers (parallel, skip-index aware, no enumeration
-// and no graph anywhere, and — given the plan's memo — visiting only
-// documents the memo has not counted yet), then the window — located in
+// and no graph anywhere, each document one pass over the plan's count
+// automaton, and — given the plan's memo — visiting only documents the
+// memo has not counted yet), then the window — located in
 // the per-document prefix sums — is entered with a single DAG descent and
 // streamed from only the documents it intersects, one graph build each,
 // on graph arenas drawn from the process-wide pool and returned to it.

@@ -152,11 +152,11 @@ func (g *graph) retainedBytes() int {
 	return b
 }
 
-// prepScratch holds the transient buffers of one graph build or count:
-// forward and backward level rows, the flattened rawEdges arrays, the
-// letter grouping counters and the count kernel's level tables. Instances
-// are pooled so even fresh Prepare calls reuse the allocations of earlier
-// ones.
+// prepScratch holds the transient buffers of one graph build: forward and
+// backward level rows, the flattened rawEdges arrays and the letter
+// grouping counters. Instances are pooled so even fresh Prepare calls
+// reuse the allocations of earlier ones. Counts use none of it: CountDoc
+// runs on the plan's count DFAs.
 type prepScratch struct {
 	fwd   bitset.Matrix // (N+1)×n: boundary-state sets per level
 	alive bitset.Matrix // (N+1)×n: backward-reachability prune
@@ -184,9 +184,6 @@ type prepScratch struct {
 	cnt      []int32
 	pos      []int32
 	distinct []int32
-
-	// The count kernel's two levels of state sets (CountDoc).
-	count [2]subsetTable
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(prepScratch) }}
@@ -221,11 +218,7 @@ func (sc *prepScratch) retainedBytes() int {
 	b += 4 * (cap(sc.stateIdx) + cap(sc.lsArena) + cap(sc.edgeOwner) +
 		cap(sc.edgeTgt) + cap(sc.rowStates) + cap(sc.groupStart) +
 		cap(sc.cnt) + cap(sc.pos) + cap(sc.distinct))
-	b += 8 * (cap(sc.lsSpan) + cap(sc.edgeSpan) + cap(sc.lvlEdge))
-	for i := range sc.count {
-		b += sc.count[i].retainedBytes()
-	}
-	return b
+	return b + 8*(cap(sc.lsSpan)+cap(sc.edgeSpan)+cap(sc.lvlEdge))
 }
 
 func (sc *prepScratch) init(n, N, letters int) {
@@ -475,7 +468,8 @@ func (e *Enumerator) buildMatrix(s string) {
 // the states from which (N, qf) is reachable, a word-parallel row∩alive
 // test per state, leaving alive.Row(i) = the nodes of level i. It reports
 // false when no run accepts s or the interrupt fired. buildMatrix links
-// the alive nodes into the graph; CountDoc counts words over them.
+// the alive nodes into the graph. CountDoc needs no prune and runs a
+// single forward pass of its own.
 //
 //spanjoin:hotpath
 func (e *Enumerator) sweepAlive(sc *prepScratch, s string, tt *vsa.TransitionTable) bool {

@@ -1,6 +1,7 @@
 package enum_test
 
 import (
+	"strings"
 	"testing"
 
 	"spanjoin/internal/enum"
@@ -73,10 +74,14 @@ func BenchmarkMembershipVsEnumeration(b *testing.B) {
 	})
 }
 
-// BenchmarkCountDoc compares the two ways to count one document's results:
-// the count kernel (matrix sweep + two-level subset count) and a graph
-// build followed by the ranked DAG, on a search pattern over a 4 KiB
-// text-like document.
+// BenchmarkCountDoc compares the two ways to count one document's results
+// — the count kernel (CountDoc: one pass over the plan's count DFA) and a
+// graph build followed by the ranked DAG — on a search pattern over a 4 KiB
+// text-like document. Then it times the kernel on four shapes hostile to a
+// subset construction: the classic 2¹³-subset blow-up over random {a,b}
+// text, the same with a capture, two unanchored captures, and a 2,060-state
+// automaton whose levels hold a thousand sets each. Every kernel case is
+// timed on a DFA that one count before the loop warmed.
 func BenchmarkCountDoc(b *testing.B) {
 	p, err := enum.NewPlan(rgx.MustCompilePattern(`.*mail{[a-z]+@[a-z]+\.[a-z]+}.*`))
 	if err != nil {
@@ -86,6 +91,7 @@ func BenchmarkCountDoc(b *testing.B) {
 	e := p.NewEnumerator()
 	b.Run("kernel", func(b *testing.B) {
 		b.ReportAllocs()
+		e.CountDoc(s)
 		for b.Loop() {
 			e.CountDoc(s)
 		}
@@ -97,4 +103,25 @@ func BenchmarkCountDoc(b *testing.B) {
 			e.Rank().Count()
 		}
 	})
+	ab := workload.RandomString(workload.Rand(4), 4096, 2)
+	tail := strings.Repeat("(a|b)", 12)
+	for _, h := range []struct{ name, pattern, doc string }{
+		{"blowup", "(a|b)*a" + tail, ab},
+		{"blowup-capture", "(a|b)*x{a}" + tail, ab},
+		{"two-captures", ".*x{a+}.*y{b+}.*", ab},
+		{"wide-automaton", ".*x{" + strings.Repeat("a", 1024) + "}.*", strings.Repeat("a", 4096)},
+	} {
+		p, err := enum.NewPlan(rgx.MustCompilePattern(h.pattern))
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := p.NewEnumerator()
+		b.Run(h.name, func(b *testing.B) {
+			b.ReportAllocs()
+			e.CountDoc(h.doc)
+			for b.Loop() {
+				e.CountDoc(h.doc)
+			}
+		})
+	}
 }

@@ -5,23 +5,24 @@ import (
 	"sync"
 	"time"
 
-	"spanjoin/internal/bitset"
 	"spanjoin/internal/span"
 	"spanjoin/internal/vsa"
 )
 
 // Plan is the document-independent compiled state of a functional
 // vset-automaton: the trimmed automaton, its closures and the interned
-// configuration letters, built by NewPlan, plus the kernels the builds read
-// — the byte-class transition table with its per-letter state masks, and
-// the level-linking lists — built once, on first use: the table when the
-// plan's first document is swept (by CountDoc or a graph build), the link
-// lists on its first graph build. A query whose documents the prefilter
-// excludes therefore builds neither, and a count-only query never builds
-// the link lists. A Plan is safe to share between any number of
-// enumerators and goroutines; the corpus compiled-query cache stores one
-// per cached query, so each kernel is paid for at most once per query
-// however many documents, workers and Eval calls consume it.
+// configuration letters, built by NewPlan, plus the kernels the builds and
+// counts read — the byte-class transition table, the level-linking lists
+// and the count DFAs — built on first use: the table when the plan's first
+// document is swept (by CountDoc or a graph build), the link lists on its
+// first graph build, and each count DFA a step at a time by the counts
+// that run on it. A query whose documents the prefilter excludes therefore
+// builds none of them, and a count-only query never builds the link lists.
+// A Plan is safe to share between any number of enumerators and
+// goroutines; the corpus compiled-query cache stores one per cached query,
+// so the table and link lists are paid for at most once per query however
+// many documents, workers and Eval calls consume it, and the count DFAs
+// keep every subset a count has determinized for the plan's later counts.
 type Plan struct {
 	vars      span.VarList
 	auto      *vsa.VSA
@@ -37,12 +38,15 @@ type Plan struct {
 	table   bool
 	charAdj [][]vsa.Tr
 
-	// The sweep kernels: tt, and letterMask, whose row l holds the states
-	// whose letter is l (the count kernel's per-letter split of a state
-	// set). Built under sweepOnce; read only after transitions returns.
-	sweepOnce  sync.Once
-	tt         *vsa.TransitionTable
-	letterMask *bitset.Matrix
+	// The transition table, built under sweepOnce; read only after
+	// transitions returns.
+	sweepOnce sync.Once
+	tt        *vsa.TransitionTable
+
+	// The idle count DFAs (CountDoc): a count takes one and puts it back,
+	// so concurrent counts never share one (see countDFA).
+	dfaMu sync.Mutex
+	dfas  []*countDFA
 
 	// The link lists, built under linkOnce (nil above the size cap).
 	linkOnce sync.Once
@@ -171,20 +175,12 @@ func newPlan(a *vsa.VSA, withTable bool) (*Plan, error) {
 	return p, nil
 }
 
-// transitions returns the byte-class transition table, building it and
-// the letter masks the first time any enumerator of the plan sweeps a
-// document. Callers read it once per document, never per byte.
+// transitions returns the byte-class transition table, building it the
+// first time any enumerator of the plan sweeps a document. Callers read
+// it once per document, never per byte.
 func (p *Plan) transitions() *vsa.TransitionTable {
-	p.sweepOnce.Do(p.buildSweepKernels)
+	p.sweepOnce.Do(func() { p.tt = vsa.NewTransitionTable(p.auto, p.cl) })
 	return p.tt
-}
-
-func (p *Plan) buildSweepKernels() {
-	p.tt = vsa.NewTransitionTable(p.auto, p.cl)
-	p.letterMask = bitset.NewMatrix(len(p.configs), p.auto.NumStates())
-	for q, l := range p.letterOf {
-		p.letterMask.Row(int(l)).Set(int32(q))
-	}
 }
 
 // linkLists returns the level-linking lists (nil above the size cap),

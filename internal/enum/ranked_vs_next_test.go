@@ -17,9 +17,10 @@ import (
 // count, WordAt(i) (decoded) against the i-th Next result for every i, and
 // SeekLetters against the tuple suffix starting at sampled positions.
 // CountDoc runs on the enumerator under test before the descents, which
-// therefore also check that it left the built graph and Rank intact. The
-// enumerator under test builds on arenas recycled from a longer
-// document's build, so every buffer shrinks onto stale contents.
+// therefore also check that it left the built graph and Rank intact, and
+// on a count DFA a longer document warmed first. The enumerator under
+// test builds on arenas recycled from a longer document's build, so every
+// buffer shrinks onto stale contents.
 func checkRankedVsNext(t *testing.T, a *vsa.VSA, s string) {
 	t.Helper()
 	p, err := NewPlan(a)
@@ -43,6 +44,7 @@ func checkRankedVsNext(t *testing.T, a *vsa.VSA, s string) {
 	if cnt != uint64(len(all)) {
 		t.Fatalf("Count = %d, drain found %d on %q", cnt, len(all), s)
 	}
+	p.NewEnumerator().CountDoc(s + s + "ab")
 	if k, fits := e.CountDoc(s).Uint64(); !fits || k != cnt {
 		t.Fatalf("CountDoc = %v, Rank().Count() = %d on %q", e.CountDoc(s), cnt, s)
 	}

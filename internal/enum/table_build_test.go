@@ -280,21 +280,23 @@ func TestScratchPoolDropsOversized(t *testing.T) {
 		t.Fatal("drop counter did not advance")
 	}
 
-	// The count kernel's level tables are accounted too: one level of
-	// 200,000 two-word sets outgrows the cap on its own.
-	wide := new(prepScratch)
-	tb := &wide.count[1]
-	tb.reset(2)
-	for i := uint64(0); i < 200_000; i++ {
-		key := tb.push()
-		key[0], key[1] = i, 0
-		tb.add(ranked.CountOf(1))
+	// Counts keep no scratch here: their bound is the count DFA's. A DFA
+	// whose interned sets outgrew maxDFABytes is dropped, not pooled.
+	p, err := NewPlan(rgx.MustCompilePattern(".*x{a+}.*"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if wide.retainedBytes() <= maxScratchRetain {
-		t.Fatalf("scratch with a wide count table accounts only %d bytes", wide.retainedBytes())
+	wide := p.takeDFA(p.transitions())
+	for i := int32(0); 4*len(wide.sets.keys) <= maxDFABytes; i++ {
+		wide.intern([]int32{i, i + 1})
 	}
-	if putScratch(wide) {
-		t.Fatal("scratch with an oversized count table must be dropped")
+	if wide.retainedBytes() <= maxDFABytes {
+		t.Fatalf("a DFA past its bound accounts only %d bytes", wide.retainedBytes())
+	}
+	dfaDrop := dfaDrops.Load()
+	p.putDFA(wide)
+	if len(p.dfas) != 0 || dfaDrops.Load() != dfaDrop+1 {
+		t.Fatal("a DFA past its bound must be dropped, not pooled")
 	}
 }
 
@@ -410,15 +412,15 @@ func TestKernelsBuiltOnFirstUse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.tt != nil || p.letterMask != nil || p.link != nil || p.charAdj != nil {
+		if p.tt != nil || p.dfas != nil || p.link != nil || p.charAdj != nil {
 			t.Fatal("NewPlan built a kernel")
 		}
 		e := p.NewEnumerator()
 		var got ranked.Count
 		if countFirst {
 			got = e.CountDoc(doc)
-			if p.tt == nil || p.letterMask == nil {
-				t.Fatal("CountDoc did not build the sweep kernels")
+			if p.tt == nil || len(p.dfas) != 1 {
+				t.Fatal("CountDoc did not build the table and a count DFA")
 			}
 			if p.link != nil || e.g != nil {
 				t.Fatal("a count-only plan holds link lists or graph arenas")
@@ -447,8 +449,11 @@ func TestKernelsBuiltOnFirstUse(t *testing.T) {
 
 // TestPlanKernelsFirstUseConcurrent: eight enumerators over one fresh plan
 // make its first CountDoc and Reset calls at once, half counting first and
-// half building first, so both kernels are built under contention. Every
-// result must match a sequential reference, and the plan builds one table.
+// half building first, so both kernels are built under contention. Then
+// each counts every worker's document, so the plan's count DFAs pass
+// between workers, and two 4 KiB documents on a second plan whose counts
+// flush their DFA. Every result must match a sequential reference, and the
+// first plan builds one table.
 func TestPlanKernelsFirstUseConcurrent(t *testing.T) {
 	a := rgx.MustCompilePattern(".*x{a+}.*y{b+}.*")
 	r := rand.New(rand.NewSource(8))
@@ -463,7 +468,13 @@ func TestPlanKernelsFirstUseConcurrent(t *testing.T) {
 		docs[w] = randDoc(r, 24+w)
 		want[w] = ref.Prepare(docs[w]).All()
 	}
-	before := vsa.TableBuildCount()
+	blowup, err := NewPlan(rgx.MustCompilePattern("(a|b)*x{a}(a|b)*a" + strings.Repeat("(a|b)", 12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := []string{randDoc(r, 4096), randDoc(r, 4096)}
+	longWant := []ranked.Count{rankCount(t, blowup, long[0]), rankCount(t, blowup, long[1])}
+	before, flushes := vsa.TableBuildCount(), dfaFlushes.Load()
 	p, err := NewPlan(a)
 	if err != nil {
 		t.Fatal(err)
@@ -493,11 +504,27 @@ func TestPlanKernelsFirstUseConcurrent(t *testing.T) {
 			if u, ok := n.Uint64(); !ok || u != uint64(len(want[w])) {
 				t.Errorf("worker %d: CountDoc = %v, want %d", w, n, len(want[w]))
 			}
+			for k := range docs {
+				o := (w + k) % workers
+				if u, ok := e.CountDoc(docs[o]).Uint64(); !ok || u != uint64(len(want[o])) {
+					t.Errorf("worker %d: CountDoc(doc %d) = %d, want %d", w, o, u, len(want[o]))
+				}
+			}
+			b := blowup.NewEnumerator()
+			for k := range long {
+				o := (w + k) % len(long)
+				if got := b.CountDoc(long[o]); got.String() != longWant[o].String() {
+					t.Errorf("worker %d: long doc %d counts %v, want %v", w, o, got, longWant[o])
+				}
+			}
 		}(w)
 	}
 	close(start)
 	wg.Wait()
 	if n := vsa.TableBuildCount() - before; n != 1 {
 		t.Fatalf("%d transition tables built for one plan, want 1", n)
+	}
+	if dfaFlushes.Load() == flushes {
+		t.Fatal("no count flushed its DFA")
 	}
 }

@@ -25,10 +25,11 @@
 // enumeration itself.
 //
 // A count alone needs neither the graph nor the DAG: enum's CountDoc runs
-// the same subset construction over state bitsets keeping only each
-// level's set counts, and corpus counting sweeps use it. Build serves the
-// descents (WordAt, SampleWord), Spanner.Count, Query.Count and Ranked,
-// and stays the reference the kernel is differentially tested against;
+// the subset construction on the automaton itself, determinized lazily and
+// cached on the compiled plan across documents, keeping only each level's
+// counts, and corpus counting sweeps use it. Build serves the descents
+// (WordAt, SampleWord), Spanner.Count, Query.Count and Ranked, and stays
+// the independent reference the kernel is differentially tested against;
 // both add with Count.
 package ranked
 
