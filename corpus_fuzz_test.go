@@ -245,7 +245,7 @@ func FuzzCorpusVsEval(f *testing.F) {
 
 		// The corpus fan-out (and Spanner.Eval) run on the byte-class
 		// compiled transition table; the preserved per-transition reference
-		// build is the independent witness that the matrix sweep built the
+		// build is the independent witness that the table build built the
 		// same graphs. One reference enumerator, Reset per document — the
 		// plan compiles once per fuzz input, not once per document.
 		re, err := enum.PrepareRef(rgx.MustCompilePattern(pattern), "")

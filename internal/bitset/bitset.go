@@ -80,7 +80,8 @@ func (r Row) Any() bool {
 }
 
 // Intersects reports whether r ∩ o is non-empty, without materializing the
-// intersection — the word-parallel liveness test of the backward prune.
+// intersection — the word-parallel liveness test of a build's backward
+// step.
 //
 //spanjoin:hotpath
 func (r Row) Intersects(o Row) bool {
@@ -171,28 +172,6 @@ func (m *Matrix) Rows() int { return m.rows }
 func (m *Matrix) Row(i int) Row {
 	off := i * m.words
 	return Row(m.bits[off : off+m.words : off+m.words])
-}
-
-// MulOr computes dst |= src × M over the Boolean semiring: for every set
-// bit p of src it ORs row p of the matrix into dst. This is the fused
-// row-times-matrix kernel of the enumerator's forward sweep — one call
-// advances a whole frontier through a precomposed transition matrix with
-// word operations only, no per-transition branches. src indexes the
-// matrix's rows; dst must span the matrix's column universe.
-//
-//spanjoin:hotpath
-func (m *Matrix) MulOr(dst, src Row) {
-	for wi, w := range src {
-		base := wi << wordShift
-		for w != 0 {
-			p := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			row := m.bits[p*m.words : (p+1)*m.words]
-			for k, rw := range row {
-				dst[k] |= rw
-			}
-		}
-	}
 }
 
 // CapWords reports the capacity of the backing word slice — the memory the

@@ -184,10 +184,9 @@ func TestResetAllocsSteadyState(t *testing.T) {
 		e.Reset(s)
 		drain()
 	}
-	// This assertion gates the matrix sweep and the bitset kernels it is
-	// fused from.
+	// This assertion gates the cached table build's two passes.
 	//
-	//spanjoin:allocgate spanjoin/internal/enum.(*Enumerator).buildMatrix spanjoin/internal/enum.(*Enumerator).sweepAlive spanjoin/internal/bitset.(*Matrix).MulOr spanjoin/internal/bitset.Row.Intersects
+	//spanjoin:allocgate spanjoin/internal/enum.(*buildCache).build
 	avg := alloctest.Run(t, 20, func() {
 		e.Reset(s)
 		drain()

@@ -16,8 +16,11 @@ import (
 // automaton: a lazily determinized automaton whose states are sets of
 // automaton states sharing one configuration letter (see countDFA). Level
 // i maps each such set P_i(w) — the states a word prefix w can reach — to
-// the number of prefixes reaching it. The start states are VE(Init) split
-// by letter, each with count 1; a byte moves every active state along its
+// the number of prefixes reaching it. Sets hold only the table's masked
+// states, those that read a byte plus qf (see vsa.TransitionTable): the
+// others have no successors and are never final, so dropping them changes
+// no count. The start states are the masked VE(Init) split by letter,
+// each with count 1; a byte moves every active state along its
 // successors under the byte's class — the set's matrix rows ORed together,
 // split by letter — adding its count to each. The total is the sum over
 // the level-|s| states that contain qf.
@@ -37,7 +40,7 @@ import (
 //
 // CountDoc leaves the enumerator's prepared document, cursor and Rank
 // untouched, and builds only the plan's transition table (on the plan's
-// first swept document), never its link lists or any graph arena. Plans
+// first swept document), never a build cache or any graph arena. Plans
 // compiled without a transition table (PrepareOnce, PrepareRef) have no
 // class matrices to determinize; there CountDoc falls back to Reset(s)
 // and Rank().Count(), replacing the prepared document.
@@ -53,7 +56,7 @@ func (e *Enumerator) CountDoc(s string) ranked.Count {
 		return e.Rank().Count()
 	}
 	tt := p.transitions()
-	d := p.takeDFA(tt)
+	d := p.takeDFA()
 	n := d.count(e, s, tt)
 	// Not deferred: a count that panics leaves its DFA mid-level, and the
 	// DFA is dropped with it.
@@ -96,9 +99,9 @@ var dfaFlushes, dfaDrops atomic.Uint64
 // position's first addend is stored complemented and sets the count.
 //
 // A DFA serves one count at a time: Plan.takeDFA hands it out and putDFA
-// takes it back, so the hot loop takes no lock. On a miss that finds the
-// cache holding more than limit bytes, the count flushes it and re-interns
-// the current level, RE2's policy, then carries on (see flush).
+// takes it back (see idle), so the hot loop takes no lock. On a miss that
+// finds the cache holding more than limit bytes, the count flushes it and
+// re-interns the current level, RE2's policy, then carries on (see flush).
 type countDFA struct {
 	nc int // the plan's byte classes
 
@@ -121,12 +124,6 @@ type countDFA struct {
 	limit int
 	full  bool
 
-	// steps holds the states that read a byte, and qf. A set keeps only
-	// these: the others have no successors and are never final, so
-	// dropping them changes no count, and the ε-closure states a
-	// Thompson automaton crowds into every set cost no key bytes.
-	steps bitset.Row
-
 	// Scratch of a cache miss or flush.
 	row      bitset.Row // the set's successor states
 	ones     []int32    // row's states, ascending
@@ -137,52 +134,33 @@ type countDFA struct {
 	keep     []int32    // a flush's sets: each one's length, then the set
 }
 
-func newCountDFA(p *Plan, nc int) *countDFA {
-	t := p.auto
+func newCountDFA(p *Plan) *countDFA {
 	d := &countDFA{
-		nc: nc, startLevel: -1,
-		steps: bitset.NewRow(t.NumStates()), row: bitset.NewRow(t.NumStates()),
+		nc: p.tt.NumClasses(), startLevel: -1,
+		row: bitset.NewRow(p.auto.NumStates()),
 		cnt: make([]int32, len(p.configs)),
 	}
-	for q, trs := range t.Adj {
-		for _, tr := range trs {
-			if tr.Kind == vsa.KChar {
-				d.steps.Set(int32(q))
-				break
-			}
-		}
-	}
-	d.steps.Set(t.Final)
 	d.sets.reset()
 	d.levels.reset()
 	return d
 }
 
 // takeDFA hands out one of the plan's idle count DFAs, or a new one.
-func (p *Plan) takeDFA(tt *vsa.TransitionTable) *countDFA {
-	p.dfaMu.Lock()
-	if n := len(p.dfas); n > 0 {
-		d := p.dfas[n-1]
-		p.dfas[n-1] = nil
-		p.dfas = p.dfas[:n-1]
-		p.dfaMu.Unlock()
+func (p *Plan) takeDFA() *countDFA {
+	if d, ok := p.dfas.take(); ok {
 		return d
 	}
-	p.dfaMu.Unlock()
-	return newCountDFA(p, tt.NumClasses())
+	return newCountDFA(p)
 }
 
 // putDFA returns d to the plan's idle list, or drops it once it retains
-// more than maxDFABytes. A DFA exists only while every other one is taken,
-// so the list holds at most one DFA per count that ran at the same time.
+// more than maxDFABytes.
 func (p *Plan) putDFA(d *countDFA) {
 	if d.retainedBytes() > maxDFABytes {
 		dfaDrops.Add(1)
 		return
 	}
-	p.dfaMu.Lock()
-	p.dfas = append(p.dfas, d)
-	p.dfaMu.Unlock()
+	p.dfas.put(d)
 }
 
 // count is CountDoc's forward pass over s, on uint64 counts. The hot loop
@@ -307,11 +285,11 @@ func (d *countDFA) countExact(e *Enumerator, s string, tt *vsa.TransitionTable) 
 	return total
 }
 
-// enterStart returns the start level: VE(Init)'s stepping states split by
-// letter, each reached by its one-letter prefix.
+// enterStart returns the start level: the masked VE(Init) split by
+// letter, each part reached by its one-letter prefix.
 func (d *countDFA) enterStart(p *Plan) int32 {
 	if d.startLevel < 0 {
-		d.row.CopyFrom(p.cl.VEB.Row(int(p.auto.Init)))
+		d.row.CopyFrom(p.tt.Start())
 		off := d.split(p)
 		d.startLevel = d.internLevel(d.succ[off+1 : off+1+d.succ[off]])
 	}
@@ -370,11 +348,10 @@ func (d *countDFA) miss(p *Plan, q int32, c int, m *bitset.Matrix) int32 {
 	return off
 }
 
-// split interns the per-letter parts of row's stepping states and appends
-// their list to succ, returning its offset. A counting sort groups the
-// states by letter, each group staying ascending.
+// split interns the per-letter parts of row's states and appends their
+// list to succ, returning its offset. A counting sort groups the states by
+// letter, each group staying ascending.
 func (d *countDFA) split(p *Plan) int32 {
-	d.row.And(d.steps)
 	d.ones = d.row.AppendOnes(d.ones[:0])
 	d.distinct = d.distinct[:0]
 	for _, q := range d.ones {
@@ -494,12 +471,13 @@ func (d *countDFA) retainedBytes() int {
 	b := 4 * (d.sets.capacity() + d.levels.capacity() +
 		cap(d.trans) + cap(d.succ) + cap(d.at) + cap(d.ltrans) + cap(d.prog) +
 		cap(d.ones) + cap(d.byLetter) + cap(d.cnt) + cap(d.distinct) + cap(d.level) + cap(d.keep))
-	return b + 8*(cap(d.cur)+cap(d.next)+cap(d.row)+cap(d.steps))
+	return b + 8*(cap(d.cur)+cap(d.next)+cap(d.row))
 }
 
-// subsetTable interns state lists — the count DFA's sets, sorted, and its
-// levels: an open-addressing hash table from a list to a dense id. The
-// lists sit back to back in one arena.
+// subsetTable interns int32 lists — the count DFA's sets, sorted, and its
+// levels; the build cache's forward and alive sets, sorted, and its
+// backward keys: an open-addressing hash table from a list to a dense id.
+// The lists sit back to back in one arena.
 type subsetTable struct {
 	keys   []int32 // the sets, back to back
 	bounds []int32 // set k is keys[bounds[k]:bounds[k+1]]

@@ -222,10 +222,11 @@ func TestCountDocDFAFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := strings.Repeat("a", m)
-	d := p.takeDFA(p.transitions())
+	tt := p.transitions()
+	d := p.takeDFA()
 	d.limit, d.full = 0, true
 	flushes := dfaFlushes.Load()
-	got := d.countExact(p.NewEnumerator(), doc, p.transitions())
+	got := d.countExact(p.NewEnumerator(), doc, tt)
 	if want := new(big.Int).Binomial(m+k, 2*k); got.BigInt().Cmp(want) != 0 {
 		t.Fatalf("flushed exact recount = %v, want C(%d,%d) = %v", got, m+k, 2*k, want)
 	}
@@ -254,10 +255,10 @@ func TestCountDocMemoryBounded(t *testing.T) {
 			t.Fatalf("CountDoc = %d, want %d", got, 4096-1024+1)
 		}
 	}
-	if dfaDrops.Load() != drops || len(p.dfas) != 1 {
-		t.Fatalf("the DFA was dropped (%d drops, %d pooled)", dfaDrops.Load()-drops, len(p.dfas))
+	if dfaDrops.Load() != drops || len(p.dfas.items) != 1 {
+		t.Fatalf("the DFA was dropped (%d drops, %d pooled)", dfaDrops.Load()-drops, len(p.dfas.items))
 	}
-	if b := p.dfas[0].retainedBytes(); b > maxDFABytes {
+	if b := p.dfas.items[0].retainedBytes(); b > maxDFABytes {
 		t.Fatalf("the pooled DFA retains %d bytes, over its %d bound", b, maxDFABytes)
 	}
 	if b := alloctest.Bytes(t, 3, func() { e.CountDoc(doc) }); b > 1024 {

@@ -11,21 +11,22 @@
 // without repetition, in the style of Ackerman–Shallit. Distinct tuples
 // correspond to distinct strings over K, so deduplication is inherent.
 //
-// State sets are packed bitset rows (internal/bitset), and all per-
-// (state, transition, byte) work happens at compile time: the Plan holds a
-// byte-class compiled transition table (vsa.TransitionTable) whose per-class
-// matrices pre-compose δ with the variable-ε closure, so the forward pass is
-// one fused row×matrix multiply per document position, the backward prune a
-// word-parallel intersection test per state, and per-level edges are read
-// straight off the matrix rows. Every document-independent artifact
-// (trimmed automaton, closures, letter table, transition table, link
-// lists) is computed at most once per Plan and shared; the kernels are
-// built on first use. An Enumerator is resettable: Reset(s) rebuilds the
-// layered graph for a new document into the enumerator's own arenas, so
-// streaming many documents through one compiled pattern allocates almost
-// nothing per document; transient build scratch is shared through a
-// sync.Pool even across fresh Prepare calls, and an enumerator's Release
-// hands its graph arenas to the next enumerator's first build.
+// All per-(state, transition, byte) work happens at compile time: the Plan
+// holds a byte-class compiled transition table (vsa.TransitionTable) whose
+// per-class bitset matrices pre-compose δ with the variable-ε closure. A
+// graph build runs through the plan's build caches, RE2's lazy-DFA idiom
+// applied to the layered graph: level i+1's forward set depends only on
+// level i's and the byte s[i], and level i's pruned nodes only on that set,
+// the byte and level i+1's pruned nodes, so each level is one cached
+// lookup per pass, computed from the class matrices the first time it
+// occurs, and the graph's levels point at immutable cached node slices.
+// Every document-independent artifact (trimmed automaton, closures, letter
+// table, transition table) is computed at most once per Plan and shared;
+// the kernels are built on first use. An Enumerator is resettable: Reset(s)
+// rebuilds the layered graph for a new document into the enumerator's own
+// arenas, so streaming many documents through one compiled pattern
+// allocates nothing per document on warm caches, and an enumerator's
+// Release hands its graph arenas to the next enumerator's first build.
 package enum
 
 import (
@@ -33,7 +34,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"spanjoin/internal/bitset"
 	"spanjoin/internal/ranked"
@@ -72,7 +72,7 @@ type Enumerator struct {
 	n     int // |s|
 	empty bool
 	// refBuild selects the preserved per-transition graph build instead of
-	// the byte-class matrix sweep (PrepareRef; differential testing only).
+	// the cached table build (PrepareRef; differential testing only).
 	refBuild bool
 
 	// g holds the graph and cursor buffers, drawn from graphPool by the
@@ -101,13 +101,16 @@ type Enumerator struct {
 }
 
 // graph holds an enumerator's plan-independent buffers: the layered graph
-// — its levels over one node arena, the letter, target and by-letter edge
-// arenas, and the virtual start's fan-out — and the enumeration cursor.
-// Every build reslices and refills them. Enumerators draw one from
-// graphPool on their first graph build and return it with Release, so
-// one-shot window builds reuse the arenas earlier ones grew.
+// — its levels, and the virtual start's fan-out — and the enumeration
+// cursor. A table build points the levels and the fan-out at its build
+// cache's templates and records its forward sets; the reference build
+// fills the node, letter, target and by-letter edge arenas. Every build
+// reslices and refills them. Enumerators draw one from graphPool on their
+// first graph build and return it with Release, so one-shot window builds
+// reuse the arenas earlier ones grew.
 type graph struct {
-	levels        [][]GraphNode // levels[i] views level i's run of nodes
+	levels        [][]GraphNode // levels[i] views level i's nodes
+	fwdSets       []int32       // a table build's forward set per level
 	nodes         []GraphNode
 	letterArena   []int32
 	tgtArena      []int32
@@ -141,10 +144,9 @@ func putGraph(g *graph) bool {
 // retainedBytes sums the capacity of every buffer g would carry back into
 // the pool.
 func (g *graph) retainedBytes() int {
-	const sliceHeader, nodeSize = int(unsafe.Sizeof([]int32(nil))), int(unsafe.Sizeof(GraphNode{}))
 	b := sliceHeader * (cap(g.levels) + cap(g.byLetterArena) + cap(g.sets) + cap(g.setsBuf))
-	b += nodeSize * cap(g.nodes)
-	b += 4 * (cap(g.letterArena) + cap(g.tgtArena) + cap(g.letters))
+	b += nodeBytes * cap(g.nodes)
+	b += 4 * (cap(g.fwdSets) + cap(g.letterArena) + cap(g.tgtArena) + cap(g.letters))
 	b += 8 * cap(g.mergeRow)
 	for _, buf := range g.setsBuf[:cap(g.setsBuf)] {
 		b += 4 * cap(buf)
@@ -152,11 +154,12 @@ func (g *graph) retainedBytes() int {
 	return b
 }
 
-// prepScratch holds the transient buffers of one graph build: forward and
-// backward level rows, the flattened rawEdges arrays and the letter
-// grouping counters. Instances are pooled so even fresh Prepare calls
-// reuse the allocations of earlier ones. Counts use none of it: CountDoc
-// runs on the plan's count DFAs.
+// prepScratch holds the transient buffers of one reference build
+// (buildTransitions): forward and backward level rows, the flattened
+// rawEdges arrays and the letter grouping counters. Instances are pooled
+// so even fresh Prepare calls reuse the allocations of earlier ones. Table
+// builds and counts use none of it: they run on the plan's build caches
+// and count DFAs.
 type prepScratch struct {
 	fwd   bitset.Matrix // (N+1)×n: boundary-state sets per level
 	alive bitset.Matrix // (N+1)×n: backward-reachability prune
@@ -173,12 +176,6 @@ type prepScratch struct {
 	edgeSpan  [][2]int32
 	edgeTgt   []int32
 	lvlEdge   [][2]int32
-
-	// rowStates materializes one matrix row's successor states during level
-	// linking (matrix build path only); groupStart tracks group boundaries
-	// during single-pass link-list emission.
-	rowStates  []int32
-	groupStart []int32
 
 	// Letter grouping scratch, sized by the letter count.
 	cnt      []int32
@@ -216,8 +213,7 @@ func putScratch(sc *prepScratch) bool {
 func (sc *prepScratch) retainedBytes() int {
 	b := 8 * (sc.fwd.CapWords() + sc.alive.CapWords() + cap(sc.succ))
 	b += 4 * (cap(sc.stateIdx) + cap(sc.lsArena) + cap(sc.edgeOwner) +
-		cap(sc.edgeTgt) + cap(sc.rowStates) + cap(sc.groupStart) +
-		cap(sc.cnt) + cap(sc.pos) + cap(sc.distinct))
+		cap(sc.edgeTgt) + cap(sc.cnt) + cap(sc.pos) + cap(sc.distinct))
 	return b + 8*(cap(sc.lsSpan)+cap(sc.edgeSpan)+cap(sc.lvlEdge))
 }
 
@@ -292,7 +288,7 @@ func Prepare(a *vsa.VSA, s string) (*Enumerator, error) {
 // PrepareOnce is Prepare for a single-use automaton — the per-document
 // compilation paths (string-equality selections, per-document query
 // plans), where the automaton exists for exactly one document. It never
-// builds the byte-class transition table or link lists, whose
+// builds the byte-class transition table or a build cache, whose
 // construction cost can never amortize, and builds the graph with the
 // per-transition pass.
 func PrepareOnce(a *vsa.VSA, s string) (*Enumerator, error) {
@@ -322,9 +318,12 @@ func PrepareRef(a *vsa.VSA, s string) (*Enumerator, error) {
 }
 
 // Reset rebuilds the enumerator for a new document, reusing every buffer of
-// the previous build. The enumeration restarts from the beginning; tuples
-// handed out earlier remain valid (they are freshly allocated), but Levels
-// and Rank views of the previous document do not.
+// the previous build. On a plan with a transition table the build runs
+// through one of the plan's build caches (see buildCache): each level is a
+// cached lookup per pass, and on warm caches Reset allocates nothing. The
+// enumeration restarts from the beginning; tuples handed out earlier remain
+// valid (they are freshly allocated), but Levels and Rank views of the
+// previous document do not.
 func (e *Enumerator) Reset(s string) {
 	e.started, e.done, e.pending = false, false, false
 	e.rank = nil
@@ -376,8 +375,8 @@ func (e *Enumerator) SetInterrupt(f func() bool) { e.stop = f }
 
 // interruptStride is how many document positions a build processes
 // between interrupt polls — coarse enough that the poll (an atomic ctx
-// check, typically) vanishes against the per-position matrix multiply,
-// fine enough that a dead query stops within tens of microseconds.
+// check, typically) vanishes against the per-position work, fine enough
+// that a dead query stops within tens of microseconds.
 const interruptStride = 4096
 
 // interrupted polls the installed interrupt at the amortized stride.
@@ -386,181 +385,37 @@ func (e *Enumerator) interrupted(i int) bool {
 }
 
 // build constructs the layered graph for s into e's arenas. It sets e.empty
-// when [[A]](s) = ∅. Plans compiled without a table (PrepareOnce, the
-// differential reference) take the per-transition pass.
+// when [[A]](s) = ∅. A plan with a transition table builds through one of
+// its build caches, taken for the build and handed back after it; plans
+// compiled without a table (PrepareOnce, the differential reference) take
+// the per-transition pass.
 //
 //spanjoin:hotpath
 func (e *Enumerator) build(s string) {
-	if e.refBuild || !e.plan.table {
+	p := e.plan
+	if e.refBuild || !p.table {
 		e.buildTransitions(s)
 		return
 	}
-	e.buildMatrix(s)
-}
-
-// buildMatrix is the byte-class matrix sweep: sweepAlive's forward pass
-// and backward prune mark the surviving nodes, and level linking reads
-// each node's successor set straight off its precomputed matrix row — no
-// per-transition work anywhere; δ, the byte membership tests and the
-// variable-ε closure were all folded into the matrices at plan
-// compilation.
-//
-//spanjoin:hotpath
-func (e *Enumerator) buildMatrix(s string) {
-	tt := e.plan.transitions()
-	n := e.plan.auto.NumStates()
-	N := len(s)
-	sc := scratchPool.Get().(*prepScratch)
-	defer putScratch(sc)
-	sc.init(n, N, len(e.plan.configs))
-	if !e.sweepAlive(sc, s, tt) || !e.assembleLevels(sc, N) {
+	if e.g == nil {
+		e.g = graphPool.Get().(*graph)
+	}
+	tt := p.transitions()
+	c := p.takeBuildCache()
+	ok := c.build(e, s, tt)
+	// Not deferred: a build that panics drops its cache with it.
+	p.putBuildCache(c)
+	if !ok {
 		e.markEmpty()
 		return
 	}
-
-	// Link targets level by level: each alive node's successor set is its
-	// matrix row, filtered to alive nodes and grouped by letter into the
-	// persistent arenas. With the plan's link lists the grouping order is
-	// precomputed per (class, state), so one node links in a single pass;
-	// without them (size cap) the row is materialized and counting-sorted.
-	g := e.g
-	link := e.plan.linkLists()
-	g.letterArena = g.letterArena[:0]
-	g.tgtArena = g.tgtArena[:0]
-	g.byLetterArena = g.byLetterArena[:0]
-	for i := 0; i < N; i++ {
-		if e.interrupted(i) {
-			e.markEmpty()
-			return
-		}
-		for _, q := range sc.levelStates(i + 1) {
-			sc.stateIdx[q] = -1
-		}
-		for j := range g.levels[i+1] {
-			sc.stateIdx[g.levels[i+1][j].State] = int32(j)
-		}
-		if link != nil {
-			base := tt.ClassOf(s[i]) * n
-			for k := range g.levels[i] {
-				node := &g.levels[i][k]
-				node.TargetLetters, node.TargetsByLetter =
-					e.appendGroupsFromList(link.list(base, node.State), sc)
-			}
-			continue
-		}
-		m := tt.Mat(s[i])
-		for k := range g.levels[i] {
-			node := &g.levels[i][k]
-			sc.rowStates = m.Row(int(node.State)).AppendOnes(sc.rowStates[:0])
-			node.TargetLetters, node.TargetsByLetter =
-				e.appendLetterGroups(sc.rowStates, sc)
-		}
-	}
-
-	e.linkStart(sc, N)
-}
-
-// sweepAlive runs the matrix build's first two passes over s into sc —
-// the part of a build that decides which layered-graph nodes exist. The
-// forward pass advances the whole frontier with one fused row×matrix
-// multiply per document position (fwd.Row(i+1) = fwd.Row(i) ×
-// M_class(s[i])), listing each level's states; the backward prune keeps
-// the states from which (N, qf) is reachable, a word-parallel row∩alive
-// test per state, leaving alive.Row(i) = the nodes of level i. It reports
-// false when no run accepts s or the interrupt fired. buildMatrix links
-// the alive nodes into the graph. CountDoc needs no prune and runs a
-// single forward pass of its own.
-//
-//spanjoin:hotpath
-func (e *Enumerator) sweepAlive(sc *prepScratch, s string, tt *vsa.TransitionTable) bool {
-	t := e.plan.auto
-	N := len(s)
-
-	// Forward pass: fwd.Row(i) = possible boundary states q̂_i.
-	cur := sc.fwd.Row(0)
-	cur.CopyFrom(e.plan.cl.VEB.Row(int(t.Init)))
-	sc.pushLevel(0, cur)
-	for i := 0; i < N; i++ {
-		if e.interrupted(i) {
-			return false
-		}
-		m := tt.Mat(s[i])
-		if m == nil {
-			// No transition anywhere accepts this byte: no run consumes it.
-			return false
-		}
-		next := sc.fwd.Row(i + 1)
-		m.MulOr(next, sc.fwd.Row(i))
-		sc.pushLevel(i+1, next)
-	}
-	// The last boundary state must be the final state exactly (q̂_N = qf).
-	if !sc.fwd.Row(N).Test(t.Final) {
-		return false
-	}
-
-	// Backward prune: keep nodes from which (N, qf) is reachable — state p
-	// at level i survives iff its successor row meets the alive set of
-	// level i+1.
-	sc.alive.Row(N).Set(t.Final)
-	for i := N - 1; i >= 0; i-- {
-		if e.interrupted(i) {
-			return false
-		}
-		aliveCur, aliveNext := sc.alive.Row(i), sc.alive.Row(i+1)
-		m := tt.Mat(s[i])
-		for _, p := range sc.levelStates(i) {
-			if m.Row(int(p)).Intersects(aliveNext) {
-				aliveCur.Set(p)
-			}
-		}
-	}
-	return true
-}
-
-// appendGroupsFromList groups the live targets of a pre-sorted
-// (letter, state) successor list in one pass: states whose stateIdx is -1
-// are skipped, groups close when the letter changes. Storage comes from the
-// enumerator's arenas; earlier nodes' slices stay valid across arena growth
-// because their contents are written before any later reallocation.
-func (e *Enumerator) appendGroupsFromList(list []int32, sc *prepScratch) ([]int32, [][]int32) {
-	g, letterOf := e.g, e.plan.letterOf
-	lstart := len(g.letterArena)
-	tstart := len(g.tgtArena)
-	starts := sc.groupStart[:0]
-	cur := int32(-1)
-	for _, q := range list {
-		j := sc.stateIdx[q]
-		if j < 0 {
-			continue
-		}
-		if l := letterOf[q]; l != cur {
-			cur = l
-			g.letterArena = append(g.letterArena, l)
-			starts = append(starts, int32(len(g.tgtArena)))
-		}
-		g.tgtArena = append(g.tgtArena, j)
-	}
-	sc.groupStart = starts
-	if len(g.tgtArena) == tstart {
-		return nil, nil
-	}
-	letters := g.letterArena[lstart:len(g.letterArena):len(g.letterArena)]
-	bstart := len(g.byLetterArena)
-	for gi := range starts {
-		lo := int(starts[gi])
-		hi := len(g.tgtArena)
-		if gi+1 < len(starts) {
-			hi = int(starts[gi+1])
-		}
-		g.byLetterArena = append(g.byLetterArena, g.tgtArena[lo:hi:hi])
-	}
-	return letters, g.byLetterArena[bstart:len(g.byLetterArena):len(g.byLetterArena)]
+	e.g.sizeCursor(len(s), p.auto.NumStates())
 }
 
 // buildTransitions is the preserved per-transition reference build: it
 // walks each frontier state's character adjacency, tests byte membership
 // per transition and ORs in closure rows one hit at a time. PrepareRef
-// selects it; differential tests cross-validate the matrix sweep against
+// selects it; differential tests cross-validate the table build against
 // it on random automata and documents.
 func (e *Enumerator) buildTransitions(s string) {
 	t, cl := e.plan.auto, e.plan.cl
@@ -709,11 +564,15 @@ func (e *Enumerator) linkStart(sc *prepScratch, N int) {
 		sc.stateIdx[g.levels[0][k].State] = int32(k)
 	}
 	g.startLetters, g.startByLetter = e.appendLetterGroups(sc.levelStates(0), sc)
+	g.sizeCursor(N, e.plan.auto.NumStates())
+}
 
+// sizeCursor sizes the enumeration cursor for N+1 levels over n states.
+func (g *graph) sizeCursor(N, n int) {
 	g.letters = grow(g.letters, N+1)
 	g.sets = grow(g.sets, N+1)
 	g.setsBuf = growKeep(g.setsBuf, N+1)
-	g.mergeRow = grow(g.mergeRow, bitset.WordsFor(e.plan.auto.NumStates()))
+	g.mergeRow = grow(g.mergeRow, bitset.WordsFor(n))
 }
 
 func (e *Enumerator) markEmpty() {
@@ -1096,7 +955,8 @@ func (e *Enumerator) SeekLetters(w []int32) bool {
 
 // Levels exposes the layered graph (for tests reproducing Figure 1 and the
 // worked examples, and for spanbench's F1 output); nil before the first
-// graph build and after Release.
+// graph build and after Release. A table build's levels are its plan's
+// cached templates, shared with other graphs: they are read-only.
 func (e *Enumerator) Levels() [][]GraphNode {
 	if e.g == nil {
 		return nil

@@ -1,6 +1,7 @@
 package enum_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -121,6 +122,92 @@ func BenchmarkCountDoc(b *testing.B) {
 			e.CountDoc(h.doc)
 			for b.Loop() {
 				e.CountDoc(h.doc)
+			}
+		})
+	}
+}
+
+// addressText returns about n bytes of the sentences e2ebench's corpora
+// are made of — people, street addresses, mail addresses — ending with the
+// sentence "alice visited Kerkstraat 12, 1000 Gent.".
+func addressText(n int) string {
+	r := workload.Rand(5)
+	pick := func(s ...string) string { return s[r.Intn(len(s))] }
+	var sb strings.Builder
+	for sb.Len() < n-40 {
+		switch r.Intn(3) {
+		case 0:
+			fmt.Fprintf(&sb, "%s %s %s %d, %d %s. ", pick("bob", "carol", "dave"), pick("visited", "called"),
+				pick("Molenstraat", "Dorpstraat", "Veldstraat"), 1+r.Intn(999), 1000+r.Intn(9000), pick("Brugge", "Leuven"))
+		case 1:
+			fmt.Fprintf(&sb, "%s wrote to %s at %s@%s. ", pick("erin", "frank"), pick("grace", "heidi"), pick("bob", "dave"), pick("mail.be", "web.com"))
+		default:
+			fmt.Fprintf(&sb, "the %s in %s was %s. ", pick("report", "parcel", "lease"), pick("Namur", "Mons"), pick("late", "signed"))
+		}
+	}
+	return sb.String() + "alice visited Kerkstraat 12, 1000 Gent."
+}
+
+// BenchmarkWindowBuild times one layered-graph build as a page window runs
+// it: a fresh enumerator over the plan, Reset, Release. The main case is
+// shaped like e2ebench's adhoc lookups, a search-mode street-address
+// pattern over 740 bytes of address text it matches once, timed on a fresh
+// plan per build (cold: the plan, its transition table and every level
+// are new) and on one plan reused (warm). Then it times warm builds on
+// BenchmarkCountDoc's shapes hostile to a subset construction; the wide
+// automaton is at a quarter of the count case's size (.*x{a^256}.* on
+// a^1024), because the graph of the full-size case holds three million
+// nodes.
+func BenchmarkWindowBuild(b *testing.B) {
+	adhoc := rgx.MustCompilePattern(`.*(s{Kerkstraat 12}, z{[0-9][0-9][0-9][0-9]} c{[A-Z][a-z]+}).*`)
+	doc := addressText(740)
+	build := func(b *testing.B, p *enum.Plan, doc string) {
+		e := p.NewEnumerator()
+		e.Reset(doc)
+		if e.Empty() {
+			b.Fatal("the document has no results")
+		}
+		e.Release()
+	}
+	b.Run("adhoc/cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			p, err := enum.NewPlan(adhoc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			build(b, p, doc)
+		}
+	})
+	p, err := enum.NewPlan(adhoc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("adhoc/warm", func(b *testing.B) {
+		b.ReportAllocs()
+		build(b, p, doc)
+		for b.Loop() {
+			build(b, p, doc)
+		}
+	})
+	ab := workload.RandomString(workload.Rand(4), 4096, 2)
+	ab = ab[:len(ab)-13] + "a" + ab[len(ab)-12:] // every shape matches
+	tail := strings.Repeat("(a|b)", 12)
+	for _, h := range []struct{ name, pattern, doc string }{
+		{"blowup", "(a|b)*a" + tail, ab},
+		{"blowup-capture", "(a|b)*x{a}" + tail, ab},
+		{"two-captures", ".*x{a+}.*y{b+}.*", ab},
+		{"wide-automaton", ".*x{" + strings.Repeat("a", 256) + "}.*", strings.Repeat("a", 1024)},
+	} {
+		p, err := enum.NewPlan(rgx.MustCompilePattern(h.pattern))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(h.name, func(b *testing.B) {
+			b.ReportAllocs()
+			build(b, p, h.doc)
+			for b.Loop() {
+				build(b, p, h.doc)
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package enum
 
 import (
-	"slices"
 	"sync"
 	"time"
 
@@ -12,17 +11,20 @@ import (
 // Plan is the document-independent compiled state of a functional
 // vset-automaton: the trimmed automaton, its closures and the interned
 // configuration letters, built by NewPlan, plus the kernels the builds and
-// counts read — the byte-class transition table, the level-linking lists
-// and the count DFAs — built on first use: the table when the plan's first
-// document is swept (by CountDoc or a graph build), the link lists on its
-// first graph build, and each count DFA a step at a time by the counts
-// that run on it. A query whose documents the prefilter excludes therefore
-// builds none of them, and a count-only query never builds the link lists.
+// counts read — the byte-class transition table, the build caches and the
+// count DFAs — built on first use: the table when the plan's first
+// document is swept (by CountDoc or a graph build), and each build cache
+// and count DFA a step at a time by the builds and counts that run on it.
+// A query whose documents the prefilter excludes therefore builds none of
+// them, and a count-only query never builds a build cache.
 // A Plan is safe to share between any number of enumerators and
 // goroutines; the corpus compiled-query cache stores one per cached query,
-// so the table and link lists are paid for at most once per query however
-// many documents, workers and Eval calls consume it, and the count DFAs
-// keep every subset a count has determinized for the plan's later counts.
+// so the table is paid for at most once per query however many documents,
+// workers and Eval calls consume it, and the build caches and count DFAs
+// keep every level and subset a build or count has computed for the plan's
+// later ones. Each idle build cache and count DFA retains at most a
+// constant (maxBuildCacheBytes, maxDFABytes), and a plan keeps at most one
+// of each per build or count that ran on it at the same time.
 type Plan struct {
 	vars      span.VarList
 	auto      *vsa.VSA
@@ -32,9 +34,9 @@ type Plan struct {
 	emptyLang bool
 	buildDur  time.Duration
 
-	// table selects the byte-class matrix build. Plans without it
-	// (PrepareOnce, PrepareRef) walk charAdj, the character transitions
-	// per state, instead.
+	// table selects the cached table build. Plans without it (PrepareOnce,
+	// PrepareRef) walk charAdj, the character transitions per state,
+	// instead.
 	table   bool
 	charAdj [][]vsa.Tr
 
@@ -43,102 +45,15 @@ type Plan struct {
 	sweepOnce sync.Once
 	tt        *vsa.TransitionTable
 
-	// The idle count DFAs (CountDoc): a count takes one and puts it back,
-	// so concurrent counts never share one (see countDFA).
-	dfaMu sync.Mutex
-	dfas  []*countDFA
-
-	// The link lists, built under linkOnce (nil above the size cap).
-	linkOnce sync.Once
-	link     *linkLists
-}
-
-// maxLinkListEntries caps the precomputed per-class successor lists at 2²¹
-// entries (8 MB of int32s): huge automata (per-document equality automata,
-// big joins) skip the precompute and link off the matrix rows instead.
-const maxLinkListEntries = 1 << 21
-
-// linkLists is the level-linking accelerator: for every byte class c and
-// state p it stores the successor states of M_c's row p pre-sorted by
-// (letter, state) — exactly the emission order of the layered graph's
-// letter-grouped edges. Linking one node is then a single pass over its
-// list with an aliveness filter, no per-node counting sort.
-type linkLists struct {
-	arena []int32
-	span  [][2]int32 // indexed class*n + state
-}
-
-// lists returns the pre-sorted successor list of state q under class c.
-func (ll *linkLists) list(base int, q int32) []int32 {
-	sp := ll.span[base+int(q)]
-	return ll.arena[sp[0]:sp[1]]
-}
-
-// buildLinkLists materializes the sorted successor lists, or returns nil
-// when the automaton is too big for the cap. Each row is counting-sorted
-// by letter straight into the arena: AppendOnes lists the row's states
-// ascending, so placing them in that order into per-letter runs yields
-// (letter, state) order.
-func buildLinkLists(tt *vsa.TransitionTable, letterOf []int32, letters, n int) *linkLists {
-	total := 0
-	for c := 0; c < tt.NumClasses(); c++ {
-		m := tt.ClassMat(c)
-		if m == nil {
-			continue
-		}
-		for q := 0; q < n; q++ {
-			total += m.Row(q).Count()
-		}
-		if total > maxLinkListEntries {
-			return nil
-		}
-	}
-	ll := &linkLists{
-		arena: make([]int32, total),
-		span:  make([][2]int32, tt.NumClasses()*n),
-	}
-	next := make([]int32, letters) // letter → its run's next slot; zero between rows
-	var row, distinct []int32
-	at := int32(0)
-	for c := 0; c < tt.NumClasses(); c++ {
-		m := tt.ClassMat(c)
-		if m == nil {
-			continue
-		}
-		base := c * n
-		for q := 0; q < n; q++ {
-			row = m.Row(q).AppendOnes(row[:0])
-			distinct = distinct[:0]
-			for _, p := range row {
-				l := letterOf[p]
-				if next[l] == 0 {
-					distinct = append(distinct, l)
-				}
-				next[l]++
-			}
-			slices.Sort(distinct)
-			end := at
-			for _, l := range distinct {
-				next[l], end = end, end+next[l]
-			}
-			for _, p := range row {
-				l := letterOf[p]
-				ll.arena[next[l]] = p
-				next[l]++
-			}
-			for _, l := range distinct {
-				next[l] = 0
-			}
-			ll.span[base+q] = [2]int32{at, end}
-			at = end
-		}
-	}
-	return ll
+	// The idle build caches (graph builds) and count DFAs (CountDoc): a
+	// run takes one and puts it back.
+	builds idle[*buildCache]
+	dfas   idle[*countDFA]
 }
 
 // NewPlan trims a, verifies functionality, and computes the closures and
-// the letter table. The plan's kernels — the byte-class transition table
-// and the link lists — are built once, on first use. It returns
+// the letter table. The plan's kernels — the byte-class transition table,
+// the build caches and the count DFAs — are built on first use. It returns
 // vsa.ErrNotFunctional (wrapped) for non-functional automata.
 func NewPlan(a *vsa.VSA) (*Plan, error) {
 	return newPlan(a, true)
@@ -146,8 +61,8 @@ func NewPlan(a *vsa.VSA) (*Plan, error) {
 
 // newPlan is NewPlan with the transition table optional: single-use plans
 // (per-document automata, the differential reference) never build the
-// table or the link lists, whose cost only pays off across repeated
-// builds, and keep the per-state character adjacency instead.
+// table or a build cache, whose cost only pays off across repeated builds,
+// and keep the per-state character adjacency instead.
 func newPlan(a *vsa.VSA, withTable bool) (*Plan, error) {
 	t0 := time.Now()
 	t, ct, err := a.RequireFunctional()
@@ -181,17 +96,6 @@ func newPlan(a *vsa.VSA, withTable bool) (*Plan, error) {
 func (p *Plan) transitions() *vsa.TransitionTable {
 	p.sweepOnce.Do(func() { p.tt = vsa.NewTransitionTable(p.auto, p.cl) })
 	return p.tt
-}
-
-// linkLists returns the level-linking lists (nil above the size cap),
-// building them on the plan's first graph build.
-func (p *Plan) linkLists() *linkLists {
-	p.linkOnce.Do(p.buildLinkLists)
-	return p.link
-}
-
-func (p *Plan) buildLinkLists() {
-	p.link = buildLinkLists(p.transitions(), p.letterOf, len(p.configs), p.auto.NumStates())
 }
 
 // Vars returns the variable list of the compiled spanner.

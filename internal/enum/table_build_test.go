@@ -90,8 +90,11 @@ func recycledArenas(t *testing.T, donor string) *graph {
 }
 
 // checkBuildVsRef builds s both ways and requires identical graphs and
-// identical tuple streams. The matrix build runs on arenas recycled from a
-// shorter document's build, so every buffer grows from stale contents.
+// identical tuple streams. The table build runs twice: on a cold build
+// cache, into arenas recycled from a shorter document's build so every
+// buffer grows from stale contents, and on a cache another document
+// warmed — s rotated, so many of its levels are cached for other next
+// levels.
 func checkBuildVsRef(t *testing.T, a *vsa.VSA, s string) {
 	t.Helper()
 	p, err := NewPlan(a)
@@ -101,6 +104,12 @@ func checkBuildVsRef(t *testing.T, a *vsa.VSA, s string) {
 	m := p.NewEnumerator()
 	m.g = recycledArenas(t, s[:len(s)/2])
 	m.Reset(s)
+	warmPlan, err := NewPlan(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmPlan.Prepare(s[len(s)/2:] + s[:len(s)/2])
+	w := warmPlan.Prepare(s)
 	r, err := PrepareRef(a, s)
 	if err != nil {
 		t.Fatal(err)
@@ -110,6 +119,9 @@ func checkBuildVsRef(t *testing.T, a *vsa.VSA, s string) {
 	}
 	if err := graphsEqual(m, r); err != nil {
 		t.Fatalf("graph mismatch on %q: %v", s, err)
+	}
+	if err := graphsEqual(w, r); err != nil {
+		t.Fatalf("graph mismatch on %q after a warming document: %v", s, err)
 	}
 	// PrepareOnce (table-less single-use plan) must agree too.
 	o, err := PrepareOnce(a, s)
@@ -132,8 +144,8 @@ func checkBuildVsRef(t *testing.T, a *vsa.VSA, s string) {
 	}
 }
 
-// TestMatrixBuildMatchesReferenceOnPatterns cross-validates the byte-class
-// matrix sweep against the preserved per-transition build on compiled
+// TestMatrixBuildMatchesReferenceOnPatterns cross-validates the cached
+// table build against the preserved per-transition build on compiled
 // patterns over random documents, including patterns whose byte classes go
 // beyond {a, b} and documents containing dead bytes.
 func TestMatrixBuildMatchesReferenceOnPatterns(t *testing.T) {
@@ -228,7 +240,8 @@ func TestMatrixBuildDeadByteFastPath(t *testing.T) {
 // transition table: arbitrary documents (raw fuzz bytes, so all 256 byte
 // values and every byte class appear) through a fuzz-chosen pattern must
 // produce identical layered graphs and identical tuple streams under the
-// matrix sweep and the per-transition reference build.
+// cached table build, cold and warm, and the per-transition reference
+// build.
 func FuzzBuildVsRef(f *testing.F) {
 	patterns := []string{
 		"a*x{a*}a*",
@@ -250,6 +263,62 @@ func FuzzBuildVsRef(f *testing.F) {
 		a := rgx.MustCompilePattern(patterns[int(pi)%len(patterns)])
 		checkBuildVsRef(t, a, doc)
 	})
+}
+
+// TestBuildCacheFlush: (a|b)*a followed by twelve (a|b) has 2¹³ reachable
+// forward sets, and a random 4 KiB {a,b} document meets thousands of them,
+// so each build leaves its cache past buildFlushBytes and flushes it on
+// the way back. Every graph must equal the reference build's, and a graph
+// built before a flush must still equal it, and enumerate the same, after
+// later builds filled the cache's new arenas. A cache whose buffers
+// outgrew maxBuildCacheBytes is dropped, not pooled.
+func TestBuildCacheFlush(t *testing.T) {
+	a := rgx.MustCompilePattern("(a|b)*a" + strings.Repeat("(a|b)", 12))
+	p, err := NewPlan(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(23))
+	const docs = 4
+	flushes := buildFlushes.Load()
+	var built, refs []*Enumerator
+	for i := 0; i < docs; i++ {
+		doc := randDoc(r, 4096)
+		doc = doc[:len(doc)-13] + "a" + doc[len(doc)-12:] // every document matches
+		e := p.Prepare(doc)
+		ref, err := PrepareRef(a, doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := graphsEqual(e, ref); err != nil || e.Empty() {
+			t.Fatalf("doc %d (empty %v): %v", i, e.Empty(), err)
+		}
+		built, refs = append(built, e), append(refs, ref)
+	}
+	if got := buildFlushes.Load() - flushes; got != docs {
+		t.Fatalf("%d builds flushed %d times, want %d", docs, got, docs)
+	}
+	for i := range built {
+		if err := graphsEqual(built[i], refs[i]); err != nil {
+			t.Fatalf("doc %d after later builds: %v", i, err)
+		}
+		if !tuplesEqual(built[i].All(), refs[i].All()) {
+			t.Fatalf("doc %d after later builds: tuples differ", i)
+		}
+	}
+	if len(p.builds.items) != 1 || p.builds.items[0].retainedBytes() > maxBuildCacheBytes {
+		t.Fatalf("%d caches pooled, want 1 within %d bytes", len(p.builds.items), maxBuildCacheBytes)
+	}
+
+	c := p.takeBuildCache()
+	for i := int32(0); 4*len(c.fwd.keys) <= maxBuildCacheBytes; i++ {
+		c.internFwd([]int32{i, i + 1})
+	}
+	drops := buildDrops.Load()
+	p.putBuildCache(c)
+	if len(p.builds.items) != 0 || buildDrops.Load() != drops+1 {
+		t.Fatal("a build cache past its bound must be dropped, not pooled")
+	}
 }
 
 // TestScratchPoolDropsOversized: the build-scratch pool must not retain
@@ -286,7 +355,8 @@ func TestScratchPoolDropsOversized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide := p.takeDFA(p.transitions())
+	p.transitions()
+	wide := p.takeDFA()
 	for i := int32(0); 4*len(wide.sets.keys) <= maxDFABytes; i++ {
 		wide.intern([]int32{i, i + 1})
 	}
@@ -295,18 +365,19 @@ func TestScratchPoolDropsOversized(t *testing.T) {
 	}
 	dfaDrop := dfaDrops.Load()
 	p.putDFA(wide)
-	if len(p.dfas) != 0 || dfaDrops.Load() != dfaDrop+1 {
+	if len(p.dfas.items) != 0 || dfaDrops.Load() != dfaDrop+1 {
 		t.Fatal("a DFA past its bound must be dropped, not pooled")
 	}
 }
 
 // TestBuildDropsOversizedScratch drives the cap through the real build
-// path: one huge document must route its scratch to the drop branch.
+// path that uses the scratch, the per-transition build of single-use
+// plans: one huge document must route its scratch to the drop branch.
 func TestBuildDropsOversizedScratch(t *testing.T) {
 	a := rgx.MustCompilePattern("a*x{a}a*")
 	doc := strings.Repeat("a", 600_000)
 	drops := scratchDrops.Load()
-	e, err := Prepare(a, doc)
+	e, err := PrepareOnce(a, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,10 +443,12 @@ func TestGraphPoolDropsOversized(t *testing.T) {
 
 // TestWindowBuildPooledArenaAllocs: a window build as Store.PagePlan runs
 // it — a fresh enumerator over a plan whose kernels are built, one Reset,
-// then Release — draws its graph arenas from the warm pool and allocates
-// nothing.
+// then Release — draws its graph arenas from the warm pool, its levels
+// from the warm build cache, and allocates nothing. So does a reference
+// build's Reset and Release, whose levels fill pooled arenas.
 func TestWindowBuildPooledArenaAllocs(t *testing.T) {
-	p, err := NewPlan(rgx.MustCompilePattern(".*x{a+}.*y{b+}.*"))
+	a := rgx.MustCompilePattern(".*x{a+}.*y{b+}.*")
+	p, err := NewPlan(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,9 +458,9 @@ func TestWindowBuildPooledArenaAllocs(t *testing.T) {
 		t.Fatal("test document has no results")
 	}
 	warm.Release()
-	// This assertion gates the level assembly that draws the arenas.
+	// This assertion gates a window's table build on warm caches.
 	//
-	//spanjoin:allocgate spanjoin/internal/enum.(*Enumerator).assembleLevels
+	//spanjoin:allocgate spanjoin/internal/enum.(*buildCache).build
 	avg := alloctest.Run(t, 20, func() {
 		e := p.NewEnumerator()
 		e.Reset(s)
@@ -396,12 +469,28 @@ func TestWindowBuildPooledArenaAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("window build on a warm pool allocates %.1f per document, want 0", avg)
 	}
+
+	r, err := PrepareRef(a, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Release()
+	// This assertion gates the level assembly that draws the arenas.
+	//
+	//spanjoin:allocgate spanjoin/internal/enum.(*Enumerator).assembleLevels
+	avg = alloctest.Run(t, 20, func() {
+		r.Reset(s)
+		r.Release()
+	})
+	if avg != 0 {
+		t.Fatalf("reference build on a warm pool allocates %.1f per document, want 0", avg)
+	}
 }
 
-// TestKernelsBuiltOnFirstUse: NewPlan builds neither kernel; a plan used
-// only through CountDoc builds the transition table and never the link
-// lists or a graph arena; the first graph build adds the link lists. The
-// count kernel and the DAG agree whichever runs first, and a second
+// TestKernelsBuiltOnFirstUse: NewPlan builds no kernel; a plan used only
+// through CountDoc builds the transition table and a count DFA, never a
+// build cache or a graph arena; the first graph build adds a build cache.
+// The count kernel and the DAG agree whichever runs first, and a second
 // enumerator over the plan builds nothing.
 func TestKernelsBuiltOnFirstUse(t *testing.T) {
 	a := rgx.MustCompilePattern(".*x{a+}.*y{b+}.*")
@@ -412,23 +501,23 @@ func TestKernelsBuiltOnFirstUse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.tt != nil || p.dfas != nil || p.link != nil || p.charAdj != nil {
+		if p.tt != nil || p.dfas.items != nil || p.builds.items != nil || p.charAdj != nil {
 			t.Fatal("NewPlan built a kernel")
 		}
 		e := p.NewEnumerator()
 		var got ranked.Count
 		if countFirst {
 			got = e.CountDoc(doc)
-			if p.tt == nil || len(p.dfas) != 1 {
+			if p.tt == nil || len(p.dfas.items) != 1 {
 				t.Fatal("CountDoc did not build the table and a count DFA")
 			}
-			if p.link != nil || e.g != nil {
-				t.Fatal("a count-only plan holds link lists or graph arenas")
+			if p.builds.items != nil || e.g != nil {
+				t.Fatal("a count-only plan holds a build cache or graph arenas")
 			}
 		}
 		e.Reset(doc)
-		if p.link == nil {
-			t.Fatal("the first graph build did not build the link lists")
+		if len(p.builds.items) != 1 {
+			t.Fatal("the first graph build did not leave a build cache")
 		}
 		want := e.Rank().Count()
 		if !countFirst {
@@ -450,8 +539,9 @@ func TestKernelsBuiltOnFirstUse(t *testing.T) {
 // TestPlanKernelsFirstUseConcurrent: eight enumerators over one fresh plan
 // make its first CountDoc and Reset calls at once, half counting first and
 // half building first, so both kernels are built under contention. Then
-// each counts every worker's document, so the plan's count DFAs pass
-// between workers, and two 4 KiB documents on a second plan whose counts
+// each builds and counts every worker's document, so the plan's build
+// caches and count DFAs pass between workers and their templates are
+// shared, and counts two 4 KiB documents on a second plan whose counts
 // flush their DFA. Every result must match a sequential reference, and the
 // first plan builds one table.
 func TestPlanKernelsFirstUseConcurrent(t *testing.T) {
@@ -497,7 +587,6 @@ func TestPlanKernelsFirstUseConcurrent(t *testing.T) {
 				n = e.CountDoc(doc)
 			}
 			got := e.All()
-			e.Release()
 			if !tuplesEqual(got, want[w]) {
 				t.Errorf("worker %d: %d tuples differ from the sequential reference's %d", w, len(got), len(want[w]))
 			}
@@ -506,10 +595,15 @@ func TestPlanKernelsFirstUseConcurrent(t *testing.T) {
 			}
 			for k := range docs {
 				o := (w + k) % workers
+				e.Reset(docs[o])
+				if got := e.All(); !tuplesEqual(got, want[o]) {
+					t.Errorf("worker %d: doc %d builds %d tuples, want %d", w, o, len(got), len(want[o]))
+				}
 				if u, ok := e.CountDoc(docs[o]).Uint64(); !ok || u != uint64(len(want[o])) {
 					t.Errorf("worker %d: CountDoc(doc %d) = %d, want %d", w, o, u, len(want[o]))
 				}
 			}
+			e.Release()
 			b := blowup.NewEnumerator()
 			for k := range long {
 				o := (w + k) % len(long)

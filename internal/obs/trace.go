@@ -24,7 +24,7 @@ const (
 	// StagePlan is the eager part of the enum.Plan build — automaton
 	// trim, functionality check, closures, letter table. Recorded only
 	// when the plan was actually built (memoized plans cost nothing). The
-	// plan's kernels (transition matrices, link lists) are built on first
+	// plan's kernels (transition matrices, build caches) are built on first
 	// use, inside the stage whose document first needs them: count or
 	// enumerate, or a page's window build, which is no stage.
 	StagePlan Stage = "plan_build"

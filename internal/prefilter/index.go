@@ -1,5 +1,7 @@
 package prefilter
 
+import "slices"
+
 // Index is an incremental byte n-gram posting index over an append-only
 // sequence of documents: position p is the p-th Add. For every document it
 // records the set of distinct byte trigrams and bigrams; Candidates
@@ -69,48 +71,56 @@ func (ix *Index) Len() int { return int(ix.n) }
 // all grams present need not mean the contiguous factor is); callers
 // verify survivors with Requirement.Match.
 func (ix *Index) Candidates(req Requirement) (pos []uint32, constrained bool) {
-	var cur []uint32
-	have := false
-	step := func(list []uint32) bool {
-		if !have {
-			cur = append(cur, list...)
-			have = true
-		} else {
-			cur = intersect(cur, list)
-		}
-		return len(cur) > 0
-	}
+	var lists [][]uint32
 	for _, l := range req.lits {
 		switch {
 		case len(l) >= 3:
 			for i := 0; i+2 < len(l); i++ {
-				if !step(ix.post[triKey(l[i], l[i+1], l[i+2])]) {
-					return nil, true
-				}
+				lists = append(lists, ix.post[triKey(l[i], l[i+1], l[i+2])])
 			}
 		case len(l) == 2:
-			if !step(ix.post[biKey(l[0], l[1])]) {
-				return nil, true
-			}
+			lists = append(lists, ix.post[biKey(l[0], l[1])])
 		}
 	}
-	return cur, have
+	if len(lists) == 0 {
+		return nil, false
+	}
+	// Start from the rarest gram and intersect the others in ascending
+	// length: the result only shrinks, and galloping through a list costs
+	// O(|result|·log(|list|/|result|)) instead of O(|list|).
+	slices.SortFunc(lists, func(a, b []uint32) int { return len(a) - len(b) })
+	if len(lists[0]) == 0 {
+		return nil, true
+	}
+	cur := slices.Clone(lists[0])
+	for _, list := range lists[1:] {
+		if cur = intersect(cur, list); len(cur) == 0 {
+			return nil, true
+		}
+	}
+	return cur, true
 }
 
-// intersect merges two sorted posting lists in place of a.
+// intersect keeps the positions of a that b holds, in place of a. Both
+// are sorted and a is the shorter: each position is found in b by an
+// exponential search from where the last one was, then a binary search
+// inside the bracket that found.
 func intersect(a, b []uint32) []uint32 {
 	out := a[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+	lo := 0 // b[:lo] holds only positions below the next one of a
+	for _, x := range a {
+		step := 1
+		for lo+step <= len(b) && b[lo+step-1] < x {
+			step *= 2
+		}
+		from := lo + step/2 // b[from-1] < x, when step > 1
+		k, found := slices.BinarySearch(b[from:min(lo+step, len(b))], x)
+		if lo = from + k; found {
+			out = append(out, x)
+			lo++
+		}
+		if lo == len(b) {
+			break
 		}
 	}
 	return out

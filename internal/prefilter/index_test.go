@@ -1,6 +1,8 @@
 package prefilter_test
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,5 +104,65 @@ func TestIndexIncremental(t *testing.T) {
 	}
 	if ix.Len() != 2 {
 		t.Fatalf("Len = %d", ix.Len())
+	}
+}
+
+// TestCandidatesGallopLopsided: over 2,000 documents one gram's posting
+// list holds every position, another's a few dozen and a third's about a
+// third, so the intersection gallops far through the long lists. The
+// candidates must equal a brute-force scan for the documents that hold
+// every gram of every literal.
+func TestCandidatesGallopLopsided(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	ix := prefilter.NewIndex()
+	docs := make([]string, 2000)
+	for i := range docs {
+		doc := "the common text"
+		if r.Intn(40) == 0 {
+			doc += " rare xyzzy"
+		}
+		if r.Intn(3) == 0 {
+			doc += " mid qux"
+		}
+		if i == len(docs)-1 {
+			doc += " xyzzy qux" // the last position is a candidate
+		}
+		docs[i] = doc
+		ix.Add(doc)
+	}
+	grams := func(l string) []string {
+		if len(l) == 2 {
+			return []string{l}
+		}
+		var out []string
+		for i := 0; i+2 < len(l); i++ {
+			out = append(out, l[i:i+3])
+		}
+		return out
+	}
+	for _, lits := range [][]string{
+		{"common", "xyzzy"}, {"xyzzy", "common", "qux"}, {"qux", "common"},
+		{"common"}, {"zy", "xy"}, {"nowhere"}, {"rare", "mid"},
+	} {
+		req := prefilter.New(lits...)
+		pos, constrained := ix.Candidates(req)
+		if !constrained {
+			t.Fatalf("%v: unconstrained", lits)
+		}
+		var want []uint32
+		for i, d := range docs {
+			all := true
+			for _, l := range req.Literals() {
+				for _, g := range grams(l) {
+					all = all && strings.Contains(d, g)
+				}
+			}
+			if all {
+				want = append(want, uint32(i))
+			}
+		}
+		if !slices.Equal(pos, want) {
+			t.Fatalf("%v: %d candidates, brute force %d", lits, len(pos), len(want))
+		}
 	}
 }

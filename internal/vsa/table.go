@@ -1,6 +1,8 @@
 package vsa
 
 import (
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"spanjoin/internal/alphabet"
@@ -23,9 +25,17 @@ func TableBuildCount() uint64 { return tableBuilds.Load() }
 // them identically), and each class c carries a boundary-to-boundary bitset
 // matrix M_c whose row p is the union of VE-closure rows VE(to) over all
 // character transitions p --σ--> to with σ ∈ c — δ pre-composed with the
-// variable-ε closure. Advancing a frontier of boundary states over one
-// document byte is then a single row×matrix multiply (bitset.Matrix.MulOr),
-// and the successor set of an individual state is a precomputed matrix row.
+// variable-ε closure. The successor set of a state under one document byte
+// is then a precomputed matrix row.
+//
+// The table owns the step mask: the states that read a byte (those with a
+// character transition), plus qf. Every matrix row, and the start row
+// VE(Init), holds only masked states. Any other state has no successor, so
+// a run that enters one never reads another byte: it can sit only at the
+// end of a document, where only qf counts. Dropping those states changes
+// neither a layered graph's pruned nodes nor a count, and keeps the
+// ε-closure states a Thompson automaton crowds into every set out of the
+// builds' and counts' state sets.
 //
 // The table depends only on the compiled automaton, never on a document, so
 // it is built once per compiled query and shared by every enumerator,
@@ -38,75 +48,73 @@ type TransitionTable struct {
 	repr       []byte
 	// mats[c] is M_c; nil for the dead class (no transition accepts its
 	// bytes — a document containing one cannot match at all).
-	mats []*bitset.Matrix
+	mats  []*bitset.Matrix
+	start bitset.Row // VE(Init), masked
 }
 
 // NewTransitionTable compiles the table for a trimmed automaton and its
 // closures (the artifacts RequireFunctional / NewClosures produce). Cost is
-// O(256·|distinct classes|) for the byte partition plus O(C·m·n/w) word
-// operations to fill the matrices.
+// O(|blocks|·|distinct classes|) word operations for the byte partition
+// plus O(C·m·n/w) to fill the matrices.
 func NewTransitionTable(a *VSA, cl *Closures) *TransitionTable {
 	tableBuilds.Add(1)
 	tt := &TransitionTable{}
+	n := a.NumStates()
 
-	// Distinct character-transition classes, in first-seen order.
+	// Distinct character-transition classes, their union, and the step mask.
 	var distinct []alphabet.Class
+	var accepted alphabet.Class
 	seen := make(map[alphabet.Class]struct{})
-	for _, ts := range a.Adj {
+	mask := bitset.NewRow(n)
+	mask.Set(a.Final)
+	for q, ts := range a.Adj {
 		for _, tr := range ts {
 			if tr.Kind != KChar {
 				continue
 			}
+			mask.Set(int32(q))
 			if _, ok := seen[tr.Class]; !ok {
 				seen[tr.Class] = struct{}{}
 				distinct = append(distinct, tr.Class)
+				accepted = accepted.Union(tr.Class)
 			}
 		}
 	}
 
-	// Partition bytes by membership signature over the distinct classes:
-	// equal signatures ⇔ no transition label can tell the bytes apart.
-	sig := make([]byte, (len(distinct)+7)/8)
-	ids := make(map[string]uint8)
-	for b := 0; b < 256; b++ {
-		for i := range sig {
-			sig[i] = 0
+	// Partition the bytes by refinement: starting from one block of every
+	// byte, each distinct class splits each block it cuts in two. Bytes
+	// then share a block iff no transition label tells them apart. Blocks
+	// are numbered by their smallest byte, the order in which a scan of the
+	// bytes first meets them.
+	blocks := []alphabet.Class{alphabet.Any()}
+	for _, c := range distinct {
+		for k, nb := 0, len(blocks); k < nb; k++ {
+			in := blocks[k].Intersect(c)
+			if in.IsEmpty() || in == blocks[k] {
+				continue
+			}
+			blocks[k] = blocks[k].Minus(c)
+			blocks = append(blocks, in)
 		}
-		for i, c := range distinct {
-			if c.Contains(byte(b)) {
-				sig[i>>3] |= 1 << (i & 7)
+	}
+	slices.SortFunc(blocks, func(x, y alphabet.Class) int { return lowest(x) - lowest(y) })
+	tt.numClasses = len(blocks)
+	tt.repr = make([]byte, len(blocks))
+	for id, blk := range blocks {
+		tt.repr[id] = byte(lowest(blk))
+		for w, x := range blk {
+			for ; x != 0; x &= x - 1 {
+				tt.classOf[w<<6|bits.TrailingZeros64(x)] = uint8(id)
 			}
 		}
-		id, ok := ids[string(sig)]
-		if !ok {
-			id = uint8(len(tt.repr))
-			ids[string(sig)] = id
-			tt.repr = append(tt.repr, byte(b))
-		}
-		tt.classOf[b] = id
 	}
-	tt.numClasses = len(tt.repr)
 
 	// Fill M_c row by row: δ restricted to the class, pre-composed with the
-	// variable-ε closure. A class whose representative matches no transition
-	// anywhere keeps a nil matrix (the dead class).
-	n := a.NumStates()
+	// variable-ε closure, masked. A class outside every transition label
+	// keeps a nil matrix (the dead class).
 	tt.mats = make([]*bitset.Matrix, tt.numClasses)
-	for c := range tt.mats {
-		rep := tt.repr[c]
-		live := false
-		for _, ts := range a.Adj {
-			for _, tr := range ts {
-				if tr.Kind == KChar && tr.Class.Contains(rep) {
-					live = true
-					break
-				}
-			}
-			if live {
-				break
-			}
-		}
-		if !live {
+	for c, rep := range tt.repr {
+		if !accepted.Contains(rep) {
 			continue
 		}
 		m := bitset.NewMatrix(n, n)
@@ -117,10 +125,24 @@ func NewTransitionTable(a *VSA, cl *Closures) *TransitionTable {
 					row.Or(cl.VEB.Row(int(tr.To)))
 				}
 			}
+			row.And(mask)
 		}
 		tt.mats[c] = m
 	}
+	tt.start = bitset.NewRow(n)
+	tt.start.CopyFrom(cl.VEB.Row(int(a.Init)))
+	tt.start.And(mask)
 	return tt
+}
+
+// lowest returns the smallest byte of a non-empty class.
+func lowest(c alphabet.Class) int {
+	for w, x := range c {
+		if x != 0 {
+			return w<<6 | bits.TrailingZeros64(x)
+		}
+	}
+	return alphabet.Size
 }
 
 // NumClasses reports the number of byte equivalence classes (including the
@@ -130,7 +152,7 @@ func (tt *TransitionTable) NumClasses() int { return tt.numClasses }
 // ClassOf returns the equivalence class id of a byte.
 func (tt *TransitionTable) ClassOf(b byte) int { return int(tt.classOf[b]) }
 
-// Repr returns a representative byte of class c.
+// Repr returns a representative byte of class c: its smallest.
 func (tt *TransitionTable) Repr(c int) byte { return tt.repr[c] }
 
 // Mat returns the transition matrix for b's byte class, or nil when no
@@ -142,3 +164,7 @@ func (tt *TransitionTable) Mat(b byte) *bitset.Matrix {
 
 // ClassMat returns the matrix of class c directly (nil for the dead class).
 func (tt *TransitionTable) ClassMat(c int) *bitset.Matrix { return tt.mats[c] }
+
+// Start returns the masked start row: VE(Init)'s states that read a byte,
+// plus qf when VE(Init) holds it. Callers must not modify it.
+func (tt *TransitionTable) Start() bitset.Row { return tt.start }

@@ -66,9 +66,10 @@ func TestTransitionTablePartition(t *testing.T) {
 }
 
 // TestTransitionTableRows: every matrix row must equal the union of
-// VE-closure rows over the transitions the class matches, recomputed here
-// transition by transition; a nil matrix is only allowed for a class no
-// transition accepts.
+// VE-closure rows over the transitions the class matches, restricted to
+// the step mask (the states with a character transition, plus qf), all
+// recomputed here transition by transition; so must the start row
+// VE(Init). A nil matrix is only allowed for a class no transition accepts.
 func TestTransitionTableRows(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	vars := span.NewVarList("x", "y")
@@ -77,7 +78,21 @@ func TestTransitionTableRows(t *testing.T) {
 		tr, cl := trimmedWithClosures(t, a)
 		tt := vsa.NewTransitionTable(tr, cl)
 		n := tr.NumStates()
+		mask := bitset.NewRow(n)
+		mask.Set(tr.Final)
+		for q := range tr.Adj {
+			for _, x := range tr.Adj[q] {
+				if x.Kind == vsa.KChar {
+					mask.Set(int32(q))
+				}
+			}
+		}
 		want := bitset.NewRow(n)
+		want.CopyFrom(cl.VEB.Row(int(tr.Init)))
+		want.And(mask)
+		if !tt.Start().Equal(want) {
+			t.Fatalf("trial %d: start row mismatch", trial)
+		}
 		for c := 0; c < tt.NumClasses(); c++ {
 			rep := tt.Repr(c)
 			m := tt.ClassMat(c)
@@ -90,8 +105,9 @@ func TestTransitionTableRows(t *testing.T) {
 						want.Or(cl.VEB.Row(int(x.To)))
 					}
 				}
+				want.And(mask)
 				if m == nil {
-					if want.Any() {
+					if live {
 						t.Fatalf("trial %d: class %d has transitions but a nil matrix", trial, c)
 					}
 					continue
@@ -143,5 +159,79 @@ func TestTableBuildCountMonotonic(t *testing.T) {
 	vsa.NewTransitionTable(tr, cl)
 	if got := vsa.TableBuildCount() - before; got != 2 {
 		t.Fatalf("counter advanced by %d, want 2", got)
+	}
+}
+
+// signatureClasses is the reference byte partition: each byte's membership
+// signature over the distinct character-transition classes, interned in a
+// map, with class ids in the order a scan of the bytes first meets them
+// and each class represented by its first byte.
+func signatureClasses(a *vsa.VSA) (classOf [256]int, repr []byte) {
+	var distinct []alphabet.Class
+	seen := make(map[alphabet.Class]bool)
+	for _, ts := range a.Adj {
+		for _, tr := range ts {
+			if tr.Kind == vsa.KChar && !seen[tr.Class] {
+				seen[tr.Class] = true
+				distinct = append(distinct, tr.Class)
+			}
+		}
+	}
+	sig := make([]byte, (len(distinct)+7)/8)
+	ids := make(map[string]int)
+	for b := 0; b < 256; b++ {
+		clear(sig)
+		for i, c := range distinct {
+			if c.Contains(byte(b)) {
+				sig[i>>3] |= 1 << (i & 7)
+			}
+		}
+		id, ok := ids[string(sig)]
+		if !ok {
+			id = len(repr)
+			ids[string(sig)] = id
+			repr = append(repr, byte(b))
+		}
+		classOf[b] = id
+	}
+	return classOf, repr
+}
+
+// TestPartitionMatchesSignatures: the table's partition refinement numbers
+// every byte and represents every class exactly as the signature reference
+// does, on 3,000 random functional automata and four patterns with
+// overlapping classes.
+func TestPartitionMatchesSignatures(t *testing.T) {
+	check := func(what string, a *vsa.VSA) {
+		t.Helper()
+		tr, cl := trimmedWithClosures(t, a)
+		tt := vsa.NewTransitionTable(tr, cl)
+		classOf, repr := signatureClasses(tr)
+		if tt.NumClasses() != len(repr) {
+			t.Fatalf("%s: %d classes, reference %d", what, tt.NumClasses(), len(repr))
+		}
+		for b := 0; b < 256; b++ {
+			if tt.ClassOf(byte(b)) != classOf[b] {
+				t.Fatalf("%s: byte %d in class %d, reference %d", what, b, tt.ClassOf(byte(b)), classOf[b])
+			}
+		}
+		for c, rep := range repr {
+			if tt.Repr(c) != rep {
+				t.Fatalf("%s: class %d represented by %d, reference %d", what, c, tt.Repr(c), rep)
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(44))
+	vars := span.NewVarList("x", "y")
+	for i := 0; i < 3000; i++ {
+		check("random automaton", oracle.RandomFunctionalVSA(r, vars, 5, 14))
+	}
+	for _, p := range []string{
+		`s{Kerkstraat 12}, z{[0-9][0-9][0-9][0-9]} c{[A-Z][a-z]+}`,
+		`.*mail{[a-z]+@[a-z]+\.[a-z]+}.*`,
+		`[^0-9]*x{[0-9]+}[ :=]y{[a-z]+}.*`,
+		`x{[\x00-\x7f]*}[^a-f]y{[c-p]+}`,
+	} {
+		check(p, rgx.MustCompilePattern(p))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -121,23 +122,15 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
-// traceWanted reports whether the request opted into an on-the-wire
-// stage trace (trace=1 or trace=true).
-func traceWanted(r *http.Request) bool {
-	switch r.URL.Query().Get("trace") {
+// traceSpans returns the request's recorded stage spans when its query q
+// opted into an on-the-wire stage trace (trace=1 or trace=true), nil
+// otherwise.
+func traceSpans(r *http.Request, q url.Values) []spanjoin.StageSpan {
+	switch q.Get("trace") {
 	case "1", "true":
-		return true
+		return spanjoin.TraceFromContext(r.Context()).Spans()
 	}
-	return false
-}
-
-// traceSpans returns the request's recorded stage spans when it asked
-// for them, nil otherwise.
-func traceSpans(r *http.Request) []spanjoin.StageSpan {
-	if !traceWanted(r) {
-		return nil
-	}
-	return spanjoin.TraceFromContext(r.Context()).Spans()
+	return nil
 }
 
 // handleMetrics serves the registry in Prometheus text exposition

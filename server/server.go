@@ -30,6 +30,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -281,11 +282,14 @@ func (s *Server) badRequest(w http.ResponseWriter, format string, args ...any) {
 	s.writeError(w, fmt.Errorf(format, args...))
 }
 
-// timeoutOf resolves a request's deadline: the timeout parameter when
-// given (clamped to MaxTimeout), the server default otherwise. Every
-// evaluation gets one — no request runs unbounded.
-func (s *Server) timeoutOf(r *http.Request) (time.Duration, error) {
-	p := r.URL.Query().Get("timeout")
+// timeoutOf resolves a request's deadline: the timeout parameter of its
+// query q when given (clamped to MaxTimeout), the server default
+// otherwise. Every evaluation gets one — no request runs unbounded.
+//
+// A handler parses its query string once and hands the values to every
+// helper that reads a parameter.
+func (s *Server) timeoutOf(q url.Values) (time.Duration, error) {
+	p := q.Get("timeout")
 	if p == "" {
 		return s.cfg.defaultTimeout(), nil
 	}
@@ -300,8 +304,8 @@ func (s *Server) timeoutOf(r *http.Request) (time.Duration, error) {
 }
 
 // modeOf validates the compilation mode parameter.
-func modeOf(r *http.Request) (string, error) {
-	switch m := r.URL.Query().Get("mode"); m {
+func modeOf(q url.Values) (string, error) {
+	switch m := q.Get("mode"); m {
 	case "", "anchor":
 		return "anchor", nil
 	case "search":
@@ -313,12 +317,12 @@ func modeOf(r *http.Request) (string, error) {
 
 // targetOf reads the corpus target of /count and /sample: the pattern q
 // compiled under the request's mode.
-func targetOf(r *http.Request, what string) (spanjoin.Target, error) {
-	pattern := r.URL.Query().Get("q")
+func targetOf(q url.Values, what string) (spanjoin.Target, error) {
+	pattern := q.Get("q")
 	if pattern == "" {
 		return spanjoin.Target{}, fmt.Errorf("q is required (the pattern to %s)", what)
 	}
-	mode, err := modeOf(r)
+	mode, err := modeOf(q)
 	if err != nil {
 		return spanjoin.Target{}, err
 	}
@@ -327,8 +331,8 @@ func targetOf(r *http.Request, what string) (spanjoin.Target, error) {
 
 // pageLimitOf resolves /eval's limit and /sample's n against the
 // configured page clamp.
-func (s *Server) pageLimitOf(r *http.Request, param string, def int) (int, error) {
-	p := r.URL.Query().Get(param)
+func (s *Server) pageLimitOf(q url.Values, param string, def int) (int, error) {
+	p := q.Get(param)
 	if p == "" {
 		return def, nil
 	}
@@ -360,12 +364,12 @@ func ndjson(w http.ResponseWriter, status int) *json.Encoder {
 // answers 413 with the partial rows in the body.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	timeout, err := s.timeoutOf(r)
+	timeout, err := s.timeoutOf(q)
 	if err != nil {
 		s.badRequest(w, "%v", err)
 		return
 	}
-	limit, err := s.pageLimitOf(r, "limit", s.cfg.defaultPageSize())
+	limit, err := s.pageLimitOf(q, "limit", s.cfg.defaultPageSize())
 	if err != nil {
 		s.badRequest(w, "%v", err)
 		return
@@ -387,7 +391,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 			s.badRequest(w, "q is required (the pattern to evaluate)")
 			return
 		}
-		mode, err := modeOf(r)
+		mode, err := modeOf(q)
 		if err != nil {
 			s.badRequest(w, "%v", err)
 			return
@@ -412,7 +416,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 			s.badRequest(w, "budget does not combine with offset/cursor pagination")
 			return
 		}
-		s.evalBudgeted(w, r, cur, limit, budget, timeout)
+		s.evalBudgeted(w, r, q, cur, limit, budget, timeout)
 		return
 	}
 
@@ -431,7 +435,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		Delivered: len(page.Matches),
 		Total:     page.Total.String(),
 		Stats:     statsOf(page.Stats),
-		Trace:     traceSpans(r),
+		Trace:     traceSpans(r, q),
 	}
 	if more {
 		t.Next = next.Token()
@@ -443,7 +447,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 // under the work budget before any byte is written, so a budget (or
 // deadline, or panic) that fires mid-evaluation still maps onto a real
 // HTTP status — 413 carrying the partial rows, per the error contract.
-func (s *Server) evalBudgeted(w http.ResponseWriter, r *http.Request, cur spanjoin.Cursor, limit, budget int, timeout time.Duration) {
+func (s *Server) evalBudgeted(w http.ResponseWriter, r *http.Request, q url.Values, cur spanjoin.Cursor, limit, budget int, timeout time.Duration) {
 	target, err := cur.Target()
 	if err != nil {
 		s.writeError(w, err)
@@ -481,7 +485,7 @@ func (s *Server) evalBudgeted(w http.ResponseWriter, r *http.Request, cur spanjo
 		Done:      evalErr == nil,
 		Delivered: len(rows),
 		Stats:     statsOf(st),
-		Trace:     traceSpans(r),
+		Trace:     traceSpans(r, q),
 	}
 	if evalErr != nil {
 		t.Error = evalErr.Error()
@@ -501,12 +505,13 @@ type CountBody struct {
 // handleCount serves the exact corpus-wide result count — the count
 // kernel through the shard workers, no enumeration anywhere.
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	target, err := targetOf(r, "count")
+	q := r.URL.Query()
+	target, err := targetOf(q, "count")
 	if err != nil {
 		s.badRequest(w, "%v", err)
 		return
 	}
-	timeout, err := s.timeoutOf(r)
+	timeout, err := s.timeoutOf(q)
 	if err != nil {
 		s.badRequest(w, "%v", err)
 		return
@@ -518,30 +523,31 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	}
 	s.served.Add(1)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(CountBody{Count: json.Number(n.String()), Trace: traceSpans(r)})
+	json.NewEncoder(w).Encode(CountBody{Count: json.Number(n.String()), Trace: traceSpans(r, q)})
 }
 
 // handleSample serves n i.i.d. uniform matches from the corpus-wide
 // result set as NDJSON rows plus a trailer. The same seed draws the same
 // matches, so sampling is reproducible over the wire.
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
-	target, err := targetOf(r, "sample")
+	q := r.URL.Query()
+	target, err := targetOf(q, "sample")
 	if err != nil {
 		s.badRequest(w, "%v", err)
 		return
 	}
-	timeout, err := s.timeoutOf(r)
+	timeout, err := s.timeoutOf(q)
 	if err != nil {
 		s.badRequest(w, "%v", err)
 		return
 	}
-	n, err := s.pageLimitOf(r, "n", 1)
+	n, err := s.pageLimitOf(q, "n", 1)
 	if err != nil {
 		s.badRequest(w, "%v", err)
 		return
 	}
 	seed := int64(1)
-	if p := r.URL.Query().Get("seed"); p != "" {
+	if p := q.Get("seed"); p != "" {
 		if seed, err = strconv.ParseInt(p, 10, 64); err != nil || seed < 0 {
 			s.badRequest(w, "bad seed %q (want a non-negative integer)", p)
 			return
@@ -557,7 +563,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	for _, cm := range ms {
 		enc.Encode(RowOf(cm))
 	}
-	enc.Encode(Trailer{Done: true, Delivered: len(ms), Trace: traceSpans(r)})
+	enc.Encode(Trailer{Done: true, Delivered: len(ms), Trace: traceSpans(r, q)})
 }
 
 // StatsBody is /stats' response: corpus shape, compiled-query cache,

@@ -125,7 +125,7 @@ type Spanner struct {
 // evaluation path (Iterate, Stream, EvalAllParallel, the corpus fan-out)
 // shares it, so trimming, the functionality check and closure computation
 // happen once per Spanner however the spanner is driven, and the plan's
-// transition table and link lists at most once, on first use. built
+// transition table at most once, on first use. built
 // reports whether this call ran the compilation — the corpus layer
 // records the plan_build stage only then, so cached queries never report
 // a phantom build.
