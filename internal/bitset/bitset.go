@@ -82,8 +82,6 @@ func (r Row) Any() bool {
 // Intersects reports whether r ∩ o is non-empty, without materializing the
 // intersection — the word-parallel liveness test of a build's backward
 // step.
-//
-//spanjoin:hotpath
 func (r Row) Intersects(o Row) bool {
 	for i, w := range r {
 		if w&o[i] != 0 {

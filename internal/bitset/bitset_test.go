@@ -3,8 +3,6 @@ package bitset
 import (
 	"math/rand"
 	"testing"
-
-	"spanjoin/internal/alloctest"
 )
 
 func TestZeroUniverse(t *testing.T) {
@@ -140,21 +138,5 @@ func TestMatrixResizeReuse(t *testing.T) {
 		if m.Row(i).Any() {
 			t.Fatal("grown matrix not zeroed")
 		}
-	}
-}
-
-// TestIntersectsAllocFree: the liveness test of a build's backward step
-// allocates nothing.
-func TestIntersectsAllocFree(t *testing.T) {
-	r, o := NewRow(200), NewRow(200)
-	r.Set(3)
-	o.Set(199)
-	hit := false
-	// This assertion gates the intersection test.
-	//
-	//spanjoin:allocgate spanjoin/internal/bitset.Row.Intersects
-	avg := alloctest.Run(t, 100, func() { hit = r.Intersects(o) })
-	if avg != 0 || hit {
-		t.Fatalf("Intersects allocates %.1f per call (hit %v), want 0 (false)", avg, hit)
 	}
 }

@@ -108,6 +108,14 @@ type Enumerator struct {
 // reslices and refills them. Enumerators draw one from graphPool on their
 // first graph build and return it with Release, so one-shot window builds
 // reuse the arenas earlier ones grew.
+//
+// The levels, the cursor's sets and the start fan-out view storage the
+// graph may not own: a build cache's template arenas, which outlive a
+// flush of their cache for as long as something views them. So a graph
+// views only its current build's templates — entries of levels and sets
+// past their lengths are kept nil (regrow), sizeCursor clears the last
+// enumeration's sets — and a graph that is emptied or pooled views
+// nothing (dropViews), so a pooled graph keeps no template arena alive.
 type graph struct {
 	levels        [][]GraphNode // levels[i] views level i's nodes
 	fwdSets       []int32       // a table build's forward set per level
@@ -130,15 +138,25 @@ var graphPool = sync.Pool{New: func() any { return new(graph) }}
 // graphDrops counts graphs dropped at maxScratchRetain instead of pooled.
 var graphDrops atomic.Uint64
 
-// putGraph pools g for reuse unless its buffers outgrew maxScratchRetain;
-// it reports whether g was pooled.
+// putGraph pools g for reuse, viewing nothing, unless its buffers outgrew
+// maxScratchRetain; it reports whether g was pooled.
 func putGraph(g *graph) bool {
 	if g.retainedBytes() > maxScratchRetain {
 		graphDrops.Add(1)
 		return false
 	}
+	g.dropViews()
 	graphPool.Put(g)
 	return true
+}
+
+// dropViews clears every view g holds of a build's templates, leaving no
+// levels and no cursor sets. Entries past the lengths are nil already.
+func (g *graph) dropViews() {
+	clear(g.levels)
+	clear(g.sets)
+	g.levels, g.sets = g.levels[:0], g.sets[:0]
+	g.startLetters, g.startByLetter = nil, nil
 }
 
 // retainedBytes sums the capacity of every buffer g would carry back into
@@ -262,6 +280,16 @@ func grow[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
+// regrow is grow for slices of views: it clears the elements a shorter
+// length drops, so capacity past the length never keeps what they viewed
+// alive.
+func regrow[T any](s []T, n int) []T {
+	if n < len(s) {
+		clear(s[n:])
+	}
+	return grow(s, n)
+}
+
 // growKeep is grow for slices-of-buffers: surviving elements keep their
 // previously grown backing storage.
 func growKeep[T any](s []T, n int) []T {
@@ -342,7 +370,8 @@ func (e *Enumerator) Reset(s string) {
 // before Next. Levels and Rank views of the released graph are invalid;
 // tuples handed out earlier remain valid (they are freshly allocated).
 // Like the build scratch, arenas grown past maxScratchRetain are dropped
-// rather than pooled. Release is idempotent.
+// rather than pooled, and a pooled graph views no build cache's templates,
+// so it keeps no flushed cache's arenas alive. Release is idempotent.
 func (e *Enumerator) Release() {
 	e.started, e.done, e.pending = false, false, false
 	e.empty = true
@@ -539,7 +568,7 @@ func (e *Enumerator) assembleLevels(sc *prepScratch, N int) bool {
 		total += sc.alive.Row(i).Count()
 	}
 	g.nodes = grow(g.nodes, total)
-	g.levels = grow(g.levels, N+1)
+	g.levels = regrow(g.levels, N+1)
 	k := 0
 	for i := 0; i <= N; i++ {
 		start := k
@@ -567,9 +596,11 @@ func (e *Enumerator) linkStart(sc *prepScratch, N int) {
 	g.sizeCursor(N, e.plan.auto.NumStates())
 }
 
-// sizeCursor sizes the enumeration cursor for N+1 levels over n states.
+// sizeCursor sizes the enumeration cursor for N+1 levels over n states,
+// clearing the sets of the last enumeration, which view the last build.
 func (g *graph) sizeCursor(N, n int) {
 	g.letters = grow(g.letters, N+1)
+	clear(g.sets)
 	g.sets = grow(g.sets, N+1)
 	g.setsBuf = growKeep(g.setsBuf, N+1)
 	g.mergeRow = grow(g.mergeRow, bitset.WordsFor(n))
@@ -577,9 +608,8 @@ func (g *graph) sizeCursor(N, n int) {
 
 func (e *Enumerator) markEmpty() {
 	e.empty = true
-	if g := e.g; g != nil {
-		g.levels = g.levels[:0]
-		g.startLetters, g.startByLetter = nil, nil
+	if e.g != nil {
+		e.g.dropViews()
 	}
 }
 

@@ -24,7 +24,9 @@ import (
 // keep every level and subset a build or count has computed for the plan's
 // later ones. Each idle build cache and count DFA retains at most a
 // constant (maxBuildCacheBytes, maxDFABytes), and a plan keeps at most one
-// of each per build or count that ran on it at the same time.
+// of each per build or count that ran on it at the same time. Template
+// arenas a build cache flushed outlive it only while an unreleased graph's
+// current build views them (see buildCache).
 type Plan struct {
 	vars      span.VarList
 	auto      *vsa.VSA

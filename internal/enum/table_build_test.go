@@ -3,9 +3,11 @@ package enum
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
 	"spanjoin/internal/alloctest"
 	"spanjoin/internal/oracle"
@@ -438,6 +440,83 @@ func TestGraphPoolDropsOversized(t *testing.T) {
 	}
 	if _, ok := big.Next(); ok {
 		t.Fatal("a released enumerator must enumerate nothing")
+	}
+}
+
+// TestGraphDropsTemplateViews: a graph views only its current build's
+// templates, so nothing but a live build keeps a flushed cache's arenas
+// alive. The wide automaton's build (.*x{a^256}.* on a^1024) takes its
+// cache past the flush bound, and the views of its graph, levels and
+// cursor sets alike, are all that keep its arenas alive. A shorter
+// rebuild, a build that finds no match and Release must each drop them:
+// no level or set may remain past the graph's current build, and after a
+// collection every arena the views pointed into must be gone.
+func TestGraphDropsTemplateViews(t *testing.T) {
+	p, err := NewPlan(rgx.MustCompilePattern(".*x{" + strings.Repeat("a", 256) + "}.*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("a", 1024)
+	for _, leave := range []struct {
+		name string
+		do   func(e *Enumerator) *graph
+	}{
+		{"rebuilt shorter", func(e *Enumerator) *graph {
+			if e.Reset(long[:300]); e.Empty() {
+				t.Fatal("the short document has no results")
+			}
+			return e.g
+		}},
+		{"emptied", func(e *Enumerator) *graph {
+			if e.Reset(long[:200]); !e.Empty() {
+				t.Fatal("a document shorter than the capture has results")
+			}
+			return e.g
+		}},
+		{"released", func(e *Enumerator) *graph { g := e.g; e.Release(); return g }},
+	} {
+		e := p.NewEnumerator()
+		flushes := buildFlushes.Load()
+		e.Reset(long)
+		if e.Empty() || buildFlushes.Load() != flushes+1 {
+			t.Fatalf("the build (empty %v) did not flush its cache", e.Empty())
+		}
+		for k := 0; k < 4; k++ {
+			if _, ok := e.Next(); !ok {
+				t.Fatal("too few tuples")
+			}
+		}
+		var views []weak.Pointer[int32]
+		for _, lvl := range e.g.levels {
+			views = append(views, weak.Make(&lvl[0].State))
+		}
+		for _, set := range e.g.sets {
+			if len(set) > 0 {
+				views = append(views, weak.Make(&set[0]))
+			}
+		}
+
+		g := leave.do(e)
+		if (g.startLetters == nil) != (len(g.levels) == 0) {
+			t.Fatalf("%s: start fan-out without levels, or levels without one", leave.name)
+		}
+		for _, lvl := range g.levels[len(g.levels):cap(g.levels)] {
+			if lvl != nil {
+				t.Fatalf("%s: a level past the current build remains", leave.name)
+			}
+		}
+		for _, set := range g.sets[:cap(g.sets)] {
+			if set != nil {
+				t.Fatalf("%s: a cursor set remains", leave.name)
+			}
+		}
+		runtime.GC()
+		for _, w := range views {
+			if w.Value() != nil {
+				t.Fatalf("%s: the graph keeps a flushed cache's arenas alive", leave.name)
+			}
+		}
+		runtime.KeepAlive(e)
 	}
 }
 

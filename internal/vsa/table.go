@@ -155,14 +155,9 @@ func (tt *TransitionTable) ClassOf(b byte) int { return int(tt.classOf[b]) }
 // Repr returns a representative byte of class c: its smallest.
 func (tt *TransitionTable) Repr(c int) byte { return tt.repr[c] }
 
-// Mat returns the transition matrix for b's byte class, or nil when no
-// transition in the automaton accepts b — no run can consume the byte, so
-// any document containing it has an empty result.
-func (tt *TransitionTable) Mat(b byte) *bitset.Matrix {
-	return tt.mats[tt.classOf[b]]
-}
-
-// ClassMat returns the matrix of class c directly (nil for the dead class).
+// ClassMat returns the matrix of class c, or nil for the dead class: no
+// transition in the automaton accepts its bytes, so no run can consume
+// one, and any document containing one has an empty result.
 func (tt *TransitionTable) ClassMat(c int) *bitset.Matrix { return tt.mats[c] }
 
 // Start returns the masked start row: VE(Init)'s states that read a byte,

@@ -125,7 +125,7 @@ func TestTransitionTableRows(t *testing.T) {
 
 // TestTransitionTableSingleByteAutomaton: an automaton over one letter
 // partitions the bytes into exactly {that letter} and the dead rest, and
-// Mat returns nil for dead bytes.
+// the dead bytes' class has a nil matrix.
 func TestTransitionTableSingleByteAutomaton(t *testing.T) {
 	a := vsa.New(span.NewVarList("x"))
 	mid := a.AddState()
@@ -138,10 +138,10 @@ func TestTransitionTableSingleByteAutomaton(t *testing.T) {
 	if tt.NumClasses() != 2 {
 		t.Fatalf("classes = %d, want 2 ({a} and the dead rest)", tt.NumClasses())
 	}
-	if tt.Mat('a') == nil {
-		t.Fatal("Mat('a') = nil for a live byte")
+	if tt.ClassMat(tt.ClassOf('a')) == nil {
+		t.Fatal("nil matrix for a live byte")
 	}
-	if tt.Mat('b') != nil || tt.Mat(0) != nil {
+	if tt.ClassMat(tt.ClassOf('b')) != nil || tt.ClassMat(tt.ClassOf(0)) != nil {
 		t.Fatal("dead bytes must map to a nil matrix")
 	}
 	if tt.ClassOf('a') == tt.ClassOf('b') {
