@@ -347,9 +347,9 @@ func BenchmarkE10_FunctionalizeBlowup(b *testing.B) {
 	}
 }
 
-// BenchmarkClosures measures the ε/variable closure computation — the
-// word-parallel transitive closure on the bitset matrices — as the
-// automaton grows.
+// BenchmarkClosures measures the variable-ε closure computation — a
+// depth-first search per state into one bitset matrix — as the automaton
+// grows.
 func BenchmarkClosures(b *testing.B) {
 	for _, m := range []int{8, 32, 128} {
 		a := rgx.MustCompilePattern(strings.Repeat("(a|b)", m) + ".*x{a+}.*y{b+}.*")

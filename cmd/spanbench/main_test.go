@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -78,6 +79,29 @@ func TestCheapExperimentsRun(t *testing.T) {
 		})
 		if len(out) == 0 {
 			t.Errorf("%s produced no output", id)
+		}
+	}
+}
+
+// TestGoldenTables pins the structural experiments byte for byte: F1's
+// layered graph of Figure 1 and G1's result tables (Examples 4.2 and A.1,
+// the latter compiled through rgx) must print exactly what
+// `spanbench -experiment F1` (or G1) printed when testdata was generated.
+// A construction or build change that alters either fails here.
+func TestGoldenTables(t *testing.T) {
+	for _, id := range []string{"F1", "G1"} {
+		want, err := os.ReadFile("testdata/" + strings.ToLower(id) + ".golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got string
+		for _, e := range experiments {
+			if e.id == id {
+				got = fmt.Sprintf("## %s — %s\n\n", e.id, e.title) + captureStdout(t, func() { e.run(false) }) + "\n"
+			}
+		}
+		if got != string(want) {
+			t.Errorf("%s output differs from testdata:\n--- got\n%s--- want\n%s", id, got, want)
 		}
 	}
 }

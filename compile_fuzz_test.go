@@ -4,7 +4,9 @@ import (
 	"errors"
 	"testing"
 
+	"spanjoin/internal/alphabet"
 	"spanjoin/internal/enum"
+	"spanjoin/internal/oracle"
 	"spanjoin/internal/rgx"
 )
 
@@ -14,7 +16,11 @@ import (
 // builds, and its count DFA, warmed on another document first, counts a
 // document of at most 16 bytes exactly as the layered graph and the ranked
 // DAG do, and, when there are at most 1,000 results, as many as the
-// reference build enumerates.
+// reference build enumerates. Every leg so far reads one automaton; the
+// last compares the automaton with its formula: on the document's first 6
+// bytes, a pattern with at most 3 variables yields exactly the tuples
+// the brute-force oracle derives from the parsed formula (wrapped in .*
+// for CompileSearch), so a construction that changes the language fails.
 func FuzzCompile(f *testing.F) {
 	f.Add(".*x{a+}.*y{b+}.*", "abaab", "bbbbbbba")
 	f.Add("x{.*}y{.*}", "ab", "")
@@ -23,6 +29,8 @@ func FuzzCompile(f *testing.F) {
 	f.Add("[^0-9]*x{[0-9]+}", "a12b3", "99")
 	f.Add("(x{a})*", "aa", "a")
 	f.Add("a{", "a", "")
+	f.Add("a*b*x{c}", "bac", "abc")   // two stars in a row
+	f.Add("x{a+b+}c", "ababc", "abc") // two loops in a row
 	f.Fuzz(func(t *testing.T, pattern, doc, warm string) {
 		if len(pattern) > 64 {
 			pattern = pattern[:64]
@@ -33,7 +41,11 @@ func FuzzCompile(f *testing.F) {
 		if len(warm) > 16 {
 			warm = warm[:16]
 		}
-		for _, compile := range []func(string) (*Spanner, error){Compile, CompileSearch} {
+		for _, search := range []bool{false, true} {
+			compile := Compile
+			if search {
+				compile = CompileSearch
+			}
 			sp, err := compile(pattern)
 			if err != nil {
 				var pe *rgx.ParseError
@@ -62,6 +74,26 @@ func FuzzCompile(f *testing.F) {
 					t.Fatalf("%q on %q: count %d, reference build enumerates %d", pattern, doc, n, len(all))
 				}
 			}
+			if len(sp.auto.Vars) <= 3 {
+				checkAgainstFormula(t, pattern, search, p, doc[:min(len(doc), 6)])
+			}
 		}
 	})
+}
+
+// checkAgainstFormula compares the plan's results on doc with the
+// oracle's evaluation of the parsed pattern.
+func checkAgainstFormula(t *testing.T, pattern string, search bool, p *enum.Plan, doc string) {
+	t.Helper()
+	form := rgx.MustParse(pattern)
+	if search {
+		form = rgx.NewFormula(rgx.Concat{Subs: []rgx.Node{
+			rgx.Star{Sub: rgx.Class{C: alphabet.Any()}}, form.Root, rgx.Star{Sub: rgx.Class{C: alphabet.Any()}},
+		}})
+	}
+	got, want := p.Prepare(doc).All(), oracle.EvalFormula(form, doc)
+	if !oracle.EqualTupleSets(got, want) {
+		oracle.SortTuples(got)
+		t.Fatalf("%q (search %v) on %q: automaton yields %v, formula %v", pattern, search, doc, got, want)
+	}
 }

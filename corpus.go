@@ -126,7 +126,7 @@ func newCorpus(store *corpus.Store, cfg corpusConfig) *Corpus {
 		reg:     obs.NewRegistry(),
 	}
 	store.SetRegistry(c.reg)
-	c.planBuild = c.reg.Histogram("spanjoin_plan_build_seconds", "Compilations of a query plan actually run (cache misses): the eager part only; kernels built on first use count toward the count or enumerate stage.", nil)
+	c.planBuild = c.reg.Histogram("spanjoin_plan_build_seconds", "Compilations of a query plan actually run (cache misses): the eager trim and functionality check only; closures, letters and the other kernels are built on first use and count toward the count or enumerate stage.", nil)
 	c.reg.CounterFunc("spanjoin_cache_hits_total", "Compiled-query cache hits, including singleflight joiners.", func() uint64 { h, _ := c.cache.Stats(); return h })
 	c.reg.CounterFunc("spanjoin_cache_misses_total", "Compiled-query cache misses (compilations run).", func() uint64 { _, m := c.cache.Stats(); return m })
 	c.reg.Gauge("spanjoin_cache_resident", "Compiled artifacts currently cached.", func() float64 { return float64(c.cache.Len()) })

@@ -20,11 +20,11 @@ func CompileSearch(pattern string) (*Spanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	wrapped := rgx.NewFormula(rgx.Concat{Subs: []rgx.Node{
+	wrapped := &rgx.Formula{Vars: f.Vars, Root: rgx.Concat{Subs: []rgx.Node{
 		rgx.Star{Sub: rgx.Class{C: alphabet.Any()}},
 		f.Root,
 		rgx.Star{Sub: rgx.Class{C: alphabet.Any()}},
-	}})
+	}}}
 	a, err := rgx.Compile(wrapped)
 	if err != nil {
 		return nil, err

@@ -216,8 +216,8 @@ func (r *Results) setErr(err error) {
 // per-document cost is a single graph rebuild into preallocated arenas —
 // the corpus-wide analogue of Spanner.NewStream. The corpus layer caches
 // one plan per compiled query, so repeated evaluations reuse the trimmed
-// automaton, closures, letter table and byte-class transition matrices
-// with no per-call compilation at all. Results stream through a bounded
+// automaton, letter table and byte-class transition matrices with no
+// per-call compilation at all. Results stream through a bounded
 // channel in no guaranteed global order; per document they arrive in the
 // engine's deterministic radix order. It returns
 // resilience.ErrOverloaded (without starting anything) when the store's

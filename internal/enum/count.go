@@ -39,8 +39,10 @@ import (
 // bytes; an interrupted count returns 0.
 //
 // CountDoc leaves the enumerator's prepared document, cursor and Rank
-// untouched, and builds only the plan's transition table (on the plan's
-// first swept document), never a build cache or any graph arena. Plans
+// untouched. The plan's first swept document, if it comes through
+// CountDoc, builds the plan's kernels under their first-use guard — the
+// closures, the letter table and the transition table — and a count
+// builds its count DFA, never a build cache or any graph arena. Plans
 // compiled without a transition table (PrepareOnce, PrepareRef) have no
 // class matrices to determinize; there CountDoc falls back to Reset(s)
 // and Rank().Count(), replacing the prepared document.
@@ -55,7 +57,7 @@ func (e *Enumerator) CountDoc(s string) ranked.Count {
 		e.Reset(s)
 		return e.Rank().Count()
 	}
-	tt := p.transitions()
+	tt := p.kernels()
 	d := p.takeDFA()
 	n := d.count(e, s, tt)
 	// Not deferred: a count that panics leaves its DFA mid-level, and the

@@ -222,7 +222,7 @@ func TestCountDocDFAFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := strings.Repeat("a", m)
-	tt := p.transitions()
+	tt := p.kernels()
 	d := p.takeDFA()
 	d.limit, d.full = 0, true
 	flushes := dfaFlushes.Load()
@@ -235,7 +235,7 @@ func TestCountDocDFAFlush(t *testing.T) {
 	}
 }
 
-// TestCountDocMemoryBounded: the 2,060-state automaton of .*x{a¹⁰²⁴}.*
+// TestCountDocMemoryBounded: the 1,037-state automaton of .*x{a¹⁰²⁴}.*
 // holds a thousand DFA states per level on a⁴⁰⁹⁶. A count's memory is its
 // DFA's, bounded by a constant whatever the document: the warm DFA stays
 // pooled within maxDFABytes, and a warm count allocates (next to) nothing.
@@ -244,8 +244,8 @@ func TestCountDocMemoryBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := p.auto.NumStates(); n != 2060 {
-		t.Fatalf("automaton has %d states, want 2060", n)
+	if n := p.auto.NumStates(); n != 1037 {
+		t.Fatalf("automaton has %d states, want 1037", n)
 	}
 	doc := strings.Repeat("a", 4096)
 	e := p.NewEnumerator()

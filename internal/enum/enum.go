@@ -22,16 +22,17 @@
 // occurs, and the graph's levels point at immutable cached node slices.
 // Every document-independent artifact (trimmed automaton, closures, letter
 // table, transition table) is computed at most once per Plan and shared;
-// the kernels are built on first use. An Enumerator is resettable: Reset(s)
-// rebuilds the layered graph for a new document into the enumerator's own
-// arenas, so streaming many documents through one compiled pattern
-// allocates nothing per document on warm caches, and an enumerator's
-// Release hands its graph arenas to the next enumerator's first build.
+// all but the trim and the functionality check are built on first use.
+// An Enumerator is resettable: Reset(s) rebuilds the layered graph for a
+// new document into the enumerator's own arenas, so streaming many
+// documents through one compiled pattern allocates nothing per document
+// on warm caches, and an enumerator's Release hands its graph arenas to
+// the next enumerator's first build.
 package enum
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -383,7 +384,7 @@ func (e *Enumerator) Release() {
 }
 
 // Clone returns an enumerator sharing e's document-independent compiled
-// state (trimmed automaton, closures, letter and transition tables) with
+// state (trimmed automaton, letter and transition tables) with
 // its own build arenas and cursor, for use from another goroutine. The
 // clone has no document prepared: call Reset before Next.
 func (e *Enumerator) Clone() *Enumerator {
@@ -414,7 +415,8 @@ func (e *Enumerator) interrupted(i int) bool {
 }
 
 // build constructs the layered graph for s into e's arenas. It sets e.empty
-// when [[A]](s) = ∅. A plan with a transition table builds through one of
+// when [[A]](s) = ∅. The plan's first build, unless a CountDoc came first,
+// builds its kernels. A plan with a transition table builds through one of
 // its build caches, taken for the build and handed back after it; plans
 // compiled without a table (PrepareOnce, the differential reference) take
 // the per-transition pass.
@@ -422,6 +424,7 @@ func (e *Enumerator) interrupted(i int) bool {
 //spanjoin:hotpath
 func (e *Enumerator) build(s string) {
 	p := e.plan
+	tt := p.kernels()
 	if e.refBuild || !p.table {
 		e.buildTransitions(s)
 		return
@@ -429,7 +432,6 @@ func (e *Enumerator) build(s string) {
 	if e.g == nil {
 		e.g = graphPool.Get().(*graph)
 	}
-	tt := p.transitions()
 	c := p.takeBuildCache()
 	ok := c.build(e, s, tt)
 	// Not deferred: a build that panics drops its cache with it.
@@ -685,40 +687,40 @@ func growTail[T any](s []T, n int) []T {
 	return s[:need]
 }
 
-func internLetters(t *vsa.VSA, ct *vsa.ConfigTable) (letterOf []int32, configs []vsa.Config) {
-	n := t.NumStates()
-	type entry struct {
-		key   string
-		cfg   vsa.Config
-		state int32
-	}
-	seen := map[string]bool{}
-	var entries []entry
-	for q := 0; q < n; q++ {
-		cfg := ct.Cfg[q]
-		if cfg == nil {
-			cfg = make(vsa.Config, len(t.Vars))
+// internLetters numbers the distinct configurations of the states in the
+// radix order w < o < c, lexicographic over the variable list (the order
+// Config.Compare defines, which result order and every cursor offset
+// follow), and maps each state to its configuration's letter. A
+// configuration is keyed by one packed word per 32 variables, two bits a
+// variable with the first variable most significant, so keys compare as
+// their configurations do and no string or map is needed. A state the
+// table leaves nil (none, once trimmed) counts as all-waiting.
+func internLetters(ct *vsa.ConfigTable, v int) (letterOf []int32, configs []vsa.Config) {
+	n, w := len(ct.Cfg), max(1, (v+31)/32)
+	keys := make([]uint64, n*w)
+	key := func(q int32) []uint64 { return keys[int(q)*w : int(q+1)*w] }
+	order := make([]int32, n)
+	for q, cfg := range ct.Cfg {
+		k := key(int32(q))
+		for i, st := range cfg {
+			k[i/32] |= uint64(st) << (62 - 2*(i%32))
 		}
-		k := cfg.Key()
-		if !seen[k] {
-			seen[k] = true
-			entries = append(entries, entry{key: k, cfg: cfg})
-		}
+		order[q] = int32(q)
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	id := make(map[string]int32, len(entries))
-	configs = make([]vsa.Config, len(entries))
-	for i, en := range entries {
-		id[en.key] = int32(i)
-		configs[i] = en.cfg
-	}
+	slices.SortFunc(order, func(x, y int32) int { return slices.Compare(key(x), key(y)) })
 	letterOf = make([]int32, n)
-	for q := 0; q < n; q++ {
-		cfg := ct.Cfg[q]
-		if cfg == nil {
-			cfg = make(vsa.Config, len(t.Vars))
+	reps := order[:0] // one state per letter, written behind the read
+	for i, q := range order {
+		if i == 0 || !slices.Equal(key(q), key(reps[len(reps)-1])) {
+			reps = append(reps, q)
 		}
-		letterOf[q] = id[cfg.Key()]
+		letterOf[q] = int32(len(reps) - 1)
+	}
+	arena := make(vsa.Config, len(reps)*v)
+	configs = make([]vsa.Config, len(reps))
+	for l, q := range reps {
+		configs[l] = arena[l*v : (l+1)*v : (l+1)*v]
+		copy(configs[l], ct.Cfg[q])
 	}
 	return letterOf, configs
 }

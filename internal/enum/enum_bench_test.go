@@ -80,7 +80,7 @@ func BenchmarkMembershipVsEnumeration(b *testing.B) {
 // graph build followed by the ranked DAG — on a search pattern over a 4 KiB
 // text-like document. Then it times the kernel on four shapes hostile to a
 // subset construction: the classic 2¹³-subset blow-up over random {a,b}
-// text, the same with a capture, two unanchored captures, and a 2,060-state
+// text, the same with a capture, two unanchored captures, and a 1,037-state
 // automaton whose levels hold a thousand sets each. Every kernel case is
 // timed on a DFA that one count before the loop warmed.
 func BenchmarkCountDoc(b *testing.B) {

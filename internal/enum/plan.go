@@ -9,43 +9,47 @@ import (
 )
 
 // Plan is the document-independent compiled state of a functional
-// vset-automaton: the trimmed automaton, its closures and the interned
-// configuration letters, built by NewPlan, plus the kernels the builds and
-// counts read — the byte-class transition table, the build caches and the
-// count DFAs — built on first use: the table when the plan's first
-// document is swept (by CountDoc or a graph build), and each build cache
-// and count DFA a step at a time by the builds and counts that run on it.
-// A query whose documents the prefilter excludes therefore builds none of
-// them, and a count-only query never builds a build cache.
+// vset-automaton. NewPlan builds only what the functionality verdict
+// needs: the trimmed automaton and its configuration table, both linear
+// in the automaton. Everything quadratic is built on first use. The plan's
+// first swept document (a CountDoc or a graph build) builds, under one
+// guard, the variable-ε closures, the interned configuration letters and,
+// for table plans, the byte-class transition table; the closures are then
+// dropped unless a table-less plan's reference build reads them per
+// document. The build caches and count DFAs are built a step at a time by
+// the builds and counts that run on the plan. A query whose documents the
+// index or the admission gate stops before the first one therefore builds
+// none of them, and a count-only query never builds a build cache.
 // A Plan is safe to share between any number of enumerators and
 // goroutines; the corpus compiled-query cache stores one per cached query,
-// so the table is paid for at most once per query however many documents,
-// workers and Eval calls consume it, and the build caches and count DFAs
-// keep every level and subset a build or count has computed for the plan's
-// later ones. Each idle build cache and count DFA retains at most a
-// constant (maxBuildCacheBytes, maxDFABytes), and a plan keeps at most one
-// of each per build or count that ran on it at the same time. Template
-// arenas a build cache flushed outlive it only while an unreleased graph's
-// current build views them (see buildCache).
+// so the kernels are paid for at most once per query however many
+// documents, workers and Eval calls consume them, and the build caches and
+// count DFAs keep every level and subset a build or count has computed for
+// the plan's later ones. Each idle build cache and count DFA retains at
+// most a constant (maxBuildCacheBytes, maxDFABytes), and a plan keeps at
+// most one of each per build or count that ran on it at the same time.
+// Template arenas a build cache flushed outlive it only while an
+// unreleased graph's current build views them (see buildCache).
 type Plan struct {
 	vars      span.VarList
 	auto      *vsa.VSA
-	cl        *vsa.Closures
-	letterOf  []int32
-	configs   []vsa.Config
 	emptyLang bool
 	buildDur  time.Duration
 
 	// table selects the cached table build. Plans without it (PrepareOnce,
-	// PrepareRef) walk charAdj, the character transitions per state,
-	// instead.
-	table   bool
-	charAdj [][]vsa.Tr
+	// PrepareRef) walk charAdj, the character transitions per state, and
+	// the closures cl instead.
+	table bool
 
-	// The transition table, built under sweepOnce; read only after
-	// transitions returns.
+	// The kernels, built under sweepOnce from the configuration table ct,
+	// which the build then drops; read only after kernels returns.
 	sweepOnce sync.Once
+	ct        *vsa.ConfigTable
+	letterOf  []int32
+	configs   []vsa.Config
 	tt        *vsa.TransitionTable
+	cl        *vsa.Closures
+	charAdj   [][]vsa.Tr
 
 	// The idle build caches (graph builds) and count DFAs (CountDoc): a
 	// run takes one and puts it back.
@@ -53,10 +57,11 @@ type Plan struct {
 	dfas   idle[*countDFA]
 }
 
-// NewPlan trims a, verifies functionality, and computes the closures and
-// the letter table. The plan's kernels — the byte-class transition table,
-// the build caches and the count DFAs — are built on first use. It returns
-// vsa.ErrNotFunctional (wrapped) for non-functional automata.
+// NewPlan trims a and verifies functionality by the configuration search;
+// every kernel — the closures, the letter table, the byte-class
+// transition table, the build caches and the count DFAs — is built on
+// first use (see Plan). It returns vsa.ErrNotFunctional (wrapped) for
+// non-functional automata.
 func NewPlan(a *vsa.VSA) (*Plan, error) {
 	return newPlan(a, true)
 }
@@ -64,22 +69,34 @@ func NewPlan(a *vsa.VSA) (*Plan, error) {
 // newPlan is NewPlan with the transition table optional: single-use plans
 // (per-document automata, the differential reference) never build the
 // table or a build cache, whose cost only pays off across repeated builds,
-// and keep the per-state character adjacency instead.
+// and keep the closures and the per-state character adjacency instead.
 func newPlan(a *vsa.VSA, withTable bool) (*Plan, error) {
 	t0 := time.Now()
 	t, ct, err := a.RequireFunctional()
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{vars: t.Vars, auto: t, table: withTable}
-	defer func() { p.buildDur = time.Since(t0) }()
-	if t.NumStates() == 2 && t.NumTransitions() == 0 && t.Init != t.Final {
-		p.emptyLang = true
-		return p, nil
-	}
-	p.cl = t.NewClosures()
-	p.letterOf, p.configs = internLetters(t, ct)
-	if !withTable {
+	p := &Plan{vars: t.Vars, auto: t, table: withTable, ct: ct}
+	p.emptyLang = t.NumStates() == 2 && t.NumTransitions() == 0 && t.Init != t.Final
+	p.buildDur = time.Since(t0)
+	return p, nil
+}
+
+// kernels builds the plan's closures, letter table and, for table plans,
+// transition table the first time any enumerator of the plan sweeps a
+// document, and returns the transition table (nil without one). Callers
+// read it once per document, never per byte.
+func (p *Plan) kernels() *vsa.TransitionTable {
+	p.sweepOnce.Do(func() {
+		t := p.auto
+		cl := t.NewClosures()
+		p.letterOf, p.configs = internLetters(p.ct, len(p.vars))
+		p.ct = nil
+		if p.table {
+			p.tt = vsa.NewTransitionTable(t, cl)
+			return
+		}
+		p.cl = cl
 		p.charAdj = make([][]vsa.Tr, t.NumStates())
 		for q := range p.charAdj {
 			for _, tr := range t.Adj[q] {
@@ -88,15 +105,7 @@ func newPlan(a *vsa.VSA, withTable bool) (*Plan, error) {
 				}
 			}
 		}
-	}
-	return p, nil
-}
-
-// transitions returns the byte-class transition table, building it the
-// first time any enumerator of the plan sweeps a document. Callers read
-// it once per document, never per byte.
-func (p *Plan) transitions() *vsa.TransitionTable {
-	p.sweepOnce.Do(func() { p.tt = vsa.NewTransitionTable(p.auto, p.cl) })
+	})
 	return p.tt
 }
 
@@ -104,11 +113,12 @@ func (p *Plan) transitions() *vsa.TransitionTable {
 func (p *Plan) Vars() span.VarList { return p.vars }
 
 // BuildDuration reports the wall time NewPlan spent on the plan's eager
-// part — trim, functionality check, closures and letter table — the
-// number a plan_build trace span records when the compilation actually
-// ran this query (memoized plans are free and record nothing). The
-// kernels built on first use are not included: their cost lands in the
-// count or enumerate stage of the query whose document first needs them.
+// part — the trim and the functionality check — the number a plan_build
+// trace span records when the compilation actually ran this query
+// (memoized plans are free and record nothing). The kernels built on
+// first use, closures and letter table included, are not: their cost
+// lands in the count or enumerate stage of the query whose document
+// first needs them.
 func (p *Plan) BuildDuration() time.Duration { return p.buildDur }
 
 // ByteClasses reports the number of byte equivalence classes of the
@@ -118,7 +128,7 @@ func (p *Plan) ByteClasses() int {
 	if p.emptyLang || !p.table {
 		return 0
 	}
-	return p.transitions().NumClasses()
+	return p.kernels().NumClasses()
 }
 
 // NewEnumerator returns a fresh enumerator over the plan with its own

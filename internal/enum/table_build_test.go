@@ -357,7 +357,7 @@ func TestScratchPoolDropsOversized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.transitions()
+	p.kernels()
 	wide := p.takeDFA()
 	for i := int32(0); 4*len(wide.sets.keys) <= maxDFABytes; i++ {
 		wide.intern([]int32{i, i + 1})
@@ -566,37 +566,47 @@ func TestWindowBuildPooledArenaAllocs(t *testing.T) {
 	}
 }
 
-// TestKernelsBuiltOnFirstUse: NewPlan builds no kernel; a plan used only
-// through CountDoc builds the transition table and a count DFA, never a
-// build cache or a graph arena; the first graph build adds a build cache.
-// The count kernel and the DAG agree whichever runs first, and a second
-// enumerator over the plan builds nothing.
+// TestKernelsBuiltOnFirstUse: NewPlan builds no kernel — no closures, no
+// letter table, no transition table; a plan used only through CountDoc
+// builds the closures, the letters, the transition table and a count DFA,
+// never a build cache or a graph arena, and keeps no closures; the first
+// graph build adds a build cache. The count kernel and the DAG agree
+// whichever runs first, and a second enumerator over the plan builds
+// nothing. A table-less plan builds its closures and letters, which its
+// reference build keeps, on its first build the same way.
 func TestKernelsBuiltOnFirstUse(t *testing.T) {
 	a := rgx.MustCompilePattern(".*x{a+}.*y{b+}.*")
 	doc := randDoc(rand.New(rand.NewSource(7)), 40)
 	for _, countFirst := range []bool{true, false} {
-		before := vsa.TableBuildCount()
+		before, closures := vsa.TableBuildCount(), vsa.ClosureBuildCount()
 		p, err := NewPlan(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.tt != nil || p.dfas.items != nil || p.builds.items != nil || p.charAdj != nil {
+		if p.tt != nil || p.dfas.items != nil || p.builds.items != nil || p.charAdj != nil ||
+			p.cl != nil || p.letterOf != nil || p.configs != nil || p.ct == nil {
 			t.Fatal("NewPlan built a kernel")
+		}
+		if vsa.ClosureBuildCount() != closures {
+			t.Fatal("NewPlan built closures")
 		}
 		e := p.NewEnumerator()
 		var got ranked.Count
 		if countFirst {
 			got = e.CountDoc(doc)
-			if p.tt == nil || len(p.dfas.items) != 1 {
-				t.Fatal("CountDoc did not build the table and a count DFA")
+			if p.tt == nil || len(p.dfas.items) != 1 || p.letterOf == nil || p.configs == nil {
+				t.Fatal("CountDoc did not build the letters, the table and a count DFA")
 			}
 			if p.builds.items != nil || e.g != nil {
 				t.Fatal("a count-only plan holds a build cache or graph arenas")
 			}
 		}
 		e.Reset(doc)
-		if len(p.builds.items) != 1 {
-			t.Fatal("the first graph build did not leave a build cache")
+		if len(p.builds.items) != 1 || p.letterOf == nil || p.configs == nil {
+			t.Fatal("the first graph build did not leave the letters and a build cache")
+		}
+		if p.cl != nil || p.ct != nil {
+			t.Fatal("a table plan keeps its closures or configuration table after its first use")
 		}
 		want := e.Rank().Count()
 		if !countFirst {
@@ -612,6 +622,20 @@ func TestKernelsBuiltOnFirstUse(t *testing.T) {
 		if n := vsa.TableBuildCount() - before; n != 1 {
 			t.Fatalf("countFirst=%v: %d transition tables built, want 1", countFirst, n)
 		}
+		if n := vsa.ClosureBuildCount() - closures; n != 1 {
+			t.Fatalf("countFirst=%v: %d closures built, want 1", countFirst, n)
+		}
+	}
+	o, err := newPlan(a, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.cl != nil || o.letterOf != nil || o.charAdj != nil {
+		t.Fatal("a table-less NewPlan built a kernel")
+	}
+	o.Prepare(doc)
+	if o.cl == nil || o.letterOf == nil || o.charAdj == nil || o.tt != nil {
+		t.Fatal("a table-less plan's first build did not build its closures, letters and character adjacency alone")
 	}
 }
 
@@ -622,7 +646,7 @@ func TestKernelsBuiltOnFirstUse(t *testing.T) {
 // caches and count DFAs pass between workers and their templates are
 // shared, and counts two 4 KiB documents on a second plan whose counts
 // flush their DFA. Every result must match a sequential reference, and the
-// first plan builds one table.
+// first plan builds one set of closures and letters and one table.
 func TestPlanKernelsFirstUseConcurrent(t *testing.T) {
 	a := rgx.MustCompilePattern(".*x{a+}.*y{b+}.*")
 	r := rand.New(rand.NewSource(8))
@@ -643,7 +667,7 @@ func TestPlanKernelsFirstUseConcurrent(t *testing.T) {
 	}
 	long := []string{randDoc(r, 4096), randDoc(r, 4096)}
 	longWant := []ranked.Count{rankCount(t, blowup, long[0]), rankCount(t, blowup, long[1])}
-	before, flushes := vsa.TableBuildCount(), dfaFlushes.Load()
+	before, closures, flushes := vsa.TableBuildCount(), vsa.ClosureBuildCount(), dfaFlushes.Load()
 	p, err := NewPlan(a)
 	if err != nil {
 		t.Fatal(err)
@@ -696,6 +720,12 @@ func TestPlanKernelsFirstUseConcurrent(t *testing.T) {
 	wg.Wait()
 	if n := vsa.TableBuildCount() - before; n != 1 {
 		t.Fatalf("%d transition tables built for one plan, want 1", n)
+	}
+	if n := vsa.ClosureBuildCount() - closures; n != 1 {
+		t.Fatalf("%d closures built for one plan, want 1", n)
+	}
+	if p.letterOf == nil || p.cl != nil {
+		t.Fatal("the plan has no letters after its first use, or kept its closures")
 	}
 	if dfaFlushes.Load() == flushes {
 		t.Fatal("no count flushed its DFA")

@@ -22,11 +22,12 @@ const (
 	// 1 on a miss).
 	StageCache Stage = "cache"
 	// StagePlan is the eager part of the enum.Plan build — automaton
-	// trim, functionality check, closures, letter table. Recorded only
-	// when the plan was actually built (memoized plans cost nothing). The
-	// plan's kernels (transition matrices, build caches) are built on first
-	// use, inside the stage whose document first needs them: count or
-	// enumerate, or a page's window build, which is no stage.
+	// trim and functionality check, both linear. Recorded only when the
+	// plan was actually built (memoized plans cost nothing). The plan's
+	// kernels (closures, letter table, transition matrices, build caches)
+	// are built on first use, inside the stage whose document first needs
+	// them: count or enumerate, or a page's window build, which is no
+	// stage.
 	StagePlan Stage = "plan_build"
 	// StagePrefilter is candidate selection: the snapshot capture plus
 	// the skip-index posting intersection.

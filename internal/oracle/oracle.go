@@ -154,15 +154,19 @@ func EqualTupleSets(a, b []span.Tuple) bool {
 }
 
 // matcher decides r ∈ R(α) by memoized structural recursion over the AST
-// and the ref-word interval [i, j).
+// and the ref-word interval [i, j). Nodes are numbered in preorder at
+// construction, so the recursion and its memo run on node ids.
 type matcher struct {
 	nodes []rgx.Node
+	kids  [][]int32 // the ids of each node's subformulas, in order
 	word  refword.Word
-	memo  map[[3]int32]bool
+	// memo[(id·(L+1)+i)·(L+1)+j] for a word of length L: 0 unknown,
+	// 1 false or in progress, 2 true.
+	memo []uint8
 }
 
 func newMatcher(root rgx.Node) *matcher {
-	m := &matcher{memo: map[[3]int32]bool{}}
+	m := &matcher{}
 	m.index(desugar(root))
 	return m
 }
@@ -196,91 +200,53 @@ func desugar(n rgx.Node) rgx.Node {
 	return n
 }
 
+// index numbers n and its subformulas in preorder and returns n's id.
 func (m *matcher) index(n rgx.Node) int32 {
 	id := int32(len(m.nodes))
 	m.nodes = append(m.nodes, n)
+	m.kids = append(m.kids, nil)
+	var subs []rgx.Node
 	switch t := n.(type) {
 	case rgx.Concat:
-		for _, c := range t.Subs {
-			m.index(c)
-		}
+		subs = t.Subs
 	case rgx.Alt:
-		for _, c := range t.Subs {
-			m.index(c)
-		}
+		subs = t.Subs
 	case rgx.Star:
-		m.index(t.Sub)
-	case rgx.Plus:
-		m.index(t.Sub)
-	case rgx.Opt:
-		m.index(t.Sub)
+		subs = []rgx.Node{t.Sub}
 	case rgx.Capture:
-		m.index(t.Sub)
+		subs = []rgx.Node{t.Sub}
+	}
+	for _, c := range subs {
+		k := m.index(c)
+		m.kids[id] = append(m.kids[id], k)
 	}
 	return id
 }
 
-// nodeID finds the index of a (sub)node; nodes were appended in preorder so
-// identity is positional. We recompute by scanning — fine for oracle sizes.
-func (m *matcher) nodeID(n rgx.Node) int32 {
-	for i := range m.nodes {
-		if sameNode(m.nodes[i], n) {
-			return int32(i)
-		}
-	}
-	panic("oracle: node not indexed")
-}
-
-func sameNode(a, b rgx.Node) bool {
-	// Node values are compared structurally via interface equality where
-	// possible; Concat/Alt contain slices and are compared by pointer-free
-	// structural identity through String(), which is unambiguous.
-	return a.String() == b.String() && typeName(a) == typeName(b)
-}
-
-func typeName(n rgx.Node) string {
-	switch n.(type) {
-	case rgx.Empty:
-		return "Empty"
-	case rgx.Epsilon:
-		return "Epsilon"
-	case rgx.Class:
-		return "Class"
-	case rgx.Concat:
-		return "Concat"
-	case rgx.Alt:
-		return "Alt"
-	case rgx.Star:
-		return "Star"
-	case rgx.Plus:
-		return "Plus"
-	case rgx.Opt:
-		return "Opt"
-	case rgx.Capture:
-		return "Capture"
-	}
-	return "?"
-}
-
 func (m *matcher) matches(w refword.Word) bool {
 	m.word = w
-	m.memo = map[[3]int32]bool{}
-	return m.gen(m.nodes[0], 0, int32(len(w)))
+	L := len(w) + 1
+	m.memo = make([]uint8, len(m.nodes)*L*L)
+	return m.gen(0, 0, int32(len(w)))
 }
 
-func (m *matcher) gen(n rgx.Node, i, j int32) bool {
-	key := [3]int32{m.nodeID(n), i, j}
-	if v, ok := m.memo[key]; ok {
-		return v
+func (m *matcher) gen(id, i, j int32) bool {
+	L := int32(len(m.word) + 1)
+	key := (id*L+i)*L + j
+	if v := m.memo[key]; v != 0 {
+		return v == 2
 	}
-	m.memo[key] = false // cycle guard (Star with ε-generating sub)
-	v := m.genUncached(n, i, j)
-	m.memo[key] = v
+	m.memo[key] = 1 // cycle guard (Star with ε-generating sub)
+	v := m.genUncached(id, i, j)
+	if v {
+		m.memo[key] = 2
+	}
 	return v
 }
 
-func (m *matcher) genUncached(n rgx.Node, i, j int32) bool {
-	switch t := n.(type) {
+func (m *matcher) genUncached(id, i, j int32) bool {
+	kids := m.kids[id]
+	switch t := m.nodes[id].(type) {
 	case rgx.Empty:
 		return false
 	case rgx.Epsilon:
@@ -288,9 +254,9 @@ func (m *matcher) genUncached(n rgx.Node, i, j int32) bool {
 	case rgx.Class:
 		return j == i+1 && m.word[i].Op == refword.Terminal && t.C.Contains(m.word[i].Byte)
 	case rgx.Concat:
-		return m.genSeq(t.Subs, i, j)
+		return m.genSeq(kids, i, j)
 	case rgx.Alt:
-		for _, c := range t.Subs {
+		for _, c := range kids {
 			if m.gen(c, i, j) {
 				return true
 			}
@@ -301,7 +267,7 @@ func (m *matcher) genUncached(n rgx.Node, i, j int32) bool {
 			return true
 		}
 		for k := i + 1; k <= j; k++ {
-			if m.gen(t.Sub, i, k) && m.gen(n, k, j) {
+			if m.gen(kids[0], i, k) && m.gen(id, k, j) {
 				return true
 			}
 		}
@@ -316,20 +282,20 @@ func (m *matcher) genUncached(n rgx.Node, i, j int32) bool {
 		if m.word[j-1].Op != refword.CloseVar || m.word[j-1].Var != t.Var {
 			return false
 		}
-		return m.gen(t.Sub, i+1, j-1)
+		return m.gen(kids[0], i+1, j-1)
 	}
 	return false
 }
 
-func (m *matcher) genSeq(subs []rgx.Node, i, j int32) bool {
-	if len(subs) == 0 {
+func (m *matcher) genSeq(ids []int32, i, j int32) bool {
+	if len(ids) == 0 {
 		return i == j
 	}
-	if len(subs) == 1 {
-		return m.gen(subs[0], i, j)
+	if len(ids) == 1 {
+		return m.gen(ids[0], i, j)
 	}
 	for k := i; k <= j; k++ {
-		if m.gen(subs[0], i, k) && m.genSeq(subs[1:], k, j) {
+		if m.gen(ids[0], i, k) && m.genSeq(ids[1:], k, j) {
 			return true
 		}
 	}

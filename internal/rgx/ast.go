@@ -226,18 +226,26 @@ func (e *FunctionalityError) Error() string { return "rgx: formula not functiona
 // only inside a dead ∅-branch of a non-empty formula makes it non-functional
 // (no ref-word can bind it).
 func (f *Formula) CheckFunctional() error {
-	root := SimplifyEmpty(f.Root)
+	return f.checkSimplified(SimplifyEmpty(f.Root))
+}
+
+// checkSimplified is CheckFunctional on root, the formula's root after
+// SimplifyEmpty, so that Compile simplifies once for both steps.
+func (f *Formula) checkSimplified(root Node) error {
 	if isEmptyNode(root) {
 		return nil // R(α) = ∅: vacuously functional
 	}
-	live := NewFormula(root).Vars
+	// A functional root binds every variable occurring in it.
+	live, err := checkFunc(root)
+	if err != nil {
+		return err
+	}
 	if !live.Equal(f.Vars) {
 		return &FunctionalityError{
 			Reason: fmt.Sprintf("variables %v occur only inside ∅-subformulas", f.Vars.Minus(live)),
 		}
 	}
-	_, err := checkFunc(root)
-	return err
+	return nil
 }
 
 func checkFunc(n Node) (span.VarList, error) {

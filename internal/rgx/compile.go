@@ -9,21 +9,32 @@ import (
 // operating on the ref-word alphabet: a capture x{β} compiles into an
 // x⊢-transition, the fragment for β, and a ⊣x-transition.
 //
+// Concatenation needs no ε-glue. Every fragment keeps one invariant:
+// nothing inside it enters its entry state, and nothing leaves its exit
+// state. So a run that reaches a fragment's exit has left the fragment for
+// good, and the next part of a concatenation can start at that very state:
+// each part of a Concat extends from the previous part's exit, and the
+// formula's root from Init. A Class extends by one transition; every
+// other node keeps its own entry and exit and is entered by one ε. Star
+// and Plus loop back to their body's entry, never to their own entry,
+// which the part before them may share. (Collapsing .* into one
+// self-looped state would break this: in a*b* both stars would share one
+// state and accept (a|b)*.) Every byte-reading transition still leaves a
+// state of its own.
+//
 // Compile returns a *FunctionalityError if the formula is not functional,
 // mirroring the paper's convention that regex formulas are functional.
 func Compile(f *Formula) (*vsa.VSA, error) {
-	if err := f.CheckFunctional(); err != nil {
+	root := SimplifyEmpty(f.Root)
+	if err := f.checkSimplified(root); err != nil {
 		return nil, err
 	}
-	root := SimplifyEmpty(f.Root)
 	a := vsa.New(f.Vars)
 	if isEmptyNode(root) {
 		return a, nil // no transitions: R(A) = ∅
 	}
 	c := compiler{a: a}
-	s, e := c.frag(root)
-	a.AddEps(a.Init, s)
-	a.AddEps(e, a.Final)
+	a.AddEps(c.from(root, a.Init), a.Final)
 	return a, nil
 }
 
@@ -49,63 +60,71 @@ type compiler struct {
 	a *vsa.VSA
 }
 
-// frag compiles a node into a fragment with a single entry and exit state.
+// from compiles n as a fragment entered at state s and returns its exit.
+func (c *compiler) from(n Node, s int32) int32 {
+	switch t := n.(type) {
+	case Class:
+		e := c.a.AddState()
+		c.a.AddChar(s, t.C, e)
+		return e
+	case Concat:
+		for _, sub := range t.Subs {
+			s = c.from(sub, s)
+		}
+		return s
+	}
+	en, ex := c.frag(n)
+	c.a.AddEps(s, en)
+	return ex
+}
+
+// body compiles n as a fragment with an entry state of its own: a fresh
+// one for the nodes that extend from a given state.
+func (c *compiler) body(n Node) (entry, exit int32) {
+	switch n.(type) {
+	case Class, Concat:
+		entry = c.a.AddState()
+		return entry, c.from(n, entry)
+	}
+	return c.frag(n)
+}
+
+// frag compiles a node that keeps its own entry and exit states.
 func (c *compiler) frag(n Node) (start, end int32) {
 	a := c.a
+	s, e := a.AddState(), a.AddState()
 	switch t := n.(type) {
 	case Epsilon:
-		s, e := a.AddState(), a.AddState()
 		a.AddEps(s, e)
-		return s, e
-	case Class:
-		s, e := a.AddState(), a.AddState()
-		a.AddChar(s, t.C, e)
-		return s, e
-	case Concat:
-		start, end = c.frag(t.Subs[0])
-		for _, sub := range t.Subs[1:] {
-			s2, e2 := c.frag(sub)
-			a.AddEps(end, s2)
-			end = e2
-		}
-		return start, end
 	case Alt:
-		s, e := a.AddState(), a.AddState()
 		for _, sub := range t.Subs {
-			bs, be := c.frag(sub)
+			bs, be := c.body(sub)
 			a.AddEps(s, bs)
 			a.AddEps(be, e)
 		}
-		return s, e
 	case Star:
-		s, e := a.AddState(), a.AddState()
-		bs, be := c.frag(t.Sub)
+		bs, be := c.body(t.Sub)
 		a.AddEps(s, bs)
 		a.AddEps(be, e)
 		a.AddEps(s, e)
 		a.AddEps(be, bs)
-		return s, e
 	case Plus:
-		s, e := a.AddState(), a.AddState()
-		bs, be := c.frag(t.Sub)
+		bs, be := c.body(t.Sub)
 		a.AddEps(s, bs)
 		a.AddEps(be, e)
 		a.AddEps(be, bs)
-		return s, e
 	case Opt:
-		s, e := a.AddState(), a.AddState()
-		bs, be := c.frag(t.Sub)
+		bs, be := c.body(t.Sub)
 		a.AddEps(s, bs)
 		a.AddEps(be, e)
 		a.AddEps(s, e)
-		return s, e
 	case Capture:
-		s, e := a.AddState(), a.AddState()
-		bs, be := c.frag(t.Sub)
+		bs, be := c.body(t.Sub)
 		v := a.VarIndex(t.Var)
 		a.AddOpen(s, v, bs)
 		a.AddClose(be, v, e)
-		return s, e
+	default:
+		panic("rgx: SimplifyEmpty left an unexpected node")
 	}
-	panic("rgx: SimplifyEmpty left an unexpected node")
+	return s, e
 }

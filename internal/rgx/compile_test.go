@@ -257,6 +257,27 @@ func TestCompileLinearSize(t *testing.T) {
 	}
 }
 
+// TestCompiledAutomatonIsTrim: every state of an automaton compiled from a
+// non-empty formula lies on an accepting path, so Trim returns the
+// automaton itself and a plan shares it with its spanner uncopied.
+func TestCompiledAutomatonIsTrim(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	patterns := []string{"", "x{}", "a*x{a*}a*", ".*x{ab}.*", "x{a|}b", "(a|)*", "a([]|b)*c", "(a?b+)*x{(c|[])+}"}
+	for i := 0; i < 300; i++ {
+		p, _ := randFunctionalFormula(r, 4, []string{"x", "y"})
+		patterns = append(patterns, p)
+	}
+	for _, p := range patterns {
+		a, err := rgx.CompilePattern(p)
+		if err != nil || a.IsEmptyLanguage() {
+			continue
+		}
+		if tr := a.Trim(); tr != a {
+			t.Errorf("%q: Trim copied the compiled automaton (%d states to %d)", p, a.NumStates(), tr.NumStates())
+		}
+	}
+}
+
 func TestCompileEmptyLanguage(t *testing.T) {
 	a, err := rgx.CompilePattern("[]x{a}")
 	if err != nil {

@@ -46,6 +46,9 @@ func MustParse(pattern string) *Formula {
 type parser struct {
 	src string
 	pos int
+	// plainTo ends the last word run scanned that no '{' follows: its
+	// bytes are literals, so the run is scanned once, not once per byte.
+	plainTo int
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -170,11 +173,12 @@ func (p *parser) atom() (Node, error) {
 	default:
 		// A maximal run of word characters directly followed by '{' is a
 		// capture variable; otherwise consume a single literal byte.
-		if isWordByte(b) {
+		if isWordByte(b) && p.pos >= p.plainTo {
 			end := p.pos
 			for end < len(p.src) && isWordByte(p.src[end]) {
 				end++
 			}
+			p.plainTo = end
 			if end < len(p.src) && p.src[end] == '{' {
 				name := p.src[p.pos:end]
 				if name[0] >= '0' && name[0] <= '9' {

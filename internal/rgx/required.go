@@ -51,32 +51,36 @@ func analyzeAll(n Node) (exact string, req []string) {
 		}
 		return "", nil
 	case Concat:
-		run := "" // current mandatory literal run
+		// The current mandatory literal run, grown in place: a run of n
+		// single-byte children costs O(n), not the O(n²) of string +=.
+		var run []byte
 		allExact := true
-		joined := ""
 		for _, c := range t.Subs {
 			ex, sub := analyzeAll(c)
 			if ex != "" || isEpsilonNode(c) {
 				// Exact children extend the run; their own requirement set is
 				// subsumed by the run (it contains the child verbatim).
-				run += ex
-				joined += ex
+				run = append(run, ex...)
 				continue
 			}
 			allExact = false
-			if run != "" {
-				req = append(req, run)
-				run = ""
+			if len(run) > 0 {
+				req = append(req, string(run))
+				run = run[:0]
 			}
 			// A non-exact child still contributes its mandatory factors:
 			// every word threads through it.
 			req = append(req, sub...)
 		}
-		if run != "" {
-			req = append(req, run)
+		if len(run) == 0 {
+			return "", req
 		}
+		// An all-exact concatenation never flushed its run: the run is the
+		// whole concatenation's exact string.
+		lit := string(run)
+		req = append(req, lit)
 		if allExact {
-			return joined, req
+			return lit, req
 		}
 		return "", req
 	case Alt:

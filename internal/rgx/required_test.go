@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"spanjoin/internal/alloctest"
 	"spanjoin/internal/enum"
 	"spanjoin/internal/rgx"
 )
@@ -145,5 +146,20 @@ func TestRequiredLiteralsSound(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRequiredLiteralsLongRunLinear: a 4,096-byte literal yields the one
+// literal it spells, and collecting it costs memory linear in its length.
+// A run grown a byte at a time by string concatenation would allocate
+// about 17 MiB here, far past the bound.
+func TestRequiredLiteralsLongRunLinear(t *testing.T) {
+	lit := strings.Repeat("a", 4096)
+	f := rgx.MustParse("x{" + lit + "}")
+	if got := rgx.RequiredLiterals(f.Root); len(got) != 1 || got[0] != lit {
+		t.Fatalf("RequiredLiterals = %d literals, want exactly the 4,096-byte run", len(got))
+	}
+	if b := alloctest.Bytes(t, 3, func() { rgx.RequiredLiterals(f.Root) }); b > 1<<20 {
+		t.Fatalf("RequiredLiterals of a 4,096-byte literal allocates %.1f MiB, want under 1 MiB", b/(1<<20))
 	}
 }

@@ -8,17 +8,16 @@ import (
 	"spanjoin/internal/alphabet"
 )
 
-// closureFromRef is the pre-bitset slice implementation of the ε/variable
+// closureFromRef is the pre-bitset slice implementation of the variable-ε
 // closure (BFS over adjacency with a []bool seen set), kept as the golden
 // reference for NewClosures.
-func closureFromRef(a *VSA, q int32, withVars bool) []int32 {
+func closureFromRef(a *VSA, q int32) []int32 {
 	seen := make([]bool, len(a.Adj))
 	seen[q] = true
 	order := []int32{q}
 	for i := 0; i < len(order); i++ {
 		for _, t := range a.Adj[order[i]] {
-			ok := t.Kind == KEps || (withVars && (t.Kind == KOpen || t.Kind == KClose))
-			if ok && !seen[t.To] {
+			if t.Kind != KChar && !seen[t.To] {
 				seen[t.To] = true
 				order = append(order, t.To)
 			}
@@ -53,29 +52,22 @@ func TestClosuresAgainstSliceReference(t *testing.T) {
 		}
 		cl := a.NewClosures()
 		for q := 0; q < n; q++ {
-			for _, withVars := range []bool{false, true} {
-				want := closureFromRef(a, int32(q), withVars)
-				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-				got := cl.Eps[q]
-				row := cl.EpsB.Row(q)
-				if withVars {
-					got = cl.VE[q]
-					row = cl.VEB.Row(q)
+			want := closureFromRef(a, int32(q))
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			got, row := cl.VE[q], cl.VEB.Row(q)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d state %d: got %v want %v", trial, q, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d state %d: got %v want %v", trial, q, got, want)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("trial %d state %d withVars=%v: got %v want %v", trial, q, withVars, got, want)
+				if !row.Test(want[i]) {
+					t.Fatalf("trial %d state %d: bitset row missing %d", trial, q, want[i])
 				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d state %d withVars=%v: got %v want %v", trial, q, withVars, got, want)
-					}
-					if !row.Test(want[i]) {
-						t.Fatalf("trial %d state %d: bitset row missing %d", trial, q, want[i])
-					}
-				}
-				if row.Count() != len(want) {
-					t.Fatalf("trial %d state %d: bitset row has extra bits", trial, q)
-				}
+			}
+			if row.Count() != len(want) {
+				t.Fatalf("trial %d state %d: bitset row has extra bits", trial, q)
 			}
 		}
 	}

@@ -128,26 +128,30 @@ type ConfigTable struct {
 //   - every state reached along two paths must get the same configuration,
 //   - the final state's configuration must be all-closed.
 //
-// Any violation yields ErrNotFunctional (wrapped with a description).
+// Any violation yields ErrNotFunctional (wrapped with a description). The
+// configurations share one arena of n·v entries; states the search never
+// reaches keep a nil configuration.
 func (a *VSA) ConfigTableOf() (*ConfigTable, error) {
-	n := len(a.Adj)
+	n, v := len(a.Adj), len(a.Vars)
 	cfg := make([]Config, n)
 	if n == 0 {
 		return &ConfigTable{Cfg: cfg}, nil
 	}
-	init := make(Config, len(a.Vars)) // all W
-	cfg[a.Init] = init
-	queue := []int32{a.Init}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
+	arena := make(Config, n*v) // all W; never nil, so neither are its slots
+	slot := func(q int32) Config { return arena[int(q)*v : int(q+1)*v : int(q+1)*v] }
+	next := make(Config, v) // the configuration a transition leads to
+	cfg[a.Init] = slot(a.Init)
+	queue := make([]int32, 1, n)
+	queue[0] = a.Init
+	for head := 0; head < len(queue); head++ {
+		p := queue[head]
 		for _, t := range a.Adj[p] {
-			next, err := applyOp(cfg[p], t)
-			if err != nil {
+			if err := applyOp(next, cfg[p], t); err != nil {
 				return nil, err
 			}
 			if cfg[t.To] == nil {
-				cfg[t.To] = next
+				cfg[t.To] = slot(t.To)
+				copy(cfg[t.To], next)
 				queue = append(queue, t.To)
 			} else if !cfg[t.To].Equal(next) {
 				return nil, fmt.Errorf("%w: state %d is reachable with configurations %v and %v",
@@ -158,7 +162,7 @@ func (a *VSA) ConfigTableOf() (*ConfigTable, error) {
 	if cfg[a.Final] == nil {
 		// Final unreachable: the language is empty; treat as functional with
 		// a vacuous table (callers should trim first, which removes this).
-		cfg[a.Final] = make(Config, len(a.Vars))
+		cfg[a.Final] = slot(a.Final)
 		for i := range cfg[a.Final] {
 			cfg[a.Final][i] = C
 		}
@@ -170,26 +174,27 @@ func (a *VSA) ConfigTableOf() (*ConfigTable, error) {
 	return &ConfigTable{Cfg: cfg}, nil
 }
 
-func applyOp(c Config, t Tr) (Config, error) {
+// applyOp writes into next the configuration transition t leads to from
+// a state whose configuration is c, or reports that t may not leave it.
+func applyOp(next, c Config, t Tr) error {
+	copy(next, c)
 	switch t.Kind {
 	case KEps, KChar:
-		return c, nil
+		return nil
 	case KOpen:
 		if c[t.Var] != W {
-			return nil, fmt.Errorf("%w: variable %d opened while %v", ErrNotFunctional, t.Var, c[t.Var])
+			return fmt.Errorf("%w: variable %d opened while %v", ErrNotFunctional, t.Var, c[t.Var])
 		}
-		n := c.Clone()
-		n[t.Var] = O
-		return n, nil
+		next[t.Var] = O
+		return nil
 	case KClose:
 		if c[t.Var] != O {
-			return nil, fmt.Errorf("%w: variable %d closed while %v", ErrNotFunctional, t.Var, c[t.Var])
+			return fmt.Errorf("%w: variable %d closed while %v", ErrNotFunctional, t.Var, c[t.Var])
 		}
-		n := c.Clone()
-		n[t.Var] = C
-		return n, nil
+		next[t.Var] = C
+		return nil
 	}
-	return nil, fmt.Errorf("vsa: unknown transition kind %v", t.Kind)
+	return fmt.Errorf("vsa: unknown transition kind %v", t.Kind)
 }
 
 // IsFunctional reports whether the automaton is functional: every accepting
@@ -200,8 +205,9 @@ func (a *VSA) IsFunctional() bool {
 	return err == nil
 }
 
-// RequireFunctional trims the automaton and returns the trimmed copy with
-// its configuration table, or ErrNotFunctional.
+// RequireFunctional trims the automaton and returns the trimmed automaton
+// with its configuration table, or ErrNotFunctional. Like Trim's, the
+// returned automaton may be a itself: callers mutate neither.
 func (a *VSA) RequireFunctional() (*VSA, *ConfigTable, error) {
 	t := a.Trim()
 	ct, err := t.ConfigTableOf()

@@ -119,14 +119,14 @@ func Functionalize(a *VSA) *VSA {
 		}
 		return c
 	}
+	next := make(Config, v) // getState keys by a copy
 	for len(queue) > 0 {
 		k := queue[0]
 		queue = queue[1:]
 		src := id[k]
 		cfg := decode(k.cfg)
 		for _, t := range a.Adj[k.q] {
-			next, err := applyOp(cfg, t)
-			if err != nil {
+			if applyOp(next, cfg, t) != nil {
 				continue // invalid operation: this run cannot yield a valid ref-word
 			}
 			dst := getState(t.To, next)

@@ -40,8 +40,9 @@ func TableBuildCount() uint64 { return tableBuilds.Load() }
 // The table depends only on the compiled automaton, never on a document, so
 // it is built once per compiled query and shared by every enumerator,
 // clone and corpus worker. Memory is NumClasses live matrices of n² bits
-// each — the same order as the closure matrices the automaton already
-// carries; the class of bytes no transition accepts shares a nil matrix.
+// each, the same order as the closure matrix it is built from, which the
+// plan drops once the table exists; the class of bytes no transition
+// accepts shares a nil matrix.
 type TransitionTable struct {
 	classOf    [256]uint8
 	numClasses int

@@ -8,7 +8,7 @@
 //
 //   - the automaton model with byte-class character transitions,
 //   - variable configurations and the functionality test (Thm 2.7),
-//   - trimming and ε/variable closures,
+//   - trimming and variable-ε closures,
 //   - the spanner algebra: projection (Lemma 3.8), union (Lemma 3.9),
 //     natural join (Lemma 3.10),
 //   - functionalization of arbitrary vset-automata (state × configuration
@@ -20,6 +20,7 @@ package vsa
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"spanjoin/internal/alphabet"
 	"spanjoin/internal/bitset"
@@ -137,51 +138,77 @@ func (a *VSA) Clone() *VSA {
 // reachable from Init and co-reachable from Final. If no accepting path
 // exists, the result is an empty-language automaton over the same variables.
 // Trimming never changes [[A]].
+//
+// Trim copies only when it drops a state: an automaton that is trim
+// already — every automaton rgx.Compile builds for a non-empty formula —
+// comes back as a itself. The result may therefore alias a, so callers
+// must mutate neither.
 func (a *VSA) Trim() *VSA {
 	n := len(a.Adj)
-	fwd := make([]bool, n)
-	stack := []int32{a.Init}
-	fwd[a.Init] = true
+	// use[q] has bit 1 when q is reachable and bit 2 when it is co-reachable.
+	use := make([]uint8, n)
+	stack := make([]int32, 0, 16)
+	mark := func(q int32, bit uint8) {
+		if use[q]&bit == 0 {
+			use[q] |= bit
+			stack = append(stack, q)
+		}
+	}
+	mark(a.Init, 1)
 	for len(stack) > 0 {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, t := range a.Adj[q] {
-			if !fwd[t.To] {
-				fwd[t.To] = true
-				stack = append(stack, t.To)
-			}
+			mark(t.To, 1)
 		}
 	}
-	// Reverse adjacency for co-reachability.
-	radj := make([][]int32, n)
+	// Reverse adjacency for co-reachability, in one arena: after the fill,
+	// the sources of q are src[end[q-1]:end[q]].
+	end := make([]int32, n+1)
+	for _, ts := range a.Adj {
+		for _, t := range ts {
+			end[t.To+1]++
+		}
+	}
+	for q := 1; q <= n; q++ {
+		end[q] += end[q-1]
+	}
+	src := make([]int32, end[n])
 	for p, ts := range a.Adj {
 		for _, t := range ts {
-			radj[t.To] = append(radj[t.To], int32(p))
+			src[end[t.To]] = int32(p)
+			end[t.To]++
 		}
 	}
-	bwd := make([]bool, n)
-	stack = append(stack, a.Final)
-	bwd[a.Final] = true
+	mark(a.Final, 2)
 	for len(stack) > 0 {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range radj[q] {
-			if !bwd[p] {
-				bwd[p] = true
-				stack = append(stack, p)
-			}
+		lo := int32(0)
+		if q > 0 {
+			lo = end[q-1]
+		}
+		for _, p := range src[lo:end[q]] {
+			mark(p, 2)
 		}
 	}
-	if !fwd[a.Final] || !bwd[a.Init] {
+	if use[a.Final]&1 == 0 || use[a.Init]&2 == 0 {
 		return New(a.Vars)
 	}
-	remap := make([]int32, n)
-	for i := range remap {
-		remap[i] = -1
+	kept := 0
+	for _, u := range use {
+		if u == 3 {
+			kept++
+		}
 	}
-	out := &VSA{Vars: a.Vars}
+	if kept == n {
+		return a
+	}
+	remap := make([]int32, n)
+	out := &VSA{Vars: a.Vars, Adj: make([][]Tr, 0, kept)}
 	for q := 0; q < n; q++ {
-		if fwd[q] && bwd[q] {
+		remap[q] = -1
+		if use[q] == 3 {
 			remap[q] = out.AddState()
 		}
 	}
@@ -211,97 +238,59 @@ func (a *VSA) IsEmptyLanguage() bool {
 	return t.NumStates() == 2 && t.NumTransitions() == 0 && !(a.Init == a.Final)
 }
 
-// Closures holds the memoized ε-closure E and variable-ε-closure VE of every
-// state (paper, proofs of Thm 3.3 and Lemma 3.10):
-//
-//	E(q)  = states reachable from q using only ε-transitions,
-//	VE(q) = states reachable using only ε- and variable transitions.
-//
-// Both include q itself. The primary representation is a pair of n×n bitset
-// matrices (row q = closure of q), so closure unions and intersections in
-// the hot paths are word operations; Eps and VE are slice views of the same
-// rows, in ascending state order, for code whose iteration order matters.
+// closureBuilds counts NewClosures calls process-wide, so tests can
+// assert that a plan defers its closures to its first swept document.
+var closureBuilds atomic.Uint64
+
+// ClosureBuildCount reports how many closures this process has built.
+func ClosureBuildCount() uint64 { return closureBuilds.Load() }
+
+// Closures holds the memoized variable-ε-closure VE of every state (paper,
+// proofs of Thm 3.3 and Lemma 3.10): VE(q) is the set of states reachable
+// from q using only ε- and variable transitions, q included. The primary
+// representation is an n×n bitset matrix (row q = VE(q)), so closure
+// unions and intersections in the hot paths are word operations; VE is a
+// slice view of the same rows, in ascending state order, for code whose
+// iteration order matters.
 type Closures struct {
-	Eps [][]int32
-	VE  [][]int32
-	// EpsB and VEB are the bitset rows backing Eps and VE.
-	EpsB *bitset.Matrix
-	VEB  *bitset.Matrix
+	VE [][]int32
+	// VEB holds the bitset rows backing VE.
+	VEB *bitset.Matrix
 }
 
-// NewClosures computes both closures for every state in O(n(n+m)/w) word
-// operations: per state, a frontier BFS that unions whole adjacency rows.
+// NewClosures computes the closure of every state by a depth-first search
+// per state over the ε- and variable transitions, in O(n·m) time at worst
+// and O(Σ_q |VE(q)|) for the bounded out-degree of compiled formulas.
 func (a *VSA) NewClosures() *Closures {
+	closureBuilds.Add(1)
 	n := len(a.Adj)
-	c := &Closures{
-		Eps:  make([][]int32, n),
-		VE:   make([][]int32, n),
-		EpsB: bitset.NewMatrix(n, n),
-		VEB:  bitset.NewMatrix(n, n),
-	}
-	// Direct-successor rows (reflexive) for each closure kind.
-	epsAdj := bitset.NewMatrix(n, n)
-	veAdj := bitset.NewMatrix(n, n)
-	for q := 0; q < n; q++ {
-		er, vr := epsAdj.Row(q), veAdj.Row(q)
-		er.Set(int32(q))
-		vr.Set(int32(q))
-		for _, t := range a.Adj[q] {
-			switch t.Kind {
-			case KEps:
-				er.Set(t.To)
-				vr.Set(t.To)
-			case KOpen, KClose:
-				vr.Set(t.To)
-			}
-		}
-	}
-	closeMatrix(c.EpsB, epsAdj, n)
-	closeMatrix(c.VEB, veAdj, n)
-	// Slice views, shared arena, ascending state order.
+	c := &Closures{VE: make([][]int32, n), VEB: bitset.NewMatrix(n, n)}
+	stack := make([]int32, 0, 16)
 	total := 0
 	for q := 0; q < n; q++ {
-		total += c.EpsB.Row(q).Count() + c.VEB.Row(q).Count()
+		row := c.VEB.Row(q)
+		row.Set(int32(q))
+		stack = append(stack[:0], int32(q))
+		for len(stack) > 0 {
+			p := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, t := range a.Adj[p] {
+				if t.Kind != KChar && !row.Test(t.To) {
+					row.Set(t.To)
+					stack = append(stack, t.To)
+				}
+			}
+		}
+		total += row.Count()
 	}
+	// Slice views, shared arena, ascending state order.
 	arena := make([]int32, 0, total)
 	for q := 0; q < n; q++ {
 		start := len(arena)
-		arena = c.EpsB.Row(q).AppendOnes(arena)
-		c.Eps[q] = arena[start:len(arena):len(arena)]
-		start = len(arena)
 		arena = c.VEB.Row(q).AppendOnes(arena)
 		c.VE[q] = arena[start:len(arena):len(arena)]
 	}
 	return c
-}
-
-// closeMatrix fills out with the reflexive-transitive closure of the
-// adjacency matrix adj by per-state frontier BFS: each round unions the
-// whole adjacency rows of the current frontier, so work is word-parallel.
-func closeMatrix(out, adj *bitset.Matrix, n int) {
-	if n == 0 {
-		return
-	}
-	acc := bitset.NewRow(n)
-	frontier := make([]int32, 0, 16)
-	for q := 0; q < n; q++ {
-		row := out.Row(q)
-		row.CopyFrom(adj.Row(q))
-		// frontier = row initially; expand until no new states appear.
-		frontier = row.AppendOnes(frontier[:0])
-		for len(frontier) > 0 {
-			acc.Zero()
-			for _, p := range frontier {
-				acc.Or(adj.Row(int(p)))
-			}
-			acc.AndNot(row) // newly discovered states only
-			if !acc.Any() {
-				break
-			}
-			row.Or(acc)
-			frontier = acc.AppendOnes(frontier[:0])
-		}
-	}
 }
 
 // CharTrans returns the character transitions leaving q.

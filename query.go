@@ -53,8 +53,9 @@ type Query struct {
 
 	// Document-independent compilation artifacts, memoized per Query (a
 	// built Query is immutable): the full automata-plan compilation
-	// (equality-free queries), its enum.Plan (closures + byte-class
-	// transition table, shared by every corpus worker and Eval call), and
+	// (equality-free queries), its enum.Plan (closures, letters and
+	// byte-class transition table once first used, shared by every corpus
+	// worker and Eval call), and
 	// the bare atom join (the hoistable prefix of the plan when equalities
 	// must still compile per document).
 	compileOnce sync.Once

@@ -11,8 +11,10 @@ import (
 	"time"
 
 	"spanjoin"
+	"spanjoin/internal/alloctest"
 	"spanjoin/internal/leakcheck"
 	"spanjoin/internal/resilience"
+	"spanjoin/internal/vsa"
 )
 
 // resilienceCorpus builds a corpus whose documents each yield many
@@ -133,6 +135,45 @@ func TestErrorTaxonomy(t *testing.T) {
 				t.Fatalf("holder Err = %v, want nil", err)
 			}
 		})
+	}
+}
+
+// TestOverloadedHostileQueryBuildsNothingQuadratic: a never-seen pattern
+// with a 4,096-byte literal, shed by a saturated gate, costs only its
+// compilation and the plan's linear functionality check. The closures,
+// the letter table and the transition table, each quadratic in the
+// automaton's 4,109 states (about 6 MiB together), wait for a swept
+// document, which a shed query never reaches.
+func TestOverloadedHostileQueryBuildsNothingQuadratic(t *testing.T) {
+	c := resilienceCorpus(t, spanjoin.WithMaxConcurrent(1), spanjoin.WithResultBuffer(1), spanjoin.WithWorkers(1))
+	holder, err := c.Eval(context.Background(), spanjoin.Search(resiliencePattern))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	if _, ok := holder.Next(); !ok {
+		t.Fatal("holder query produced nothing")
+	}
+	hostile := spanjoin.Search("x{" + strings.Repeat("a", 4096) + "}")
+	tables, closures := vsa.TableBuildCount(), vsa.ClosureBuildCount()
+	count := func() { _, err = c.Count(context.Background(), hostile) }
+	if alloctest.RaceEnabled {
+		count()
+	} else if b := alloctest.Bytes(t, 1, count); b > 4<<20 {
+		t.Fatalf("the shed query allocated %.1f MiB, want under 4 MiB", b/(1<<20))
+	}
+	if !errors.Is(err, spanjoin.ErrOverloaded) {
+		t.Fatalf("err = %v, want ErrOverloaded", err)
+	}
+	if n := vsa.ClosureBuildCount() - closures; n != 0 {
+		t.Fatalf("the shed query built %d closures, want 0", n)
+	}
+	if n := vsa.TableBuildCount() - tables; n != 0 {
+		t.Fatalf("the shed query built %d transition tables, want 0", n)
+	}
+	// spanlint/closecheck: the undrained holder must not have faulted.
+	if err := holder.Err(); err != nil {
+		t.Fatalf("holder Err = %v, want nil", err)
 	}
 }
 

@@ -81,13 +81,14 @@ func TestCompiledTableBuiltOncePerCachedQuery(t *testing.T) {
 // TestZeroCandidateQueryBuildsNoTable: a fresh pattern whose required
 // literal no document contains visits no document — the skip index
 // excludes them all — so its plan never needs, and never builds, the
-// transition table that is built on first use. Neither the count nor the
-// page path may build one.
+// kernels built on first use: the closures, the letter table (built under
+// the same guard as the closures) and the transition table. Neither the
+// count nor the page path may build them.
 func TestZeroCandidateQueryBuildsNoTable(t *testing.T) {
 	c := spanjoin.NewCorpus(spanjoin.WithShards(2), spanjoin.WithIndex())
 	c.AddAll("alice sent mail", "bob read mail", "carol", "")
 
-	before := vsa.TableBuildCount()
+	before, closures := vsa.TableBuildCount(), vsa.ClosureBuildCount()
 	n, err := c.Count(context.Background(), spanjoin.Search(`x{zebra}`))
 	if err != nil {
 		t.Fatal(err)
@@ -104,5 +105,15 @@ func TestZeroCandidateQueryBuildsNoTable(t *testing.T) {
 	}
 	if got := vsa.TableBuildCount() - before; got != 0 {
 		t.Fatalf("zero-candidate queries built %d transition tables, want 0", got)
+	}
+	if got := vsa.ClosureBuildCount() - closures; got != 0 {
+		t.Fatalf("zero-candidate queries built %d closures, want 0", got)
+	}
+	// The control: a query with a candidate builds each kernel once.
+	if _, err := c.Count(context.Background(), spanjoin.Search(`x{mail}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got := vsa.ClosureBuildCount() - closures; got != 1 {
+		t.Fatalf("a swept query built %d closures, want 1", got)
 	}
 }
