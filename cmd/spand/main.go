@@ -84,6 +84,13 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
+// maxHeaderBytes caps a request's line and header. A GET carries its
+// pattern in the URL, so net/http's 1 MiB default would hand a 1 MiB
+// pattern to the compiler; past the cap the server answers 431 before any
+// handler runs. The cap still admits the cursor token of a pattern of
+// about 45 KiB (JSON, then base64: 4/3 of the pattern's bytes).
+const maxHeaderBytes = 64 << 10
+
 // newHTTPServer is spand's HTTP server around h, its errors logged to
 // stderr.
 func newHTTPServer(h http.Handler, stderr io.Writer) *http.Server {
@@ -91,6 +98,7 @@ func newHTTPServer(h http.Handler, stderr io.Writer) *http.Server {
 		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
 		ErrorLog:          log.New(stderr, "spand: ", 0),
 	}
 }

@@ -4,8 +4,13 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"spanjoin"
 )
 
 // TestHTTPServerBoundsSlowClients: spand's HTTP server bounds how long a
@@ -45,5 +50,50 @@ func TestHTTPServerBoundsSlowClients(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := io.ReadAll(conn); err != nil {
 		t.Fatalf("unfinished header still holds its connection: %v", err)
+	}
+}
+
+// TestHTTPServerCapsRequestHeader: spand's HTTP server caps the request
+// line and header at maxHeaderBytes. A GET whose q is 1 MiB gets 431
+// without reaching the handler, so it never reaches the compiler, while
+// the cursor token of a 45 KiB pattern still gets through.
+func TestHTTPServerCapsRequestHeader(t *testing.T) {
+	var reached atomic.Int32
+	hs := newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		reached.Add(1)
+	}), io.Discard)
+	if hs.MaxHeaderBytes != maxHeaderBytes {
+		t.Fatalf("MaxHeaderBytes %d, want %d", hs.MaxHeaderBytes, maxHeaderBytes)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	defer func() {
+		hs.Close()
+		<-served
+	}()
+	get := func(q string) int {
+		t.Helper()
+		resp, err := http.Get("http://" + ln.Addr().String() + "/eval?q=" + url.QueryEscape(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	if code := get(strings.Repeat("a", 1<<20)); code != http.StatusRequestHeaderFieldsTooLarge {
+		t.Fatalf("a 1 MiB q got %d, want 431", code)
+	}
+	if n := reached.Load(); n != 0 {
+		t.Fatalf("a 1 MiB q reached the handler %d times", n)
+	}
+	tok := spanjoin.Cursor{Mode: "search", Pattern: strings.Repeat("a", 45<<10)}.Token()
+	if code := get(tok); code != http.StatusOK || reached.Load() != 1 {
+		t.Fatalf("a %d-byte cursor token got %d, reached the handler %d times; want 200, once",
+			len(tok), code, reached.Load())
 	}
 }

@@ -15,8 +15,8 @@ import (
 // or a *rgx.FunctionalityError — never a panic. An accepted pattern's plan
 // builds, and its count DFA, warmed on another document first, counts a
 // document of at most 16 bytes exactly as the layered graph and the ranked
-// DAG do, and, when there are at most 1,000 results, as many as the
-// reference build enumerates. Every leg so far reads one automaton; the
+// DAG do, and, when there are at most 1,000 results, as many as Next on
+// the plan enumerates. Every leg so far reads one automaton; the
 // last compares the automaton with its formula: on the document's first 6
 // bytes, a pattern with at most 3 variables yields exactly the tuples
 // the brute-force oracle derives from the parsed formula (wrapped in .*
@@ -66,12 +66,8 @@ func FuzzCompile(f *testing.F) {
 				t.Fatalf("%q on %q after %q: CountDoc = %v, Rank().Count() = %v", pattern, doc, warm, got, want)
 			}
 			if n, ok := want.Uint64(); ok && n <= 1000 {
-				ref, err := enum.PrepareRef(sp.auto, doc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if all := ref.All(); uint64(len(all)) != n {
-					t.Fatalf("%q on %q: count %d, reference build enumerates %d", pattern, doc, n, len(all))
+				if all := p.Prepare(doc).All(); uint64(len(all)) != n {
+					t.Fatalf("%q on %q: count %d, Next enumerates %d", pattern, doc, n, len(all))
 				}
 			}
 			if len(sp.auto.Vars) <= 3 {

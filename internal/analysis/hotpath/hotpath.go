@@ -17,7 +17,7 @@
 //     passing an append result along do not);
 //   - allocate with make, new, or a composite-literal address, or
 //     convert between string and []byte (hot paths draw from pools
-//     and arenas; see scratchPool in internal/enum).
+//     and arenas; see graphPool in internal/enum).
 //
 // The annotation set is itself cross-checked: every hotpath function
 // must be covered by an allocation gate — a //spanjoin:allocgate

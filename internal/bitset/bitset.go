@@ -147,8 +147,7 @@ func (r Row) AppendOnes(dst []int32) []int32 {
 }
 
 // Matrix is a dense rows×n bit matrix stored in one backing slice; Row(i)
-// views row i. Matrices are resizable in place so scratch matrices can be
-// pooled and reused across documents of different lengths.
+// views row i.
 type Matrix struct {
 	rows  int
 	words int
@@ -172,10 +171,6 @@ func (m *Matrix) Row(i int) Row {
 	return Row(m.bits[off : off+m.words : off+m.words])
 }
 
-// CapWords reports the capacity of the backing word slice — the memory the
-// matrix retains across Resize calls (pooled-scratch size accounting).
-func (m *Matrix) CapWords() int { return cap(m.bits) }
-
 // Resize reshapes the matrix to rows×n bits, zeroing all content. The
 // backing slice is reused when large enough.
 func (m *Matrix) Resize(rows, n int) {
@@ -187,13 +182,6 @@ func (m *Matrix) Resize(rows, n int) {
 		return
 	}
 	m.bits = m.bits[:need]
-	for i := range m.bits {
-		m.bits[i] = 0
-	}
-}
-
-// Zero clears every bit, keeping the shape.
-func (m *Matrix) Zero() {
 	for i := range m.bits {
 		m.bits[i] = 0
 	}

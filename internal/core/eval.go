@@ -182,9 +182,9 @@ func (q *CQ) EnumerateJoined(joined *vsa.VSA, s string) (Iterator, error) {
 			return nil, err
 		}
 	}
-	// The assembled automaton exists for this document only: skip the
-	// transition-table compilation that could never amortize.
-	return enum.PrepareOnce(joined, s)
+	// The assembled automaton exists for this document only: its plan's
+	// kernels and build cache serve this one build.
+	return enum.Prepare(joined, s)
 }
 
 // evalCanonical is the canonical relational plan: materialize each atom
@@ -352,8 +352,9 @@ func (u *UCQ) Enumerate(s string, opts Options) (Iterator, error) {
 			return nil, err
 		}
 	}
-	// Per-document union assembly, like EnumerateJoined: single-use.
-	return enum.PrepareOnce(union, s)
+	// Per-document union assembly, like EnumerateJoined: its plan serves
+	// this one build.
+	return enum.Prepare(union, s)
 }
 
 // Eval evaluates the UCQ and materializes the result.

@@ -42,20 +42,13 @@ import (
 // untouched. The plan's first swept document, if it comes through
 // CountDoc, builds the plan's kernels under their first-use guard — the
 // closures, the letter table and the transition table — and a count
-// builds its count DFA, never a build cache or any graph arena. Plans
-// compiled without a transition table (PrepareOnce, PrepareRef) have no
-// class matrices to determinize; there CountDoc falls back to Reset(s)
-// and Rank().Count(), replacing the prepared document.
+// builds its count DFA, never a build cache or any graph arena.
 //
 //spanjoin:hotpath
 func (e *Enumerator) CountDoc(s string) ranked.Count {
 	p := e.plan
 	if p.emptyLang {
 		return ranked.Count{}
-	}
-	if !p.table {
-		e.Reset(s)
-		return e.Rank().Count()
 	}
 	tt := p.kernels()
 	d := p.takeDFA()
@@ -176,7 +169,7 @@ func (d *countDFA) count(e *Enumerator, s string, tt *vsa.TransitionTable) ranke
 	p := e.plan
 	d.limit, d.full = dfaFlushBytes, false
 	lv := d.enterStart(p)
-	cur := grow(d.cur, d.levels.size(lv))
+	cur := widen(d.cur, d.levels.size(lv))
 	for k := range cur {
 		cur[k] = 1
 	}
@@ -206,7 +199,7 @@ levels:
 			ltrans, prog = d.ltrans, d.prog
 		}
 		lv = prog[off]
-		next = grow(next, int(prog[off+1]))
+		next = widen(next, int(prog[off+1]))
 		off += 2
 		for _, n := range cur {
 			to := off + 1 + prog[off]
@@ -236,6 +229,20 @@ levels:
 		}
 	}
 	return ranked.CountOf(total)
+}
+
+// widen is grow for a count's level buffers. A widening document widens
+// them a few positions a byte, and a DFA dropped at maxDFABytes starts
+// every count with empty ones, so widen reallocates geometrically: a count
+// that reaches width w allocates O(w) bytes for them, not O(w²). It grows
+// by a quarter, not twofold, to keep the slack small beside the DFA's
+// bound: doubling would take the DFA of .*x{a²⁰⁴⁸}.* past it, and that
+// DFA would be dropped after every count.
+func widen(s []uint64, n int) []uint64 {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]uint64, n, max(n, cap(s)+cap(s)/4))
 }
 
 // countExact is count on ranked.Count counts, which escape to big.Int: the

@@ -25,7 +25,7 @@ func rankCount(t *testing.T, p *Plan, s string) ranked.Count {
 // growing length on a DFA that every earlier document warmed, and every
 // count equals the DAG's. Then each of 60 random functional automata
 // counts a document sequence — "", a dead byte, a document with no match
-// — through one enumerator, checked against reference-build drains.
+// — through one enumerator, checked against refPrepare's drains.
 func TestCountDocLengths(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for _, pat := range []string{".*x{a+}.*y{b+}.*", "(a|b)*x{a+}(a|b)*", "x{.*}y{.*}"} {
@@ -57,11 +57,11 @@ func TestCountDocLengths(t *testing.T) {
 		}
 		e := p.NewEnumerator()
 		for _, doc := range docs {
-			ref, err := PrepareRef(a, doc)
+			ref, err := refPrepare(a, doc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := len(ref.All())
+			want := len(ref.all())
 			if got, ok := e.CountDoc(doc).Uint64(); !ok || got != uint64(want) {
 				t.Fatalf("automaton %d on %q: CountDoc = %d, reference drain = %d", i, doc, got, want)
 			}
@@ -263,5 +263,49 @@ func TestCountDocMemoryBounded(t *testing.T) {
 	}
 	if b := alloctest.Bytes(t, 3, func() { e.CountDoc(doc) }); b > 1024 {
 		t.Fatalf("a warm count allocates %.0f bytes, want ≤ 1 KiB", b)
+	}
+}
+
+// TestCountDocLevelBuffersGrowGeometrically: on a⁴⁰⁹⁶, .*x{aᵏ}.* widens
+// its count levels by one DFA state a byte, up to about k. At k = 2,048
+// the DFA, level buffers included, stays within maxDFABytes, so it is
+// pooled and a warm count allocates nothing. At k = 4,096 the DFA outgrows
+// the bound and is dropped after every count, so every count starts on
+// empty level buffers; grown geometrically they cost O(k) bytes, and the
+// whole count, DFA included, allocates under 4 MiB (72 MB when they grew
+// to the exact width at every byte).
+func TestCountDocLevelBuffersGrowGeometrically(t *testing.T) {
+	doc := strings.Repeat("a", 4096)
+	plan := func(k int) (*Plan, *Enumerator) {
+		p, err := NewPlan(rgx.MustCompilePattern(".*x{" + strings.Repeat("a", k) + "}.*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, p.NewEnumerator()
+	}
+	count := func(e *Enumerator, k int) {
+		if got, ok := e.CountDoc(doc).Uint64(); !ok || got != uint64(len(doc)-k+1) {
+			t.Fatalf("k = %d: CountDoc = %d, want %d", k, got, len(doc)-k+1)
+		}
+	}
+
+	p, e := plan(2048)
+	count(e, 2048)
+	drops := dfaDrops.Load()
+	if b := alloctest.Bytes(t, 1, func() { count(e, 2048) }); b != 0 {
+		t.Fatalf("k = 2048: a warm count allocates %.0f bytes, want 0", b)
+	}
+	if dfaDrops.Load() != drops || len(p.dfas.items) != 1 {
+		t.Fatal("k = 2048: the DFA was dropped")
+	}
+
+	p, e = plan(4096)
+	p.kernels()
+	drops = dfaDrops.Load()
+	if b := alloctest.Bytes(t, 1, func() { count(e, 4096) }); b >= 4<<20 {
+		t.Fatalf("k = 4096: a count allocates %.0f bytes, want under 4 MiB", b)
+	}
+	if dfaDrops.Load() != drops+1 || len(p.dfas.items) != 0 {
+		t.Fatal("k = 4096: the DFA was pooled; the case needs one past its bound")
 	}
 }

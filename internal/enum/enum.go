@@ -20,9 +20,13 @@
 // the byte and level i+1's pruned nodes, so each level is one cached
 // lookup per pass, computed from the class matrices the first time it
 // occurs, and the graph's levels point at immutable cached node slices.
-// Every document-independent artifact (trimmed automaton, closures, letter
-// table, transition table) is computed at most once per Plan and shared;
-// all but the trim and the functionality check are built on first use.
+// This is the only build: a plan built for one document — the per-document
+// automaton of a string-equality selection (Thm 5.4) or of a UCQ — builds
+// its kernels and a cold build cache for that document, like a shared
+// plan's first one. Every document-independent artifact (trimmed
+// automaton, closures, letter table, transition table) is computed at most
+// once per Plan and shared; all but the trim and the functionality check
+// are built on first use.
 // An Enumerator is resettable: Reset(s) rebuilds the layered graph for a
 // new document into the enumerator's own arenas, so streaming many
 // documents through one compiled pattern allocates nothing per document
@@ -72,9 +76,6 @@ type Enumerator struct {
 	plan  *Plan
 	n     int // |s|
 	empty bool
-	// refBuild selects the preserved per-transition graph build instead of
-	// the cached table build (PrepareRef; differential testing only).
-	refBuild bool
 
 	// g holds the graph and cursor buffers, drawn from graphPool by the
 	// first graph build and returned by Release; nil until then.
@@ -103,12 +104,11 @@ type Enumerator struct {
 
 // graph holds an enumerator's plan-independent buffers: the layered graph
 // — its levels, and the virtual start's fan-out — and the enumeration
-// cursor. A table build points the levels and the fan-out at its build
-// cache's templates and records its forward sets; the reference build
-// fills the node, letter, target and by-letter edge arenas. Every build
-// reslices and refills them. Enumerators draw one from graphPool on their
-// first graph build and return it with Release, so one-shot window builds
-// reuse the arenas earlier ones grew.
+// cursor. A build points the levels and the fan-out at its build cache's
+// templates and records its forward sets, reslicing the buffers it grew
+// before. Enumerators draw one from graphPool on their first graph build
+// and return it with Release, so one-shot window builds reuse the buffers
+// earlier ones grew.
 //
 // The levels, the cursor's sets and the start fan-out view storage the
 // graph may not own: a build cache's template arenas, which outlive a
@@ -118,12 +118,8 @@ type Enumerator struct {
 // enumeration's sets — and a graph that is emptied or pooled views
 // nothing (dropViews), so a pooled graph keeps no template arena alive.
 type graph struct {
-	levels        [][]GraphNode // levels[i] views level i's nodes
-	fwdSets       []int32       // a table build's forward set per level
-	nodes         []GraphNode
-	letterArena   []int32
-	tgtArena      []int32
-	byLetterArena [][]int32
+	levels  [][]GraphNode // levels[i] views level i's nodes
+	fwdSets []int32       // the build's forward set per level
 	// start nodes (level 0) grouped by letter, like GraphNode targets
 	startLetters  []int32
 	startByLetter [][]int32
@@ -136,13 +132,21 @@ type graph struct {
 
 var graphPool = sync.Pool{New: func() any { return new(graph) }}
 
-// graphDrops counts graphs dropped at maxScratchRetain instead of pooled.
+// maxGraphRetain caps the bytes a graph may carry back into graphPool.
+// A graph's buffers grow with the document (a level slice, a forward set
+// and a cursor set per byte), so without a cap a single huge document
+// would pin its buffers in a pooled graph for the life of the process;
+// oversized graphs are dropped instead, and steady-state memory tracks
+// the working set.
+const maxGraphRetain = 4 << 20
+
+// graphDrops counts graphs dropped at maxGraphRetain instead of pooled.
 var graphDrops atomic.Uint64
 
 // putGraph pools g for reuse, viewing nothing, unless its buffers outgrew
-// maxScratchRetain; it reports whether g was pooled.
+// maxGraphRetain; it reports whether g was pooled.
 func putGraph(g *graph) bool {
-	if g.retainedBytes() > maxScratchRetain {
+	if g.retainedBytes() > maxGraphRetain {
 		graphDrops.Add(1)
 		return false
 	}
@@ -163,113 +167,13 @@ func (g *graph) dropViews() {
 // retainedBytes sums the capacity of every buffer g would carry back into
 // the pool.
 func (g *graph) retainedBytes() int {
-	b := sliceHeader * (cap(g.levels) + cap(g.byLetterArena) + cap(g.sets) + cap(g.setsBuf))
-	b += nodeBytes * cap(g.nodes)
-	b += 4 * (cap(g.fwdSets) + cap(g.letterArena) + cap(g.tgtArena) + cap(g.letters))
+	b := sliceHeader * (cap(g.levels) + cap(g.sets) + cap(g.setsBuf))
+	b += 4 * (cap(g.fwdSets) + cap(g.letters))
 	b += 8 * cap(g.mergeRow)
 	for _, buf := range g.setsBuf[:cap(g.setsBuf)] {
 		b += 4 * cap(buf)
 	}
 	return b
-}
-
-// prepScratch holds the transient buffers of one reference build
-// (buildTransitions): forward and backward level rows, the flattened
-// rawEdges arrays and the letter grouping counters. Instances are pooled
-// so even fresh Prepare calls reuse the allocations of earlier ones. Table
-// builds and counts use none of it: they run on the plan's build caches
-// and count DFAs.
-type prepScratch struct {
-	fwd   bitset.Matrix // (N+1)×n: boundary-state sets per level
-	alive bitset.Matrix // (N+1)×n: backward-reachability prune
-	succ  bitset.Row    // n bits: successor accumulator per state
-
-	stateIdx []int32 // state → node index at the level being linked
-
-	lsArena []int32    // concatenated per-level state lists
-	lsSpan  [][2]int32 // lsSpan[i] = [start, end) into lsArena
-
-	// Flattened rawEdges: edgeOwner[k] is the boundary state, edgeSpan[k]
-	// its successor range in edgeTgt, lvlEdge[i] the edge range of level i.
-	edgeOwner []int32
-	edgeSpan  [][2]int32
-	edgeTgt   []int32
-	lvlEdge   [][2]int32
-
-	// Letter grouping scratch, sized by the letter count.
-	cnt      []int32
-	pos      []int32
-	distinct []int32
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(prepScratch) }}
-
-// maxScratchRetain caps the bytes a prepScratch may carry back into the
-// pool. Scratch arenas grow with the document (the level matrices are
-// (N+1)×n bits), so without a cap a single huge document would pin its
-// arenas in every pooled scratch for the life of the process; oversized
-// scratches are dropped instead, and steady-state memory tracks the
-// working set.
-const maxScratchRetain = 4 << 20
-
-// scratchDrops counts scratches dropped at the cap (observability + the
-// pool-retention regression test).
-var scratchDrops atomic.Uint64
-
-// putScratch pools sc for reuse unless its arenas outgrew maxScratchRetain;
-// it reports whether sc was pooled.
-func putScratch(sc *prepScratch) bool {
-	if sc.retainedBytes() > maxScratchRetain {
-		scratchDrops.Add(1)
-		return false
-	}
-	scratchPool.Put(sc)
-	return true
-}
-
-// retainedBytes sums the capacity of every buffer sc would carry back into
-// the pool.
-func (sc *prepScratch) retainedBytes() int {
-	b := 8 * (sc.fwd.CapWords() + sc.alive.CapWords() + cap(sc.succ))
-	b += 4 * (cap(sc.stateIdx) + cap(sc.lsArena) + cap(sc.edgeOwner) +
-		cap(sc.edgeTgt) + cap(sc.cnt) + cap(sc.pos) + cap(sc.distinct))
-	return b + 8*(cap(sc.lsSpan)+cap(sc.edgeSpan)+cap(sc.lvlEdge))
-}
-
-func (sc *prepScratch) init(n, N, letters int) {
-	sc.fwd.Resize(N+1, n)
-	sc.alive.Resize(N+1, n)
-	if cap(sc.succ) < bitset.WordsFor(n) {
-		sc.succ = bitset.NewRow(n)
-	} else {
-		sc.succ = sc.succ[:bitset.WordsFor(n)]
-		sc.succ.Zero()
-	}
-	sc.stateIdx = grow(sc.stateIdx, n)
-	sc.lsArena = sc.lsArena[:0]
-	sc.lsSpan = grow(sc.lsSpan, N+1)
-	sc.edgeOwner = sc.edgeOwner[:0]
-	sc.edgeSpan = sc.edgeSpan[:0]
-	sc.edgeTgt = sc.edgeTgt[:0]
-	sc.lvlEdge = grow(sc.lvlEdge, N)
-	if cap(sc.cnt) < letters {
-		sc.cnt = make([]int32, letters) // zeroed; kept zero between uses
-	} else {
-		sc.cnt = sc.cnt[:letters]
-	}
-	sc.pos = grow(sc.pos, letters)
-}
-
-// levelStates returns the materialized state list of level i.
-func (sc *prepScratch) levelStates(i int) []int32 {
-	s := sc.lsSpan[i]
-	return sc.lsArena[s[0]:s[1]]
-}
-
-func (sc *prepScratch) pushLevel(i int, row bitset.Row) {
-	start := int32(len(sc.lsArena))
-	sc.lsArena = row.AppendOnes(sc.lsArena)
-	sc.lsSpan[i] = [2]int32{start, int32(len(sc.lsArena))}
 }
 
 // grow reslices s to n elements, reallocating only when capacity is short;
@@ -314,42 +218,10 @@ func Prepare(a *vsa.VSA, s string) (*Enumerator, error) {
 	return p.Prepare(s), nil
 }
 
-// PrepareOnce is Prepare for a single-use automaton — the per-document
-// compilation paths (string-equality selections, per-document query
-// plans), where the automaton exists for exactly one document. It never
-// builds the byte-class transition table or a build cache, whose
-// construction cost can never amortize, and builds the graph with the
-// per-transition pass.
-func PrepareOnce(a *vsa.VSA, s string) (*Enumerator, error) {
-	p, err := newPlan(a, false)
-	if err != nil {
-		return nil, err
-	}
-	return p.Prepare(s), nil
-}
-
-// PrepareRef is Prepare on the preserved per-transition reference build:
-// the returned enumerator constructs its layered graphs by walking each
-// frontier state's character transitions and testing byte membership per
-// transition — the pre-table implementation — and keeps doing so across
-// Reset and Clone. It exists for differential testing and the EB benchmark;
-// its output is identical to Prepare's. No transition table is compiled
-// (the reference build never reads one).
-func PrepareRef(a *vsa.VSA, s string) (*Enumerator, error) {
-	p, err := newPlan(a, false)
-	if err != nil {
-		return nil, err
-	}
-	e := p.NewEnumerator()
-	e.refBuild = true
-	e.Reset(s)
-	return e, nil
-}
-
 // Reset rebuilds the enumerator for a new document, reusing every buffer of
-// the previous build. On a plan with a transition table the build runs
-// through one of the plan's build caches (see buildCache): each level is a
-// cached lookup per pass, and on warm caches Reset allocates nothing. The
+// the previous build. The build runs through one of the plan's build
+// caches (see buildCache): each level is a cached lookup per pass, and on
+// warm caches Reset allocates nothing. The
 // enumeration restarts from the beginning; tuples handed out earlier remain
 // valid (they are freshly allocated), but Levels and Rank views of the
 // previous document do not.
@@ -370,9 +242,9 @@ func (e *Enumerator) Reset(s string) {
 // enumerator with no document prepared, as NewEnumerator does: call Reset
 // before Next. Levels and Rank views of the released graph are invalid;
 // tuples handed out earlier remain valid (they are freshly allocated).
-// Like the build scratch, arenas grown past maxScratchRetain are dropped
-// rather than pooled, and a pooled graph views no build cache's templates,
-// so it keeps no flushed cache's arenas alive. Release is idempotent.
+// Arenas grown past maxGraphRetain are dropped rather than pooled, and a
+// pooled graph views no build cache's templates, so it keeps no flushed
+// cache's arenas alive. Release is idempotent.
 func (e *Enumerator) Release() {
 	e.started, e.done, e.pending = false, false, false
 	e.empty = true
@@ -383,15 +255,11 @@ func (e *Enumerator) Release() {
 	}
 }
 
-// Clone returns an enumerator sharing e's document-independent compiled
-// state (trimmed automaton, letter and transition tables) with
-// its own build arenas and cursor, for use from another goroutine. The
-// clone has no document prepared: call Reset before Next.
-func (e *Enumerator) Clone() *Enumerator {
-	c := e.plan.NewEnumerator()
-	c.refBuild = e.refBuild
-	return c
-}
+// Clone returns an enumerator sharing e's plan — the trimmed automaton,
+// the letter and transition tables, the build caches and count DFAs —
+// with its own graph arenas and cursor, for use from another goroutine.
+// The clone has no document prepared: call Reset before Next.
+func (e *Enumerator) Clone() *Enumerator { return e.plan.NewEnumerator() }
 
 // SetInterrupt installs an amortized build-interrupt check: f is polled
 // every interruptStride positions while the layered graph is built, and a
@@ -416,19 +284,13 @@ func (e *Enumerator) interrupted(i int) bool {
 
 // build constructs the layered graph for s into e's arenas. It sets e.empty
 // when [[A]](s) = ∅. The plan's first build, unless a CountDoc came first,
-// builds its kernels. A plan with a transition table builds through one of
-// its build caches, taken for the build and handed back after it; plans
-// compiled without a table (PrepareOnce, the differential reference) take
-// the per-transition pass.
+// builds its kernels. The build runs through one of the plan's build
+// caches, taken for the build and handed back after it.
 //
 //spanjoin:hotpath
 func (e *Enumerator) build(s string) {
 	p := e.plan
 	tt := p.kernels()
-	if e.refBuild || !p.table {
-		e.buildTransitions(s)
-		return
-	}
 	if e.g == nil {
 		e.g = graphPool.Get().(*graph)
 	}
@@ -441,161 +303,6 @@ func (e *Enumerator) build(s string) {
 		return
 	}
 	e.g.sizeCursor(len(s), p.auto.NumStates())
-}
-
-// buildTransitions is the preserved per-transition reference build: it
-// walks each frontier state's character adjacency, tests byte membership
-// per transition and ORs in closure rows one hit at a time. PrepareRef
-// selects it; differential tests cross-validate the table build against
-// it on random automata and documents.
-func (e *Enumerator) buildTransitions(s string) {
-	t, cl := e.plan.auto, e.plan.cl
-	n := t.NumStates()
-	N := len(s)
-	sc := scratchPool.Get().(*prepScratch)
-	defer putScratch(sc)
-	sc.init(n, N, len(e.plan.configs))
-
-	// Forward pass: fwd.Row(i) = possible boundary states q̂_i.
-	cur := sc.fwd.Row(0)
-	cur.CopyFrom(cl.VEB.Row(int(t.Init)))
-	sc.pushLevel(0, cur)
-	for i := 0; i < N; i++ {
-		if e.interrupted(i) {
-			e.markEmpty()
-			return
-		}
-		next := sc.fwd.Row(i + 1)
-		lvlStart := int32(len(sc.edgeOwner))
-		for _, p := range sc.levelStates(i) {
-			any := false
-			for _, tr := range e.plan.charAdj[p] {
-				if !tr.Class.Contains(s[i]) {
-					continue
-				}
-				sc.succ.Or(cl.VEB.Row(int(tr.To)))
-				any = true
-			}
-			if !any {
-				continue
-			}
-			start := int32(len(sc.edgeTgt))
-			sc.edgeTgt = sc.succ.AppendOnes(sc.edgeTgt)
-			sc.edgeOwner = append(sc.edgeOwner, p)
-			sc.edgeSpan = append(sc.edgeSpan, [2]int32{start, int32(len(sc.edgeTgt))})
-			next.Or(sc.succ)
-			sc.succ.Zero()
-		}
-		sc.lvlEdge[i] = [2]int32{lvlStart, int32(len(sc.edgeOwner))}
-		sc.pushLevel(i+1, next)
-	}
-	// The last boundary state must be the final state exactly (q̂_N = qf).
-	if !sc.fwd.Row(N).Test(t.Final) {
-		e.markEmpty()
-		return
-	}
-
-	// Backward prune: keep nodes from which (N, qf) is reachable.
-	sc.alive.Row(N).Set(t.Final)
-	for i := N - 1; i >= 0; i-- {
-		aliveCur, aliveNext := sc.alive.Row(i), sc.alive.Row(i+1)
-		rng := sc.lvlEdge[i]
-		for k := rng[0]; k < rng[1]; k++ {
-			es := sc.edgeSpan[k]
-			for _, q := range sc.edgeTgt[es[0]:es[1]] {
-				if aliveNext.Test(q) {
-					aliveCur.Set(sc.edgeOwner[k])
-					break
-				}
-			}
-		}
-	}
-
-	if !e.assembleLevels(sc, N) {
-		e.markEmpty()
-		return
-	}
-
-	// Link targets level by level, grouping successors by letter into the
-	// persistent arenas. Edge owners and nodes are both ascending by state,
-	// so a lockstep walk pairs them without an index.
-	g := e.g
-	g.letterArena = g.letterArena[:0]
-	g.tgtArena = g.tgtArena[:0]
-	g.byLetterArena = g.byLetterArena[:0]
-	for i := 0; i < N; i++ {
-		for _, q := range sc.levelStates(i + 1) {
-			sc.stateIdx[q] = -1
-		}
-		for j := range g.levels[i+1] {
-			sc.stateIdx[g.levels[i+1][j].State] = int32(j)
-		}
-		rng := sc.lvlEdge[i]
-		ek := rng[0]
-		for k := range g.levels[i] {
-			node := &g.levels[i][k]
-			for ek < rng[1] && sc.edgeOwner[ek] < node.State {
-				ek++
-			}
-			if ek >= rng[1] || sc.edgeOwner[ek] != node.State {
-				node.TargetLetters, node.TargetsByLetter = nil, nil
-				continue
-			}
-			es := sc.edgeSpan[ek]
-			node.TargetLetters, node.TargetsByLetter =
-				e.appendLetterGroups(sc.edgeTgt[es[0]:es[1]], sc)
-			ek++
-		}
-	}
-
-	e.linkStart(sc, N)
-}
-
-// assembleLevels materializes the alive states of every level in ascending
-// order (level N is {qf}) into one node arena sized from the alive rows'
-// popcounts, drawing e's graph buffers from graphPool on its first build;
-// it reports false when level 0 died, i.e. no accepting path survives the
-// prune. The prune only marks states of the level's forward set, so
-// reading the alive row directly yields exactly the surviving subsequence
-// of the level's state list.
-//
-//spanjoin:hotpath
-func (e *Enumerator) assembleLevels(sc *prepScratch, N int) bool {
-	if e.g == nil {
-		e.g = graphPool.Get().(*graph)
-	}
-	g, letterOf := e.g, e.plan.letterOf
-	total := 0
-	for i := 0; i <= N; i++ {
-		total += sc.alive.Row(i).Count()
-	}
-	g.nodes = grow(g.nodes, total)
-	g.levels = regrow(g.levels, N+1)
-	k := 0
-	for i := 0; i <= N; i++ {
-		start := k
-		row := sc.alive.Row(i)
-		for q := row.NextOne(0); q >= 0; q = row.NextOne(q + 1) {
-			g.nodes[k] = GraphNode{State: q, Letter: letterOf[q]}
-			k++
-		}
-		g.levels[i] = g.nodes[start:k:k]
-	}
-	return len(g.levels[0]) > 0
-}
-
-// linkStart groups the virtual initial state's fan-out to every level-0
-// node by letter, and sizes the enumeration cursor slices.
-func (e *Enumerator) linkStart(sc *prepScratch, N int) {
-	g := e.g
-	for _, q := range sc.levelStates(0) {
-		sc.stateIdx[q] = -1
-	}
-	for k := range g.levels[0] {
-		sc.stateIdx[g.levels[0][k].State] = int32(k)
-	}
-	g.startLetters, g.startByLetter = e.appendLetterGroups(sc.levelStates(0), sc)
-	g.sizeCursor(N, e.plan.auto.NumStates())
 }
 
 // sizeCursor sizes the enumeration cursor for N+1 levels over n states,
@@ -613,78 +320,6 @@ func (e *Enumerator) markEmpty() {
 	if e.g != nil {
 		e.g.dropViews()
 	}
-}
-
-// appendLetterGroups groups the live targets among the candidate states by
-// letter: the returned letters are ascending, and each letter's target list
-// holds node indices (stateIdx of the states) in ascending order. Storage
-// comes from the enumerator's arenas; states whose stateIdx is -1 are
-// skipped. cnt is left zeroed for the next call.
-func (e *Enumerator) appendLetterGroups(states []int32, sc *prepScratch) ([]int32, [][]int32) {
-	g, letterOf := e.g, e.plan.letterOf
-	distinct := sc.distinct[:0]
-	total := 0
-	for _, q := range states {
-		if sc.stateIdx[q] < 0 {
-			continue
-		}
-		l := letterOf[q]
-		if sc.cnt[l] == 0 {
-			distinct = append(distinct, l)
-		}
-		sc.cnt[l]++
-		total++
-	}
-	sc.distinct = distinct
-	if total == 0 {
-		return nil, nil
-	}
-	// Insertion sort: the distinct letter count per node is tiny.
-	for i := 1; i < len(distinct); i++ {
-		for j := i; j > 0 && distinct[j] < distinct[j-1]; j-- {
-			distinct[j], distinct[j-1] = distinct[j-1], distinct[j]
-		}
-	}
-	lstart := len(g.letterArena)
-	g.letterArena = append(g.letterArena, distinct...)
-	letters := g.letterArena[lstart:len(g.letterArena):len(g.letterArena)]
-
-	tstart := len(g.tgtArena)
-	g.tgtArena = growTail(g.tgtArena, total)
-	bstart := len(g.byLetterArena)
-	run := int32(tstart)
-	for _, l := range distinct {
-		c := sc.cnt[l]
-		g.byLetterArena = append(g.byLetterArena, g.tgtArena[run:run+c:run+c])
-		sc.pos[l] = run
-		run += c
-	}
-	byLetter := g.byLetterArena[bstart:len(g.byLetterArena):len(g.byLetterArena)]
-	for _, q := range states {
-		j := sc.stateIdx[q]
-		if j < 0 {
-			continue
-		}
-		l := letterOf[q]
-		g.tgtArena[sc.pos[l]] = j
-		sc.pos[l]++
-	}
-	for _, l := range distinct {
-		sc.cnt[l] = 0
-	}
-	return letters, byLetter
-}
-
-// growTail extends s by n elements in place, reallocating geometrically;
-// the new elements are overwritten by the caller.
-func growTail[T any](s []T, n int) []T {
-	need := len(s) + n
-	if cap(s) < need {
-		ns := make([]T, len(s), max(2*cap(s), need))
-		copy(ns, s)
-		s = ns
-	}
-	return s[:need]
 }
 
 // internLetters numbers the distinct configurations of the states in the

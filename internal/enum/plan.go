@@ -13,14 +13,15 @@ import (
 // needs: the trimmed automaton and its configuration table, both linear
 // in the automaton. Everything quadratic is built on first use. The plan's
 // first swept document (a CountDoc or a graph build) builds, under one
-// guard, the variable-ε closures, the interned configuration letters and,
-// for table plans, the byte-class transition table; the closures are then
-// dropped unless a table-less plan's reference build reads them per
-// document. The build caches and count DFAs are built a step at a time by
-// the builds and counts that run on the plan. A query whose documents the
-// index or the admission gate stops before the first one therefore builds
-// none of them, and a count-only query never builds a build cache.
-// A Plan is safe to share between any number of enumerators and
+// guard, the variable-ε closures, the interned configuration letters and
+// the byte-class transition table; the closures are then dropped, since
+// the table's matrices hold them. The build caches and count DFAs are
+// built a step at a time by the builds and counts that run on the plan.
+// A query whose documents the index or the admission gate stops before
+// the first one therefore builds none of them, and a count-only query
+// never builds a build cache. A plan made for one document (Prepare, as
+// for the per-document automata of equality queries and UCQs) pays its
+// kernels and a cold build cache for that document. A Plan is safe to share between any number of enumerators and
 // goroutines; the corpus compiled-query cache stores one per cached query,
 // so the kernels are paid for at most once per query however many
 // documents, workers and Eval calls consume them, and the build caches and
@@ -36,11 +37,6 @@ type Plan struct {
 	emptyLang bool
 	buildDur  time.Duration
 
-	// table selects the cached table build. Plans without it (PrepareOnce,
-	// PrepareRef) walk charAdj, the character transitions per state, and
-	// the closures cl instead.
-	table bool
-
 	// The kernels, built under sweepOnce from the configuration table ct,
 	// which the build then drops; read only after kernels returns.
 	sweepOnce sync.Once
@@ -48,8 +44,6 @@ type Plan struct {
 	letterOf  []int32
 	configs   []vsa.Config
 	tt        *vsa.TransitionTable
-	cl        *vsa.Closures
-	charAdj   [][]vsa.Tr
 
 	// The idle build caches (graph builds) and count DFAs (CountDoc): a
 	// run takes one and puts it back.
@@ -63,48 +57,26 @@ type Plan struct {
 // first use (see Plan). It returns vsa.ErrNotFunctional (wrapped) for
 // non-functional automata.
 func NewPlan(a *vsa.VSA) (*Plan, error) {
-	return newPlan(a, true)
-}
-
-// newPlan is NewPlan with the transition table optional: single-use plans
-// (per-document automata, the differential reference) never build the
-// table or a build cache, whose cost only pays off across repeated builds,
-// and keep the closures and the per-state character adjacency instead.
-func newPlan(a *vsa.VSA, withTable bool) (*Plan, error) {
 	t0 := time.Now()
 	t, ct, err := a.RequireFunctional()
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{vars: t.Vars, auto: t, table: withTable, ct: ct}
+	p := &Plan{vars: t.Vars, auto: t, ct: ct}
 	p.emptyLang = t.NumStates() == 2 && t.NumTransitions() == 0 && t.Init != t.Final
 	p.buildDur = time.Since(t0)
 	return p, nil
 }
 
-// kernels builds the plan's closures, letter table and, for table plans,
-// transition table the first time any enumerator of the plan sweeps a
-// document, and returns the transition table (nil without one). Callers
-// read it once per document, never per byte.
+// kernels builds the plan's closures, letter table and transition table
+// the first time any enumerator of the plan sweeps a document, and returns
+// the transition table. The closures are dropped once the table holds
+// them. Callers read the table once per document, never per byte.
 func (p *Plan) kernels() *vsa.TransitionTable {
 	p.sweepOnce.Do(func() {
-		t := p.auto
-		cl := t.NewClosures()
 		p.letterOf, p.configs = internLetters(p.ct, len(p.vars))
 		p.ct = nil
-		if p.table {
-			p.tt = vsa.NewTransitionTable(t, cl)
-			return
-		}
-		p.cl = cl
-		p.charAdj = make([][]vsa.Tr, t.NumStates())
-		for q := range p.charAdj {
-			for _, tr := range t.Adj[q] {
-				if tr.Kind == vsa.KChar {
-					p.charAdj[q] = append(p.charAdj[q], tr)
-				}
-			}
-		}
+		p.tt = vsa.NewTransitionTable(p.auto, p.auto.NewClosures())
 	})
 	return p.tt
 }
@@ -123,9 +95,9 @@ func (p *Plan) BuildDuration() time.Duration { return p.buildDur }
 
 // ByteClasses reports the number of byte equivalence classes of the
 // compiled transition table, building the table if no document has yet
-// (0 for empty-language plans and plans without a table).
+// (0 for empty-language plans, which never build one).
 func (p *Plan) ByteClasses() int {
-	if p.emptyLang || !p.table {
+	if p.emptyLang {
 		return 0
 	}
 	return p.kernels().NumClasses()
