@@ -365,11 +365,12 @@ func BenchmarkClosures(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamReuse: many documents through one compiled pattern. The
-// reuse path (one Stream, Reset per document) amortizes trimming, closures
-// and the graph arenas across documents; the fresh path pays a full
-// Prepare per document. allocs/op is the headline number: steady-state
-// reuse should allocate only the returned matches.
+// BenchmarkStreamReuse: many documents through one compiled pattern. Each
+// Eval draws a fresh enumerator over the spanner's memoized plan and
+// hands its graph arenas back to the pool when it is done, so the next
+// document's build reuses them; the batch runs the same documents on the
+// shard executor. allocs/op is the headline number: steady-state
+// evaluation should allocate little beyond the returned matches.
 func BenchmarkStreamReuse(b *testing.B) {
 	sp := spanjoin.MustCompile(`.*x{[a-z]+}@y{[a-z]+}.*`)
 	r := workload.Rand(21)
@@ -377,40 +378,6 @@ func BenchmarkStreamReuse(b *testing.B) {
 	for i := range docs {
 		docs[i] = workload.Document(r, workload.DocumentOptions{Sentences: 2, EmailRate: 0.5})
 	}
-	b.Run("reuse-stream", func(b *testing.B) {
-		st := sp.NewStream()
-		// Warm the arenas so steady-state allocation is measured.
-		if _, err := st.Eval(docs[0]); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, doc := range docs {
-				if _, err := st.Eval(doc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	// One repeated document with no matches (and no derivable literal, so
-	// the graph is rebuilt every time): isolates the build overhead, which
-	// should be allocation-free in steady state.
-	b.Run("repeat-doc-near-zero", func(b *testing.B) {
-		noMatch := spanjoin.MustCompile(`.*x{[a-z]+}(0|1)y{[a-z]+}.*`)
-		doc := docs[0]
-		st := noMatch.NewStream()
-		if _, err := st.Eval(doc); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := st.Eval(doc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("fresh-prepare", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -421,10 +388,10 @@ func BenchmarkStreamReuse(b *testing.B) {
 			}
 		}
 	})
-	b.Run("parallel-4", func(b *testing.B) {
+	b.Run("evalall", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sp.EvalAllParallel(docs, 4); err != nil {
+			if _, err := sp.EvalAll(context.Background(), docs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -470,9 +437,9 @@ func BenchmarkPrefilterAblation(b *testing.B) {
 
 // BenchmarkCorpusEval: the corpus engine end to end — sharded fan-out with
 // per-worker enumerator reuse and the compiled-query cache (every
-// iteration after the first is a cache hit), vs the EvalAllParallel batch
-// (the same shard executor over a one-shard-per-document store, no cache)
-// over the same documents.
+// iteration after the first is a cache hit), vs the EvalAll batch (the
+// same shard executor over a one-shard-per-document store, no cache) over
+// the same documents.
 func BenchmarkCorpusEval(b *testing.B) {
 	r := workload.Rand(77)
 	docs := make([]string, 256)
@@ -504,9 +471,9 @@ func BenchmarkCorpusEval(b *testing.B) {
 		})
 	}
 	sp := spanjoin.MustCompileSearch(pattern)
-	b.Run("flat-evalallparallel", func(b *testing.B) {
+	b.Run("flat-evalall", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sp.EvalAllParallel(docs, 0); err != nil {
+			if _, err := sp.EvalAll(ctx, docs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -532,7 +499,7 @@ func BenchmarkEN_RankedCount(b *testing.B) {
 	})
 	b.Run("drain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ms, err := sp.Iterate(doc)
+			ms, err := sp.Iterate(context.Background(), doc)
 			if err != nil {
 				b.Fatal(err)
 			}

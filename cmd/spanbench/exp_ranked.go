@@ -48,8 +48,7 @@ func runEN(quick bool) {
 		})
 		var drained int
 		dDrain := timeIt(func() {
-			// spanlint/ctxthread: prefer the ctx-aware sibling.
-			ms, err := sp.IterateCtx(context.Background(), doc)
+			ms, err := sp.Iterate(context.Background(), doc)
 			if err != nil {
 				panic(err)
 			}
@@ -85,8 +84,7 @@ func runEN(quick bool) {
 		dDescent := timeIt(func() { page = r.Page(off, 10) })
 		var stepped []spanjoin.Match
 		dStep := timeIt(func() {
-			// spanlint/ctxthread: prefer the ctx-aware sibling.
-			ms, err := sp.IterateCtx(context.Background(), doc)
+			ms, err := sp.Iterate(context.Background(), doc)
 			if err != nil {
 				panic(err)
 			}

@@ -261,9 +261,7 @@ func cmdEval(args []string, stdout, stderr io.Writer) error {
 		// truncating output.
 		return evalResilient(sp, text, 0, effLimit(*limit, *maxN), *budget, false, *asJSON, stdout, stderr)
 	}
-	// spanlint/ctxthread: IterateCtx, not Iterate — the non-ctx variant
-	// would discard any deadline this path later grows.
-	it, err := sp.IterateCtx(context.Background(), text)
+	it, err := sp.Iterate(context.Background(), text)
 	if err != nil {
 		return err
 	}
@@ -797,7 +795,7 @@ func cmdQuery(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "%d result(s)\n", count)
 		return nil
 	}
-	ms, err := q.Iterate(text, opts...)
+	ms, err := q.Iterate(context.Background(), text, opts...)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"spanjoin"
 	"spanjoin/server"
@@ -414,6 +415,26 @@ func TestEvalOffsetFlag(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(full), "\n")
 	if want := strings.Join(lines[8:], "\n") + "\n"; out != want {
 		t.Errorf("offset page = %q, want tail of full enumeration %q", out, want)
+	}
+
+	// A deep offset is one ranked DAG descent, as the flag's help says,
+	// not two million Next steps: the window's one match is ResultAt's.
+	doc := strings.Repeat("a", 2048)
+	start := time.Now()
+	out, errw, code = runCtl(t, "eval", "-p", ".*x{a+}.*", "-d", doc, "-offset", "2000000", "-limit", "1")
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("-offset 2000000 took %v, want one descent (well under 5s)", took)
+	}
+	if code != 0 {
+		t.Fatalf("deep offset: exit %d, stderr %q", code, errw)
+	}
+	r, err := spanjoin.MustCompile(".*x{a+}.*").Ranked(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ok := r.ResultAt(2000000)
+	if want := m.String() + "\n"; !ok || out != want {
+		t.Errorf("deep offset page = %q, want ResultAt(2000000) = %q", out, want)
 	}
 }
 

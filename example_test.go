@@ -12,7 +12,7 @@ import (
 // stream its matches.
 func ExampleCompile() {
 	sp := spanjoin.MustCompile(`.* key{[a-z]+}=val{[0-9]+} .*`)
-	it, _ := sp.Iterate("set timeout=30 now")
+	it, _ := sp.Iterate(context.Background(), "set timeout=30 now")
 	for m, ok := it.Next(); ok; m, ok = it.Next() {
 		fmt.Println(m.MustSubstr("key"), "->", m.MustSubstr("val"))
 	}

@@ -28,9 +28,9 @@ func main() {
 	doc := "dear team, please cc alice@example.org and bob@dev.example.net " +
 		"on the report. archived under records@corp.org."
 
-	// spanlint/ctxthread: the ctx-aware sibling keeps the example honest
-	// about cancellation — real callers thread a request context here.
-	it, err := sp.IterateCtx(context.Background(), doc)
+	// Real callers thread a request context here: the stream stops once
+	// it is done, and Err reports why.
+	it, err := sp.Iterate(context.Background(), doc)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package spanjoin
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -83,27 +84,33 @@ func (b *QueryBuilder) EqualAll(vars ...string) *QueryBuilder {
 // the ranked DP over the compiled automaton — no enumeration, cost
 // independent of the result count; queries with string equalities (whose
 // automata exist per document, Thm 5.4) and forced-canonical plans drain
-// the iterator.
+// the iterator. WithTimeout bounds either leg, the DP leg's graph build
+// included, and WithLimit caps the count as it caps a drain.
 func (q *Query) Count(doc string, opts ...Option) (MatchCount, error) {
 	o := buildOptions(opts)
-	if len(q.cq.Equalities) == 0 && o.Strategy != StrategyCanonical {
-		p, _, err := q.compiledPlan()
+	if len(q.cq.Equalities) > 0 || o.Strategy == StrategyCanonical {
+		n, err := drain(o, func(ctx context.Context) (*Matches, error) { return q.Iterate(ctx, doc, opts...) }, nil)
 		if err != nil {
 			return MatchCount{}, err
 		}
-		return newMatchCount(p.Prepare(doc).Rank().Count()), nil
+		return MatchCount{u: n}, nil
 	}
-	ms, err := q.Iterate(doc, opts...)
+	p, _, err := q.compiledPlan()
 	if err != nil {
 		return MatchCount{}, err
 	}
-	var n uint64
-	for {
-		if _, ok := ms.Next(); !ok {
-			return MatchCount{u: n}, nil
-		}
-		n++
+	ctx, cancel := withDeadline(context.Background(), &o)
+	defer cancel()
+	r, err := rankedOn(ctx, p, doc)
+	if err != nil {
+		return MatchCount{}, err
 	}
+	defer r.e.Release()
+	c := r.Count()
+	if n, ok := c.Uint64(); o.Limit > 0 && (!ok || n > o.Limit) {
+		return MatchCount{u: o.Limit}, nil
+	}
+	return c, nil
 }
 
 // Difference returns the matches of a on doc that are not matches of b
@@ -116,7 +123,7 @@ func Difference(a, b *Spanner, doc string) (*Matches, error) {
 		return nil, fmt.Errorf("spanjoin: difference requires identical variable sets, got %v and %v",
 			a.auto.Vars, b.auto.Vars)
 	}
-	inner, err := a.Iterate(doc)
+	inner, err := a.Iterate(context.TODO(), doc)
 	if err != nil {
 		return nil, err
 	}
@@ -125,6 +132,7 @@ func Difference(a, b *Spanner, doc string) (*Matches, error) {
 		return nil, vsa.ErrNotFunctional
 	}
 	return &Matches{
+		ctx:  inner.ctx,
 		it:   &diffIter{inner: inner.it, b: bt, vars: a.auto.Vars, doc: doc},
 		vars: a.auto.Vars,
 		doc:  doc,

@@ -281,7 +281,7 @@ func TestInjectedCountDeadlineKeepsMemo(t *testing.T) {
 	}
 }
 
-// TestInjectedBatchWorkerPanic: a panic while EvalAllParallel evaluates
+// TestInjectedBatchWorkerPanic: a panic while EvalAll evaluates
 // one document fails the batch with *PanicError naming that document's
 // index in docs — the process survives and the pool is gone.
 func TestInjectedBatchWorkerPanic(t *testing.T) {
@@ -295,7 +295,7 @@ func TestInjectedBatchWorkerPanic(t *testing.T) {
 	defer disarm()
 	sp := spanjoin.MustCompile(`.*x{(ab)+}.*`)
 	leakcheck.Check(t, func() {
-		_, err := sp.EvalAllParallel(docs, 4)
+		_, err := sp.EvalAll(context.Background(), docs)
 		var pe *spanjoin.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("err = %v, want *PanicError", err)

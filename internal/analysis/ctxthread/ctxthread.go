@@ -1,22 +1,15 @@
-// Package ctxthread enforces the engine's deadline-threading contract
-// (PR 2 introduced it, PR 6 extended it to every resource limit):
-//
-//  1. Exported evaluation entry points — functions whose name starts
-//     with Eval, Count, Sample or Page and that take a document,
-//     pattern or corpus — must be cancellable: they accept a
-//     context.Context, or an options value that carries a deadline
-//     (a struct with a Deadline/Timeout field, or functional options
-//     over such a struct), or they have a *Ctx sibling with the same
-//     receiver. The rule applies to the serving surface (the root
-//     package, server, client and the corpus fan-out layer), where an
-//     uncancellable evaluation can wedge a request goroutine forever.
-//
-//  2. No production code calls the non-ctx variant of a function that
-//     has a *Ctx sibling in another package: calling Stream.Eval where
-//     Stream.EvalCtx exists silently discards the caller's deadline.
-//     Test files are exempt (the non-ctx wrappers need their own
-//     coverage), as are intra-package calls (the wrappers themselves
-//     delegate to their Ctx siblings).
+// Package ctxthread enforces the engine's deadline-threading contract:
+// exported evaluation entry points — functions whose name starts with
+// Eval, Count, Sample or Page and that take a document, pattern or
+// corpus — must be cancellable themselves. They accept a
+// context.Context, or an options value that carries a deadline (a struct
+// with a Deadline/Timeout field, or functional options over such a
+// struct). A cancellable *Ctx sibling does not excuse an uncancellable
+// entry point: every caller of the non-ctx half loses its deadline, so
+// the serving surface keeps only the cancellable form. The rule applies
+// to the serving surface (the root package, server, client and the
+// corpus fan-out layer), where an uncancellable evaluation can wedge a
+// request goroutine forever.
 package ctxthread
 
 import (
@@ -39,36 +32,31 @@ var Analyzer = &analysis.Analyzer{
 	Name: "ctxthread",
 	Doc: "evaluation entry points must thread contexts or deadlines\n\n" +
 		"Exported Eval*/Count*/Sample*/Page* functions on the serving surface " +
-		"must accept a context.Context or a deadline-carrying options value " +
-		"(or have a *Ctx sibling), and production code must not call the " +
-		"non-ctx variant of a function that has one.",
+		"must accept a context.Context or a deadline-carrying options value.",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
-	inScope := Scope.MatchString(strings.TrimSuffix(pass.ImportPath, " [xtest]"))
+	if !Scope.MatchString(strings.TrimSuffix(pass.ImportPath, " [xtest]")) {
+		return nil
+	}
 	for _, file := range pass.Files {
-		isTest := analysis.IsTestFile(pass.Fset, file.Pos())
-		if inScope && !isTest {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
+		if analysis.IsTestFile(pass.Fset, file.Pos()) {
+			continue
+		}
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok {
 				checkDecl(pass, fd)
 			}
-		}
-		if !isTest {
-			checkCalls(pass, file)
 		}
 	}
 	return nil
 }
 
-// checkDecl applies rule 1 to one function declaration.
+// checkDecl applies the rule to one function declaration.
 func checkDecl(pass *analysis.Pass, fd *ast.FuncDecl) {
 	name := fd.Name.Name
-	if !fd.Name.IsExported() || !entryPrefix.MatchString(name) || strings.HasSuffix(name, "Ctx") {
+	if !fd.Name.IsExported() || !entryPrefix.MatchString(name) {
 		return
 	}
 	obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
@@ -81,12 +69,12 @@ func checkDecl(pass *analysis.Pass, fd *ast.FuncDecl) {
 		// String()-style accessors. Not an evaluation entry point.
 		return
 	}
-	if sigCancellable(sig) || hasCtxSibling(obj, sig) {
+	if sigCancellable(sig) {
 		return
 	}
 	pass.Reportf(fd.Name.Pos(),
-		"exported evaluation entry point %s is not cancellable: add a context.Context parameter, deadline-carrying options (...Option), or a %sCtx sibling",
-		name, name)
+		"exported evaluation entry point %s is not cancellable: add a context.Context parameter or deadline-carrying options (...Option)",
+		name)
 }
 
 // evaluatesInput reports whether the signature takes a document/pattern
@@ -177,75 +165,4 @@ func hasDeadlineField(s *types.Struct) bool {
 		}
 	}
 	return false
-}
-
-// ctxSibling resolves F's FCtx sibling: a package function for package
-// functions, a method on the same named receiver type for methods.
-func ctxSibling(obj *types.Func, sig *types.Signature) *types.Func {
-	want := obj.Name() + "Ctx"
-	if recv := sig.Recv(); recv != nil {
-		t := recv.Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		named, ok := t.(*types.Named)
-		if !ok {
-			return nil
-		}
-		for i := 0; i < named.NumMethods(); i++ {
-			if m := named.Method(i); m.Name() == want {
-				return m
-			}
-		}
-		return nil
-	}
-	if obj.Pkg() == nil {
-		return nil
-	}
-	if f, ok := obj.Pkg().Scope().Lookup(want).(*types.Func); ok {
-		return f
-	}
-	return nil
-}
-
-func hasCtxSibling(obj *types.Func, sig *types.Signature) bool {
-	return ctxSibling(obj, sig) != nil
-}
-
-// checkCalls applies rule 2 to every call in the file.
-func checkCalls(pass *analysis.Pass, file *ast.File) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var id *ast.Ident
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			id = fun
-		case *ast.SelectorExpr:
-			id = fun.Sel
-		default:
-			return true
-		}
-		obj, ok := pass.TypesInfo.Uses[id].(*types.Func)
-		if !ok || obj.Pkg() == nil || !obj.Exported() || strings.HasSuffix(obj.Name(), "Ctx") {
-			return true
-		}
-		if obj.Pkg() == pass.Pkg {
-			// Intra-package: the wrappers themselves, and the package's
-			// right to use its own shorthand internally.
-			return true
-		}
-		sig, ok := obj.Type().(*types.Signature)
-		if !ok || sigCancellable(sig) {
-			return true
-		}
-		if sib := ctxSibling(obj, sig); sib != nil {
-			pass.Reportf(call.Pos(),
-				"call to %s discards the caller's deadline: %s has a context-aware sibling %s",
-				obj.Name(), obj.Name(), sib.Name())
-		}
-		return true
-	})
 }

@@ -13,8 +13,9 @@ func EvalDocs(docs []string) int { // want "EvalDocs is not cancellable"
 	return total
 }
 
-// EvalDoc is allowed: it has a Ctx sibling below.
-func EvalDoc(doc string) int { return len(doc) }
+// EvalDoc is the uncancellable half of a sibling pair: its Ctx sibling
+// does not excuse it.
+func EvalDoc(doc string) int { return len(doc) } // want "EvalDoc is not cancellable"
 
 // EvalDocCtx is the cancellable sibling of EvalDoc.
 func EvalDocCtx(ctx context.Context, doc string) int {
@@ -53,8 +54,8 @@ func PageInfo() string { return "page" }
 // Corpus hangs evaluation methods off the store layer.
 type Corpus struct{}
 
-// Eval is allowed: EvalCtx is its sibling.
-func (c *Corpus) Eval(doc string) int { return len(doc) }
+// Eval is flagged although EvalCtx is its sibling.
+func (c *Corpus) Eval(doc string) int { return len(doc) } // want "Eval is not cancellable"
 
 // EvalCtx is the cancellable sibling of Eval.
 func (c *Corpus) EvalCtx(ctx context.Context, doc string) int {

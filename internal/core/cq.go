@@ -197,19 +197,6 @@ func (u *UCQ) Validate() error {
 	return nil
 }
 
-// MaxAtoms returns the largest atom count of any disjunct — the k of the
-// paper's "regex k-UCQ" whose boundedness makes automata compilation
-// polynomial (Thm 3.11).
-func (u *UCQ) MaxAtoms() int {
-	k := 0
-	for _, q := range u.Disjuncts {
-		if len(q.Atoms) > k {
-			k = len(q.Atoms)
-		}
-	}
-	return k
-}
-
 // MaxEqualities returns the largest equality count of any disjunct — the m
 // of "regex k-UCQ with up to m string equalities" (Cor 5.5).
 func (u *UCQ) MaxEqualities() int {

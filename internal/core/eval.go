@@ -47,12 +47,14 @@ type Options struct {
 	// (|[[α]](s)| ≤ (N+1)^(2v)). Default 1.
 	PolyBoundVarLimit int
 
-	// Timeout, Limit and Budget are the resilience knobs of corpus
-	// evaluations (ignored by single-document Iterate/Evaluate, whose
-	// callers hold the iterator and can cancel via IterateCtx):
-	// Timeout bounds the whole evaluation wall-clock, Limit caps delivered
-	// results, Budget caps work units (document bytes scanned + results
-	// delivered). Zero values mean unbounded.
+	// Timeout, Limit and Budget are the resilience knobs. Timeout bounds
+	// the whole evaluation wall-clock and Limit caps delivered results;
+	// both hold per document (the root package's Eval, Evaluate, Count
+	// and Exists) as well as corpus-wide. Budget caps work units
+	// (document bytes scanned + results delivered) and is metered by
+	// corpus operations only. The canonical plan's up-front
+	// materialization cannot be interrupted: a Timeout that fires during
+	// it is reported once it ends. Zero values mean unbounded.
 	Timeout time.Duration
 	Limit   uint64
 	Budget  uint64

@@ -47,7 +47,7 @@ type EvalOptions struct {
 	// exactly Limit tuples are reserved across the worker pool, workers
 	// stop as soon as the reservation is exhausted, and the stream ends
 	// with a nil Err — a satisfied limit is normal exhaustion, not a
-	// failure.
+	// failure. EvalDocs applies it to each document instead.
 	Limit uint64
 	// Budget, when > 0, caps the evaluation's work, measured in abstract
 	// units: one per document byte scanned (charged when the document is
@@ -213,8 +213,8 @@ func (r *Results) setErr(err error) {
 // (snapshotted once the query is admitted), fanning the shards out to the
 // shard executor's workers. Each worker owns its own enumerator over the
 // shared plan and cycles its documents through it with Reset, so the
-// per-document cost is a single graph rebuild into preallocated arenas —
-// the corpus-wide analogue of Spanner.NewStream. The corpus layer caches
+// per-document cost is a single graph rebuild into preallocated arenas.
+// The corpus layer caches
 // one plan per compiled query, so repeated evaluations reuse the trimmed
 // automaton, letter table and byte-class transition matrices with no
 // per-call compilation at all. Results stream through a bounded
@@ -359,9 +359,10 @@ func (s *Store) run(ctx context.Context, vars span.VarList, newEval NewDocEval, 
 // engine's radix order. The executor runs synchronously over a throwaway
 // store with one shard per document, so a document's DocID is its index:
 // a panic fails the call with *resilience.PanicError naming that index.
-// Documents failing opt.Required get no tuples without being visited. A
-// cancelled ctx or an expired deadline returns its error, not a partial
-// result.
+// Documents failing opt.Required get no tuples without being visited, and
+// opt.Limit caps each document's tuples (not the batch's). The pool
+// context interrupts every graph build, and a cancelled ctx or an expired
+// deadline returns its error, not a partial result.
 func EvalDocs(ctx context.Context, p *enum.Plan, docs []string, opt EvalOptions) (out [][]span.Tuple, err error) {
 	defer resilience.RecoverTo(&err)
 	s := &Store{shards: make([]shard, len(docs))}
@@ -374,10 +375,11 @@ func EvalDocs(ctx context.Context, p *enum.Plan, docs []string, opt EvalOptions)
 		failpoint: resilience.FailWorkerDoc,
 		newVisitor: func(x *sweep) visitor {
 			e := p.NewEnumerator()
+			e.SetInterrupt(x.stop)
 			return func(_ int, id DocID, doc string) error {
 				e.Reset(doc)
 				var ts []span.Tuple
-				for i := 1; ; i++ {
+				for i := 1; opt.Limit == 0 || uint64(len(ts)) < opt.Limit; i++ {
 					// A huge enumeration stays abortable: the pool context
 					// is checked every 64 tuples.
 					if i&63 == 0 && x.ctx.Err() != nil {

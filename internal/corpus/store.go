@@ -9,8 +9,8 @@
 // documents, many concurrent queries, shared compiled artifacts — without
 // touching the per-document complexity: every worker amortizes trimming,
 // functionality checking, closure computation and letter interning across
-// its whole share of the corpus exactly as Stream/Reset does for a single
-// caller. The skip index goes one step further: queries with literal
+// its whole share of the corpus, resetting one enumerator per document.
+// The skip index goes one step further: queries with literal
 // requirements visit only candidate documents instead of paying even a
 // substring scan on the rest.
 package corpus

@@ -51,9 +51,6 @@ func NewGate(capacity int64, queue int) *Gate {
 	return &Gate{capacity: capacity, queueMax: queue}
 }
 
-// Capacity reports the gate's concurrent-work capacity.
-func (g *Gate) Capacity() int64 { return g.capacity }
-
 // SetWaitObserver installs f, called once per admission decision —
 // Acquire and TryAcquire alike — with the time the caller spent queued
 // (zero when the decision was immediate) and whether it was admitted.

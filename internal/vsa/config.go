@@ -97,16 +97,6 @@ func (c Config) AllClosed() bool {
 	return true
 }
 
-// AllWaiting reports whether every variable is waiting.
-func (c Config) AllWaiting() bool {
-	for _, v := range c {
-		if v != W {
-			return false
-		}
-	}
-	return true
-}
-
 // ErrNotFunctional is returned by operations that require a functional
 // vset-automaton when the input is not functional.
 var ErrNotFunctional = errors.New("vsa: automaton is not functional")

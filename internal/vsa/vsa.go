@@ -293,17 +293,6 @@ func (a *VSA) NewClosures() *Closures {
 	return c
 }
 
-// CharTrans returns the character transitions leaving q.
-func (a *VSA) CharTrans(q int32) []Tr {
-	var out []Tr
-	for _, t := range a.Adj[q] {
-		if t.Kind == KChar {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // String summarizes the automaton for debugging.
 func (a *VSA) String() string {
 	return fmt.Sprintf("VSA(vars=%v states=%d transitions=%d init=%d final=%d)",

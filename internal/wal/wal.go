@@ -258,9 +258,6 @@ func (l *Log) Size() int64 { return int64(l.sizeAtomic.Load()) }
 // LastSeq reports the last appended (or recovered) sequence number.
 func (l *Log) LastSeq() uint64 { return l.lastSeq.Load() }
 
-// Gen reports the active generation.
-func (l *Log) Gen() uint64 { return l.gen }
-
 func logName(gen uint64) string  { return logPrefix + fmt.Sprintf(genNameFmt, gen) + logSuffix }
 func snapName(gen uint64) string { return snapPrefix + fmt.Sprintf(genNameFmt, gen) + snapSuffix }
 

@@ -1,0 +1,62 @@
+package spanjoin
+
+import (
+	"context"
+	"strings"
+	"testing"
+
+	"spanjoin/internal/alloctest"
+	"spanjoin/internal/enum"
+)
+
+// TestSkipDescendsOnContextStream: a stream opened with a cancellable
+// context is still enumerator-backed, so a Skip past skipStepThreshold is
+// one ranked descent — the rank is built — and the next match is the one
+// Ranked.ResultAt names.
+func TestSkipDescendsOnContextStream(t *testing.T) {
+	sp := MustCompile(".*x{a+}.*")
+	doc := strings.Repeat("a", 64) // 2,080 matches
+	r, err := sp.Ranked(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, n := range []uint64{skipStepThreshold + 1, 1000, 2079} {
+		ms, err := sp.Iterate(ctx, doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ms.Skip(n); got != n {
+			t.Fatalf("Skip(%d) = %d", n, got)
+		}
+		if e, ok := ms.it.(*enum.Enumerator); !ok || !e.RankBuilt() {
+			t.Fatalf("Skip(%d) stepped through %T instead of descending the rank", n, ms.it)
+		}
+		want, _ := r.ResultAt(n)
+		if got, ok := ms.Next(); !ok || got.String() != want.String() {
+			t.Fatalf("after Skip(%d): Next = %v (ok %v), want ResultAt(%d) = %v", n, got, ok, n, want)
+		}
+	}
+}
+
+// TestEvalNoMatchAllocBytes gates what a warm Eval costs when a document
+// passes the prefilter but has no match: the enumerator and the stream,
+// with the graph arenas drawn from and handed back to the pool. Before
+// Eval released its arenas, every call grew a graph of its own, which
+// scales with the document: 1,072 B a call here, against 208 B with the
+// release (Go 1.24, amd64).
+func TestEvalNoMatchAllocBytes(t *testing.T) {
+	// (0|1) leaves no required literal, so every call builds the graph.
+	sp := MustCompile(`.*x{[a-z]+}(0|1)y{[a-z]+}.*`)
+	doc := strings.Repeat("mail alice at example today and bob at host tomorrow. ", 3)
+	eval := func() {
+		if ms, err := sp.Eval(doc); err != nil || len(ms) != 0 {
+			t.Fatalf("Eval = %v, %v; want no matches", ms, err)
+		}
+	}
+	eval()
+	if b := alloctest.Bytes(t, 200, eval); b > 512 {
+		t.Fatalf("warm no-match Eval allocates %.0f B/op, want ≤ 512", b)
+	}
+}

@@ -284,7 +284,7 @@ func TestEvalQueryAgreesWithIterate(t *testing.T) {
 			// spanlint/closecheck: release the exhausted stream.
 			ms.Close()
 			for i, doc := range docs {
-				it, err := q.Iterate(doc, spanjoin.WithStrategy(strat))
+				it, err := q.Iterate(context.Background(), doc, spanjoin.WithStrategy(strat))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -207,58 +207,33 @@ func (q *Query) IsAcyclic() bool { return q.cq.IsAcyclic() }
 // IsGammaAcyclic reports gamma-acyclicity of the query hypergraph.
 func (q *Query) IsGammaAcyclic() bool { return q.cq.IsGammaAcyclic() }
 
-// Evaluate materializes all result tuples on doc.
+// Evaluate materializes all result tuples on doc. WithTimeout bounds the
+// evaluation and WithLimit caps the tuples, as for Spanner.Eval; the
+// canonical plan materializes every atom relation up front, and that
+// materialization runs to its end before a fired deadline is reported.
 func (q *Query) Evaluate(doc string, opts ...Option) ([]Match, error) {
-	ms, err := q.Iterate(doc, opts...)
-	if err != nil {
-		return nil, err
-	}
-	var out []Match
-	for {
-		m, ok := ms.Next()
-		if !ok {
-			return out, nil
-		}
-		out = append(out, m)
-	}
+	return collect(opts, func(ctx context.Context) (*Matches, error) { return q.Iterate(ctx, doc, opts...) })
 }
 
-// Iterate evaluates the query and returns a tuple iterator. Under
-// StrategyAutomata (and for k-bounded queries under StrategyAuto) the
-// iterator has polynomial delay (Theorem 3.11 / Corollary 5.5).
-func (q *Query) Iterate(doc string, opts ...Option) (*Matches, error) {
-	o := buildOptions(opts)
-	it, err := q.cq.Enumerate(doc, o)
+// Iterate evaluates the query and returns a tuple iterator that polls ctx
+// (see Matches). Under StrategyAutomata (and for k-bounded queries under
+// StrategyAuto) the iterator has polynomial delay (Theorem 3.11 /
+// Corollary 5.5).
+func (q *Query) Iterate(ctx context.Context, doc string, opts ...Option) (*Matches, error) {
+	it, err := q.cq.Enumerate(doc, buildOptions(opts))
 	if err != nil {
 		return nil, err
 	}
-	return &Matches{it: it, vars: it.Vars(), doc: doc}, nil
-}
-
-// IterateCtx is Iterate with cancellation: the returned iterator checks
-// ctx periodically and stops once it is done. After Next returns ok=false,
-// a cancelled iteration is indistinguishable from exhaustion here; use
-// Corpus.Eval with an OfQuery target when the distinction matters (its
-// stream reports Err).
-func (q *Query) IterateCtx(ctx context.Context, doc string, opts ...Option) (*Matches, error) {
-	o := buildOptions(opts)
-	it, err := q.cq.Enumerate(doc, o)
-	if err != nil {
-		return nil, err
-	}
-	cit := core.WithContext(ctx, it)
-	return &Matches{it: cit, vars: cit.Vars(), doc: doc}, nil
+	return &Matches{ctx: ctx, it: it, vars: it.Vars(), doc: doc}, nil
 }
 
 // Exists decides Boolean satisfaction: whether the query has at least one
-// result on doc.
+// result on doc. WithTimeout bounds the decision as for Evaluate.
 func (q *Query) Exists(doc string, opts ...Option) (bool, error) {
-	ms, err := q.Iterate(doc, opts...)
-	if err != nil {
-		return false, err
-	}
-	_, ok := ms.Next()
-	return ok, nil
+	o := buildOptions(opts)
+	o.Limit = 1
+	n, err := drain(o, func(ctx context.Context) (*Matches, error) { return q.Iterate(ctx, doc, opts...) }, nil)
+	return n > 0, err
 }
 
 func buildOptions(opts []Option) core.Options {
@@ -295,32 +270,21 @@ func (u *UnionQuery) Vars() []string { return append([]string(nil), u.ucq.OutVar
 func (u *UnionQuery) RequiredLiterals() []string { return u.ucq.Requirement().Literals() }
 
 // Evaluate materializes all result tuples on doc, duplicate free across
-// disjuncts.
+// disjuncts. WithTimeout and WithLimit apply as for Query.Evaluate.
 func (u *UnionQuery) Evaluate(doc string, opts ...Option) ([]Match, error) {
-	ms, err := u.Iterate(doc, opts...)
-	if err != nil {
-		return nil, err
-	}
-	var out []Match
-	for {
-		m, ok := ms.Next()
-		if !ok {
-			return out, nil
-		}
-		out = append(out, m)
-	}
+	return collect(opts, func(ctx context.Context) (*Matches, error) { return u.Iterate(ctx, doc, opts...) })
 }
 
-// Iterate evaluates the UCQ. Under the automata strategy the entire union
-// compiles into one vset-automaton whose enumeration is duplicate free by
-// construction (Lemma 3.9 + Theorem 3.3).
-func (u *UnionQuery) Iterate(doc string, opts ...Option) (*Matches, error) {
-	o := buildOptions(opts)
-	it, err := u.ucq.Enumerate(doc, o)
+// Iterate evaluates the UCQ and returns a tuple iterator that polls ctx.
+// Under the automata strategy the entire union compiles into one
+// vset-automaton whose enumeration is duplicate free by construction
+// (Lemma 3.9 + Theorem 3.3).
+func (u *UnionQuery) Iterate(ctx context.Context, doc string, opts ...Option) (*Matches, error) {
+	it, err := u.ucq.Enumerate(doc, buildOptions(opts))
 	if err != nil {
 		return nil, err
 	}
-	return &Matches{it: it, vars: it.Vars(), doc: doc}, nil
+	return &Matches{ctx: ctx, it: it, vars: it.Vars(), doc: doc}, nil
 }
 
 // PlannedStrategy reports which strategy Evaluate would use for the given

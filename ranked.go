@@ -111,10 +111,7 @@ func (s *Spanner) rankedOpts(doc string, o core.Options) (*Ranked, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.Timeout <= 0 {
-		return &Ranked{e: p.Prepare(doc), vars: p.Vars(), doc: doc}, nil
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), o.Timeout)
+	ctx, cancel := withDeadline(context.Background(), &o)
 	defer cancel()
 	return rankedOn(ctx, p, doc)
 }
@@ -123,9 +120,7 @@ func (s *Spanner) rankedOpts(doc string, o core.Options) (*Ranked, error) {
 // graph build once ctx is done: an interrupted build reports ctx's error
 // instead of an empty view.
 func rankedOn(ctx context.Context, p *enum.Plan, doc string) (*Ranked, error) {
-	e := p.NewEnumerator()
-	e.SetInterrupt(func() bool { return ctx.Err() != nil })
-	e.Reset(doc)
+	e := prepareOn(ctx, p, doc)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -227,16 +222,16 @@ const skipStepThreshold = 16
 
 // Skip advances past the next n matches without materializing them,
 // returning how many were actually skipped (less than n only when the
-// result set ends first). On enumerator-backed streams (Spanner.Iterate,
-// Stream.Iterate) a deep skip is one ranked DAG descent — cost
-// independent of n; other iterators (query plans, context wrappers) fall
-// back to n Next calls. On result sets larger than 2^64, skips
-// cumulating past rank 2^64-1 are refused (Skip returns 0 and the cursor
-// stays put): the stream cursor addresses uint64 ranks — use
-// Ranked.ResultAtBig with explicit arbitrary-precision indices for exact
-// access beyond that.
+// result set ends first or the stream's context is done). On
+// enumerator-backed streams (Spanner.Iterate, and automata-plan query
+// streams) a deep skip is one ranked DAG descent — cost independent of n;
+// other iterators (canonical query plans, Difference) fall back to n Next
+// calls. On result sets larger than 2^64, skips cumulating past rank
+// 2^64-1 are refused (Skip returns 0 and the cursor stays put): the
+// stream cursor addresses uint64 ranks — use Ranked.ResultAtBig with
+// explicit arbitrary-precision indices for exact access beyond that.
 func (ms *Matches) Skip(n uint64) uint64 {
-	if n == 0 {
+	if n == 0 || !ms.live() {
 		return 0
 	}
 	if e, ok := ms.it.(*enum.Enumerator); ok && (n > skipStepThreshold || e.RankBuilt()) {
@@ -264,12 +259,10 @@ func (ms *Matches) Skip(n uint64) uint64 {
 		return 0
 	}
 	var k uint64
-	for k < n {
-		if _, ok := ms.it.Next(); !ok {
+	for ; k < n; k++ {
+		if _, ok := ms.Next(); !ok {
 			break
 		}
-		k++
-		ms.consumed++
 	}
 	return k
 }

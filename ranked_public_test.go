@@ -1,6 +1,7 @@
 package spanjoin_test
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"strings"
@@ -98,7 +99,7 @@ func TestMatchesSkipVsNext(t *testing.T) {
 	doc := strings.Repeat("ab", 30) // 30 matches: skips land on both sides of the step threshold
 	want := evalRef(t, sp, doc)
 	for _, k := range []uint64{0, 1, 5, 20, uint64(len(want) - 1), uint64(len(want)), uint64(len(want)) + 100} {
-		it, err := sp.Iterate(doc)
+		it, err := sp.Iterate(context.Background(), doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +134,7 @@ func TestMatchesSkipVsNext(t *testing.T) {
 	}
 
 	// Skip composes with prior Next calls (absolute position tracking).
-	it, err := sp.Iterate(doc)
+	it, err := sp.Iterate(context.Background(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestMatchesSkipFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := q.Iterate(doc, spanjoin.WithStrategy(spanjoin.StrategyCanonical))
+	it, err := q.Iterate(context.Background(), doc, spanjoin.WithStrategy(spanjoin.StrategyCanonical))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,12 +35,12 @@ var ErrBudgetExceeded = resilience.ErrBudgetExceeded
 var ErrCorrupt = resilience.ErrCorrupt
 
 // PanicError is a panic recovered inside the engine — in a corpus worker
-// (an EvalAllParallel batch's included), the shard dealer, a cache fill,
+// (a Spanner.EvalAll batch's included), the shard dealer, a cache fill,
 // or an evaluator constructor — converted into an error on the failing
 // query's stream. One poisoned document fails its own query; concurrent
 // queries and the process are unaffected. Detect with errors.As; Doc
-// names the offending document (its DocID, or for EvalAllParallel its
-// index in docs) when the panic struck inside a per-document evaluation
+// names the offending document (its DocID, or for EvalAll its index in
+// docs) when the panic struck inside a per-document evaluation
 // (resilience.NoDoc otherwise), and Stack carries the recovered
 // goroutine's stack trace.
 type PanicError = resilience.PanicError
@@ -76,10 +76,13 @@ func WithMaxQueue(n int) CorpusOption {
 }
 
 // WithTimeout bounds an evaluation's wall-clock time, measured from the
-// Eval call: admission wait, every graph build and per-document count
-// (aborted mid-sweep), and every result delivery all count. On expiry
-// the stream stops with context.DeadlineExceeded on Err — results
-// already streamed are valid partial output. d ≤ 0 means no timeout.
+// call: admission wait, every graph build and per-document count
+// (aborted mid-sweep), and every result delivery all count. On expiry a
+// corpus stream stops with context.DeadlineExceeded on Err — results
+// already streamed are valid partial output — and a per-document method
+// (Spanner.Eval, Count, Sample and EvalAll, Query.Evaluate, Count and
+// Exists, UnionQuery.Evaluate) returns context.DeadlineExceeded instead
+// of a result. d ≤ 0 means no timeout.
 func WithTimeout(d time.Duration) Option {
 	return func(o *core.Options) {
 		if d > 0 {
@@ -88,10 +91,13 @@ func WithTimeout(d time.Duration) Option {
 	}
 }
 
-// WithLimit caps how many results a corpus evaluation delivers: the
+// WithLimit caps how many results an evaluation delivers: a corpus
 // stream ends after n results with a nil Err — a met limit is normal
 // exhaustion, not a failure — and the worker pool stops promptly instead
-// of computing results nobody will read. n ≤ 0 means unlimited.
+// of computing results nobody will read. Spanner.Eval, Query.Evaluate
+// and UnionQuery.Evaluate return at most n matches, Spanner.EvalAll at
+// most n per document, and Query.Count counts at most n. n ≤ 0 means
+// unlimited.
 func WithLimit(n int) Option {
 	return func(o *core.Options) {
 		if n > 0 {
@@ -138,12 +144,13 @@ func FailureClass(err error) string {
 	return ""
 }
 
-// WithBudget caps an evaluation's work in abstract units: one unit per
-// document byte scanned plus one per result delivered. A query that runs
-// out stops with ErrBudgetExceeded on the stream's Err, keeping results
-// already streamed. Budgets make cost explicit where timeouts are
+// WithBudget caps a corpus operation's work in abstract units: one unit
+// per document byte scanned plus one per result delivered. A query that
+// runs out stops with ErrBudgetExceeded on the stream's Err, keeping
+// results already streamed. Budgets make cost explicit where timeouts are
 // machine-dependent: the same budget sheds the same query on fast and
-// slow hardware alike. n ≤ 0 means unbounded.
+// slow hardware alike. Only corpus operations meter a budget; per-document
+// methods ignore it. n ≤ 0 means unbounded.
 func WithBudget(n int) Option {
 	return func(o *core.Options) {
 		if n > 0 {

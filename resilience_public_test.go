@@ -473,12 +473,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			return err
 		}},
 		{"batch", func(ctx context.Context, _ *spanjoin.Corpus, timeout time.Duration) error {
-			if timeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, timeout)
-				defer cancel()
-			}
-			_, err := sp.EvalAllParallelCtx(ctx, docs, 0)
+			_, err := sp.EvalAll(ctx, docs, timeoutOpts(timeout)...)
 			return err
 		}},
 	}
@@ -534,14 +529,14 @@ func timeoutOpts(d time.Duration) []spanjoin.Option {
 	return []spanjoin.Option{spanjoin.WithTimeout(d)}
 }
 
-// TestIterateCtxCancellation: single-document iteration with a context
-// stops on cancellation and reports it via Matches.Err, while plain
-// Iterate reports nil.
+// TestIterateCtxCancellation: a stream polls the context Iterate was
+// given and reports its cancellation via Matches.Err, while a stream whose
+// context stays live reports nil after exhaustion.
 func TestIterateCtxCancellation(t *testing.T) {
 	sp := spanjoin.MustCompile(`.*x{(ab)+}.*`)
 	doc := strings.Repeat("ab", 64)
 
-	ms, err := sp.Iterate(doc)
+	ms, err := sp.Iterate(context.Background(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,11 +546,11 @@ func TestIterateCtxCancellation(t *testing.T) {
 		}
 	}
 	if err := ms.Err(); err != nil {
-		t.Fatalf("plain Iterate Err = %v, want nil", err)
+		t.Fatalf("live Iterate Err = %v, want nil", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	ms, err = sp.IterateCtx(ctx, doc)
+	ms, err = sp.Iterate(ctx, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,9 +567,75 @@ func TestIterateCtxCancellation(t *testing.T) {
 		t.Fatalf("Err = %v, want context.Canceled", err)
 	}
 
-	// An already-dead context fails fast.
-	if _, err := sp.IterateCtx(ctx, doc); !errors.Is(err, context.Canceled) {
-		t.Fatalf("IterateCtx on cancelled ctx = %v, want context.Canceled", err)
+	// An already-dead context ends every stream at its first Next, and a
+	// Skip on it moves nothing.
+	q := spanjoin.NewQuery().Atom(`.*x{(ab)+}.*`).MustBuild()
+	for name, open := range map[string]func() (*spanjoin.Matches, error){
+		"spanner": func() (*spanjoin.Matches, error) { return sp.Iterate(ctx, doc) },
+		"query":   func() (*spanjoin.Matches, error) { return q.Iterate(ctx, doc) },
+	} {
+		ms, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := ms.Skip(100); n != 0 {
+			t.Fatalf("%s: Skip on a cancelled stream = %d, want 0", name, n)
+		}
+		if _, ok := ms.Next(); ok || !errors.Is(ms.Err(), context.Canceled) {
+			t.Fatalf("%s: Next on a cancelled stream: ok=%v Err=%v, want false, context.Canceled", name, ok, ms.Err())
+		}
+	}
+}
+
+// TestPerDocumentLimits: every per-document method that returns a
+// finished result stops at WithLimit (a met limit is no error) and reports
+// an expired WithTimeout as context.DeadlineExceeded, never as a short or
+// empty result — on every plan a query can take.
+func TestPerDocumentLimits(t *testing.T) {
+	doc := strings.Repeat("a", 12) // 78 matches per atom, 6,084 per query
+	q := spanjoin.NewQuery().Atom(`.*x{a+}.*`).Atom(`.*y{a+}.*`).MustBuild()
+	eq := spanjoin.NewQuery().Atom(`.*x{a+}.*`).Atom(`.*y{a+}.*`).Equal("x", "y").MustBuild()
+	u, err := spanjoin.NewUnion(q, spanjoin.NewQuery().Atom(`.*x{a}.*`).Atom(`.*y{a}.*`).MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical := spanjoin.WithStrategy(spanjoin.StrategyCanonical)
+	automata := spanjoin.WithStrategy(spanjoin.StrategyAutomata)
+	expired := spanjoin.WithTimeout(time.Nanosecond)
+	limit := spanjoin.WithLimit(10)
+	evaluate := func(eval func(string, ...spanjoin.Option) ([]spanjoin.Match, error), fixed ...spanjoin.Option) func(...spanjoin.Option) (uint64, error) {
+		return func(opts ...spanjoin.Option) (uint64, error) {
+			ms, err := eval(doc, append(opts, fixed...)...)
+			return uint64(len(ms)), err
+		}
+	}
+	count := func(q *spanjoin.Query, fixed ...spanjoin.Option) func(...spanjoin.Option) (uint64, error) {
+		return func(opts ...spanjoin.Option) (uint64, error) {
+			c, err := q.Count(doc, append(opts, fixed...)...)
+			n, _ := c.Uint64()
+			return n, err
+		}
+	}
+	for name, run := range map[string]func(...spanjoin.Option) (uint64, error){
+		"Query.Evaluate/automata":  evaluate(q.Evaluate, automata),
+		"Query.Evaluate/canonical": evaluate(q.Evaluate, canonical),
+		"UnionQuery.Evaluate":      evaluate(u.Evaluate),
+		"Query.Count/plan":         count(q),
+		"Query.Count/drain":        count(q, canonical),
+		"Query.Count/equality":     count(eq),
+	} {
+		if n, err := run(limit); err != nil || n != 10 {
+			t.Errorf("%s with WithLimit(10) = %d, %v; want 10, nil", name, n, err)
+		}
+		if n, err := run(expired); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s with an expired WithTimeout = %d, %v; want context.DeadlineExceeded", name, n, err)
+		}
+	}
+	if ok, err := q.Exists(doc, limit); !ok || err != nil {
+		t.Errorf("Exists = %v, %v; want true, nil", ok, err)
+	}
+	if ok, err := q.Exists(doc, expired); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Exists with an expired WithTimeout = %v, %v; want context.DeadlineExceeded", ok, err)
 	}
 }
 

@@ -123,13 +123,12 @@ type Spanner struct {
 }
 
 // compiledPlan memoizes enum.NewPlan over the spanner's automaton. Every
-// evaluation path (Iterate, Stream, EvalAllParallel, the corpus fan-out)
-// shares it, so trimming and the functionality check happen once per
-// Spanner however the spanner is driven, and the plan's closures, letters
-// and transition table at most once, on first use. built
-// reports whether this call ran the compilation — the corpus layer
-// records the plan_build stage only then, so cached queries never report
-// a phantom build.
+// evaluation path (Iterate, EvalAll, the corpus fan-out) shares it, so
+// trimming and the functionality check happen once per Spanner however
+// the spanner is driven, and the plan's closures, letters and transition
+// table at most once, on first use. built reports whether this call ran
+// the compilation — the corpus layer records the plan_build stage only
+// then, so cached queries never report a phantom build.
 func (s *Spanner) compiledPlan() (p *enum.Plan, built bool, err error) {
 	s.planOnce.Do(func() {
 		s.plan, s.planErr = enum.NewPlan(s.auto)
@@ -170,40 +169,12 @@ func (s *Spanner) Stats() (states, transitions int) {
 }
 
 // Eval materializes all matches of the spanner on doc, in the engine's
-// deterministic (radix) order. Unlike Iterate, Eval drains internally —
-// the caller never holds the iterator — so the resilience options apply
-// here: WithTimeout bounds the whole evaluation (spanlint's ctxthread
-// analyzer requires every such entry point to carry a deadline) and
-// WithLimit caps the number of materialized matches. A fired timeout is
-// reported as context.DeadlineExceeded, never as an empty result.
+// deterministic (radix) order. WithTimeout bounds the whole evaluation,
+// graph build included, and WithLimit caps the number of materialized
+// matches. A fired timeout is reported as context.DeadlineExceeded, never
+// as an empty result.
 func (s *Spanner) Eval(doc string, opts ...Option) ([]Match, error) {
-	o := buildOptions(opts)
-	var it *Matches
-	var err error
-	if o.Timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), o.Timeout)
-		defer cancel()
-		it, err = s.IterateCtx(ctx, doc)
-	} else {
-		it, err = s.Iterate(doc)
-	}
-	if err != nil {
-		return nil, err
-	}
-	var out []Match
-	for {
-		m, ok := it.Next()
-		if !ok {
-			if err := it.Err(); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-		out = append(out, m)
-		if o.Limit > 0 && uint64(len(out)) >= o.Limit {
-			return out, nil
-		}
-	}
+	return collect(opts, func(ctx context.Context) (*Matches, error) { return s.Iterate(ctx, doc) })
 }
 
 // prefilterEmpty reports whether the required-literal prefilter proves
@@ -221,40 +192,33 @@ func (s *Spanner) prefilterEmpty(doc string) bool {
 
 // Iterate enumerates matches with polynomial delay (Theorem 3.3): the time
 // to the first match and between consecutive matches is O(n²·|doc|) for an
-// n-state spanner, independent of the result count.
-func (s *Spanner) Iterate(doc string) (*Matches, error) {
+// n-state spanner, independent of the result count. ctx is polled inside
+// the graph build (amortized, so a pathological document cannot wedge the
+// caller before the first match) and by the returned stream; after Next
+// returns ok=false, Matches.Err distinguishes cancellation from
+// exhaustion.
+func (s *Spanner) Iterate(ctx context.Context, doc string) (*Matches, error) {
 	if s.prefilterEmpty(doc) {
-		return &Matches{it: emptyIter{}, vars: s.auto.Vars, doc: doc}, nil
+		return &Matches{ctx: ctx, it: emptyIter{}, vars: s.auto.Vars, doc: doc}, nil
 	}
 	p, _, err := s.compiledPlan()
 	if err != nil {
 		return nil, err
 	}
-	e := p.Prepare(doc)
-	return &Matches{it: e, vars: e.Vars(), doc: doc}, nil
+	return &Matches{ctx: ctx, it: prepareOn(ctx, p, doc), vars: p.Vars(), doc: doc}, nil
 }
 
-// IterateCtx is Iterate with cancellation: the context is polled both
-// inside the graph build (amortized, so a pathological document cannot
-// wedge the caller before the first match) and between matches. After
-// Next returns ok=false, Matches.Err distinguishes cancellation from
-// exhaustion.
-func (s *Spanner) IterateCtx(ctx context.Context, doc string) (*Matches, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.prefilterEmpty(doc) {
-		return &Matches{it: emptyIter{}, vars: s.auto.Vars, doc: doc}, nil
-	}
-	p, _, err := s.compiledPlan()
-	if err != nil {
-		return nil, err
-	}
+// prepareOn builds doc's layered graph on a fresh enumerator over p,
+// polling ctx as the build's interrupt: an interrupted build leaves the
+// enumerator empty, and ctx's error is the caller's to report. A context
+// that can never be done installs no interrupt.
+func prepareOn(ctx context.Context, p *enum.Plan, doc string) *enum.Enumerator {
 	e := p.NewEnumerator()
-	e.SetInterrupt(func() bool { return ctx.Err() != nil })
+	if ctx.Done() != nil {
+		e.SetInterrupt(func() bool { return ctx.Err() != nil })
+	}
 	e.Reset(doc)
-	cit := core.WithContext(ctx, e)
-	return &Matches{it: cit, vars: e.Vars(), doc: doc}, nil
+	return e
 }
 
 // RequiredLiteral exposes the most selective prefilter factor derived at
@@ -270,137 +234,25 @@ func (s *Spanner) RequiredLiterals() []string { return s.req.Literals() }
 // requirement exposes the prefilter requirement to the corpus layer.
 func (s *Spanner) requirement() prefilter.Requirement { return s.req }
 
-// Stream evaluates a sequence of documents through one compiled spanner,
-// reusing a single enumerator: the automaton is trimmed, checked for
-// functionality and closed over once, and every document after the first
-// rebuilds the layered graph into preallocated arenas, so steady-state
-// evaluation allocates almost nothing per document beyond the matches.
-// A Stream is not safe for concurrent use; open one per goroutine (they
-// share nothing mutable with their Spanner) or use EvalAllParallel.
-type Stream struct {
-	sp *Spanner
-	e  *enum.Enumerator
-}
-
-// NewStream opens a reusable evaluation stream over the spanner.
-func (s *Spanner) NewStream() *Stream { return &Stream{sp: s} }
-
-// Eval materializes all matches of the stream's spanner on doc, like
-// Spanner.Eval but amortizing the per-document setup across the stream.
-func (st *Stream) Eval(doc string) ([]Match, error) {
-	ms, err := st.Iterate(doc)
-	if err != nil {
-		return nil, err
-	}
-	var out []Match
-	for {
-		m, ok := ms.Next()
-		if !ok {
-			return out, nil
-		}
-		out = append(out, m)
-	}
-}
-
-// EvalCtx is Eval with cancellation: the drain checks ctx periodically
-// (core.CtxIterator) and returns its error once cancelled, so a
-// pathological document cannot wedge the stream's caller.
-func (st *Stream) EvalCtx(ctx context.Context, doc string) ([]Match, error) {
-	ms, err := st.Iterate(doc)
-	if err != nil {
-		return nil, err
-	}
-	cit := core.WithContext(ctx, ms.it)
-	ms.it = cit
-	var out []Match
-	for {
-		m, ok := ms.Next()
-		if !ok {
-			if err := cit.Err(); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-		out = append(out, m)
-	}
-}
-
-// Iterate enumerates matches on doc with polynomial delay. The returned
-// Matches borrows the stream's enumerator: drain (or abandon) it before the
-// next Iterate or Eval call on the same stream.
-func (st *Stream) Iterate(doc string) (*Matches, error) {
-	sp := st.sp
-	// The prefilter skips even the graph rebuild; the plan (and with it
-	// the functionality check) is memoized on the spanner, so this costs
-	// one sync.Once read per document.
-	if sp.prefilterEmpty(doc) {
-		return &Matches{it: emptyIter{}, vars: sp.auto.Vars, doc: doc}, nil
-	}
-	if st.e == nil {
-		p, _, err := sp.compiledPlan()
-		if err != nil {
-			return nil, err
-		}
-		st.e = p.NewEnumerator()
-	}
-	st.e.Reset(doc)
-	return &Matches{it: st.e, vars: st.e.Vars(), doc: doc}, nil
-}
-
-// EvalAll evaluates the spanner on every document through one reused
-// enumerator, returning per-document match sets indexed like docs. The
-// resilience options apply across the whole call: WithTimeout bounds
-// total wall-clock over all documents (the ctxthread contract for batch
-// entry points) and WithLimit caps each document's match set.
-func (s *Spanner) EvalAll(docs []string, opts ...Option) ([][]Match, error) {
-	o := buildOptions(opts)
-	ctx := context.Background()
-	if o.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
-		defer cancel()
-	}
-	st := s.NewStream()
-	out := make([][]Match, len(docs))
-	for i, doc := range docs {
-		var ms []Match
-		var err error
-		if o.Timeout > 0 {
-			ms, err = st.EvalCtx(ctx, doc)
-		} else {
-			ms, err = st.Eval(doc)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if o.Limit > 0 && uint64(len(ms)) > o.Limit {
-			ms = ms[:o.Limit:o.Limit]
-		}
-		out[i] = ms
-	}
-	return out, nil
-}
-
-// EvalAllParallel is EvalAll with a pool of workers, each owning one
-// reusable enumerator over the shared compiled automaton. The batch runs
-// on the corpus layer's shard executor, so it skips documents that fail
-// the spanner's required-literal prefilter without building their graphs,
+// EvalAll evaluates the spanner on every document, returning per-document
+// match sets indexed like docs. The batch runs on the corpus layer's shard
+// executor, one worker per CPU, each owning one reusable enumerator over
+// the shared compiled plan: documents that fail the spanner's
+// required-literal prefilter are skipped without building their graphs,
 // and a panic while evaluating a document fails the call with a
-// *PanicError whose Doc is that document's index in docs. Results keep
-// the order of docs; workers ≤ 0 selects GOMAXPROCS.
-func (s *Spanner) EvalAllParallel(docs []string, workers int) ([][]Match, error) {
-	return s.EvalAllParallelCtx(context.Background(), docs, workers)
-}
-
-// EvalAllParallelCtx is EvalAllParallel with cancellation: workers check
-// ctx between documents and periodically within each enumeration, so the
-// call aborts mid-stream and returns ctx's error.
-func (s *Spanner) EvalAllParallelCtx(ctx context.Context, docs []string, workers int) ([][]Match, error) {
+// *PanicError whose Doc is that document's index in docs. ctx and
+// WithTimeout bound the whole batch, graph builds included, and a done
+// context or fired timeout returns its error, not a partial result;
+// WithLimit caps each document's match set.
+func (s *Spanner) EvalAll(ctx context.Context, docs []string, opts ...Option) ([][]Match, error) {
+	o := buildOptions(opts)
+	ctx, cancel := withDeadline(ctx, &o)
+	defer cancel()
 	p, _, err := s.compiledPlan()
 	if err != nil {
 		return nil, err
 	}
-	tuples, err := corpus.EvalDocs(ctx, p, docs, corpus.EvalOptions{Workers: workers, Required: s.req})
+	tuples, err := corpus.EvalDocs(ctx, p, docs, corpus.EvalOptions{Required: s.req, Limit: o.Limit})
 	if err != nil {
 		return nil, err
 	}
@@ -421,18 +273,26 @@ type emptyIter struct{}
 func (emptyIter) Next() (span.Tuple, bool) { return nil, false }
 func (emptyIter) Vars() span.VarList       { return nil }
 
-// Matches iterates over the result of a spanner or query evaluation.
+// Matches iterates over the result of a spanner or query evaluation on one
+// document. It polls the context the evaluation was opened with on the
+// first Next and every 64 matches after: once the context is done, the
+// stream ends and Err reports the context's error.
 type Matches struct {
+	ctx  context.Context
 	it   core.Iterator
 	vars span.VarList
 	doc  string
 	// consumed is the index of the next match Next will return — the
-	// absolute position Skip seeks from.
+	// absolute position Skip seeks from, and the poll's stride counter.
 	consumed uint64
+	err      error
 }
 
-// Next returns the next match; ok is false when exhausted.
+// Next returns the next match; ok is false when exhausted or cancelled.
 func (ms *Matches) Next() (Match, bool) {
+	if !ms.live() {
+		return Match{}, false
+	}
 	t, ok := ms.it.Next()
 	if !ok {
 		return Match{}, false
@@ -441,18 +301,61 @@ func (ms *Matches) Next() (Match, bool) {
 	return Match{vars: ms.vars, tuple: t, doc: ms.doc}, true
 }
 
+// live polls the stream's context at every 64th position and reports
+// whether the stream may go on.
+func (ms *Matches) live() bool {
+	if ms.err == nil && ms.consumed&63 == 0 {
+		ms.err = ms.ctx.Err()
+	}
+	return ms.err == nil
+}
+
 // Vars lists the output variables.
 func (ms *Matches) Vars() []string { return append([]string(nil), ms.vars...) }
 
 // Err distinguishes cancellation from exhaustion after Next has returned
-// ok=false: iterators opened with a context (Spanner.IterateCtx,
-// Query.IterateCtx) report the context's error once it fires; plain
-// Iterate matches always report nil.
-func (ms *Matches) Err() error {
-	if e, ok := ms.it.(interface{ Err() error }); ok {
-		return e.Err()
+// ok=false: the context's error once the stream saw it done, nil when the
+// result set ran out.
+func (ms *Matches) Err() error { return ms.err }
+
+// collect materializes the matches drain passes on.
+func collect(opts []Option, open func(context.Context) (*Matches, error)) ([]Match, error) {
+	var out []Match
+	if _, err := drain(buildOptions(opts), open, func(m Match) { out = append(out, m) }); err != nil {
+		return nil, err
 	}
-	return nil
+	return out, nil
+}
+
+// drain runs one document's evaluation to its end for every method that
+// returns a finished result (Eval, Evaluate, Count, Exists): it opens the
+// stream under WithTimeout's deadline, passes each match to keep (if set)
+// until the stream ends or WithLimit is met, then releases the
+// enumerator's graph arenas to the pool the next evaluation draws from.
+// It returns how many matches it passed on. A fired deadline is
+// context.DeadlineExceeded, never a short result; a met limit is normal
+// exhaustion.
+func drain(o core.Options, open func(context.Context) (*Matches, error), keep func(Match)) (uint64, error) {
+	ctx, cancel := withDeadline(context.Background(), &o)
+	defer cancel()
+	ms, err := open(ctx)
+	if err != nil {
+		return 0, err
+	}
+	if e, ok := ms.it.(*enum.Enumerator); ok {
+		defer e.Release()
+	}
+	var n uint64
+	for ; o.Limit == 0 || n < o.Limit; n++ {
+		m, ok := ms.Next()
+		if !ok {
+			return n, ms.Err()
+		}
+		if keep != nil {
+			keep(m)
+		}
+	}
+	return n, nil
 }
 
 // Join composes two spanners with the natural join ⋈ (Lemma 3.10): results

@@ -1,6 +1,7 @@
 package spanjoin_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -75,7 +76,7 @@ func TestMustSubstrPanics(t *testing.T) {
 
 func TestIterateStreaming(t *testing.T) {
 	sp := spanjoin.MustCompile("a*x{a*}a*")
-	it, err := sp.Iterate("aaaa")
+	it, err := sp.Iterate(context.Background(), "aaaa")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"spanjoin"
 )
@@ -18,106 +19,91 @@ func matchStrings(ms []spanjoin.Match) []string {
 	return out
 }
 
-func TestStreamMatchesEval(t *testing.T) {
-	sp := spanjoin.MustCompile(`.*x{[a-z]+}@y{[a-z]+}.*`)
-	docs := []string{
-		"mail alice@example now",
-		"no at sign here",
-		"",
-		"bob@site and carol@host",
-		"mail alice@example now", // repeat: exercises arena reuse
-	}
-	st := sp.NewStream()
-	for _, doc := range docs {
-		want, err := sp.Eval(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := st.Eval(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(matchStrings(got)) != fmt.Sprint(matchStrings(want)) {
-			t.Fatalf("doc %q: stream %v, eval %v", doc, got, want)
-		}
-	}
-}
-
-func TestStreamPrefilter(t *testing.T) {
-	sp := spanjoin.MustCompile(`.*x{Belgium}.*`)
-	st := sp.NewStream()
-	ms, err := st.Eval("no such country here")
-	if err != nil || len(ms) != 0 {
-		t.Fatalf("prefiltered doc: %v, %v", ms, err)
-	}
-	ms, err = st.Eval("visit Belgium today")
-	if err != nil || len(ms) != 1 {
-		t.Fatalf("matching doc after prefiltered doc: %v, %v", ms, err)
-	}
-}
-
+// TestEvalAllAgainstEval: the batch returns per-document Eval's matches
+// in per-document order, including the empty document and a repeated one
+// (whose second build reuses pooled graph arenas).
 func TestEvalAllAgainstEval(t *testing.T) {
-	sp := spanjoin.MustCompile(`.*x{a+}.*y{b+}.*`)
-	docs := []string{"aabb", "", "ba", "abab", "bbaa"}
-	seq, err := sp.EvalAll(docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := sp.EvalAllParallel(docs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, doc := range docs {
-		want, err := sp.Eval(doc)
+	for _, tc := range []struct {
+		pattern string
+		docs    []string
+	}{
+		{`.*x{a+}.*y{b+}.*`, []string{"aabb", "", "ba", "abab", "bbaa"}},
+		{`.*x{[a-z]+}@y{[a-z]+}.*`, []string{
+			"mail alice@example now",
+			"no at sign here",
+			"",
+			"bob@site and carol@host",
+			"mail alice@example now",
+		}},
+	} {
+		sp := spanjoin.MustCompile(tc.pattern)
+		all, err := sp.EvalAll(context.Background(), tc.docs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fmt.Sprint(matchStrings(seq[i])) != fmt.Sprint(matchStrings(want)) {
-			t.Fatalf("EvalAll doc %q: %v vs %v", doc, seq[i], want)
-		}
-		if fmt.Sprint(matchStrings(par[i])) != fmt.Sprint(matchStrings(want)) {
-			t.Fatalf("EvalAllParallel doc %q: %v vs %v", doc, par[i], want)
-		}
-	}
-}
-
-func TestEvalAllParallelEmptyAndSingle(t *testing.T) {
-	sp := spanjoin.MustCompile(`.*x{a}.*`)
-	if out, err := sp.EvalAllParallel(nil, 4); err != nil || len(out) != 0 {
-		t.Fatalf("empty docs: %v, %v", out, err)
-	}
-	out, err := sp.EvalAllParallel([]string{"xax"}, 8)
-	if err != nil || len(out) != 1 || len(out[0]) != 1 {
-		t.Fatalf("single doc: %v, %v", out, err)
-	}
-}
-
-// TestWorkerCountDefaults: zero and negative worker counts mean
-// GOMAXPROCS — the same matches in the same order as EvalAll, no panic,
-// no silent serialization into a wrong answer.
-func TestWorkerCountDefaults(t *testing.T) {
-	sp := spanjoin.MustCompile(`(a|b)*x{a+}(a|b)*`)
-	docs := []string{"aab", "bba", "abab", "", "aaaa", "b"}
-	want, err := sp.EvalAll(docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, -1, -100} {
-		got, err := sp.EvalAllParallel(docs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, doc := range docs {
-			if fmt.Sprint(matchStrings(got[i])) != fmt.Sprint(matchStrings(want[i])) {
-				t.Fatalf("workers=%d doc %q: %v, want %v", workers, doc, got[i], want[i])
+		for i, doc := range tc.docs {
+			want, err := sp.Eval(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(matchStrings(all[i])) != fmt.Sprint(matchStrings(want)) {
+				t.Fatalf("%s doc %q: EvalAll %v, Eval %v", tc.pattern, doc, all[i], want)
 			}
 		}
 	}
 }
 
-// TestEvalAllParallelCtxCancellation: a cancelled context must abort the
-// batch and surface the context error instead of a partial result.
-func TestEvalAllParallelCtxCancellation(t *testing.T) {
+// TestEvalAllPrefilter: a document the required-literal prefilter
+// excludes gets no matches, and the matching document after it is still
+// evaluated.
+func TestEvalAllPrefilter(t *testing.T) {
+	sp := spanjoin.MustCompile(`.*x{Belgium}.*`)
+	out, err := sp.EvalAll(context.Background(), []string{"no such country here", "visit Belgium today"})
+	if err != nil || len(out) != 2 || len(out[0]) != 0 || len(out[1]) != 1 {
+		t.Fatalf("EvalAll = %v, %v", out, err)
+	}
+	if ms, err := sp.Eval("no such country here"); err != nil || len(ms) != 0 {
+		t.Fatalf("prefiltered Eval: %v, %v", ms, err)
+	}
+}
+
+func TestEvalAllEmptyAndSingle(t *testing.T) {
+	sp := spanjoin.MustCompile(`.*x{a}.*`)
+	if out, err := sp.EvalAll(context.Background(), nil); err != nil || len(out) != 0 {
+		t.Fatalf("empty docs: %v, %v", out, err)
+	}
+	out, err := sp.EvalAll(context.Background(), []string{"xax"})
+	if err != nil || len(out) != 1 || len(out[0]) != 1 {
+		t.Fatalf("single doc: %v, %v", out, err)
+	}
+}
+
+// TestWorkerCountDefaults: zero and negative corpus worker counts mean
+// GOMAXPROCS — the same matches in the same per-document order as
+// EvalAll, no panic, no silent serialization into a wrong answer.
+func TestWorkerCountDefaults(t *testing.T) {
+	const pattern = `(a|b)*x{a+}(a|b)*`
+	docs := []string{"aab", "bba", "abab", "", "aaaa", "b"}
+	want, err := spanjoin.MustCompile(pattern).EvalAll(context.Background(), docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, -1, -100} {
+		c := spanjoin.NewCorpus(spanjoin.WithShards(3), spanjoin.WithWorkers(workers))
+		ids := c.AddAll(docs...)
+		got := evalAll(t, c, spanjoin.Anchored(pattern))
+		for i, doc := range docs {
+			if fmt.Sprint(matchStrings(got[ids[i]])) != fmt.Sprint(matchStrings(want[i])) {
+				t.Fatalf("workers=%d doc %q: %v, want %v", workers, doc, got[ids[i]], want[i])
+			}
+		}
+	}
+}
+
+// TestEvalAllCancellation: a cancelled context or an expired WithTimeout
+// aborts the batch and surfaces its error instead of a partial result;
+// WithLimit caps every document's match set.
+func TestEvalAllCancellation(t *testing.T) {
 	sp := spanjoin.MustCompile(`a*x{a*}a*`)
 	docs := make([]string, 64)
 	for i := range docs {
@@ -125,17 +111,23 @@ func TestEvalAllParallelCtxCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if out, err := sp.EvalAllParallelCtx(ctx, docs, 4); !errors.Is(err, context.Canceled) {
+	if out, err := sp.EvalAll(ctx, docs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v (%d documents returned), want context.Canceled", err, len(out))
 	}
-	// A live context still evaluates normally.
-	live := []string{"aa"}
-	want, err := sp.EvalAll(live)
-	if err != nil {
-		t.Fatal(err)
+	if out, err := sp.EvalAll(context.Background(), docs, spanjoin.WithTimeout(time.Nanosecond)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v (%d documents returned), want context.DeadlineExceeded", err, len(out))
 	}
-	got, err := sp.EvalAllParallelCtx(context.Background(), live, 0)
-	if err != nil || len(got[0]) != 6 || fmt.Sprint(matchStrings(got[0])) != fmt.Sprint(matchStrings(want[0])) {
-		t.Fatalf("live ctx: %v (err %v), want %v", got, err, want)
+	// A live context still evaluates normally.
+	live := []string{"aa", "a"}
+	got, err := sp.EvalAll(context.Background(), live)
+	if err != nil || len(got[0]) != 6 || len(got[1]) != 3 {
+		t.Fatalf("live ctx: %v (err %v), want 6 and 3 matches", got, err)
+	}
+	capped, err := sp.EvalAll(context.Background(), live, spanjoin.WithLimit(4))
+	if err != nil || len(capped[0]) != 4 || len(capped[1]) != 3 {
+		t.Fatalf("WithLimit(4): %v (err %v), want 4 and 3 matches", capped, err)
+	}
+	if fmt.Sprint(matchStrings(capped[0])) != fmt.Sprint(matchStrings(got[0][:4])) {
+		t.Fatalf("WithLimit(4) = %v, want the first four of %v", capped[0], got[0])
 	}
 }
