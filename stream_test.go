@@ -19,36 +19,64 @@ func matchStrings(ms []spanjoin.Match) []string {
 	return out
 }
 
-// TestEvalAllAgainstEval: the batch returns per-document Eval's matches
-// in per-document order, including the empty document and a repeated one
-// (whose second build reuses pooled graph arenas).
-func TestEvalAllAgainstEval(t *testing.T) {
-	for _, tc := range []struct {
-		pattern string
-		docs    []string
-	}{
-		{`.*x{a+}.*y{b+}.*`, []string{"aabb", "", "ba", "abab", "bbaa"}},
-		{`.*x{[a-z]+}@y{[a-z]+}.*`, []string{
-			"mail alice@example now",
-			"no at sign here",
-			"",
-			"bob@site and carol@host",
-			"mail alice@example now",
-		}},
-	} {
-		sp := spanjoin.MustCompile(tc.pattern)
-		all, err := sp.EvalAll(context.Background(), tc.docs)
+// TestStreamMatchesEval: over a sequence of documents — the empty one
+// and a repeat (whose second build reuses pooled graph arenas) included —
+// the match stream Iterate opens and the batch EvalAll both return
+// per-document Eval's matches in per-document order.
+func TestStreamMatchesEval(t *testing.T) {
+	sp := spanjoin.MustCompile(`.*x{[a-z]+}@y{[a-z]+}.*`)
+	docs := []string{
+		"mail alice@example now",
+		"no at sign here",
+		"",
+		"bob@site and carol@host",
+		"mail alice@example now", // repeat: exercises arena reuse
+	}
+	all, err := sp.EvalAll(context.Background(), docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, doc := range docs {
+		want, err := sp.Eval(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, doc := range tc.docs {
-			want, err := sp.Eval(doc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(matchStrings(all[i])) != fmt.Sprint(matchStrings(want)) {
-				t.Fatalf("%s doc %q: EvalAll %v, Eval %v", tc.pattern, doc, all[i], want)
-			}
+		it, err := sp.Iterate(context.Background(), doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []spanjoin.Match
+		for m, ok := it.Next(); ok; m, ok = it.Next() {
+			got = append(got, m)
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(matchStrings(got)) != fmt.Sprint(matchStrings(want)) {
+			t.Fatalf("doc %q: stream %v, eval %v", doc, got, want)
+		}
+		if fmt.Sprint(matchStrings(all[i])) != fmt.Sprint(matchStrings(want)) {
+			t.Fatalf("doc %q: EvalAll %v, Eval %v", doc, all[i], want)
+		}
+	}
+}
+
+// TestEvalAllAgainstEval: the batch returns per-document Eval's matches
+// in per-document order.
+func TestEvalAllAgainstEval(t *testing.T) {
+	sp := spanjoin.MustCompile(`.*x{a+}.*y{b+}.*`)
+	docs := []string{"aabb", "", "ba", "abab", "bbaa"}
+	all, err := sp.EvalAll(context.Background(), docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, doc := range docs {
+		want, err := sp.Eval(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(matchStrings(all[i])) != fmt.Sprint(matchStrings(want)) {
+			t.Fatalf("doc %q: EvalAll %v, Eval %v", doc, all[i], want)
 		}
 	}
 }
