@@ -616,3 +616,22 @@ func BenchmarkFirstTimeQuery(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkQueryEvaluate is one Query.Evaluate of a two-atom join on a
+// 26-byte document under the automata plan: the query joins its atoms and
+// builds its plan once, so an op builds the document's graph and drains
+// it.
+func BenchmarkQueryEvaluate(b *testing.B) {
+	q := spanjoin.NewQuery().
+		Atom(`.*x{ERROR} op=.*`).
+		Atom(`.*x{[A-Z]+} op=y{[a-z]+} .*`).
+		MustBuild()
+	const doc = "ts=1 ERROR op=write id=ab "
+	b.ReportAllocs()
+	for b.Loop() {
+		ms, err := q.Evaluate(doc, spanjoin.WithStrategy(spanjoin.StrategyAutomata))
+		if err != nil || len(ms) != 1 {
+			b.Fatalf("%d matches, %v; want the one ERROR/write tuple", len(ms), err)
+		}
+	}
+}

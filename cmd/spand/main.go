@@ -251,14 +251,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // load ingests the corpus: every positional file as one document, plus —
-// with -lines — one document per line of a file or stdin.
+// with -lines — one document per line of a file or stdin. A RAM corpus
+// takes them as one AddAll batch, which fills the shards in parallel; a
+// durable corpus logs each document before it becomes visible.
 func load(c *spanjoin.Corpus, lines string, files []string) error {
+	if c.Durable() {
+		return readDocs(lines, files, func(doc string) error {
+			_, err := c.AddErrCtx(context.Background(), doc)
+			return err
+		})
+	}
+	var batch []string
+	err := readDocs(lines, files, func(doc string) error {
+		batch = append(batch, doc)
+		return nil
+	})
+	c.AddAll(batch...)
+	return err
+}
+
+// readDocs passes load's documents to add in order, stopping at the first
+// error.
+func readDocs(lines string, files []string, add func(doc string) error) error {
 	for _, f := range files {
 		b, err := os.ReadFile(f)
 		if err != nil {
 			return err
 		}
-		if _, err := c.AddErrCtx(context.Background(), string(b)); err != nil {
+		if err := add(string(b)); err != nil {
 			return err
 		}
 	}
@@ -279,7 +299,7 @@ func load(c *spanjoin.Corpus, lines string, files []string) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
 	for sc.Scan() {
-		if _, err := c.AddErrCtx(context.Background(), sc.Text()); err != nil {
+		if err := add(sc.Text()); err != nil {
 			return err
 		}
 	}

@@ -88,11 +88,16 @@ func WithResultBuffer(n int) CorpusOption {
 }
 
 // WithIndex enables the per-shard skip index: each Add also records the
-// document's byte bigrams and trigrams in posting lists (O(distinct grams)
-// ≤ 2·|doc| positions per document), and evaluations whose pattern or
-// query carries literal requirements intersect those postings to visit
-// only candidate documents — non-candidates cost nothing, not even a
-// substring scan. Queries without derivable literals are unaffected.
+// document's byte bigrams and trigrams in posting lists, and evaluations
+// whose pattern or query carries literal requirements intersect those
+// postings to visit only candidate documents — non-candidates cost
+// nothing, not even a substring scan. Queries without derivable literals
+// are unaffected. A gram's postings are a position array while sparse and
+// a bitmap while dense, and hold at most about twice the smaller form:
+// min(4 bytes per document holding the gram, one bit per document from
+// its first to its last). On e2ebench's adhoc corpus (3,000 documents,
+// 0.9 MB, two shards) the index holds 0.94 MB, where one uint32 per
+// distinct gram per document took 4.7 MB.
 func WithIndex() CorpusOption {
 	return func(c *corpusConfig) { c.indexed = true }
 }
@@ -139,14 +144,13 @@ func newCorpus(store *corpus.Store, cfg corpusConfig) *Corpus {
 // panics with the log's error; use AddErrCtx to handle it instead.
 func (c *Corpus) Add(doc string) DocID { return c.store.Add(doc) }
 
-// AddAll appends documents and returns their IDs, indexed like docs.
-func (c *Corpus) AddAll(docs ...string) []DocID {
-	ids := make([]DocID, len(docs))
-	for i, d := range docs {
-		ids[i] = c.store.Add(d)
-	}
-	return ids
-}
+// AddAll appends documents and returns their IDs, indexed like docs: the
+// IDs the same Adds would return one by one. On a RAM corpus the shards
+// fill in parallel, on at most min(shards, GOMAXPROCS) workers, each
+// holding its shard's lock for the batch's whole share of it — documents
+// and skip index — so concurrent readers of a shard wait for its share.
+// A durable corpus adds the documents one at a time, like Add.
+func (c *Corpus) AddAll(docs ...string) []DocID { return c.store.AddAll(docs) }
 
 // Doc returns the document with the given ID.
 func (c *Corpus) Doc(id DocID) (string, bool) { return c.store.Get(id) }

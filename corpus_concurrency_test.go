@@ -353,3 +353,155 @@ func TestConcurrentFirstPagesPooledArenas(t *testing.T) {
 	close(start)
 	wg.Wait()
 }
+
+// TestAddAllHammer: on an indexed RAM corpus one writer appends AddAll
+// batches of zero to seven documents while another Adds single documents
+// and readers Count and Page a pattern whose literal the skip index
+// constrains. Every ID must be unique and resolve to its document, every
+// count must lie between the counts before and after and never fall per
+// reader, and once the writers are done the total must equal a fresh
+// corpus's and each document's count, read back through one-row pages,
+// must equal Spanner.Count.
+func TestAddAllHammer(t *testing.T) {
+	const pattern = `.*x{ab+}.*`
+	ctx := context.Background()
+	c := spanjoin.NewCorpus(spanjoin.WithShards(3), spanjoin.WithWorkers(2), spanjoin.WithIndex())
+	makeDoc := func(g, i int) string {
+		return fmt.Sprintf("%d %s %d", g, strings.Repeat("abb ", i%4), i)
+	}
+	var docs []string
+	for i := 0; i < 30; i++ {
+		docs = append(docs, makeDoc(9, i))
+	}
+	c.AddAll(docs...)
+	count := func() uint64 {
+		n, err := c.Count(ctx, spanjoin.Anchored(pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, _ := n.Uint64()
+		return u
+	}
+	before := count()
+
+	const batches, singles, readers = 40, 120, 3
+	var batched, single []string
+	var batchIDs, singleIDs []spanjoin.DocID
+	var wg, writing sync.WaitGroup
+	// Each read offers a tick and each write takes one, so the writes
+	// interleave with the reads instead of finishing before the first.
+	ticks := make(chan struct{}, readers)
+	done := make(chan struct{})
+	wg.Add(2)
+	writing.Add(2)
+	go func() {
+		defer wg.Done()
+		defer writing.Done()
+		for b := 0; b < batches; b++ {
+			<-ticks
+			batch := make([]string, b%8)
+			for i := range batch {
+				batch[i] = makeDoc(1, 8*b+i)
+			}
+			batchIDs = append(batchIDs, c.AddAll(batch...)...)
+			batched = append(batched, batch...)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		defer writing.Done()
+		for i := 0; i < singles; i++ {
+			<-ticks
+			doc := makeDoc(2, i)
+			singleIDs = append(singleIDs, c.Add(doc))
+			single = append(single, doc)
+		}
+	}()
+	seen := make([][]uint64, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; ; k++ {
+				select {
+				case <-done:
+					return
+				case ticks <- struct{}{}:
+				default:
+				}
+				var (
+					n   spanjoin.MatchCount
+					err error
+				)
+				if k%2 == 0 {
+					n, err = c.Count(ctx, spanjoin.Anchored(pattern))
+				} else {
+					var pg *spanjoin.Page
+					if pg, err = c.Page(ctx, spanjoin.Anchored(pattern), uint64(k), 3); err == nil {
+						n = pg.Total
+					}
+				}
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				u, _ := n.Uint64()
+				seen[r] = append(seen[r], u)
+			}
+		}()
+	}
+	writing.Wait()
+	close(done)
+	wg.Wait()
+
+	ids := make(map[spanjoin.DocID]bool)
+	for _, w := range []struct {
+		ids  []spanjoin.DocID
+		docs []string
+	}{{batchIDs, batched}, {singleIDs, single}} {
+		for i, id := range w.ids {
+			if ids[id] {
+				t.Fatalf("DocID %d handed out twice", id)
+			}
+			ids[id] = true
+			if doc, ok := c.Doc(id); !ok || doc != w.docs[i] {
+				t.Fatalf("Doc(%d) = %q, %v; want %q", id, doc, ok, w.docs[i])
+			}
+		}
+	}
+	after := count()
+	for r, counts := range seen {
+		for k, u := range counts {
+			if u < before || u > after {
+				t.Fatalf("reader %d count %d = %d, outside [%d, %d]", r, k, u, before, after)
+			}
+			if k > 0 && u < counts[k-1] {
+				t.Fatalf("reader %d count fell from %d to %d", r, counts[k-1], u)
+			}
+		}
+	}
+	fresh := spanjoin.NewCorpus(spanjoin.WithShards(3))
+	fresh.AddAll(docs...)
+	fresh.AddAll(batched...)
+	fresh.AddAll(single...)
+	if want, err := fresh.Count(ctx, spanjoin.Anchored(pattern)); err != nil {
+		t.Fatal(err)
+	} else if u, _ := want.Uint64(); u != after {
+		t.Fatalf("count %d after the hammer, fresh corpus %d", after, u)
+	}
+	sp := spanjoin.MustCompile(pattern)
+	per := pageCounts(t, c, spanjoin.Anchored(pattern))
+	for id := spanjoin.DocID(0); int(id) < c.Len(); id++ {
+		doc, ok := c.Doc(id)
+		if !ok {
+			t.Fatalf("doc %d missing from a corpus of %d", id, c.Len())
+		}
+		n, err := sp.Count(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u, _ := n.Uint64(); per[id] != u {
+			t.Fatalf("doc %d: page rows %d, Spanner.Count %v", id, per[id], n)
+		}
+	}
+}

@@ -94,20 +94,48 @@ func NewStore(n int) *Store {
 func (s *Store) NumShards() int { return len(s.shards) }
 
 // EnableIndex turns on the per-shard skip index, backfilling documents
-// already stored. Idempotent and safe for concurrent use with Add, Get and
-// Eval; evaluations started before the call simply do not use the index.
+// already stored. The shards backfill in parallel, on at most
+// min(shards, GOMAXPROCS) workers, each holding its shard's lock while it
+// indexes that shard. Idempotent and safe for concurrent use with Add,
+// AddAll, Get and Eval; evaluations started before the call simply do not
+// use the index.
 func (s *Store) EnableIndex() {
-	for i := range s.shards {
-		sh := &s.shards[i]
+	s.eachShard(len(s.shards), func(si uint64) {
+		sh := &s.shards[si]
 		sh.mu.Lock()
+		defer sh.mu.Unlock()
 		if sh.idx == nil {
 			sh.idx = prefilter.NewIndex()
 			for _, d := range sh.docs {
 				sh.idx.Add(d)
 			}
 		}
-		sh.mu.Unlock()
+	})
+}
+
+// eachShard calls f with every shard index on at most min(shards,
+// GOMAXPROCS, limit) goroutines and returns once every call has.
+func (s *Store) eachShard(limit int, f func(si uint64)) {
+	n := uint64(len(s.shards))
+	workers := min(len(s.shards), runtime.GOMAXPROCS(0), limit)
+	if workers <= 1 {
+		for si := range n {
+			f(si)
+		}
+		return
 	}
+	var next atomic.Uint64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for si := next.Add(1) - 1; si < n; si = next.Add(1) - 1 {
+				f(si)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Indexed reports whether the skip index is enabled.
@@ -151,6 +179,43 @@ func (s *Store) Add(doc string) DocID {
 	}
 	sh.mu.Unlock()
 	return s.idOf(si, pos)
+}
+
+// AddAll appends docs and returns their IDs, indexed like docs. On a RAM
+// store the batch reserves its round-robin slots with one atomic add, then
+// fills each shard's share — documents and skip index — on at most
+// min(shards, GOMAXPROCS) workers, each holding its shard's lock for the
+// whole share. The IDs are exactly those the same Adds would return one
+// by one. A durable store adds the documents one at a time through Add,
+// since each must reach the log before it becomes visible.
+func (s *Store) AddAll(docs []string) []DocID {
+	ids := make([]DocID, len(docs))
+	if s.dur != nil {
+		for i, d := range docs {
+			ids[i] = s.Add(d)
+		}
+		return ids
+	}
+	k, n := uint64(len(docs)), uint64(len(s.shards))
+	start := s.rr.Add(k) - k
+	s.eachShard(len(docs), func(si uint64) {
+		// The batch's j-th document goes to shard (start+j) mod n.
+		first := (si + n - start%n) % n
+		if first >= k {
+			return
+		}
+		sh := &s.shards[si]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		for j := first; j < k; j += n {
+			ids[j] = s.idOf(si, uint64(len(sh.docs)))
+			sh.docs = append(sh.docs, docs[j])
+			if sh.idx != nil {
+				sh.idx.Add(docs[j])
+			}
+		}
+	})
+	return ids
 }
 
 // Get returns the document with the given ID.

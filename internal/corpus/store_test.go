@@ -1,10 +1,16 @@
 package corpus
 
 import (
+	"context"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"spanjoin/internal/enum"
+	"spanjoin/internal/prefilter"
+	"spanjoin/internal/rgx"
 	"spanjoin/internal/wal"
 )
 
@@ -117,5 +123,142 @@ func TestStoreConcurrentAddStableIDs(t *testing.T) {
 	}
 	if s.Len() != goroutines*perG {
 		t.Fatalf("Len = %d, want %d", s.Len(), goroutines*perG)
+	}
+}
+
+// TestAddAllMatchesAdd: AddAll batches return the IDs that Adds of the
+// same documents return one by one, and Eval, Count and Page answer the
+// same over both stores, with the skip index and without it. Batches of
+// zero, one and uneven sizes, each followed by one Add, leave the
+// round-robin mid-rotation on every shard count above one.
+func TestAddAllMatchesAdd(t *testing.T) {
+	var docs []string
+	for i := range 64 {
+		docs = append(docs, fmt.Sprintf("%d %s", i, []string{"ab", "zz", "abb ab", "", "b a"}[i%5]))
+	}
+	p, err := enum.NewPlan(rgx.MustCompilePattern(`.*x{ab+}.*`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := EvalOptions{Required: prefilter.New("ab")}
+	ctx := context.Background()
+	for _, shards := range []int{1, 2, 7} {
+		for _, indexed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/indexed=%v", shards, indexed), func(t *testing.T) {
+				one, all := NewStore(shards), NewStore(shards)
+				if indexed {
+					one.EnableIndex()
+					all.EnableIndex()
+				}
+				rest := docs
+				for _, k := range []int{0, 1, 13, 0, 1, 5, 37} {
+					var want []DocID
+					for _, d := range rest[:k+1] {
+						want = append(want, one.Add(d))
+					}
+					got := append(all.AddAll(rest[:k]), all.Add(rest[k]))
+					rest = rest[k+1:]
+					if !slices.Equal(got, want) {
+						t.Fatalf("batch of %d: AddAll+Add IDs %v, Adds %v", k, got, want)
+					}
+
+					wantRes, err := one.EvalPlan(ctx, p, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotRes, err := all.EvalPlan(ctx, p, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if g, w := drainResults(t, gotRes), drainResults(t, wantRes); !reflect.DeepEqual(g, w) {
+						t.Fatalf("batch of %d: Eval %v, want %v", k, g, w)
+					}
+					wantN, err := one.CountPlan(ctx, p, nil, opt, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotN, err := all.CountPlan(ctx, p, nil, opt, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if gotN.Total != wantN.Total || !reflect.DeepEqual(gotN.PerDoc, wantN.PerDoc) {
+						t.Fatalf("batch of %d: Count %v %v, want %v %v", k, gotN.Total, gotN.PerDoc, wantN.Total, wantN.PerDoc)
+					}
+					wantPg, err := one.PagePlan(ctx, p, nil, opt, 2, 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotPg, err := all.PagePlan(ctx, p, nil, opt, 2, 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if gotPg.Total != wantPg.Total || fmt.Sprint(gotPg.Matches) != fmt.Sprint(wantPg.Matches) {
+						t.Fatalf("batch of %d: Page %v %v, want %v %v", k, gotPg.Total, gotPg.Matches, wantPg.Total, wantPg.Matches)
+					}
+				}
+				if len(rest) != 0 {
+					t.Fatalf("%d documents left over", len(rest))
+				}
+			})
+		}
+	}
+}
+
+// TestEnableIndexBesideAddAll: EnableIndex backfills the shards in
+// parallel while AddAll batches and single Adds land on them. Afterwards
+// every shard's index must cover exactly its documents, and an indexed
+// count must equal one over the same documents without the index.
+func TestEnableIndexBesideAddAll(t *testing.T) {
+	s, plain := NewStore(3), NewStore(3)
+	doc := func(g, i int) string { return fmt.Sprintf("%d %s %d", g, []string{"ab", "zz", "abb ab"}[i%3], i) }
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for b := 0; b < 30; b++ {
+			batch := make([]string, b%7)
+			for i := range batch {
+				batch[i] = doc(1, 7*b+i)
+			}
+			s.AddAll(batch)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 60; i++ {
+			s.Add(doc(2, i))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		s.EnableIndex()
+		s.EnableIndex()
+	}()
+	wg.Wait()
+	for i := range s.shards {
+		sh := &s.shards[i]
+		if sh.idx == nil {
+			t.Fatalf("shard %d has no index", i)
+		}
+		if sh.idx.Len() != len(sh.docs) {
+			t.Fatalf("shard %d: %d documents indexed of %d", i, sh.idx.Len(), len(sh.docs))
+		}
+		plain.AddAll(sh.docs)
+	}
+	p, err := enum.NewPlan(rgx.MustCompilePattern(`.*x{ab+}.*`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := EvalOptions{Required: prefilter.New("ab")}
+	got, err := s.CountPlan(context.Background(), p, nil, opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.CountPlan(context.Background(), p, nil, opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Total != want.Total || got.SkippedIndex == 0 {
+		t.Fatalf("indexed count %v (%d skipped by the index), unindexed %v", got.Total, got.SkippedIndex, want.Total)
 	}
 }

@@ -9,6 +9,19 @@ import (
 	"spanjoin/internal/prefilter"
 )
 
+// gramsOf lists the grams the index looks up for factor l: its trigrams,
+// its bigram when it has two bytes, none when it has fewer.
+func gramsOf(l string) []string {
+	if len(l) == 2 {
+		return []string{l}
+	}
+	var out []string
+	for i := 0; i+2 < len(l); i++ {
+		out = append(out, l[i:i+3])
+	}
+	return out
+}
+
 func candidateSet(ix *prefilter.Index, req prefilter.Requirement, n int) map[int]bool {
 	pos, constrained := ix.Candidates(req)
 	out := make(map[int]bool)
@@ -130,16 +143,6 @@ func TestCandidatesGallopLopsided(t *testing.T) {
 		docs[i] = doc
 		ix.Add(doc)
 	}
-	grams := func(l string) []string {
-		if len(l) == 2 {
-			return []string{l}
-		}
-		var out []string
-		for i := 0; i+2 < len(l); i++ {
-			out = append(out, l[i:i+3])
-		}
-		return out
-	}
 	for _, lits := range [][]string{
 		{"common", "xyzzy"}, {"xyzzy", "common", "qux"}, {"qux", "common"},
 		{"common"}, {"zy", "xy"}, {"nowhere"}, {"rare", "mid"},
@@ -153,7 +156,7 @@ func TestCandidatesGallopLopsided(t *testing.T) {
 		for i, d := range docs {
 			all := true
 			for _, l := range req.Literals() {
-				for _, g := range grams(l) {
+				for _, g := range gramsOf(l) {
 					all = all && strings.Contains(d, g)
 				}
 			}

@@ -218,9 +218,31 @@ func (q *Query) Evaluate(doc string, opts ...Option) ([]Match, error) {
 // Iterate evaluates the query and returns a tuple iterator that polls ctx
 // (see Matches). Under StrategyAutomata (and for k-bounded queries under
 // StrategyAuto) the iterator has polynomial delay (Theorem 3.11 /
-// Corollary 5.5).
+// Corollary 5.5). The automata plan of an equality-free query builds doc's
+// graph on the query's memoized plan, polling ctx inside the build as
+// Spanner.Iterate does; with equalities it compiles the memoized atom join
+// with doc's equality automaton (Thm 5.4).
 func (q *Query) Iterate(ctx context.Context, doc string, opts ...Option) (*Matches, error) {
-	it, err := q.cq.Enumerate(doc, buildOptions(opts))
+	o := buildOptions(opts)
+	o.Strategy = q.cq.Plan(o)
+	var (
+		it  core.Iterator
+		err error
+	)
+	switch {
+	case o.Strategy == core.Canonical:
+		it, err = q.cq.Enumerate(doc, o)
+	case len(q.cq.Equalities) > 0:
+		var joined *vsa.VSA
+		if joined, err = q.joinedAtoms(); err == nil {
+			it, err = q.cq.EnumerateJoined(joined, doc)
+		}
+	default:
+		var p *enum.Plan
+		if p, _, err = q.compiledPlan(); err == nil {
+			it = prepareOn(ctx, p, doc)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
