@@ -635,3 +635,26 @@ func BenchmarkQueryEvaluate(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkUnionEvaluate is one UnionQuery.Evaluate of BenchmarkQueryEvaluate's
+// query and its WARN twin on the same document under the automata plan: the
+// union compiles into one spanner once, so an op builds the document's
+// graph and drains it, as a Query's does.
+func BenchmarkUnionEvaluate(b *testing.B) {
+	second := `.*x{[A-Z]+} op=y{[a-z]+} .*`
+	u, err := spanjoin.NewUnion(
+		spanjoin.NewQuery().Atom(`.*x{ERROR} op=.*`).Atom(second).MustBuild(),
+		spanjoin.NewQuery().Atom(`.*x{WARN} op=.*`).Atom(second).MustBuild(),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const doc = "ts=1 ERROR op=write id=ab "
+	b.ReportAllocs()
+	for b.Loop() {
+		ms, err := u.Evaluate(doc, spanjoin.WithStrategy(spanjoin.StrategyAutomata))
+		if err != nil || len(ms) != 1 {
+			b.Fatalf("%d matches, %v; want the one ERROR/write tuple", len(ms), err)
+		}
+	}
+}

@@ -318,14 +318,14 @@ func (c *Corpus) evalOptions(req prefilter.Requirement, o core.Options) corpus.E
 
 // Target is what a corpus operation evaluates: a pattern compiled through
 // the corpus cache (Anchored, Search), a spanner the caller compiled (Of)
-// or a conjunctive query (OfQuery). Eval, Count, Page and Sample take any
+// or a query (OfQuery, OfUnion). Eval, Count, Page and Sample take any
 // target. The zero Target names nothing, and every operation that
 // resolves it fails.
 type Target struct {
 	mode    string // "anchor" or "search": a pattern compiled through the cache
 	pattern string
 	sp      *Spanner
-	q       *Query
+	q       *compiled
 }
 
 // Anchored targets a pattern that must match whole documents (Compile),
@@ -346,17 +346,32 @@ func Search(pattern string) Target { return Target{mode: "search", pattern: patt
 func Of(sp *Spanner) Target { return Target{sp: sp} }
 
 // OfQuery targets a conjunctive query. A query without string equalities
-// compiles once into a single automaton (Theorem 3.11) and runs like a
-// spanner. A query with equalities, whose automata exist only per input
-// string (Theorem 5.4), or one run under WithStrategy(StrategyCanonical)
-// evaluates document by document: Eval and Count serve it, Page and
-// Sample fail on it.
-func OfQuery(q *Query) Target { return Target{q: q} }
+// compiles once into a single automaton (Theorem 3.11), memoized on the
+// query, and runs as that spanner would under Of, whatever plan the Auto
+// planner picks for Query.Evaluate. A query with equalities, whose
+// automata exist only per input string (Theorem 5.4), or one run under
+// WithStrategy(StrategyCanonical) evaluates document by document: Eval
+// and Count serve it, Page and Sample fail on it.
+func OfQuery(q *Query) Target {
+	if q == nil {
+		return Target{}
+	}
+	return Target{q: &q.compiled}
+}
 
-// perDocument reports whether t is a query that cannot share one plan:
-// one with string equalities, or any query under StrategyCanonical.
+// OfUnion targets a union of conjunctive queries, as OfQuery targets one:
+// an equality-free union not forced onto the canonical plan is one
+// spanner, and any other union evaluates document by document.
+func OfUnion(u *UnionQuery) Target {
+	if u == nil {
+		return Target{}
+	}
+	return Target{q: &u.compiled}
+}
+
+// perDocument reports whether t is a query that cannot share one plan.
 func (t Target) perDocument(o core.Options) bool {
-	return t.q != nil && (len(t.q.cq.Equalities) > 0 || o.Strategy == core.Canonical)
+	return t.q != nil && !t.q.shared(o)
 }
 
 // resolved is a target bound to what runs it: a compiled plan every
@@ -372,21 +387,19 @@ type resolved struct {
 }
 
 var (
-	errNoTarget    = errors.New("spanjoin: empty corpus target (build one with Anchored, Search, Of or OfQuery)")
+	errNoTarget    = errors.New("spanjoin: empty corpus target (build one with Anchored, Search, Of, OfQuery or OfUnion)")
 	errPerDocument = errors.New("spanjoin: a query with string equalities or StrategyCanonical evaluates per document and cannot be paged or sampled")
 )
 
 // resolve binds t for one operation: a pattern compiles through the cache,
-// a spanner's or an equality-free query's plan is memoized on it — the
-// call that builds it records the plan_build stage — and any other query
-// gets a per-document evaluator. The requirement is the plan-level one
-// for queries (the conjunction of the atoms'): equalities and projection
-// only restrict results further, so it stays necessary under every plan.
+// a query that shares one plan resolves to its spanner, and a spanner's
+// plan is memoized on it — the call that builds it records the plan_build
+// stage. Any other query gets a per-document evaluator. The requirement is
+// the plan-level one for queries (the conjunction of the atoms'):
+// equalities and projection only restrict results further, so it stays
+// necessary under every plan.
 func (c *Corpus) resolve(ctx context.Context, t Target, o core.Options) (r resolved, err error) {
-	var (
-		p     *enum.Plan
-		built bool
-	)
+	sp := t.sp
 	switch {
 	case t.mode != "":
 		compile := Compile
@@ -397,26 +410,23 @@ func (c *Corpus) resolve(ctx context.Context, t Target, o core.Options) (r resol
 		if cq, err = c.compileCached(ctx, t.mode, t.pattern, compile); err != nil {
 			return r, err
 		}
-		r.memo, r.req = &cq.memo, cq.sp.req
-		p, built, err = cq.sp.compiledPlan()
-	case t.sp != nil:
-		r.req = t.sp.req
-		p, built, err = t.sp.compiledPlan()
-	case t.q == nil:
-		return r, errNoTarget
+		r.memo, sp = &cq.memo, cq.sp
 	case t.perDocument(o):
-		r.req, r.vars = t.q.requirement(), t.q.cq.OutVars()
-		r.perDoc, err = queryDocEval(t.q, o)
-		return r, err
-	default:
-		r.req = t.q.requirement()
-		p, built, err = t.q.compiledPlan()
+		r.req, r.vars, r.perDoc = t.q.ucq.Requirement(), t.q.ucq.OutVars(), t.q.docEval(o)
+		return r, nil
+	case t.q != nil:
+		if sp, _, err = t.q.compile(); err != nil {
+			return r, err
+		}
+	case sp == nil:
+		return r, errNoTarget
 	}
+	p, built, err := sp.compiledPlan()
 	if err != nil {
 		return resolved{}, err
 	}
 	c.recordPlanBuild(ctx, p, built)
-	r.plan = p
+	r.plan, r.req = p, sp.req
 	return r, nil
 }
 
@@ -493,50 +503,4 @@ func (c *Corpus) recordPlanBuild(ctx context.Context, p *enum.Plan, built bool) 
 	d := p.BuildDuration()
 	c.planBuild.Observe(d)
 	obs.FromContext(ctx).Observe(obs.StagePlan, d)
-}
-
-// queryDocEval builds the per-document evaluator for query plans that
-// cannot share a compiled enumerator, hoisting the document-independent
-// atom join when the automata plan applies (Thm 5.4).
-// Per-document plans rebuild their iterator per document, so the
-// query-liveness probe (stop) has no long build to interrupt — the emit
-// path already observes cancellation per tuple; they ignore it.
-func queryDocEval(q *Query, o core.Options) (corpus.NewDocEval, error) {
-	if o.Strategy != core.Canonical && q.cq.Plan(o) == core.Automata {
-		joined, err := q.joinedAtoms()
-		if err != nil {
-			return nil, err
-		}
-		return func(func() bool) corpus.DocEval {
-			return func(doc string, emit func(span.Tuple) bool) error {
-				it, err := q.cq.EnumerateJoined(joined, doc)
-				if err != nil {
-					return err
-				}
-				return emitAll(it, emit)
-			}
-		}, nil
-	}
-	return func(func() bool) corpus.DocEval {
-		return func(doc string, emit func(span.Tuple) bool) error {
-			it, err := q.cq.Enumerate(doc, o)
-			if err != nil {
-				return err
-			}
-			return emitAll(it, emit)
-		}
-	}, nil
-}
-
-// emitAll drains an iterator into emit, stopping early on cancellation.
-func emitAll(it core.Iterator, emit func(span.Tuple) bool) error {
-	for {
-		t, ok := it.Next()
-		if !ok {
-			return nil
-		}
-		if !emit(t) {
-			return nil
-		}
-	}
 }

@@ -374,13 +374,14 @@ func TestCorpusMethodSet(t *testing.T) {
 	}
 }
 
-// TestEmptyTargetFails: the zero Target, Of(nil) and OfQuery(nil) name
-// nothing, so every operation fails on them — none compiles anything.
+// TestEmptyTargetFails: the zero Target, Of(nil), OfQuery(nil) and
+// OfUnion(nil) name nothing, so every operation fails on them — none
+// compiles anything.
 func TestEmptyTargetFails(t *testing.T) {
 	c := spanjoin.NewCorpus()
 	c.AddAll("", "a")
 	ctx := context.Background()
-	for _, target := range []spanjoin.Target{{}, spanjoin.Of(nil), spanjoin.OfQuery(nil)} {
+	for _, target := range []spanjoin.Target{{}, spanjoin.Of(nil), spanjoin.OfQuery(nil), spanjoin.OfUnion(nil)} {
 		if _, err := c.Eval(ctx, target); err == nil {
 			t.Error("Eval of an empty target succeeded")
 		}

@@ -79,38 +79,32 @@ func (b *QueryBuilder) EqualAll(vars ...string) *QueryBuilder {
 	return b
 }
 
-// Count returns the exact number of results of the query on doc.
-// Equality-free queries not forced onto the canonical plan count through
-// the ranked DP over the compiled automaton — no enumeration, cost
-// independent of the result count; queries with string equalities (whose
-// automata exist per document, Thm 5.4) and forced-canonical plans drain
-// the iterator. WithTimeout bounds either leg, the DP leg's graph build
-// included, and WithLimit caps the count as it caps a drain.
+// Count returns the exact number of results of the query on doc. An
+// equality-free query not forced onto the canonical plan counts as the
+// Spanner it compiles into (Spanner.Count: the ranked DP over doc's graph,
+// no enumeration, cost independent of the result count), whatever plan
+// the Auto planner picks for Evaluate; queries with string equalities
+// (whose automata exist per document, Thm 5.4) and forced-canonical plans
+// drain the iterator. WithTimeout bounds either leg, the DP leg's graph
+// build included, and WithLimit caps the count as it caps a drain.
 func (q *Query) Count(doc string, opts ...Option) (MatchCount, error) {
 	o := buildOptions(opts)
-	if len(q.cq.Equalities) > 0 || o.Strategy == StrategyCanonical {
+	if !q.shared(o) {
 		n, err := drain(o, func(ctx context.Context) (*Matches, error) { return q.Iterate(ctx, doc, opts...) }, nil)
 		if err != nil {
 			return MatchCount{}, err
 		}
 		return MatchCount{u: n}, nil
 	}
-	p, _, err := q.compiledPlan()
+	sp, _, err := q.compile()
 	if err != nil {
 		return MatchCount{}, err
 	}
-	ctx, cancel := withDeadline(context.Background(), &o)
-	defer cancel()
-	r, err := rankedOn(ctx, p, doc)
-	if err != nil {
-		return MatchCount{}, err
-	}
-	defer r.e.Release()
-	c := r.Count()
-	if n, ok := c.Uint64(); o.Limit > 0 && (!ok || n > o.Limit) {
+	c, err := sp.Count(doc, opts...)
+	if n, ok := c.Uint64(); err == nil && o.Limit > 0 && (!ok || n > o.Limit) {
 		return MatchCount{u: o.Limit}, nil
 	}
-	return c, nil
+	return c, err
 }
 
 // Difference returns the matches of a on doc that are not matches of b

@@ -67,52 +67,10 @@ func (o Options) varLimit() int {
 	return o.PolyBoundVarLimit
 }
 
-// Compile performs the static part of the automata plan for a CQ: join all
-// atom automata (Lemma 3.10) and push the projection in (Lemma 3.8).
-// String-equality selections are *not* compiled here — they depend on the
-// input string (Thm 5.4) and are applied by Enumerate.
-func (q *CQ) Compile() (*vsa.VSA, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	autos := make([]*vsa.VSA, len(q.Atoms))
-	for i, a := range q.Atoms {
-		autos[i] = a.Auto
-	}
-	joined, err := vsa.JoinAll(autos...)
-	if err != nil {
-		return nil, err
-	}
-	if len(q.Equalities) == 0 && q.Projection != nil {
-		return vsa.Project(joined, q.Projection)
-	}
-	// With equalities, projection must wait until after the runtime join
-	// with A_eq (the equality variables may be projected away).
-	return joined, nil
-}
-
-// Enumerate evaluates the CQ on s with the chosen strategy and returns a
-// tuple iterator. The automata plan streams with polynomial delay; the
-// canonical plan materializes and then iterates.
+// Enumerate evaluates the CQ on s as its one-disjunct union (see
+// UCQ.Enumerate).
 func (q *CQ) Enumerate(s string, opts Options) (Iterator, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	strat := opts.Strategy
-	if strat == Auto {
-		strat = q.pick(opts)
-	}
-	switch strat {
-	case Canonical:
-		r, err := q.evalCanonical(s, opts)
-		if err != nil {
-			return nil, err
-		}
-		r.Sort()
-		return &sliceIter{vars: r.Vars, tuples: r.Tuples}, nil
-	default:
-		return q.enumAutomata(s)
-	}
+	return (&UCQ{Disjuncts: []*CQ{q}}).Enumerate(s, opts)
 }
 
 // Eval evaluates the CQ and materializes the result.
@@ -124,23 +82,9 @@ func (q *CQ) Eval(s string, opts Options) (*rel.Relation, error) {
 	return Drain(it), nil
 }
 
-// pick implements the Auto planner.
-func (q *CQ) pick(opts Options) Strategy {
-	if !q.IsAcyclic() {
-		return Automata
-	}
-	for _, a := range q.Atoms {
-		if q.atomPolyBounded(a, opts) {
-			continue
-		}
-		return Automata
-	}
-	return Canonical
-}
-
-// atomPolyBounded applies the paper's two sufficient conditions (§3.3.2):
-// at most k variables for fixed k, or a key attribute (Prop 3.6).
-func (q *CQ) atomPolyBounded(a *Atom, opts Options) bool {
+// polyBounded applies the paper's two sufficient conditions (§3.3.2): at
+// most k variables for fixed k, or a key attribute (Prop 3.6).
+func (a *Atom) polyBounded(opts Options) bool {
 	if len(a.Vars()) <= opts.varLimit() {
 		return true
 	}
@@ -148,52 +92,11 @@ func (q *CQ) atomPolyBounded(a *Atom, opts Options) bool {
 	return err == nil && ok
 }
 
-// enumAutomata is the compilation plan: join, runtime equality compilation,
-// projection, polynomial-delay enumeration.
-func (q *CQ) enumAutomata(s string) (Iterator, error) {
-	joined, err := q.JoinAtoms()
-	if err != nil {
-		return nil, err
-	}
-	return q.EnumerateJoined(joined, s)
-}
-
-// JoinAtoms performs the document-independent part of the automata plan:
-// the join of all atom automata (Lemma 3.10), before equality selections
-// and projection. Callers evaluating one query over many documents compute
-// it once and pass it to EnumerateJoined per document.
-func (q *CQ) JoinAtoms() (*vsa.VSA, error) {
-	return vsa.JoinAll(atomAutos(q.Atoms)...)
-}
-
-// EnumerateJoined applies the document-dependent tail of the automata plan
-// to a precomputed atom join: string-equality compilation for s (Thm 5.4),
-// projection, and polynomial-delay enumeration. joined must come from
-// JoinAtoms on the same query.
-func (q *CQ) EnumerateJoined(joined *vsa.VSA, s string) (Iterator, error) {
-	var err error
-	if len(q.Equalities) > 0 {
-		joined, err = strequal.Apply(joined, s, q.Equalities)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if q.Projection != nil {
-		joined, err = vsa.Project(joined, q.Projection)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// The assembled automaton exists for this document only: its plan's
-	// kernels and build cache serve this one build.
-	return enum.Prepare(joined, s)
-}
-
 // evalCanonical is the canonical relational plan: materialize each atom
 // relation via the polynomial-delay enumerator, materialize one relation
 // per equality atom (polynomial, Cor 5.3), then evaluate with Yannakakis
 // when the hypergraph is acyclic, greedy hash joins otherwise.
-func (q *CQ) evalCanonical(s string, opts Options) (*rel.Relation, error) {
+func (q *CQ) evalCanonical(s string) (*rel.Relation, error) {
 	rels := make([]*rel.Relation, 0, len(q.Atoms)+len(q.Equalities))
 	for _, a := range q.Atoms {
 		vars, tuples, err := enum.Eval(a.Auto, s)
@@ -257,106 +160,50 @@ func atomAutos(atoms []*Atom) []*vsa.VSA {
 	return out
 }
 
-// CompileUCQ performs the static automata-plan compilation of a UCQ without
-// string equalities: compile every disjunct (joins + projection) and union
-// them (Lemma 3.9). Disjuncts with equalities make Compile fail; use
-// Enumerate, which applies them at runtime.
-func (u *UCQ) Compile() (*vsa.VSA, error) {
-	if err := u.Validate(); err != nil {
-		return nil, err
+// Plan reports the strategy Enumerate uses under opts: an explicit
+// strategy as given, and Auto resolved against the paper's tractability
+// conditions — the canonical plan when every disjunct is acyclic and all
+// its atoms are polynomially bounded, compilation to automata otherwise.
+// Exposed so tools and tests can inspect planning decisions.
+func (u *UCQ) Plan(opts Options) Strategy {
+	if opts.Strategy != Auto {
+		return opts.Strategy
 	}
-	autos := make([]*vsa.VSA, len(u.Disjuncts))
-	for i, q := range u.Disjuncts {
-		if len(q.Equalities) > 0 {
-			return nil, fmt.Errorf("core: disjunct %d has string equalities; they compile only per input string (Thm 5.4)", i)
+	for _, q := range u.Disjuncts {
+		if !q.IsAcyclic() {
+			return Automata
 		}
-		// Project every disjunct onto the common output schema so the union
-		// is over identical variable sets.
-		a, err := q.withProjection().Compile()
-		if err != nil {
-			return nil, err
+		for _, a := range q.Atoms {
+			if !a.polyBounded(opts) {
+				return Automata
+			}
 		}
-		autos[i] = a
 	}
-	if len(autos) == 1 {
-		return autos[0], nil
-	}
-	return vsa.Union(autos...)
+	return Canonical
 }
 
-// withProjection returns the CQ with an explicit projection onto OutVars.
-func (q *CQ) withProjection() *CQ {
-	if q.Projection != nil {
-		return q
-	}
-	cp := *q
-	cp.Projection = q.OutVars()
-	return &cp
-}
-
-// Enumerate evaluates the UCQ. With the automata strategy the whole union
-// is compiled into a single vset-automaton (per-string equalities included)
-// and enumerated with polynomial delay — duplicates across disjuncts are
-// eliminated inherently. The canonical strategy unions materialized
-// disjunct results.
+// Enumerate evaluates the UCQ on s under the strategy Plan picks. The
+// automata plan compiles the whole union, s's string equalities included,
+// into one vset-automaton and enumerates it with polynomial delay —
+// duplicates across disjuncts are eliminated inherently. The canonical
+// plan materializes the disjuncts' relations, unions them and iterates
+// the union sorted.
 func (u *UCQ) Enumerate(s string, opts Options) (Iterator, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
-	strat := opts.Strategy
-	if strat == Auto {
-		strat = Canonical
-		for _, q := range u.Disjuncts {
-			if q.pick(opts) == Automata {
-				strat = Automata
-				break
-			}
-		}
-	}
-	if strat == Canonical {
-		out := rel.NewRelation(u.OutVars())
-		for _, q := range u.Disjuncts {
-			r, err := q.Eval(s, Options{Strategy: Canonical, PolyBoundVarLimit: opts.PolyBoundVarLimit})
-			if err != nil {
-				return nil, err
-			}
-			for _, t := range r.Tuples {
-				out.Add(t)
-			}
-		}
-		out.Sort()
-		return &sliceIter{vars: out.Vars, tuples: out.Tuples}, nil
-	}
-	// Automata: compile each disjunct with runtime equalities, then union.
-	autos := make([]*vsa.VSA, len(u.Disjuncts))
-	for i, q := range u.Disjuncts {
-		joined, err := vsa.JoinAll(atomAutos(q.Atoms)...)
+	if u.Plan(opts) == Canonical {
+		r, err := u.evalCanonical(s)
 		if err != nil {
 			return nil, err
 		}
-		if len(q.Equalities) > 0 {
-			joined, err = strequal.Apply(joined, s, q.Equalities)
-			if err != nil {
-				return nil, err
-			}
-		}
-		proj, err := vsa.Project(joined, q.OutVars())
-		if err != nil {
-			return nil, err
-		}
-		autos[i] = proj
+		return &sliceIter{vars: r.Vars, tuples: r.Tuples}, nil
 	}
-	union := autos[0]
-	if len(autos) > 1 {
-		var err error
-		union, err = vsa.Union(autos...)
-		if err != nil {
-			return nil, err
-		}
+	joined, err := u.JoinAtoms()
+	if err != nil {
+		return nil, err
 	}
-	// Per-document union assembly, like EnumerateJoined: its plan serves
-	// this one build.
-	return enum.Prepare(union, s)
+	return u.EnumerateJoined(joined, s)
 }
 
 // Eval evaluates the UCQ and materializes the result.
@@ -368,12 +215,101 @@ func (u *UCQ) Eval(s string, opts Options) (*rel.Relation, error) {
 	return Drain(it), nil
 }
 
-// Plan reports the strategy Enumerate will use for these options — Auto
-// resolved against the paper's tractability conditions. Exposed so tools
-// and tests can inspect planning decisions.
-func (q *CQ) Plan(opts Options) Strategy {
-	if opts.Strategy != Auto {
-		return opts.Strategy
+// evalCanonical adds every further disjunct's canonical relation to the
+// first one's and sorts the union.
+func (u *UCQ) evalCanonical(s string) (*rel.Relation, error) {
+	var out *rel.Relation
+	for _, q := range u.Disjuncts {
+		r, err := q.evalCanonical(s)
+		if err != nil {
+			return nil, err
+		}
+		if out == nil {
+			out = r
+			continue
+		}
+		for _, t := range r.Tuples {
+			out.Add(t)
+		}
 	}
-	return q.pick(opts)
+	out.Sort()
+	return out, nil
+}
+
+// Compile performs the whole automata plan of a UCQ without string
+// equalities once, for every input string: one functional vset-automaton,
+// a regular spanner (Thm 3.11), assembled from JoinAtoms' joins as
+// EnumerateJoined assembles it per document. A disjunct with equalities
+// makes Compile fail: those compile only per input string (Thm 5.4).
+func (u *UCQ) Compile() (*vsa.VSA, error) {
+	if err := u.Validate(); err != nil {
+		return nil, err
+	}
+	for i, q := range u.Disjuncts {
+		if len(q.Equalities) > 0 {
+			return nil, fmt.Errorf("core: disjunct %d has string equalities; they compile only per input string (Thm 5.4)", i)
+		}
+	}
+	joined, err := u.JoinAtoms()
+	if err != nil {
+		return nil, err
+	}
+	return u.assemble(joined, "")
+}
+
+// JoinAtoms performs the document-independent part of the automata plan:
+// each disjunct's join of its atom automata (Lemma 3.10), before equality
+// selections, projection and union. Callers evaluating a UCQ with string
+// equalities over many documents compute it once and pass it to
+// EnumerateJoined per document.
+func (u *UCQ) JoinAtoms() ([]*vsa.VSA, error) {
+	joined := make([]*vsa.VSA, len(u.Disjuncts))
+	for i, q := range u.Disjuncts {
+		var err error
+		if joined[i], err = vsa.JoinAll(atomAutos(q.Atoms)...); err != nil {
+			return nil, err
+		}
+	}
+	return joined, nil
+}
+
+// EnumerateJoined completes the automata plan for s on joins from
+// JoinAtoms of the same UCQ — string-equality compilation (Thm 5.4),
+// projection and union — and enumerates the result with polynomial delay.
+// The assembled automaton exists for this document only: its plan's
+// kernels and build cache serve this one build.
+func (u *UCQ) EnumerateJoined(joined []*vsa.VSA, s string) (Iterator, error) {
+	a, err := u.assemble(joined, s)
+	if err != nil {
+		return nil, err
+	}
+	return enum.Prepare(a, s)
+}
+
+// assemble is the automata plan after the joins, for Compile and
+// EnumerateJoined alike: each disjunct's join gets s's equality automata
+// and, when it binds variables outside the common output, the projection
+// onto it (Lemma 3.8); the disjuncts then form one union (Lemma 3.9). A
+// disjunct that needs neither stays its join, copied nowhere.
+func (u *UCQ) assemble(joined []*vsa.VSA, s string) (*vsa.VSA, error) {
+	out := u.OutVars()
+	autos := make([]*vsa.VSA, len(joined))
+	for i, a := range joined {
+		var err error
+		if eqs := u.Disjuncts[i].Equalities; len(eqs) > 0 {
+			if a, err = strequal.Apply(a, s, eqs); err != nil {
+				return nil, err
+			}
+		}
+		if !a.Vars.Equal(out) {
+			if a, err = vsa.Project(a, out); err != nil {
+				return nil, err
+			}
+		}
+		autos[i] = a
+	}
+	if len(autos) == 1 {
+		return autos[0], nil
+	}
+	return vsa.Union(autos...)
 }

@@ -205,6 +205,7 @@ func FuzzQueryPlans(f *testing.F) {
 	f.Add([]byte{0, 6, 0, 0, 1, 0, 7, 1, 0}, "aabb")
 	f.Add([]byte{2, 0, 4, 8, 15, 0, 1, 1, 11, 0, 0}, "abc")
 	f.Add([]byte{0, 2, 1, 0, 1, 1, 0, 0, 0}, "")
+	f.Add([]byte{0, 3, 3, 0, 1, 0, 7, 3, 0}, "aab")
 	f.Fuzz(func(t *testing.T, spec []byte, raw string) {
 		r := specReader(spec)
 		u := decodeUCQ(t, &r)

@@ -6,8 +6,7 @@ import (
 	"sync"
 
 	"spanjoin/internal/core"
-	"spanjoin/internal/enum"
-	"spanjoin/internal/prefilter"
+	"spanjoin/internal/corpus"
 	"spanjoin/internal/span"
 	"spanjoin/internal/vsa"
 )
@@ -48,56 +47,107 @@ func WithPolyBoundVarLimit(k int) Option {
 // (with string equalities):
 //
 //	π_Y ( ζ=_{x1,y1} … ζ=_{xm,ym} (α1 ⋈ … ⋈ αk) )
+//
+// It evaluates as its one-disjunct union.
 type Query struct {
 	cq *core.CQ
-
-	// Document-independent compilation artifacts, memoized per Query (a
-	// built Query is immutable): the full automata-plan compilation
-	// (equality-free queries), its enum.Plan (closures, letters and
-	// byte-class transition table once first used, shared by every corpus
-	// worker and Eval call), and
-	// the bare atom join (the hoistable prefix of the plan when equalities
-	// must still compile per document).
-	compileOnce sync.Once
-	compiled    *vsa.VSA
-	compileErr  error
-	planOnce    sync.Once
-	plan        *enum.Plan
-	planErr     error
-	joinOnce    sync.Once
-	joined      *vsa.VSA
-	joinErr     error
+	compiled
 }
 
-// compiledAutomaton memoizes CQ.Compile: joins plus pushed-in projection
-// (valid only for equality-free queries).
-func (q *Query) compiledAutomaton() (*vsa.VSA, error) {
-	q.compileOnce.Do(func() { q.compiled, q.compileErr = q.cq.Compile() })
-	return q.compiled, q.compileErr
+// compiled is the form Query and UnionQuery share: a union of conjunctive
+// queries and, memoized on first use (a built query is immutable), the
+// document-independent part of its automata plan. An equality-free union
+// compiles into one automaton (core.UCQ.Compile, Theorem 3.11) held as a
+// Spanner, whose plan memo, literal prefilter, ranked count and arena
+// release every evaluation on a shared plan uses. With string equalities
+// only the disjuncts' atom joins are memoized; each document's equality
+// automata complete them (Theorem 5.4).
+type compiled struct {
+	ucq    *core.UCQ
+	once   sync.Once
+	sp     *Spanner
+	joined []*vsa.VSA
+	err    error
 }
 
-// compiledPlan memoizes the enum.Plan of the compiled automaton, so every
-// evaluation of an equality-free query — per document or corpus-wide —
-// shares one trimmed automaton, closure set and transition table. built
-// reports whether this call ran the compilation (see Spanner.compiledPlan).
-func (q *Query) compiledPlan() (p *enum.Plan, built bool, err error) {
-	q.planOnce.Do(func() {
-		built = true
-		auto, err := q.compiledAutomaton()
-		if err != nil {
-			q.planErr = err
+// compile memoizes the equality-free union's spanner, or the atom joins of
+// a union with equalities; the other result is nil.
+func (c *compiled) compile() (*Spanner, []*vsa.VSA, error) {
+	c.once.Do(func() {
+		if c.ucq.MaxEqualities() > 0 {
+			c.joined, c.err = c.ucq.JoinAtoms()
 			return
 		}
-		q.plan, q.planErr = enum.NewPlan(auto)
+		var a *vsa.VSA
+		if a, c.err = c.ucq.Compile(); c.err == nil {
+			c.sp = &Spanner{auto: a, req: c.ucq.Requirement()}
+		}
 	})
-	return q.plan, built, q.planErr
+	return c.sp, c.joined, c.err
 }
 
-// joinedAtoms memoizes CQ.JoinAtoms: the document-independent join prefix
-// of the automata plan.
-func (q *Query) joinedAtoms() (*vsa.VSA, error) {
-	q.joinOnce.Do(func() { q.joined, q.joinErr = q.cq.JoinAtoms() })
-	return q.joined, q.joinErr
+// shared reports whether every document runs on the union's one spanner:
+// it has no string equalities and o does not force the canonical plan.
+// The Auto planner is not consulted — a union it sends to the canonical
+// plan per document still shares its spanner in a count or corpus target.
+func (c *compiled) shared(o core.Options) bool {
+	return c.ucq.MaxEqualities() == 0 && o.Strategy != core.Canonical
+}
+
+// iterate opens doc's evaluation under the strategy core.UCQ.Plan picks:
+// the spanner's stream on the automata plan of a shared union, a
+// per-document iterator otherwise.
+func (c *compiled) iterate(ctx context.Context, doc string, opts []Option) (*Matches, error) {
+	o := buildOptions(opts)
+	o.Strategy = c.ucq.Plan(o)
+	if o.Strategy == core.Automata && c.shared(o) {
+		sp, _, err := c.compile()
+		if err != nil {
+			return nil, err
+		}
+		return sp.Iterate(ctx, doc)
+	}
+	it, err := c.docIterator(doc, o)
+	if err != nil {
+		return nil, err
+	}
+	return &Matches{ctx: ctx, it: it, vars: it.Vars(), doc: doc}, nil
+}
+
+// docIterator evaluates doc on a plan of its own under o's resolved
+// strategy: the canonical plan, or the automata plan completed with doc's
+// equality automata on the memoized atom joins.
+func (c *compiled) docIterator(doc string, o core.Options) (core.Iterator, error) {
+	if o.Strategy == core.Canonical {
+		return c.ucq.Enumerate(doc, o)
+	}
+	_, joined, err := c.compile()
+	if err != nil {
+		return nil, err
+	}
+	return c.ucq.EnumerateJoined(joined, doc)
+}
+
+// docEval is the corpus layer's per-document evaluator for a union that
+// is not shared. Each document builds its own iterator, so the liveness
+// probe has no long build to interrupt; the emit path already observes
+// cancellation per tuple.
+func (c *compiled) docEval(o core.Options) corpus.NewDocEval {
+	o.Strategy = c.ucq.Plan(o)
+	return func(func() bool) corpus.DocEval {
+		return func(doc string, emit func(span.Tuple) bool) error {
+			it, err := c.docIterator(doc, o)
+			if err != nil {
+				return err
+			}
+			for {
+				t, ok := it.Next()
+				if !ok || !emit(t) {
+					return nil
+				}
+			}
+		}
+	}
 }
 
 // QueryBuilder assembles a Query; errors accumulate and surface at Build.
@@ -135,14 +185,14 @@ func (b *QueryBuilder) AtomSpanner(name string, s *Spanner) *QueryBuilder {
 	if b.err != nil {
 		return b
 	}
-	a, err := core.AtomFromVSA(name, s.vsa())
+	a, err := core.AtomFromVSA(name, s.auto)
 	if err != nil {
 		b.err = err
 		return b
 	}
 	// The spanner's compile-time requirement transfers to the atom (the
 	// automaton alone cannot reproduce it).
-	a.Req = s.requirement()
+	a.Req = s.req
 	b.cq.Atoms = append(b.cq.Atoms, a)
 	return b
 }
@@ -176,7 +226,7 @@ func (b *QueryBuilder) Build() (*Query, error) {
 	if err := b.cq.Validate(); err != nil {
 		return nil, err
 	}
-	return &Query{cq: b.cq}, nil
+	return &Query{cq: b.cq, compiled: compiled{ucq: &core.UCQ{Disjuncts: []*core.CQ{b.cq}}}}, nil
 }
 
 // MustBuild panics on error; for statically known queries.
@@ -189,16 +239,13 @@ func (b *QueryBuilder) MustBuild() *Query {
 }
 
 // Vars lists the output variables.
-func (q *Query) Vars() []string { return append([]string(nil), q.cq.OutVars()...) }
+func (q *Query) Vars() []string { return append([]string(nil), q.ucq.OutVars()...) }
 
 // RequiredLiterals exposes the query's plan-level prefilter: every result
 // document must contain every returned literal (the conjunction of the
 // atoms' requirements — a result tuple joins all atoms). Empty when no
 // atom yields a factor.
-func (q *Query) RequiredLiterals() []string { return q.cq.Requirement().Literals() }
-
-// requirement exposes the prefilter requirement to the corpus layer.
-func (q *Query) requirement() prefilter.Requirement { return q.cq.Requirement() }
+func (q *Query) RequiredLiterals() []string { return q.ucq.Requirement().Literals() }
 
 // IsAcyclic reports alpha-acyclicity of the query hypergraph (atoms plus
 // equality predicates).
@@ -216,37 +263,15 @@ func (q *Query) Evaluate(doc string, opts ...Option) ([]Match, error) {
 }
 
 // Iterate evaluates the query and returns a tuple iterator that polls ctx
-// (see Matches). Under StrategyAutomata (and for k-bounded queries under
-// StrategyAuto) the iterator has polynomial delay (Theorem 3.11 /
-// Corollary 5.5). The automata plan of an equality-free query builds doc's
-// graph on the query's memoized plan, polling ctx inside the build as
-// Spanner.Iterate does; with equalities it compiles the memoized atom join
-// with doc's equality automaton (Thm 5.4).
+// (see Matches), on the plan PlannedStrategy reports. The automata plan has
+// polynomial delay (Theorem 3.11 / Corollary 5.5): an equality-free query
+// runs as the one Spanner it compiles into, memoized on the query — doc's
+// graph built on its plan, polling ctx inside the build, after its literal
+// prefilter — and a query with equalities completes its memoized atom join
+// with doc's equality automaton (Theorem 5.4). The canonical plan
+// materializes the result and iterates it sorted.
 func (q *Query) Iterate(ctx context.Context, doc string, opts ...Option) (*Matches, error) {
-	o := buildOptions(opts)
-	o.Strategy = q.cq.Plan(o)
-	var (
-		it  core.Iterator
-		err error
-	)
-	switch {
-	case o.Strategy == core.Canonical:
-		it, err = q.cq.Enumerate(doc, o)
-	case len(q.cq.Equalities) > 0:
-		var joined *vsa.VSA
-		if joined, err = q.joinedAtoms(); err == nil {
-			it, err = q.cq.EnumerateJoined(joined, doc)
-		}
-	default:
-		var p *enum.Plan
-		if p, _, err = q.compiledPlan(); err == nil {
-			it = prepareOn(ctx, p, doc)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Matches{ctx: ctx, it: it, vars: it.Vars(), doc: doc}, nil
+	return q.iterate(ctx, doc, opts)
 }
 
 // Exists decides Boolean satisfaction: whether the query has at least one
@@ -269,7 +294,7 @@ func buildOptions(opts []Option) core.Options {
 // UnionQuery is a union of conjunctive queries (the paper's regex UCQ).
 // All disjuncts must share the same output variables.
 type UnionQuery struct {
-	ucq *core.UCQ
+	compiled
 }
 
 // NewUnion combines queries into a UCQ.
@@ -281,7 +306,7 @@ func NewUnion(qs ...*Query) (*UnionQuery, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
-	return &UnionQuery{ucq: u}, nil
+	return &UnionQuery{compiled{ucq: u}}, nil
 }
 
 // Vars lists the output variables.
@@ -298,20 +323,19 @@ func (u *UnionQuery) Evaluate(doc string, opts ...Option) ([]Match, error) {
 }
 
 // Iterate evaluates the UCQ and returns a tuple iterator that polls ctx.
-// Under the automata strategy the entire union compiles into one
-// vset-automaton whose enumeration is duplicate free by construction
-// (Lemma 3.9 + Theorem 3.3).
+// Under the automata strategy the entire union is one vset-automaton
+// whose enumeration is duplicate free by construction (Lemma 3.9 +
+// Theorem 3.3): an equality-free union compiles it once, memoized on the
+// union, and runs it as a Spanner, as Query.Iterate does; with equalities
+// the memoized atom joins are completed per document. The canonical
+// strategy unions the disjuncts' materialized results.
 func (u *UnionQuery) Iterate(ctx context.Context, doc string, opts ...Option) (*Matches, error) {
-	it, err := u.ucq.Enumerate(doc, buildOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return &Matches{ctx: ctx, it: it, vars: it.Vars(), doc: doc}, nil
+	return u.iterate(ctx, doc, opts)
 }
 
 // PlannedStrategy reports which strategy Evaluate would use for the given
 // options (resolving StrategyAuto against the paper's tractability
 // conditions: acyclic shape plus polynomially bounded atoms → canonical).
 func (q *Query) PlannedStrategy(opts ...Option) Strategy {
-	return q.cq.Plan(buildOptions(opts))
+	return q.ucq.Plan(buildOptions(opts))
 }

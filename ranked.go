@@ -63,6 +63,7 @@ func (s *Spanner) Count(doc string, opts ...Option) (MatchCount, error) {
 	if err != nil {
 		return MatchCount{}, err
 	}
+	defer r.release()
 	return r.Count(), nil
 }
 
@@ -76,6 +77,7 @@ func (s *Spanner) Sample(doc string, rng *rand.Rand, k int, opts ...Option) ([]M
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	return r.Sample(rng, k), nil
 }
 
@@ -125,6 +127,15 @@ func rankedOn(ctx context.Context, p *enum.Plan, doc string) (*Ranked, error) {
 		return nil, err
 	}
 	return &Ranked{e: e, vars: p.Vars(), doc: doc}, nil
+}
+
+// release hands the view's graph arenas back to the pool the next build
+// draws from (see drain), once nothing will read the graph again: counts
+// and decoded matches do not view it.
+func (r *Ranked) release() {
+	if r.e != nil {
+		r.e.Release()
+	}
 }
 
 // Count returns the exact number of matches in O(1) after the view's

@@ -231,9 +231,6 @@ func (s *Spanner) RequiredLiteral() string { return s.req.Longest() }
 // ones (Union).
 func (s *Spanner) RequiredLiterals() []string { return s.req.Literals() }
 
-// requirement exposes the prefilter requirement to the corpus layer.
-func (s *Spanner) requirement() prefilter.Requirement { return s.req }
-
 // EvalAll evaluates the spanner on every document, returning per-document
 // match sets indexed like docs. The batch runs on the corpus layer's shard
 // executor, one worker per CPU, each owning one reusable enumerator over
@@ -409,6 +406,3 @@ func Project(s *Spanner, vars ...string) (*Spanner, error) {
 func (s *Spanner) KeyAttribute(x string) (bool, error) {
 	return vsa.KeyAttribute(s.auto, x)
 }
-
-// auto exposes the underlying automaton to the query layer.
-func (s *Spanner) vsa() *vsa.VSA { return s.auto }

@@ -27,6 +27,7 @@ func drainCorpus(t *testing.T, ms *spanjoin.CorpusMatches) int {
 // counter, not by inspection — that the byte-class transition table is
 // built exactly once per cached corpus query: repeated Eval calls on one
 // corpus hit the compiled-query cache, whose Spanner memoizes its plan.
+// OfQuery and OfUnion targets memoize theirs on the query.
 func TestCompiledTableBuiltOncePerCachedQuery(t *testing.T) {
 	c := spanjoin.NewCorpus(spanjoin.WithShards(2), spanjoin.WithWorkers(3))
 	c.AddAll("aab", "abab", "bb", "aaaa", "ba")
@@ -75,6 +76,27 @@ func TestCompiledTableBuiltOncePerCachedQuery(t *testing.T) {
 	}
 	if got := vsa.TableBuildCount() - before; got != 1 {
 		t.Fatalf("query plan's table built %d times across 2 evaluations, want exactly 1", got)
+	}
+
+	// So does an equality-free OfUnion target, on the UnionQuery.
+	u, err := spanjoin.NewUnion(q, spanjoin.NewQuery().Atom(`(a|b)*x{b}(a|b)*`).MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = vsa.TableBuildCount()
+	var counts [3]int
+	for i := range counts {
+		um, err := c.Eval(context.Background(), spanjoin.OfUnion(u))
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[i] = drainCorpus(t, um)
+	}
+	if counts[0] <= n1 || counts[1] != counts[0] || counts[2] != counts[0] {
+		t.Fatalf("union Evals returned %v matches; want equal counts above the query's %d", counts, n1)
+	}
+	if got := vsa.TableBuildCount() - before; got != 1 {
+		t.Fatalf("union plan's table built %d times across 3 evaluations, want exactly 1", got)
 	}
 }
 
