@@ -41,7 +41,7 @@ func edBuild(dir string, docs []string, snapshot bool) error {
 		}
 	}
 	if snapshot {
-		if err := c.Snapshot(); err != nil {
+		if err := c.Snapshot(context.Background()); err != nil {
 			c.Close()
 			return err
 		}

@@ -37,11 +37,10 @@ type Corpus struct {
 	buffer  int
 
 	// reg is the corpus's metrics registry (see observability.go); always
-	// non-nil, shared by every layer below (store, gate, WAL) and exposed
-	// by Metrics for scraping. planBuild times the compilations that
-	// actually ran (cache misses whose Spanner had no memoized plan yet).
-	reg       *obs.Registry
-	planBuild *obs.Histogram
+	// non-nil, shared by every layer below (store, WAL) and exposed by
+	// Metrics for scraping. Its stage recorder records the cache and
+	// plan_build stages here, the others in the layers below.
+	reg *obs.Registry
 }
 
 // corpusConfig collects the options of NewCorpus and Open.
@@ -115,23 +114,22 @@ func NewCorpus(opts ...CorpusOption) *Corpus {
 	if cfg.maxConcurrent > 0 {
 		store.SetGate(resilience.NewGate(int64(cfg.maxConcurrent), cfg.maxQueue))
 	}
-	return newCorpus(store, cfg)
+	return newCorpus(store, cfg, obs.NewRegistry())
 }
 
 // newCorpus finishes construction for NewCorpus and Open: the cache, and
-// the metrics registry wired through every layer. The gate and durable
-// half must already be installed on the store — SetRegistry registers
-// their instruments only when present.
-func newCorpus(store *corpus.Store, cfg corpusConfig) *Corpus {
+// the metrics registry reg wired through every layer. The gate and
+// durable half must already be installed on the store — SetRegistry
+// registers their instruments only when present.
+func newCorpus(store *corpus.Store, cfg corpusConfig, reg *obs.Registry) *Corpus {
 	c := &Corpus{
 		store:   store,
 		cache:   corpus.NewCache(cfg.cacheCap),
 		workers: cfg.workers,
 		buffer:  cfg.buffer,
-		reg:     obs.NewRegistry(),
+		reg:     reg,
 	}
-	store.SetRegistry(c.reg)
-	c.planBuild = c.reg.Histogram("spanjoin_plan_build_seconds", "Compilations of a query plan actually run (cache misses): the eager trim and functionality check only; closures, letters and the other kernels are built on first use and count toward the count or enumerate stage.", nil)
+	store.SetRegistry(reg)
 	c.reg.CounterFunc("spanjoin_cache_hits_total", "Compiled-query cache hits, including singleflight joiners.", func() uint64 { h, _ := c.cache.Stats(); return h })
 	c.reg.CounterFunc("spanjoin_cache_misses_total", "Compiled-query cache misses (compilations run).", func() uint64 { _, m := c.cache.Stats(); return m })
 	c.reg.Gauge("spanjoin_cache_resident", "Compiled artifacts currently cached.", func() float64 { return float64(c.cache.Len()) })
@@ -468,9 +466,9 @@ type cachedQuery struct {
 
 // compileCached deduplicates compilation through the LRU cache, keyed by
 // the pattern source plus the compilation mode; concurrent misses on one
-// key compile once. A traced query records the lookup as the cache stage,
-// with Items=1 on a miss (the compile closure runs on this goroutine, so
-// the flag needs no synchronization) and Items=0 on a hit.
+// key compile once. The lookup is recorded as the cache stage, with
+// Items=1 on a miss (the compile closure runs on this goroutine, so the
+// flag needs no synchronization) and Items=0 on a hit.
 //
 //spanjoin:stage cache
 func (c *Corpus) compileCached(ctx context.Context, mode, pattern string, compile func(string) (*Spanner, error)) (*cachedQuery, error) {
@@ -484,23 +482,20 @@ func (c *Corpus) compileCached(ctx context.Context, mode, pattern string, compil
 		}
 		return &cachedQuery{sp: sp}, nil
 	})
-	obs.FromContext(ctx).ObserveItems(obs.StageCache, time.Since(t0), missed)
+	c.reg.Stages().ObserveItems(ctx, obs.StageCache, time.Since(t0), missed)
 	if err != nil {
 		return nil, err
 	}
 	return v.(*cachedQuery), nil
 }
 
-// recordPlanBuild attributes a plan compilation that this query actually
+// recordPlanBuild records a plan compilation that this query actually
 // ran — built is false for every later call hitting the memoized plan —
-// to the plan-build histogram and the query's trace.
+// as the plan_build stage.
 //
 //spanjoin:stage plan_build
 func (c *Corpus) recordPlanBuild(ctx context.Context, p *enum.Plan, built bool) {
-	if !built || p == nil {
-		return
+	if built && p != nil {
+		c.reg.Stages().Observe(ctx, obs.StagePlan, p.BuildDuration())
 	}
-	d := p.BuildDuration()
-	c.planBuild.Observe(d)
-	obs.FromContext(ctx).Observe(obs.StagePlan, d)
 }

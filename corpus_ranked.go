@@ -177,7 +177,14 @@ func (c *Corpus) Sample(ctx context.Context, t Target, rng *rand.Rand, k int, op
 		cum[i] = running
 	}
 	total := cum[len(cum)-1]
+	// Decoded matches do not view a graph: the views' arenas go back to
+	// the pool on every return.
 	views := make(map[DocID]*Ranked, k)
+	defer func() {
+		for _, rk := range views {
+			rk.release()
+		}
+	}()
 	out := make([]CorpusMatch, 0, k)
 	for i := 0; i < k; i++ {
 		if err := ctx.Err(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"spanjoin/internal/corpus"
+	"spanjoin/internal/obs"
 	"spanjoin/internal/resilience"
 	"spanjoin/internal/wal"
 )
@@ -75,9 +76,11 @@ func Open(dir string, opts ...CorpusOption) (*Corpus, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	reg := obs.NewRegistry()
 	store, err := corpus.OpenStore(dir, cfg.shards, wal.Options{
 		Policy:   cfg.syncPolicy,
 		Interval: cfg.syncInterval,
+		Stages:   reg.Stages(),
 	}, cfg.snapshotThreshold)
 	if err != nil {
 		return nil, err
@@ -88,7 +91,7 @@ func Open(dir string, opts ...CorpusOption) (*Corpus, error) {
 	if cfg.maxConcurrent > 0 {
 		store.SetGate(resilience.NewGate(int64(cfg.maxConcurrent), cfg.maxQueue))
 	}
-	return newCorpus(store, cfg), nil
+	return newCorpus(store, cfg, reg), nil
 }
 
 // Durable reports whether the corpus is backed by a data directory.
@@ -97,9 +100,9 @@ func (c *Corpus) Durable() bool { return c.store.Durable() }
 // AddErrCtx appends a document like Add but returns the durability error
 // instead of panicking: on a durable corpus whose log has failed (a full
 // disk, a failed fsync) every AddErrCtx reports the sticky error and the
-// document is not added. On a RAM corpus AddErrCtx never fails. A traced
-// context (WithTrace) records the write's WAL append and fsync stages;
-// the context does not cancel the write.
+// document is not added. On a RAM corpus AddErrCtx never fails. The
+// write's WAL append and fsync stages are recorded under ctx (and into
+// its trace, WithTrace); the context does not cancel the write.
 func (c *Corpus) AddErrCtx(ctx context.Context, doc string) (DocID, error) {
 	return c.store.AddErrCtx(ctx, doc)
 }
@@ -110,8 +113,9 @@ func (c *Corpus) Sync() error { return c.store.Sync() }
 
 // Snapshot writes the corpus state to a new snapshot file and prunes the
 // superseded log — the explicit form of WithSnapshotThreshold's
-// background cycle. No-op on a RAM corpus.
-func (c *Corpus) Snapshot() error { return c.store.Snapshot() }
+// background cycle. The cycle is recorded as the snapshot stage under
+// ctx, which does not cancel it. No-op on a RAM corpus.
+func (c *Corpus) Snapshot(ctx context.Context) error { return c.store.Snapshot(ctx) }
 
 // Close stops the background durability work and closes the log, first
 // syncing it so a graceful shutdown is fully durable under every policy.

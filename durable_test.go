@@ -115,7 +115,7 @@ func TestDurableSnapshotAndReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Snapshot(); err != nil {
+	if err := c.Snapshot(context.Background()); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	for i := 0; i < 5; i++ {
@@ -151,7 +151,7 @@ func TestDurableSnapshotWithEmptyLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Snapshot(); err != nil {
+	if err := c.Snapshot(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
@@ -359,7 +359,7 @@ func TestDurableRAMNoOps(t *testing.T) {
 	if err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Snapshot(); err != nil {
+	if err := c.Snapshot(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {

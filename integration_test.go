@@ -78,6 +78,18 @@ func TestIntegrationDocumentPipeline(t *testing.T) {
 	if ok != wantExists {
 		t.Errorf("Exists = %v, document inspection says %v", ok, wantExists)
 	}
+	// Boolean: one empty match when the join holds, none otherwise.
+	ms, err = exists.Evaluate(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	if wantExists {
+		want = 1
+	}
+	if len(ms) != want || len(exists.Vars()) != 0 {
+		t.Errorf("Boolean query: %d matches over vars %v, want %d over none", len(ms), exists.Vars(), want)
+	}
 }
 
 // TestIntegrationUnionWithEqualities: a UCQ where one disjunct carries a

@@ -3,17 +3,18 @@
 // claims to be the recording site of that pipeline stage — the place
 // that measures admission waits, cache lookups, plan builds, prefilter
 // sweeps, enumeration, counting, WAL appends/fsyncs or snapshot cycles
-// into the per-query trace. The annotation is what CONTRIBUTING.md asks
-// of every new pipeline stage, and this analyzer is what keeps it
-// honest: an annotated body that never passes the matching Stage
-// constant to a recording call (Observe, ObserveItems, Start) is a
-// stage that silently vanished from every trace, slowlog entry and
+// through the stage recorder, into the stage histograms and the
+// per-query trace. The annotation is what CONTRIBUTING.md asks of every
+// new pipeline stage, and this analyzer is what keeps it honest: an
+// annotated body that never passes the matching Stage constant to a
+// recording call (the recorder's Observe or ObserveItems) is a stage
+// that silently vanished from /metrics, every trace, slowlog entry and
 // `spanctl eval -trace` breakdown.
 //
 // Two further rules keep the taxonomy closed: the directive must name
 // exactly one stage (repeat it for multi-stage functions), and the name
-// must exist in internal/obs — the known set is built from the obs
-// constants themselves, so the analyzer cannot drift from the taxonomy
+// must exist in internal/obs — the known set is obs.AllStages, the list
+// the recorder registers, so the analyzer cannot drift from the taxonomy
 // it enforces.
 package obsspan
 
@@ -21,6 +22,7 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
+	"slices"
 	"strings"
 
 	"spanjoin/internal/analysis"
@@ -32,27 +34,14 @@ import (
 // several stages.
 const Directive = "//spanjoin:stage"
 
-// knownStages mirrors the stage taxonomy of internal/obs, built from
-// the constants themselves so the two cannot drift.
-var knownStages = map[string]bool{
-	string(obs.StageAdmission): true,
-	string(obs.StageCache):     true,
-	string(obs.StagePlan):      true,
-	string(obs.StagePrefilter): true,
-	string(obs.StageEnumerate): true,
-	string(obs.StageCount):     true,
-	string(obs.StageWALAppend): true,
-	string(obs.StageWALSync):   true,
-	string(obs.StageSnapshot):  true,
-}
-
 var Analyzer = &analysis.Analyzer{
 	Name: "obsspan",
-	Doc: "//spanjoin:stage functions record their stage into the trace\n\n" +
+	Doc: "//spanjoin:stage functions record their stage\n\n" +
 		"An annotated function must pass the matching obs.Stage constant " +
 		"to a recording call somewhere in its body; the stage name must " +
 		"exist in internal/obs's taxonomy. An annotation without a " +
-		"recording is a stage missing from every trace and slowlog entry.",
+		"recording is a stage missing from /metrics, every trace and " +
+		"every slowlog entry.",
 	Run: run,
 }
 
@@ -90,7 +79,7 @@ func checkDirective(pass *analysis.Pass, fd *ast.FuncDecl, c *ast.Comment) {
 		return
 	}
 	stage := fields[0]
-	if !knownStages[stage] {
+	if !slices.Contains(obs.AllStages, obs.Stage(stage)) {
 		pass.Reportf(fd.Name.Pos(),
 			"%s names unknown stage %q: the taxonomy lives in internal/obs — add the Stage constant before annotating",
 			Directive, stage)
@@ -98,7 +87,7 @@ func checkDirective(pass *analysis.Pass, fd *ast.FuncDecl, c *ast.Comment) {
 	}
 	if fd.Body == nil || !recordsStage(pass, fd.Body, stage) {
 		pass.Reportf(fd.Name.Pos(),
-			"%s is annotated %s %s but never records that stage: pass the matching Stage constant to a recording call (Observe/ObserveItems/Start)",
+			"%s is annotated %s %s but never records that stage: pass the matching Stage constant to a recording call (the stage recorder's Observe/ObserveItems)",
 			fd.Name.Name, Directive, stage)
 	}
 }

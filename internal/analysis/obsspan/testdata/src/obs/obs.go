@@ -1,10 +1,13 @@
 // Package obs is the fixture's stand-in for spanjoin/internal/obs: the
 // Stage type, a subset of the stage constants (values match the real
 // taxonomy — the analyzer's known set comes from the real package), and
-// a Trace with the recording surface.
+// a StageRecorder with the recording surface.
 package obs
 
-import "time"
+import (
+	"context"
+	"time"
+)
 
 // Stage names one pipeline phase.
 type Stage string
@@ -18,20 +21,13 @@ const (
 	StageWALSync   Stage = "wal_fsync"
 )
 
-// Trace accumulates per-stage timings.
-type Trace struct{}
+// StageRecorder records stages into the histograms and the trace.
+type StageRecorder struct{}
 
 // Observe records d against the stage.
-func (t *Trace) Observe(s Stage, d time.Duration) { _, _ = s, d }
+func (r *StageRecorder) Observe(ctx context.Context, s Stage, d time.Duration) { _, _, _ = ctx, s, d }
 
 // ObserveItems records d and n work units against the stage.
-func (t *Trace) ObserveItems(s Stage, d time.Duration, n int64) { _, _, _ = s, d, n }
-
-// Span is an open stage measurement.
-type Span struct{}
-
-// Start opens a span for the stage.
-func (t *Trace) Start(s Stage) Span { _ = s; return Span{} }
-
-// End closes the span.
-func (sp Span) End() {}
+func (r *StageRecorder) ObserveItems(ctx context.Context, s Stage, d time.Duration, n int64) {
+	_, _, _, _ = ctx, s, d, n
+}

@@ -3,19 +3,23 @@
 package pipeline
 
 import (
+	"context"
 	"time"
 
 	"fixture/obs"
 )
 
-var tr = &obs.Trace{}
+var (
+	rec = &obs.StageRecorder{}
+	ctx = context.Background()
+)
 
 // Lookup records the stage it is annotated with: clean.
 //
 //spanjoin:stage cache
 func Lookup() {
 	t0 := time.Now()
-	tr.ObserveItems(obs.StageCache, time.Since(t0), 1)
+	rec.ObserveItems(ctx, obs.StageCache, time.Since(t0), 1)
 }
 
 // Append records both of its annotated stages: clean.
@@ -23,16 +27,17 @@ func Lookup() {
 //spanjoin:stage wal_append
 //spanjoin:stage wal_fsync
 func Append() {
-	tr.Observe(obs.StageWALSync, time.Millisecond)
-	tr.Observe(obs.StageWALAppend, time.Millisecond)
+	rec.Observe(ctx, obs.StageWALSync, time.Millisecond)
+	rec.Observe(ctx, obs.StageWALAppend, time.Millisecond)
 }
 
-// Spanned records through the Start/End span form: clean.
+// Timed records from a deferred call, the shape of a cycle timed on
+// every return path: clean.
 //
 //spanjoin:stage prefilter
-func Spanned() {
-	sp := tr.Start(obs.StagePrefilter)
-	defer sp.End()
+func Timed() {
+	t0 := time.Now()
+	defer func() { rec.Observe(ctx, obs.StagePrefilter, time.Since(t0)) }()
 }
 
 // Deferred records from a closure, the shape of a worker-pool
@@ -41,7 +46,7 @@ func Spanned() {
 //spanjoin:stage enumerate
 func Deferred() {
 	go func() {
-		tr.ObserveItems(obs.StageEnumerate, time.Second, 10)
+		rec.ObserveItems(ctx, obs.StageEnumerate, time.Second, 10)
 	}()
 }
 
@@ -56,21 +61,21 @@ func Forgot() { // want "annotated //spanjoin:stage enumerate but never records"
 //
 //spanjoin:stage plan_build
 func Mismatched() { // want "annotated //spanjoin:stage plan_build but never records"
-	tr.Observe(obs.StageCache, time.Millisecond)
+	rec.Observe(ctx, obs.StageCache, time.Millisecond)
 }
 
 // Unknown names a stage outside the taxonomy.
 //
 //spanjoin:stage warp_drive
 func Unknown() { // want "unknown stage \"warp_drive\""
-	tr.Observe("warp_drive", time.Millisecond)
+	rec.Observe(ctx, "warp_drive", time.Millisecond)
 }
 
 // Bare carries a nameless directive.
 //
 //spanjoin:stage
 func Bare() { // want "wants exactly one stage name"
-	tr.Observe(obs.StageCache, time.Millisecond)
+	rec.Observe(ctx, obs.StageCache, time.Millisecond)
 }
 
 // Unrelated uses a longer spanjoin: word — not this directive, not

@@ -53,13 +53,12 @@ func decodeCQ(t *testing.T, r *specReader) *core.CQ {
 	}
 	all := q.AllVars()
 	if pm := r.next(); pm%2 == 1 {
-		var proj []string
+		q.Projection = span.VarList{} // non-nil when empty: Boolean
 		for i, v := range all {
 			if pm>>(i+1)&1 == 1 {
-				proj = append(proj, v)
+				q.Projection = append(q.Projection, v)
 			}
 		}
-		q.Projection = span.NewVarList(proj...)
 	}
 	if e := r.next(); e%2 == 1 && len(all) >= 2 {
 		i := (e >> 1) % len(all)
@@ -70,15 +69,15 @@ func decodeCQ(t *testing.T, r *specReader) *core.CQ {
 }
 
 // decodeUCQ reads 1–2 disjuncts. A second disjunct is projected onto the
-// first one's output variables when it binds them all, so most two-way
-// unions are valid; the rest fail Validate and only their disjuncts are
-// checked.
+// first one's output variables when it binds them all (Boolean after a
+// Boolean first disjunct), so most two-way unions are valid; the rest
+// fail Validate and only their disjuncts are checked.
 func decodeUCQ(t *testing.T, r *specReader) *core.UCQ {
 	u := &core.UCQ{Disjuncts: []*core.CQ{decodeCQ(t, r)}}
 	if r.next()%2 == 1 {
 		q := decodeCQ(t, r)
 		if out := u.Disjuncts[0].OutVars(); q.AllVars().Intersect(out).Equal(out) {
-			q.Projection = out
+			q.Projection = append(span.VarList{}, out...)
 		}
 		u.Disjuncts = append(u.Disjuncts, q)
 	}

@@ -135,11 +135,10 @@ func (s *Store) countDocs(ctx context.Context, newCounter func(stop func() bool)
 			res.Reused += uint64(prefix[si].mark)
 		}
 	}
-	s.met.countDur.Observe(sweep)
+	s.met.stages.ObserveItems(ctx, obs.StageCount, sweep, int64(res.Scanned))
 	s.met.docsScanned.Add(res.Scanned)
 	s.met.docsSkipped.Add(res.Skipped)
 	s.met.docsReused.Add(res.Reused)
-	obs.FromContext(ctx).ObserveItems(obs.StageCount, sweep, int64(res.Scanned))
 	if err != nil {
 		return nil, err
 	}

@@ -164,36 +164,20 @@ func (s *Store) AddErr(doc string) (DocID, error) {
 	return s.AddErrCtx(context.Background(), doc)
 }
 
-// AddErrCtx is AddErr with the caller's context: when the context
-// carries a trace (obs.WithTrace), the write-ahead-log append and the
-// fsync its policy forced are recorded as the wal_append and wal_fsync
-// stages, so a traced write explains where its latency went. The context
-// does not cancel the write — a logged record is a logged record.
-//
-//spanjoin:stage wal_append
-//spanjoin:stage wal_fsync
+// AddErrCtx is AddErr with the caller's context, under which the log
+// records the record write and the fsync its policy forced as the
+// wal_append and wal_fsync stages, so a traced write explains where its
+// latency went. The context does not cancel the write — a logged record
+// is a logged record.
 func (s *Store) AddErrCtx(ctx context.Context, doc string) (DocID, error) {
 	d := s.dur
 	if d == nil {
 		return s.Add(doc), nil
 	}
-	tr := obs.FromContext(ctx)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	t0 := time.Now()
 	si := (s.rr.Add(1) - 1) % uint64(len(s.shards))
-	seq, err := d.log.Append(uint32(si), doc)
-	if tr != nil {
-		total := time.Since(t0)
-		var synced time.Duration
-		if err == nil && d.log.Policy() == wal.SyncAlways {
-			// d.mu serializes appends, so the log's last fsync is exactly
-			// the one this append paid.
-			synced = d.log.LastSyncDuration()
-			tr.Observe(obs.StageWALSync, synced)
-		}
-		tr.Observe(obs.StageWALAppend, total-synced)
-	}
+	seq, err := d.log.Append(ctx, uint32(si), doc)
 	if err != nil {
 		return 0, err
 	}
@@ -224,9 +208,12 @@ func (s *Store) Sync() error {
 // Snapshot runs one snapshot cycle: rotate the log, write the captured
 // state to a new snapshot file, prune superseded generations. Appends
 // are blocked only for the rotation and capture (slice-header copies);
-// the snapshot file is written concurrently with new appends. No-op on a
-// RAM store.
-func (s *Store) Snapshot() error {
+// the snapshot file is written concurrently with new appends. The cycle
+// is recorded as the snapshot stage under ctx, which does not cancel it.
+// No-op on a RAM store.
+//
+//spanjoin:stage snapshot
+func (s *Store) Snapshot(ctx context.Context) error {
 	d := s.dur
 	if d == nil {
 		return nil
@@ -234,7 +221,7 @@ func (s *Store) Snapshot() error {
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
 	t0 := time.Now()
-	defer func() { s.met.snapshot.Observe(time.Since(t0)) }()
+	defer func() { s.met.stages.Observe(ctx, obs.StageSnapshot, time.Since(t0)) }()
 
 	d.mu.Lock()
 	gen, err := d.log.Rotate()
@@ -305,7 +292,7 @@ func (s *Store) durLoop() {
 				d.mu.Unlock()
 			}
 			if d.snapThreshold > 0 && d.log.Size() >= d.snapThreshold {
-				_ = s.Snapshot()
+				_ = s.Snapshot(context.Background())
 			}
 		}
 	}

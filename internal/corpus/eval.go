@@ -259,9 +259,8 @@ func (s *Store) EvalFunc(ctx context.Context, vars span.VarList, newEval NewDocE
 // mid-enumeration. The visitor meters the limit and the budget: a spent
 // budget fails the query with resilience.ErrBudgetExceeded, a reserved
 // limit halts it quietly. A closer goroutine waits for the pool, records
-// the enumerate stage with the delivered-result count into a trace
-// carried on ctx (and the store's metrics), gives the admission slot back
-// and closes the channel.
+// the enumerate stage under ctx with the delivered-result count, gives
+// the admission slot back and closes the channel.
 //
 //spanjoin:stage enumerate
 func (s *Store) run(ctx context.Context, vars span.VarList, newEval NewDocEval, opt EvalOptions) (*Results, error) {
@@ -316,7 +315,6 @@ func (s *Store) run(ctx context.Context, vars span.VarList, newEval NewDocEval, 
 		return nil, err
 	}
 	res.x = x
-	tr := obs.FromContext(ctx)
 	go func() {
 		// The closer owns shutdown: it must close the channel and release
 		// the gate on every path, including a panic in wait's bookkeeping.
@@ -328,9 +326,7 @@ func (s *Store) run(ctx context.Context, vars span.VarList, newEval NewDocEval, 
 			// and final counters before the channel closes — the consumer
 			// reads the trace only after Next returns false, so the close
 			// below publishes these writes to it.
-			d := time.Since(x.start)
-			s.met.evalDur.Observe(d)
-			tr.ObserveItems(obs.StageEnumerate, d, int64(res.delivered.Load()))
+			s.met.stages.ObserveItems(ctx, obs.StageEnumerate, time.Since(x.start), int64(res.delivered.Load()))
 			s.met.docsScanned.Add(x.scanned.Load())
 			s.met.docsSkipped.Add(x.skipped.Load())
 			s.met.results.Add(res.delivered.Load())

@@ -91,7 +91,7 @@ func (s *Store) startSweep(ctx context.Context, spec sweepSpec) (_ *sweep, err e
 		// query whose deadline fires sheds with the context's error.
 		t0 := time.Now()
 		err := g.Acquire(x.ctx, 1)
-		obs.FromContext(ctx).Observe(obs.StageAdmission, time.Since(t0))
+		s.met.stages.Observe(ctx, obs.StageAdmission, time.Since(t0))
 		if err != nil {
 			x.cancel()
 			return nil, err

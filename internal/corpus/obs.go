@@ -13,11 +13,9 @@ import (
 // functional: every field is a nil instrument and every observation a
 // nil-check, so library users who want no metrics pay (almost) nothing.
 type storeMetrics struct {
-	gateWait  *obs.Histogram // admission wait, every decision
-	evalDur   *obs.Histogram // worker-pool lifetime, streaming evals
-	countDur  *obs.Histogram // worker-pool lifetime, counting sweeps
-	prefilter *obs.Histogram // snapshot capture + candidate selection
-	snapshot  *obs.Histogram // full snapshot cycles (durable stores)
+	// stages records the admission, prefilter, enumerate, count and
+	// snapshot stages into the stage histograms and the query's trace.
+	stages *obs.StageRecorder
 
 	docsScanned *obs.Counter
 	docsSkipped *obs.Counter
@@ -25,18 +23,14 @@ type storeMetrics struct {
 	results     *obs.Counter
 }
 
-// SetRegistry registers the store's metrics — gate wait and queue depth,
-// evaluation and count durations, prefilter timings, document and result
-// counters, and (on a durable store) WAL append/fsync/snapshot timings
-// and cumulative log counters. Call once before the store serves
-// queries, like SetGate; installation is not synchronized with running
-// evaluations.
+// SetRegistry registers the store's metrics — its stage recorder, gate
+// depth, document and result counters, and (on a durable store) the
+// cumulative log and snapshot counters. Call once before the store
+// serves queries, like SetGate; installation is not synchronized with
+// running evaluations.
 func (s *Store) SetRegistry(r *obs.Registry) {
 	s.met = storeMetrics{
-		gateWait:    r.Histogram("spanjoin_gate_wait_seconds", "Admission-gate wait per query (zero when admitted immediately).", nil),
-		evalDur:     r.Histogram("spanjoin_eval_seconds", "Worker-pool lifetime of one corpus operation.", nil, obs.Label{Key: "op", Value: "eval"}),
-		countDur:    r.Histogram("spanjoin_eval_seconds", "Worker-pool lifetime of one corpus operation.", nil, obs.Label{Key: "op", Value: "count"}),
-		prefilter:   r.Histogram("spanjoin_prefilter_seconds", "Snapshot capture plus skip-index candidate selection.", nil),
+		stages:      r.Stages(),
 		docsScanned: r.Counter("spanjoin_docs_scanned_total", "Documents actually evaluated or counted (streaming evaluations and counting sweeps)."),
 		docsSkipped: r.Counter("spanjoin_docs_skipped_total", "Documents excluded by the prefilter (streaming evaluations and counting sweeps)."),
 		docsReused:  r.Counter("spanjoin_docs_reused_total", "Documents whose counts a counting sweep took from its query's count memo."),
@@ -44,21 +38,11 @@ func (s *Store) SetRegistry(r *obs.Registry) {
 	}
 	r.Gauge("spanjoin_docs", "Documents in the store.", func() float64 { return float64(s.Len()) })
 	if g := s.gate; g != nil {
-		g.SetWaitObserver(func(wait time.Duration, admitted bool) {
-			if admitted {
-				s.met.gateWait.Observe(wait)
-			}
-		})
 		r.Gauge("spanjoin_gate_active", "Admission units currently held.", func() float64 { return float64(g.Stats().Active) })
 		r.Gauge("spanjoin_gate_queued", "Callers waiting in the admission queue.", func() float64 { return float64(g.Stats().Queued) })
 		r.CounterFunc("spanjoin_gate_rejected_total", "Queries shed by the admission gate.", func() uint64 { return g.Stats().Rejected })
 	}
 	if d := s.dur; d != nil {
-		s.met.snapshot = r.Histogram("spanjoin_snapshot_seconds", "Full snapshot cycles: rotate, write, prune.", nil)
-		d.log.SetObs(
-			r.Histogram("spanjoin_wal_append_seconds", "WAL record write, excluding the policy fsync.", nil),
-			r.Histogram("spanjoin_wal_fsync_seconds", "WAL fsync (policy syncs, explicit Syncs, close).", nil),
-		)
 		r.CounterFunc("spanjoin_wal_appends_total", "WAL records appended since open.", func() uint64 { return d.log.Stats().Appends })
 		r.CounterFunc("spanjoin_wal_append_bytes_total", "WAL bytes appended since open.", func() uint64 { return d.log.Stats().AppendBytes })
 		r.CounterFunc("spanjoin_wal_fsyncs_total", "WAL fsyncs issued since open.", func() uint64 { return d.log.Stats().Syncs })
@@ -69,16 +53,13 @@ func (s *Store) SetRegistry(r *obs.Registry) {
 	}
 }
 
-// planTraced is plan plus observability: the snapshot capture and
-// skip-index candidate selection are timed into the prefilter histogram
-// and, when the query is traced, its prefilter stage.
+// planTraced is plan recorded as the prefilter stage: the snapshot
+// capture and skip-index candidate selection.
 //
 //spanjoin:stage prefilter
 func (s *Store) planTraced(ctx context.Context, req prefilter.Requirement) []evalShard {
 	t0 := time.Now()
 	shards := s.plan(req)
-	d := time.Since(t0)
-	s.met.prefilter.Observe(d)
-	obs.FromContext(ctx).Observe(obs.StagePrefilter, d)
+	s.met.stages.Observe(ctx, obs.StagePrefilter, time.Since(t0))
 	return shards
 }

@@ -35,7 +35,6 @@
 package enum
 
 import (
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -546,19 +545,6 @@ func (e *Enumerator) All() []span.Tuple {
 		}
 		out = append(out, t)
 	}
-}
-
-// Count returns the number of tuples of [[A]](s) via the ranked DP — no
-// enumeration, cost independent of the result count — and leaves the
-// cursor untouched: Count followed by All still yields every tuple.
-// Counts beyond MaxInt saturate to MaxInt; use Rank().Count() where exact
-// big counts matter.
-func (e *Enumerator) Count() int {
-	c := e.Rank().Count()
-	if u, ok := c.Uint64(); ok && u <= uint64(math.MaxInt) {
-		return int(u)
-	}
-	return math.MaxInt
 }
 
 // Rank returns the ranked-access DP over the current build (package

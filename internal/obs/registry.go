@@ -1,8 +1,9 @@
 // Package obs is the engine's observability layer: a zero-dependency
 // metrics registry (atomic counters, gauges, fixed-bucket latency
 // histograms with quantile extraction and Prometheus text exposition),
-// a lightweight per-query stage trace carried on the context, and a
-// ring-buffer slow-query log.
+// a lightweight per-query stage trace carried on the context, the stage
+// recorder that times each pipeline stage into both one histogram family
+// and that trace, and a ring-buffer slow-query log.
 //
 // The package sits below everything: it imports only the standard
 // library and nothing under internal/, so every layer — wal, resilience,
@@ -97,9 +98,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.counts[i].Add(1)
 	h.sum.Add(int64(d))
 }
-
-// Since observes the time elapsed since t0.
-func (h *Histogram) Since(t0 time.Time) { h.Observe(time.Since(t0)) }
 
 // Count reads the total number of observations.
 func (h *Histogram) Count() uint64 {
@@ -217,12 +215,20 @@ type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	order    []string
+	stages   *StageRecorder
 }
 
-// NewRegistry creates an empty registry.
+// NewRegistry creates a registry holding only the stage recorder's
+// spanjoin_stage_seconds family.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
+	r := &Registry{families: make(map[string]*family)}
+	r.stages = newStageRecorder(r)
+	return r
 }
+
+// Stages returns the registry's stage recorder, which every layer that
+// records a pipeline stage shares.
+func (r *Registry) Stages() *StageRecorder { return r.stages }
 
 // labelSig is the canonical series key within a family.
 func labelSig(labels []Label) string {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -38,14 +39,66 @@ const (
 	// StageCount is the counting sweep (the count-kernel fan-out behind
 	// /count and cursor pagination).
 	StageCount Stage = "count"
-	// StageWALAppend is the write-ahead-log append of one added
+	// StageWALAppend is the write-ahead-log record write of one added
 	// document, excluding the fsync.
 	StageWALAppend Stage = "wal_append"
-	// StageWALSync is the fsync forced by the append's policy.
+	// StageWALSync is one fsync of the log: the one an append's
+	// SyncAlways policy forces, recorded under the append's context, or
+	// an interval, rotation, Sync or Close fsync, which no query context
+	// carries and so reaches the histogram only.
 	StageWALSync Stage = "wal_fsync"
-	// StageSnapshot is one full snapshot cycle (rotate, write, prune).
+	// StageSnapshot is one full snapshot cycle (rotate, write, prune); a
+	// background cycle has no query context and reaches the histogram
+	// only.
 	StageSnapshot Stage = "snapshot"
 )
+
+// AllStages is the taxonomy in pipeline order: the stage recorder keeps
+// one histogram series per entry, and spanlint's obsspan analyzer accepts
+// exactly these names.
+var AllStages = []Stage{
+	StageAdmission, StageCache, StagePlan, StagePrefilter, StageEnumerate,
+	StageCount, StageWALAppend, StageWALSync, StageSnapshot,
+}
+
+// StageRecorder is the one way a stage is recorded. Each observation
+// goes to the stage's series of the spanjoin_stage_seconds histogram
+// family and, when the context carries one, to the query's trace, so the
+// two cannot disagree: a traced stage's Calls and Dur are exactly what
+// its series gained from that query. An observation under a context
+// without a trace reaches the histogram only. Obtain the recorder from
+// Registry.Stages; the nil recorder discards observations.
+type StageRecorder struct {
+	hist []*Histogram // AllStages[i]'s series is hist[i]
+}
+
+func newStageRecorder(r *Registry) *StageRecorder {
+	sr := &StageRecorder{hist: make([]*Histogram, len(AllStages))}
+	for i, s := range AllStages {
+		sr.hist[i] = r.Histogram("spanjoin_stage_seconds",
+			"Wall time per pipeline stage; the trace of a traced query records the same observations.",
+			nil, Label{Key: "stage", Value: string(s)})
+	}
+	return sr
+}
+
+// Observe records d against the stage.
+func (r *StageRecorder) Observe(ctx context.Context, s Stage, d time.Duration) {
+	r.ObserveItems(ctx, s, d, 0)
+}
+
+// ObserveItems records d against the stage, and n work units against it
+// in the context's trace. A name outside the taxonomy is recorded
+// nowhere.
+func (r *StageRecorder) ObserveItems(ctx context.Context, s Stage, d time.Duration, n int64) {
+	i := slices.Index(AllStages, s)
+	if r == nil || i < 0 {
+		return
+	}
+	d = max(d, 0) // the histogram clamps too: both sides see one value
+	r.hist[i].Observe(d)
+	FromContext(ctx).observe(s, d, n)
+}
 
 // StageSpan is one stage's accumulated time within a trace. Repeated
 // observations of the same stage merge: Start keeps the first
@@ -67,9 +120,9 @@ type StageSpan struct {
 
 // Trace accumulates one query's per-stage timings. It is carried on the
 // context (WithTrace/FromContext) so every layer below the entry point
-// can record into it without plumbing. All methods are safe for
-// concurrent use and safe on the nil trace — a query evaluated without
-// tracing pays one context lookup, then every record is a nil-check.
+// records into it, through the stage recorder, without plumbing. All
+// methods are safe for concurrent use and safe on the nil trace — a
+// query evaluated without tracing pays one context lookup per stage.
 type Trace struct {
 	start time.Time
 
@@ -88,11 +141,9 @@ func (t *Trace) Total() time.Duration {
 	return time.Since(t.start)
 }
 
-// Observe records d against the stage.
-func (t *Trace) Observe(s Stage, d time.Duration) { t.ObserveItems(s, d, 0) }
-
-// ObserveItems records d and n work units against the stage.
-func (t *Trace) ObserveItems(s Stage, d time.Duration, n int64) {
+// observe merges d and n work units into the stage's span. The stage
+// recorder is its only caller.
+func (t *Trace) observe(s Stage, d time.Duration, n int64) {
 	if t == nil {
 		return
 	}
@@ -111,34 +162,6 @@ func (t *Trace) ObserveItems(s Stage, d time.Duration, n int64) {
 		}
 	}
 	t.spans = append(t.spans, StageSpan{Stage: s, Start: offset, Dur: d, Items: n, Calls: 1})
-}
-
-// Span is an open stage measurement; obtain with Start, finish with End
-// or EndItems. The zero Span (from a nil trace) is a no-op.
-type Span struct {
-	t     *Trace
-	stage Stage
-	t0    time.Time
-}
-
-// Start opens a span for the stage. On the nil trace the returned span
-// does nothing.
-func (t *Trace) Start(s Stage) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{t: t, stage: s, t0: time.Now()}
-}
-
-// End closes the span, recording its elapsed time.
-func (sp Span) End() { sp.EndItems(0) }
-
-// EndItems closes the span, recording its elapsed time and n work units.
-func (sp Span) EndItems(n int64) {
-	if sp.t == nil {
-		return
-	}
-	sp.t.ObserveItems(sp.stage, time.Since(sp.t0), n)
 }
 
 // Spans snapshots the recorded stages, ordered by first occurrence.

@@ -3,6 +3,8 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,11 +12,8 @@ import (
 
 func TestNilTraceIsNoop(t *testing.T) {
 	var tr *Trace
-	tr.Observe(StageEnumerate, time.Second)
-	tr.ObserveItems(StageCache, time.Second, 1)
-	sp := tr.Start(StagePlan)
-	sp.End()
-	sp.EndItems(3)
+	tr.observe(StageEnumerate, time.Second, 0)
+	tr.observe(StageCache, time.Second, 1)
 	if tr.Spans() != nil {
 		t.Fatal("nil trace returned spans")
 	}
@@ -35,9 +34,9 @@ func TestTraceContextRoundTrip(t *testing.T) {
 
 func TestTraceMergesRepeatedStages(t *testing.T) {
 	tr := NewTrace()
-	tr.ObserveItems(StageEnumerate, 10*time.Millisecond, 5)
-	tr.ObserveItems(StageEnumerate, 15*time.Millisecond, 7)
-	tr.Observe(StagePrefilter, time.Millisecond)
+	tr.observe(StageEnumerate, 10*time.Millisecond, 5)
+	tr.observe(StageEnumerate, 15*time.Millisecond, 7)
+	tr.observe(StagePrefilter, time.Millisecond, 0)
 	spans := tr.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2 (repeats merge)", len(spans))
@@ -53,23 +52,6 @@ func TestTraceMergesRepeatedStages(t *testing.T) {
 	}
 }
 
-func TestSpanRecordsElapsed(t *testing.T) {
-	tr := NewTrace()
-	sp := tr.Start(StageWALAppend)
-	time.Sleep(2 * time.Millisecond)
-	sp.EndItems(1)
-	spans := tr.Spans()
-	if len(spans) != 1 || spans[0].Stage != StageWALAppend {
-		t.Fatalf("spans = %+v", spans)
-	}
-	if spans[0].Dur < time.Millisecond {
-		t.Fatalf("span duration %v too short", spans[0].Dur)
-	}
-	if tr.Total() < spans[0].Dur {
-		t.Fatalf("trace total %v < span %v", tr.Total(), spans[0].Dur)
-	}
-}
-
 func TestTraceConcurrentObserve(t *testing.T) {
 	tr := NewTrace()
 	var wg sync.WaitGroup
@@ -79,7 +61,7 @@ func TestTraceConcurrentObserve(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				tr.ObserveItems(stages[g%len(stages)], time.Microsecond, 1)
+				tr.observe(stages[g%len(stages)], time.Microsecond, 1)
 			}
 		}(g)
 	}
@@ -101,5 +83,45 @@ func TestStageSpanJSONShape(t *testing.T) {
 	want := `{"stage":"enumerate","start_ns":5,"dur_ns":10,"items":2,"calls":1}`
 	if string(b) != want {
 		t.Fatalf("json = %s, want %s", b, want)
+	}
+}
+
+func TestStageRecorderFeedsHistogramAndTrace(t *testing.T) {
+	r := NewRegistry()
+	rec := r.Stages()
+	if r.Stages() != rec {
+		t.Fatal("Stages returned a second recorder")
+	}
+	ctx, tr := WithTrace(context.Background())
+	rec.ObserveItems(ctx, StageCount, 3*time.Millisecond, 7)
+	rec.Observe(ctx, StageCount, 2*time.Millisecond)
+	// Untraced: the histogram only.
+	rec.Observe(context.Background(), StageWALSync, time.Millisecond)
+	// Outside the taxonomy, and on the nil recorder: nowhere.
+	rec.Observe(ctx, "warp_drive", time.Second)
+	(*StageRecorder)(nil).Observe(ctx, StageCount, time.Second)
+
+	count := rec.hist[slices.Index(AllStages, StageCount)]
+	if count.Count() != 2 || count.Sum() != 5*time.Millisecond {
+		t.Fatalf("count series: %d observations, %v; want 2, 5ms", count.Count(), count.Sum())
+	}
+	if h := rec.hist[slices.Index(AllStages, StageWALSync)]; h.Count() != 1 {
+		t.Fatalf("untraced observation: wal_fsync series has %d, want 1", h.Count())
+	}
+	spans := tr.Spans()
+	want := StageSpan{Stage: StageCount, Dur: 5 * time.Millisecond, Items: 7, Calls: 2}
+	if len(spans) != 1 || spans[0].Stage != want.Stage || spans[0].Dur != want.Dur ||
+		spans[0].Items != want.Items || spans[0].Calls != want.Calls {
+		t.Fatalf("trace = %+v, want one span like %+v", spans, want)
+	}
+
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range AllStages {
+		if series := `spanjoin_stage_seconds_count{stage="` + string(s) + `"}`; !strings.Contains(sb.String(), series) {
+			t.Errorf("exposition lacks %s", series)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Gate is a weighted-semaphore admission controller with a bounded wait
@@ -22,11 +21,6 @@ type Gate struct {
 	queueMax int
 
 	rejected atomic.Uint64
-
-	// waitObs, when set, observes every admission decision: the time the
-	// caller spent queued (zero on the immediate paths) and whether it
-	// was admitted. Installed once before the gate serves (SetWaitObserver).
-	waitObs func(wait time.Duration, admitted bool)
 
 	mu      sync.Mutex
 	cur     int64
@@ -51,13 +45,6 @@ func NewGate(capacity int64, queue int) *Gate {
 	return &Gate{capacity: capacity, queueMax: queue}
 }
 
-// SetWaitObserver installs f, called once per admission decision —
-// Acquire and TryAcquire alike — with the time the caller spent queued
-// (zero when the decision was immediate) and whether it was admitted.
-// Install before the gate starts admitting, like SetGate: installation
-// is not synchronized with concurrent acquires.
-func (g *Gate) SetWaitObserver(f func(wait time.Duration, admitted bool)) { g.waitObs = f }
-
 // Acquire admits n units of work, waiting in the bounded queue when the
 // gate is saturated. It returns nil on admission, ErrOverloaded when the
 // queue is already full (immediately — the shed path never blocks), or
@@ -74,23 +61,19 @@ func (g *Gate) Acquire(ctx context.Context, n int64) error {
 	if g.cur+n <= g.capacity && g.waiters.Len() == 0 {
 		g.cur += n
 		g.mu.Unlock()
-		g.observe(0, true)
 		return nil
 	}
 	if g.waiters.Len() >= g.queueMax {
 		g.mu.Unlock()
 		g.rejected.Add(1)
-		g.observe(0, false)
 		return ErrOverloaded
 	}
 	w := &gateWaiter{n: n, ready: make(chan struct{})}
 	elem := g.waiters.PushBack(w)
 	g.mu.Unlock()
-	t0 := time.Now()
 
 	select {
 	case <-w.ready:
-		g.observe(time.Since(t0), true)
 		return nil
 	case <-ctx.Done():
 		g.mu.Lock()
@@ -99,7 +82,6 @@ func (g *Gate) Acquire(ctx context.Context, n int64) error {
 			// Granted concurrently with cancellation: keep the grant and
 			// report admission — the caller will Release normally.
 			g.mu.Unlock()
-			g.observe(time.Since(t0), true)
 			return nil
 		default:
 		}
@@ -108,37 +90,8 @@ func (g *Gate) Acquire(ctx context.Context, n int64) error {
 		// otherwise head-of-line blocks smaller requests forever).
 		g.grantLocked()
 		g.mu.Unlock()
-		g.observe(time.Since(t0), false)
 		return ctx.Err()
 	}
-}
-
-// observe reports an admission decision to the installed wait observer.
-func (g *Gate) observe(wait time.Duration, admitted bool) {
-	if g.waitObs != nil {
-		g.waitObs(wait, admitted)
-	}
-}
-
-// TryAcquire admits n units only when they are free right now; it never
-// queues. A false return counts as a shed.
-func (g *Gate) TryAcquire(n int64) bool {
-	if n < 1 {
-		n = 1
-	}
-	if n > g.capacity {
-		n = g.capacity
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.cur+n <= g.capacity && g.waiters.Len() == 0 {
-		g.cur += n
-		g.observe(0, true)
-		return true
-	}
-	g.rejected.Add(1)
-	g.observe(0, false)
-	return false
 }
 
 // Release returns n units to the gate and hands them to queued waiters in
@@ -182,8 +135,8 @@ type GateStats struct {
 	Active int64
 	// Queued is the number of callers currently waiting.
 	Queued int
-	// Rejected is the cumulative number of sheds (ErrOverloaded returns
-	// and failed TryAcquires).
+	// Rejected is the cumulative number of sheds (ErrOverloaded
+	// returns).
 	Rejected uint64
 }
 

@@ -122,21 +122,6 @@ func TestGateConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestGateTryAcquire: TryAcquire never queues.
-func TestGateTryAcquire(t *testing.T) {
-	g := NewGate(1, 8)
-	if !g.TryAcquire(1) {
-		t.Fatal("TryAcquire on idle gate failed")
-	}
-	if g.TryAcquire(1) {
-		t.Fatal("TryAcquire on saturated gate succeeded")
-	}
-	if st := g.Stats(); st.Rejected != 1 {
-		t.Fatalf("Rejected = %d, want 1", st.Rejected)
-	}
-	g.Release(1)
-}
-
 func waitForQueued(t *testing.T, g *Gate, n int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)

@@ -3,6 +3,7 @@
 package wal
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -16,7 +17,7 @@ import (
 func TestShortWriteWedgesLog(t *testing.T) {
 	rec := openEmpty(t, 1, Options{Policy: SyncNever})
 	dir := rec.Log.dir
-	if _, err := rec.Log.Append(0, "before fault"); err != nil {
+	if _, err := rec.Log.Append(context.Background(), 0, "before fault"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -28,13 +29,13 @@ func TestShortWriteWedgesLog(t *testing.T) {
 			calls++
 		}
 	})
-	_, err := rec.Log.Append(0, "torn by the failpoint")
+	_, err := rec.Log.Append(context.Background(), 0, "torn by the failpoint")
 	disarm()
 	if err == nil {
 		t.Fatal("append survived an injected short write")
 	}
 	// Wedged: the same error again, without the failpoint armed.
-	if _, err2 := rec.Log.Append(0, "after fault"); err2 == nil {
+	if _, err2 := rec.Log.Append(context.Background(), 0, "after fault"); err2 == nil {
 		t.Fatal("append succeeded on a wedged log")
 	}
 	rec.Log.Close()
@@ -63,7 +64,7 @@ func TestFsyncErrorWedgesLog(t *testing.T) {
 	disarm := resilience.Enable(resilience.FailWALSync, func(arg any) {
 		arg.(*resilience.IOFault).Err = boom
 	})
-	_, err := rec.Log.Append(0, "never acked")
+	_, err := rec.Log.Append(context.Background(), 0, "never acked")
 	disarm()
 	if !errors.Is(err, boom) {
 		t.Fatalf("append err = %v, want the injected fsync error", err)
@@ -71,7 +72,7 @@ func TestFsyncErrorWedgesLog(t *testing.T) {
 	if got := rec.Log.Stats().SyncErrors; got != 1 {
 		t.Fatalf("SyncErrors = %d, want 1", got)
 	}
-	if _, err := rec.Log.Append(0, "after"); err == nil {
+	if _, err := rec.Log.Append(context.Background(), 0, "after"); err == nil {
 		t.Fatal("append succeeded on a wedged log")
 	}
 	if err := rec.Log.Sync(); err == nil {
@@ -86,7 +87,7 @@ func TestSnapshotWriteFaultLeavesNoFile(t *testing.T) {
 	rec := openEmpty(t, 1, Options{Policy: SyncNever})
 	dir := rec.Log.dir
 	for i := 0; i < 3; i++ {
-		if _, err := rec.Log.Append(0, fmt.Sprintf("doc %d", i)); err != nil {
+		if _, err := rec.Log.Append(context.Background(), 0, fmt.Sprintf("doc %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -38,6 +38,7 @@
 package wal
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -108,6 +109,9 @@ type Options struct {
 	// MaxRecord bounds one record's payload; larger appends (and decoded
 	// lengths during recovery) are rejected. Default 1 GiB.
 	MaxRecord uint32
+	// Stages records the wal_append and wal_fsync stages; nil records
+	// none.
+	Stages *obs.StageRecorder
 }
 
 func (o Options) maxRecord() uint32 {
@@ -208,28 +212,6 @@ type Log struct {
 	syncedSeq   atomic.Uint64
 	lastSeq     atomic.Uint64
 	sizeAtomic  atomic.Uint64
-
-	// appendObs/syncObs, when installed (SetObs), receive every append's
-	// write duration (excluding the policy fsync) and every fsync's
-	// duration; lastSync remembers the most recent fsync's duration so
-	// the owner — which serializes appends under its own mutex — can
-	// attribute it to the query that paid it.
-	appendObs *obs.Histogram
-	syncObs   *obs.Histogram
-	lastSync  atomic.Int64
-}
-
-// SetObs installs the append and fsync duration histograms. Call before
-// the log serves appends; either may be nil.
-func (l *Log) SetObs(appendHist, syncHist *obs.Histogram) {
-	l.appendObs, l.syncObs = appendHist, syncHist
-}
-
-// LastSyncDuration reports the duration of the most recent successful
-// fsync. Under the owner's append lock this is exactly the fsync the
-// current SyncAlways append paid.
-func (l *Log) LastSyncDuration() time.Duration {
-	return time.Duration(l.lastSync.Load())
 }
 
 // Policy reports the configured fsync policy.
@@ -278,8 +260,12 @@ func parseGen(name, prefix, suffix string) (uint64, bool) {
 // sequence number. The bytes are on the file (and, under SyncAlways, on
 // stable storage) when Append returns; the caller applies the document
 // to the in-memory store only after. Returns the wedging error once the
-// log has hit an unrecoverable I/O failure.
-func (l *Log) Append(shard uint32, doc string) (uint64, error) {
+// log has hit an unrecoverable I/O failure. The record write and the
+// policy fsync are recorded as the wal_append and wal_fsync stages under
+// ctx, which does not cancel the write.
+//
+//spanjoin:stage wal_append
+func (l *Log) Append(ctx context.Context, shard uint32, doc string) (uint64, error) {
 	if l.wedged != nil {
 		return 0, l.wedged
 	}
@@ -320,9 +306,9 @@ func (l *Log) Append(shard uint32, doc string) (uint64, error) {
 	l.lastSeq.Store(seq)
 	l.appends.Add(1)
 	l.appendBytes.Add(uint64(len(b)))
-	l.appendObs.Since(t0)
+	l.opt.Stages.Observe(ctx, obs.StageWALAppend, time.Since(t0))
 	if l.opt.Policy == SyncAlways {
-		if err := l.Sync(); err != nil {
+		if err := l.sync(ctx); err != nil {
 			return 0, err
 		}
 	}
@@ -364,7 +350,12 @@ func faultWrite(f *os.File, b []byte, op string) (int, error) {
 // the log: after a sync error the kernel may have dropped the dirty
 // pages, so the durability of every unacked byte is unknown and further
 // acks would be lies.
-func (l *Log) Sync() error {
+func (l *Log) Sync() error { return l.sync(context.Background()) }
+
+// sync is Sync recording its fsync as the wal_fsync stage under ctx.
+//
+//spanjoin:stage wal_fsync
+func (l *Log) sync(ctx context.Context) error {
 	if l.wedged != nil {
 		return l.wedged
 	}
@@ -378,7 +369,6 @@ func (l *Log) Sync() error {
 	if err == nil {
 		err = l.f.Sync()
 	}
-	d := time.Since(t0)
 	if err != nil {
 		l.syncErrors.Add(1)
 		l.wedged = fmt.Errorf("wal: fsync failed, log wedged: %w", err)
@@ -387,8 +377,7 @@ func (l *Log) Sync() error {
 	l.dirty = false
 	l.syncs.Add(1)
 	l.syncedSeq.Store(l.seq)
-	l.syncObs.Observe(d)
-	l.lastSync.Store(int64(d))
+	l.opt.Stages.Observe(ctx, obs.StageWALSync, time.Since(t0))
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -50,7 +51,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	rec := openEmpty(t, 3, Options{Policy: SyncNever})
 	docs := []string{"alpha", "", "gamma with spaces", "δδδ utf8", "last"}
 	for i, d := range docs {
-		seq, err := rec.Log.Append(uint32(i%3), d)
+		seq, err := rec.Log.Append(context.Background(), uint32(i%3), d)
 		if err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
@@ -74,7 +75,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		rec2.Shards[i%3] = sh[1:]
 	}
 	// Appends continue with the recovered sequence.
-	seq, err := rec2.Log.Append(0, "after recovery")
+	seq, err := rec2.Log.Append(context.Background(), 0, "after recovery")
 	if err != nil {
 		t.Fatalf("post-recovery Append: %v", err)
 	}
@@ -87,7 +88,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 // is a countable, durable document, not an absence.
 func TestEmptyDocumentIsARecord(t *testing.T) {
 	rec := openEmpty(t, 1, Options{Policy: SyncNever})
-	if _, err := rec.Log.Append(0, ""); err != nil {
+	if _, err := rec.Log.Append(context.Background(), 0, ""); err != nil {
 		t.Fatalf("Append empty: %v", err)
 	}
 	rec2 := reopen(t, rec, 1, Options{})
@@ -103,7 +104,7 @@ func TestTornTailTruncated(t *testing.T) {
 			rec := openEmpty(t, 2, Options{Policy: SyncNever})
 			dir := rec.Log.dir
 			for i := 0; i < 5; i++ {
-				if _, err := rec.Log.Append(uint32(i%2), fmt.Sprintf("doc-%d", i)); err != nil {
+				if _, err := rec.Log.Append(context.Background(), uint32(i%2), fmt.Sprintf("doc-%d", i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -133,7 +134,7 @@ func TestTornTailTruncated(t *testing.T) {
 			}
 			// The torn bytes are gone from the file too: appends resume at
 			// the truncation point and the log replays cleanly again.
-			if _, err := rec2.Log.Append(0, "resumed"); err != nil {
+			if _, err := rec2.Log.Append(context.Background(), 0, "resumed"); err != nil {
 				t.Fatal(err)
 			}
 			rec3 := reopen(t, rec2, 2, Options{})
@@ -167,7 +168,7 @@ func TestPartialMagicRecreated(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Open with partial magic: %v", err)
 			}
-			if _, err := rec2.Log.Append(0, "written after repair"); err != nil {
+			if _, err := rec2.Log.Append(context.Background(), 0, "written after repair"); err != nil {
 				t.Fatal(err)
 			}
 			rec3 := reopen(t, rec2, 1, Options{})
@@ -182,7 +183,7 @@ func TestPartialMagicRecreated(t *testing.T) {
 func TestZeroFilledTailIsTorn(t *testing.T) {
 	rec := openEmpty(t, 1, Options{Policy: SyncNever})
 	dir := rec.Log.dir
-	if _, err := rec.Log.Append(0, "kept"); err != nil {
+	if _, err := rec.Log.Append(context.Background(), 0, "kept"); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Log.Close(); err != nil {
@@ -214,7 +215,7 @@ func TestMidLogCorruptionIsTyped(t *testing.T) {
 	rec := openEmpty(t, 1, Options{Policy: SyncNever})
 	dir := rec.Log.dir
 	for i := 0; i < 10; i++ {
-		if _, err := rec.Log.Append(0, fmt.Sprintf("document body %d", i)); err != nil {
+		if _, err := rec.Log.Append(context.Background(), 0, fmt.Sprintf("document body %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,7 +249,7 @@ func TestSnapshotRoundTripAndPrune(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		si := uint32(i % 2)
 		doc := fmt.Sprintf("pre-snap %d", i)
-		if _, err := rec.Log.Append(si, doc); err != nil {
+		if _, err := rec.Log.Append(context.Background(), si, doc); err != nil {
 			t.Fatal(err)
 		}
 		shards[si] = append(shards[si], doc)
@@ -259,7 +260,7 @@ func TestSnapshotRoundTripAndPrune(t *testing.T) {
 		t.Fatalf("Rotate: %v", err)
 	}
 	appliedSeq := rec.Log.LastSeq()
-	if _, err := rec.Log.Append(0, "post-rotate"); err != nil {
+	if _, err := rec.Log.Append(context.Background(), 0, "post-rotate"); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteSnapshot(dir, gen, appliedSeq, shards); err != nil {
@@ -290,7 +291,7 @@ func TestDuplicateReplayIdempotent(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		si := uint32(i % 2)
 		doc := fmt.Sprintf("covered %d", i)
-		if _, err := rec.Log.Append(si, doc); err != nil {
+		if _, err := rec.Log.Append(context.Background(), si, doc); err != nil {
 			t.Fatal(err)
 		}
 		shards[si] = append(shards[si], doc)
@@ -326,12 +327,12 @@ func TestDuplicateReplaySameGeneration(t *testing.T) {
 	var docs []string
 	for i := 0; i < 3; i++ {
 		doc := fmt.Sprintf("dup %d", i)
-		if _, err := rec.Log.Append(0, doc); err != nil {
+		if _, err := rec.Log.Append(context.Background(), 0, doc); err != nil {
 			t.Fatal(err)
 		}
 		docs = append(docs, doc)
 	}
-	if _, err := rec.Log.Append(0, "fresh"); err != nil {
+	if _, err := rec.Log.Append(context.Background(), 0, "fresh"); err != nil {
 		t.Fatal(err)
 	}
 	// Snapshot at generation 0 covering only the first three records:
@@ -399,7 +400,7 @@ func TestSnapshotShardCountChangeRedeals(t *testing.T) {
 	rec := openEmpty(t, 4, Options{Policy: SyncNever})
 	dir := rec.Log.dir
 	for i := 0; i < 8; i++ {
-		if _, err := rec.Log.Append(uint32(i%4), fmt.Sprintf("d%d", i)); err != nil {
+		if _, err := rec.Log.Append(context.Background(), uint32(i%4), fmt.Sprintf("d%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -419,7 +420,7 @@ func TestSnapshotShardCountChangeRedeals(t *testing.T) {
 func TestEmptyLogAfterSnapshot(t *testing.T) {
 	rec := openEmpty(t, 1, Options{Policy: SyncNever})
 	dir := rec.Log.dir
-	if _, err := rec.Log.Append(0, "only"); err != nil {
+	if _, err := rec.Log.Append(context.Background(), 0, "only"); err != nil {
 		t.Fatal(err)
 	}
 	gen, err := rec.Log.Rotate()
@@ -441,7 +442,7 @@ func TestSequenceGapIsCorrupt(t *testing.T) {
 	rec := openEmpty(t, 1, Options{Policy: SyncNever})
 	dir := rec.Log.dir
 	for i := 0; i < 3; i++ {
-		if _, err := rec.Log.Append(0, "x"); err != nil {
+		if _, err := rec.Log.Append(context.Background(), 0, "x"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -470,11 +471,11 @@ func TestSequenceGapIsCorrupt(t *testing.T) {
 func TestOversizeRecordRejected(t *testing.T) {
 	rec := openEmpty(t, 1, Options{MaxRecord: 64})
 	defer rec.Log.Close()
-	if _, err := rec.Log.Append(0, string(make([]byte, 100))); err == nil {
+	if _, err := rec.Log.Append(context.Background(), 0, string(make([]byte, 100))); err == nil {
 		t.Fatal("oversize append accepted")
 	}
 	// The log is not wedged by a rejected (never-written) record.
-	if _, err := rec.Log.Append(0, "small"); err != nil {
+	if _, err := rec.Log.Append(context.Background(), 0, "small"); err != nil {
 		t.Fatalf("append after rejected oversize: %v", err)
 	}
 }

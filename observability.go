@@ -7,10 +7,14 @@ import (
 )
 
 // Observability: every Corpus carries a metrics registry — counters,
-// gauges and latency histograms wired through the admission gate, the
-// prefilter, the worker pools, the compiled-query cache and (on a
-// durable corpus) the write-ahead log — and any individual query can be
-// traced per stage by attaching a QueryTrace to its context.
+// gauges and one latency histogram series per pipeline stage,
+// spanjoin_stage_seconds{stage} — and any individual query can be traced
+// per stage by attaching a QueryTrace to its context. One call records
+// each stage (the admission wait, the cache lookup, the plan build, the
+// prefilter, the enumeration or count, the WAL append and fsync, the
+// snapshot cycle) into both its histogram series and the context's
+// trace, so a traced query's stages are exactly what the histograms
+// gained from it.
 //
 //	ctx, tr := spanjoin.WithTrace(ctx)
 //	ms, _ := c.Eval(ctx, spanjoin.Anchored(pattern))
@@ -19,9 +23,9 @@ import (
 //	    fmt.Println(s.Stage, s.Dur)
 //	}
 //
-// Tracing is opt-in per query: the hot enumeration path checks the
-// context once per evaluation, never per tuple, so untraced queries pay
-// one context lookup and nothing else.
+// Tracing is opt-in per query. Stages are recorded per stage, never per
+// tuple: an untraced query pays one histogram observation and one
+// context lookup per stage.
 
 // MetricsRegistry holds a corpus's metrics. Scrape it with
 // WritePrometheus (text exposition format, what spand serves on
@@ -64,18 +68,22 @@ const (
 	// StageCount is the worker pool's lifetime for a counting sweep;
 	// Items counts scanned documents.
 	StageCount = obs.StageCount
-	// StageWALAppend is the write-ahead-log record write of a traced
-	// AddErrCtx, excluding the policy fsync.
+	// StageWALAppend is the write-ahead-log record write of one durable
+	// add, excluding the policy fsync.
 	StageWALAppend = obs.StageWALAppend
-	// StageWALSync is the fsync a SyncAlways append paid.
+	// StageWALSync is one WAL fsync: the one a SyncAlways add paid,
+	// traced with the add, or an interval, rotation, Sync or Close fsync,
+	// which reaches the histogram only.
 	StageWALSync = obs.StageWALSync
-	// StageSnapshot is a full snapshot cycle (spand's POST /snapshot).
+	// StageSnapshot is a full snapshot cycle: Snapshot(ctx) records it
+	// under ctx (spand's POST /snapshot under the request's trace), a
+	// background cycle in the histogram only.
 	StageSnapshot = obs.StageSnapshot
 )
 
 // WithTrace attaches a fresh QueryTrace to the context: corpus
-// evaluations, counts and durable writes under the returned context
-// record their stages into it.
+// evaluations, counts, durable writes and snapshots under the returned
+// context record their stages into it.
 func WithTrace(ctx context.Context) (context.Context, *QueryTrace) {
 	return obs.WithTrace(ctx)
 }

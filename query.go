@@ -3,6 +3,7 @@ package spanjoin
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"spanjoin/internal/core"
@@ -209,16 +210,18 @@ func (b *QueryBuilder) Equal(x, y string) *QueryBuilder {
 }
 
 // Project restricts the output to the given variables. Projecting onto no
-// variables yields a Boolean query.
+// variables yields a Boolean query: one empty match when the query holds.
 func (b *QueryBuilder) Project(vars ...string) *QueryBuilder {
 	if b.err != nil {
 		return b
 	}
-	b.cq.Projection = span.NewVarList(vars...)
+	// Non-nil even when empty: a nil projection outputs every variable.
+	b.cq.Projection = append(span.VarList{}, span.NewVarList(vars...)...)
 	return b
 }
 
-// Build validates and returns the query.
+// Build validates and returns the query. The query keeps a copy of the
+// builder's state, so later builder calls do not change it.
 func (b *QueryBuilder) Build() (*Query, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -226,7 +229,13 @@ func (b *QueryBuilder) Build() (*Query, error) {
 	if err := b.cq.Validate(); err != nil {
 		return nil, err
 	}
-	return &Query{cq: b.cq, compiled: compiled{ucq: &core.UCQ{Disjuncts: []*core.CQ{b.cq}}}}, nil
+	// slices.Clone keeps an empty non-nil projection non-nil (Boolean).
+	cq := &core.CQ{
+		Atoms:      slices.Clone(b.cq.Atoms),
+		Projection: slices.Clone(b.cq.Projection),
+		Equalities: slices.Clone(b.cq.Equalities),
+	}
+	return &Query{cq: cq, compiled: compiled{ucq: &core.UCQ{Disjuncts: []*core.CQ{cq}}}}, nil
 }
 
 // MustBuild panics on error; for statically known queries.

@@ -7,10 +7,8 @@ import (
 	"net/http"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"spanjoin"
-	"spanjoin/internal/obs"
 )
 
 // Write/durability surface of the server, meaningful for a spand started
@@ -89,16 +87,10 @@ func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(DocBody{ID: id, Text: text})
 }
 
-// handleSnapshot forces one snapshot cycle. No-op 200 on a RAM corpus.
-// The request's trace records the cycle as the snapshot stage (the store
-// itself has no context on its snapshot path — the trigger does).
-//
-//spanjoin:stage snapshot
+// handleSnapshot forces one snapshot cycle, which the request's trace
+// records as the snapshot stage. No-op 200 on a RAM corpus.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	err := s.corpus.Snapshot()
-	spanjoin.TraceFromContext(r.Context()).Observe(obs.StageSnapshot, time.Since(t0))
-	if err != nil {
+	if err := s.corpus.Snapshot(r.Context()); err != nil {
 		s.writeError(w, err)
 		return
 	}

@@ -135,8 +135,8 @@ func traceSpans(r *http.Request, q url.Values) []spanjoin.StageSpan {
 
 // handleMetrics serves the registry in Prometheus text exposition
 // format: every /stats counter and then some — request latency
-// histograms (quantiles derivable from the cumulative buckets), gate
-// depth, cache hit rate, WAL fsync timings.
+// and per-stage histograms (quantiles derivable from the cumulative
+// buckets), gate depth, cache hit rate.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WritePrometheus(w)

@@ -65,7 +65,7 @@ func TestMetricsExposition(t *testing.T) {
 		`spanjoin_http_request_seconds_sum{handler="count"}`,
 		`spanjoin_http_request_seconds_count{handler="count"}`,
 		`spanjoin_http_requests_total{handler="count",code="200"}`,
-		"spanjoin_eval_seconds_bucket",
+		`spanjoin_stage_seconds_bucket{stage="count",le="+Inf"}`,
 		"spanjoin_cache_hits_total",
 		"spanjoin_cache_misses_total",
 		"spanjoin_docs ",

@@ -206,12 +206,31 @@ func TestQueryBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestBooleanQueryExists: Project() with no variables builds a Boolean
+// query — no output variables, and one empty match on a document where
+// the join holds however many joined tuples it has — under every strategy.
 func TestBooleanQueryExists(t *testing.T) {
 	q := spanjoin.NewQuery().
 		Atom(".*x{Belgium}.*").
 		Atom(".*y{police}.*").
 		Project().
 		MustBuild()
+	if vars := q.Vars(); len(vars) != 0 {
+		t.Fatalf("Vars = %v, want none", vars)
+	}
+	const twice = "Belgium police, Belgium police" // 4 joined (x, y) tuples
+	for _, st := range []spanjoin.Strategy{spanjoin.StrategyAuto, spanjoin.StrategyCanonical, spanjoin.StrategyAutomata} {
+		ms, err := q.Evaluate(twice, spanjoin.WithStrategy(st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) != 1 || len(ms[0].Vars()) != 0 {
+			t.Fatalf("%v: Evaluate = %v, want one empty match", st, ms)
+		}
+		if n, err := q.Count(twice, spanjoin.WithStrategy(st)); err != nil || n.String() != "1" {
+			t.Fatalf("%v: Count = %v, %v; want 1", st, n, err)
+		}
+	}
 	ok, err := q.Exists("near Belgium police station")
 	if err != nil {
 		t.Fatal(err)
@@ -226,6 +245,31 @@ func TestBooleanQueryExists(t *testing.T) {
 	if ok {
 		t.Error("expected false")
 	}
+}
+
+// TestBuiltQueryIgnoresLaterBuilderCalls: Build copies the builder's
+// query, so atoms and a projection added afterwards leave the built
+// query's Evaluate and Count — the canonical plan and the memoized
+// spanner — as they were.
+func TestBuiltQueryIgnoresLaterBuilderCalls(t *testing.T) {
+	b := spanjoin.NewQuery().Atom(".*x{a}.*")
+	q := b.MustBuild()
+	check := func(when string) {
+		t.Helper()
+		ms, err := q.Evaluate("aa")
+		if err != nil || len(ms) != 2 {
+			t.Fatalf("%s: Evaluate = %v, %v; want 2 matches", when, ms, err)
+		}
+		if n, err := q.Count("aa"); err != nil || n.String() != "2" {
+			t.Fatalf("%s: Count = %v, %v; want 2", when, n, err)
+		}
+		if vars := q.Vars(); len(vars) != 1 || vars[0] != "x" {
+			t.Fatalf("%s: Vars = %v, want [x]", when, vars)
+		}
+	}
+	check("after Build")
+	b.Atom(".*x{b}.*").Project()
+	check("after more builder calls")
 }
 
 func TestUnionQuery(t *testing.T) {
