@@ -58,7 +58,8 @@ type proc struct {
 }
 
 // startSpand launches the built binary on :0 over dir and parses the
-// bound address off stdout. extraEnv entries are "K=V" strings.
+// bound address off stdout. extraEnv entries are "K=V" strings. The
+// process is killed when the test ends, if it still runs then.
 func startSpand(t *testing.T, dir string, extraEnv []string, args ...string) *proc {
 	t.Helper()
 	full := append([]string{"-addr", "127.0.0.1:0", "-data", dir}, args...)
@@ -86,6 +87,13 @@ func startSpand(t *testing.T, dir string, extraEnv []string, args ...string) *pr
 	}()
 	done := make(chan error, 1)
 	go func() { done <- cmd.Wait() }()
+	t.Cleanup(func() {
+		// Kill fails once Wait has reaped the process; otherwise wait for
+		// it, so the data directory is free before the test removes it.
+		if cmd.Process.Kill() == nil {
+			<-done
+		}
+	})
 	return &proc{cmd: cmd, addr: addr, done: done}
 }
 
@@ -284,6 +292,50 @@ func TestCrashDuringIngest(t *testing.T) {
 				}
 				if matchesPattern(t, p2.addr, ".*x{"+inTok+"}.*") {
 					t.Fatalf("unacked doc %q resurrected after crash", inflight)
+				}
+			}
+		})
+	}
+}
+
+// TestCrashDuringLoad kills spand at each crash point of its -lines
+// load, which logs the whole file as one batch, and restarts it without
+// -lines: recovery finds none of the lines when the kill came before the
+// append, and all of them — each byte-identical, at ID = line index —
+// when it came after.
+func TestCrashDuringLoad(t *testing.T) {
+	const n = 64
+	var lines []string
+	for i := range n {
+		lines = append(lines, fmt.Sprintf("line %d carrying tok%03d", i, i))
+	}
+	file := filepath.Join(t.TempDir(), "lines.txt")
+	if err := os.WriteFile(file, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		point string
+		want  int
+	}{
+		{resilience.CrashBeforeAppend, 0},
+		{resilience.CrashAfterAppend, n},
+		{resilience.CrashBeforeAck, n},
+	}
+	for _, tc := range cases {
+		t.Run(path.Base(tc.point), func(t *testing.T) {
+			dir := t.TempDir()
+			p := startSpand(t, dir, []string{"SPAND_CRASHPOINT=" + tc.point + ":1"}, "-lines", file)
+			waitKilled(t, p)
+
+			p2 := startSpand(t, dir, nil)
+			defer stop(t, p2)
+			waitReady(t, p2.addr)
+			if got := docCount(t, p2.addr); got != tc.want {
+				t.Fatalf("recovered %d documents, want %d", got, tc.want)
+			}
+			for i, want := range lines[:tc.want] {
+				if got, ok := getDoc(t, p2.addr, uint64(i)); !ok || got != want {
+					t.Fatalf("doc %d after the crash = %q,%v, want %q", i, got, ok, want)
 				}
 			}
 		})

@@ -250,58 +250,40 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// load ingests the corpus: every positional file as one document, plus —
-// with -lines — one document per line of a file or stdin. A RAM corpus
-// takes them as one AddAll batch, which fills the shards in parallel; a
-// durable corpus logs each document before it becomes visible.
+// load ingests the corpus as one batch: every positional file as one
+// document, plus — with -lines — one document per line of a file or
+// stdin. A durable corpus logs the whole batch first, with one fsync
+// under -fsync always, so a crash during the load leaves at most a prefix
+// of it; either kind of corpus then fills its shards in parallel. A read
+// error adds nothing.
 func load(c *spanjoin.Corpus, lines string, files []string) error {
-	if c.Durable() {
-		return readDocs(lines, files, func(doc string) error {
-			_, err := c.AddErrCtx(context.Background(), doc)
-			return err
-		})
-	}
-	var batch []string
-	err := readDocs(lines, files, func(doc string) error {
-		batch = append(batch, doc)
-		return nil
-	})
-	c.AddAll(batch...)
-	return err
-}
-
-// readDocs passes load's documents to add in order, stopping at the first
-// error.
-func readDocs(lines string, files []string, add func(doc string) error) error {
+	var docs []string
 	for _, f := range files {
 		b, err := os.ReadFile(f)
 		if err != nil {
 			return err
 		}
-		if err := add(string(b)); err != nil {
+		docs = append(docs, string(b))
+	}
+	if lines != "" {
+		r := io.Reader(os.Stdin)
+		if lines != "-" {
+			f, err := os.Open(lines)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			r = f
+		}
+		sc := bufio.NewScanner(r)
+		sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
+		for sc.Scan() {
+			docs = append(docs, sc.Text())
+		}
+		if err := sc.Err(); err != nil {
 			return err
 		}
 	}
-	if lines == "" {
-		return nil
-	}
-	var r io.Reader
-	if lines == "-" {
-		r = os.Stdin
-	} else {
-		f, err := os.Open(lines)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	for sc.Scan() {
-		if err := add(sc.Text()); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
+	_, err := c.AddErrCtx(context.Background(), docs...)
+	return err
 }

@@ -142,12 +142,14 @@ func newCorpus(store *corpus.Store, cfg corpusConfig, reg *obs.Registry) *Corpus
 // panics with the log's error; use AddErrCtx to handle it instead.
 func (c *Corpus) Add(doc string) DocID { return c.store.Add(doc) }
 
-// AddAll appends documents and returns their IDs, indexed like docs: the
-// IDs the same Adds would return one by one. On a RAM corpus the shards
+// AddAll appends documents as one batch and returns their IDs, indexed
+// like docs: the IDs the same Adds would return one by one. The shards
 // fill in parallel, on at most min(shards, GOMAXPROCS) workers, each
 // holding its shard's lock for the batch's whole share of it — documents
 // and skip index — so concurrent readers of a shard wait for its share.
-// A durable corpus adds the documents one at a time, like Add.
+// A durable corpus first logs the whole batch, paying one fsync under
+// SyncAlways, and panics like Add if its log has failed; AddErrCtx
+// returns the error instead.
 func (c *Corpus) AddAll(docs ...string) []DocID { return c.store.AddAll(docs) }
 
 // Doc returns the document with the given ID.

@@ -97,14 +97,18 @@ func Open(dir string, opts ...CorpusOption) (*Corpus, error) {
 // Durable reports whether the corpus is backed by a data directory.
 func (c *Corpus) Durable() bool { return c.store.Durable() }
 
-// AddErrCtx appends a document like Add but returns the durability error
-// instead of panicking: on a durable corpus whose log has failed (a full
-// disk, a failed fsync) every AddErrCtx reports the sticky error and the
-// document is not added. On a RAM corpus AddErrCtx never fails. The
-// write's WAL append and fsync stages are recorded under ctx (and into
-// its trace, WithTrace); the context does not cancel the write.
-func (c *Corpus) AddErrCtx(ctx context.Context, doc string) (DocID, error) {
-	return c.store.AddErrCtx(ctx, doc)
+// AddErrCtx appends documents like AddAll — one batch, their IDs indexed
+// like docs — but returns the durability error instead of panicking. On
+// a durable corpus the whole batch is logged, with one fsync under
+// SyncAlways, before any of it becomes visible. A document over the
+// log's 1 GiB record cap fails the whole batch, and on a corpus whose
+// log has failed (a full disk, a failed fsync) every AddErrCtx reports
+// the sticky error; either way no document of the batch is added. On a
+// RAM corpus AddErrCtx never fails. The batch's WAL append and fsync
+// stages are recorded under ctx (and into its trace, WithTrace); the
+// context does not cancel the write.
+func (c *Corpus) AddErrCtx(ctx context.Context, docs ...string) ([]DocID, error) {
+	return c.store.AddErrCtx(ctx, docs...)
 }
 
 // Sync forces every acknowledged Add to stable storage regardless of the

@@ -34,7 +34,7 @@ func TestDurableRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("AddErrCtx(%q): %v", d, err)
 		}
-		ids = append(ids, id)
+		ids = append(ids, id...)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -67,7 +67,7 @@ func TestDurableRoundTrip(t *testing.T) {
 func TestDurableEmptyDocument(t *testing.T) {
 	dir := t.TempDir()
 	c := openDurable(t, dir)
-	id, err := c.AddErrCtx(context.Background(), "")
+	ids, err := c.AddErrCtx(context.Background(), "")
 	if err != nil {
 		t.Fatalf("AddErrCtx(\"\"): %v", err)
 	}
@@ -81,7 +81,7 @@ func TestDurableEmptyDocument(t *testing.T) {
 	if c2.Len() != 1 {
 		t.Fatalf("Len = %d after reopen, want 1", c2.Len())
 	}
-	got, ok := c2.Doc(id)
+	got, ok := c2.Doc(ids[0])
 	if !ok || got != "" {
 		t.Fatalf("Doc = %q,%v, want the empty document", got, ok)
 	}

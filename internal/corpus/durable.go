@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"spanjoin/internal/obs"
-	"spanjoin/internal/resilience"
 	"spanjoin/internal/wal"
 )
 
@@ -16,19 +15,22 @@ import (
 // recovery time. The store stays append-only and its evaluation paths
 // are untouched — durability is strictly below the shard layer.
 //
-// Write path (one mutex, durability.mu, serializes it end to end):
+// Write path (Store.AddErrCtx; one mutex, durability.mu, serializes it
+// end to end), for a batch of one document or many:
 //
-//	1. choose the shard (round-robin, same as the RAM store)
-//	2. wal.Log.Append — the record is on the file, and on stable
-//	   storage under SyncAlways, before anything is visible
-//	3. apply to the in-memory shard (and skip index)
-//	4. return the DocID: the ack
+//	1. deal the batch's shards (round-robin, same as the RAM store)
+//	2. wal.Log.Append — every record is on the file, in sequence order,
+//	   and on stable storage under SyncAlways (one fsync per batch),
+//	   before anything is visible
+//	3. fill each shard's share in parallel (documents and skip index)
+//	4. return the DocIDs: the ack
 //
-// A crash between 2 and 4 can leave a record durable but unacked; a
-// crash before 2 leaves nothing. Recovery replays the log, so the
-// invariant callers get is: acked ⇒ present, unacked ⇒ absent except
-// possibly the single in-flight write, which is then byte-identical to
-// what was being written.
+// A crash between 2 and 4 can leave the batch durable but unacked; a
+// crash during 2 can leave a prefix of it; a crash before 2 leaves
+// nothing. Recovery replays the log, so the invariant callers get is:
+// acked ⇒ present, unacked ⇒ absent except possibly a prefix of the
+// single in-flight batch, each such document byte-identical to what was
+// being written.
 
 // DurabilityStats is a snapshot of the durable layer's counters; the
 // zero value is what a RAM store reports.
@@ -155,42 +157,6 @@ func (s *Store) DurabilityStats() DurabilityStats {
 		ReplayedRecords:   d.recovery.Replayed,
 		TornBytesRepaired: d.recovery.TornBytes,
 	}
-}
-
-// AddErr appends a document. On a RAM store it never fails; on a durable
-// store it returns the log's error — and then the document was NOT added
-// (nothing unlogged becomes visible). Safe for concurrent use.
-func (s *Store) AddErr(doc string) (DocID, error) {
-	return s.AddErrCtx(context.Background(), doc)
-}
-
-// AddErrCtx is AddErr with the caller's context, under which the log
-// records the record write and the fsync its policy forced as the
-// wal_append and wal_fsync stages, so a traced write explains where its
-// latency went. The context does not cancel the write — a logged record
-// is a logged record.
-func (s *Store) AddErrCtx(ctx context.Context, doc string) (DocID, error) {
-	d := s.dur
-	if d == nil {
-		return s.Add(doc), nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	si := (s.rr.Add(1) - 1) % uint64(len(s.shards))
-	seq, err := d.log.Append(ctx, uint32(si), doc)
-	if err != nil {
-		return 0, err
-	}
-	sh := &s.shards[si]
-	sh.mu.Lock()
-	pos := uint64(len(sh.docs))
-	sh.docs = append(sh.docs, doc)
-	if sh.idx != nil {
-		sh.idx.Add(doc)
-	}
-	sh.mu.Unlock()
-	resilience.Inject(resilience.CrashBeforeAck, seq)
-	return s.idOf(si, pos), nil
 }
 
 // Sync forces every logged record to stable storage, regardless of the

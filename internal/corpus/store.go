@@ -16,6 +16,7 @@
 package corpus
 
 import (
+	"context"
 	"runtime"
 	"sort"
 	"sync"
@@ -23,6 +24,7 @@ import (
 
 	"spanjoin/internal/prefilter"
 	"spanjoin/internal/resilience"
+	"spanjoin/internal/wal"
 )
 
 // DocID identifies a document in a Store. IDs are stable for the lifetime
@@ -157,46 +159,55 @@ func (s *Store) locate(id DocID) (si, pos uint64) {
 	return uint64(id) % n, uint64(id) / n
 }
 
-// Add appends a document and returns its stable ID. Safe for concurrent
-// use with Add, Get, Len and Eval. On a durable store Add goes through
-// the write-ahead log and panics if the log has failed — callers that
-// want the error (services) use AddErr.
-func (s *Store) Add(doc string) DocID {
-	if s.dur != nil {
-		id, err := s.AddErr(doc)
-		if err != nil {
-			panic(err)
-		}
-		return id
+// Add appends a document and returns its stable ID: AddAll of one, so
+// it panics if a durable store's log has failed.
+func (s *Store) Add(doc string) DocID { return s.AddAll([]string{doc})[0] }
+
+// AddAll appends docs and returns their IDs, indexed like docs: AddErrCtx
+// that panics if a durable store's log has failed — callers that want the
+// error (services) use AddErrCtx.
+func (s *Store) AddAll(docs []string) []DocID {
+	ids, err := s.AddErrCtx(context.Background(), docs...)
+	if err != nil {
+		panic(err)
 	}
-	si := (s.rr.Add(1) - 1) % uint64(len(s.shards))
-	sh := &s.shards[si]
-	sh.mu.Lock()
-	pos := uint64(len(sh.docs))
-	sh.docs = append(sh.docs, doc)
-	if sh.idx != nil {
-		sh.idx.Add(doc)
-	}
-	sh.mu.Unlock()
-	return s.idOf(si, pos)
+	return ids
 }
 
-// AddAll appends docs and returns their IDs, indexed like docs. On a RAM
-// store the batch reserves its round-robin slots with one atomic add, then
-// fills each shard's share — documents and skip index — on at most
-// min(shards, GOMAXPROCS) workers, each holding its shard's lock for the
-// whole share. The IDs are exactly those the same Adds would return one
-// by one. A durable store adds the documents one at a time through Add,
-// since each must reach the log before it becomes visible.
-func (s *Store) AddAll(docs []string) []DocID {
+// AddErrCtx appends docs as one batch and returns their IDs, indexed like
+// docs: exactly the IDs the same documents would get added one by one.
+// Safe for concurrent use with every other method. The batch reserves its
+// round-robin slots with one atomic add, then fills each shard's share —
+// documents and skip index — on at most min(shards, GOMAXPROCS) workers,
+// each holding its shard's lock for the whole share. On a durable store
+// the batch is logged first, under durability.mu with the fill, and none
+// of it becomes visible unless all of it is logged; otherwise AddErrCtx
+// returns the log's error (see durable.go). ctx carries the log's
+// wal_append and wal_fsync stages and does not cancel the write. A RAM
+// store never fails, and an empty batch touches nothing.
+func (s *Store) AddErrCtx(ctx context.Context, docs ...string) ([]DocID, error) {
 	ids := make([]DocID, len(docs))
-	if s.dur != nil {
-		for i, d := range docs {
-			ids[i] = s.Add(d)
-		}
-		return ids
+	if len(docs) == 0 {
+		return ids, nil
 	}
 	k, n := uint64(len(docs)), uint64(len(s.shards))
+	if d := s.dur; d != nil {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		// rr moves only under d.mu here, so each record names the shard
+		// the fill below deals its document to.
+		recs, next := make([]wal.Record, k), s.rr.Load()
+		for j, doc := range docs {
+			recs[j] = wal.Record{Shard: uint32((next + uint64(j)) % n), Doc: doc}
+		}
+		seq, err := d.log.Append(ctx, recs...)
+		if err != nil {
+			return nil, err
+		}
+		// Runs after the fill, before the unlock: logged and visible,
+		// not yet acked.
+		defer resilience.Inject(resilience.CrashBeforeAck, seq)
+	}
 	start := s.rr.Add(k) - k
 	s.eachShard(len(docs), func(si uint64) {
 		// The batch's j-th document goes to shard (start+j) mod n.
@@ -215,7 +226,7 @@ func (s *Store) AddAll(docs []string) []DocID {
 			}
 		}
 	})
-	return ids
+	return ids, nil
 }
 
 // Get returns the document with the given ID.

@@ -40,7 +40,8 @@ func TestStoreAddGetRoundtrip(t *testing.T) {
 // TestStoreSequentialIDs: a single writer's Adds return 0, 1, 2, … on
 // every shard count — on a RAM store, and on a durable store, where the
 // sequence continues across a reopen and every earlier ID still resolves
-// to its document.
+// to its document. A batch the log rejects (one document over its record
+// cap) adds nothing and takes no IDs.
 func TestStoreSequentialIDs(t *testing.T) {
 	for n := 1; n <= 5; n++ {
 		t.Run(fmt.Sprintf("ram/shards=%d", n), func(t *testing.T) {
@@ -57,7 +58,7 @@ func TestStoreSequentialIDs(t *testing.T) {
 			// Seven documents per run: the reopen lands mid-rotation on
 			// every shard count above one.
 			for run := 0; run < 2; run++ {
-				s, err := OpenStore(dir, n, wal.Options{Policy: wal.SyncNever}, 0)
+				s, err := OpenStore(dir, n, wal.Options{Policy: wal.SyncNever, MaxRecord: 64}, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,12 +68,15 @@ func TestStoreSequentialIDs(t *testing.T) {
 					}
 				}
 				for i := 0; i < 7; i++ {
-					got, err := s.AddErr(fmt.Sprint(next))
+					if ids, err := s.AddErrCtx(context.Background(), "fits", string(make([]byte, 100))); err == nil {
+						t.Fatalf("run %d: batch with an oversize document added as %v", run, ids)
+					}
+					got, err := s.AddErrCtx(context.Background(), fmt.Sprint(next))
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got != next {
-						t.Fatalf("run %d: Add #%d returned ID %d", run, next, got)
+					if got[0] != next {
+						t.Fatalf("run %d: Add #%d returned ID %d", run, next, got[0])
 					}
 					next++
 				}
@@ -130,7 +134,9 @@ func TestStoreConcurrentAddStableIDs(t *testing.T) {
 // same documents return one by one, and Eval, Count and Page answer the
 // same over both stores, with the skip index and without it. Batches of
 // zero, one and uneven sizes, each followed by one Add, leave the
-// round-robin mid-rotation on every shard count above one.
+// round-robin mid-rotation on every shard count above one. The durable
+// leg runs the batches on an OpenStore directory, whose log takes each
+// as one append; reopened, it has every document back at its ID.
 func TestAddAllMatchesAdd(t *testing.T) {
 	var docs []string
 	for i := range 64 {
@@ -141,65 +147,103 @@ func TestAddAllMatchesAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := EvalOptions{Required: prefilter.New("ab")}
-	ctx := context.Background()
-	for _, shards := range []int{1, 2, 7} {
-		for _, indexed := range []bool{false, true} {
-			t.Run(fmt.Sprintf("shards=%d/indexed=%v", shards, indexed), func(t *testing.T) {
-				one, all := NewStore(shards), NewStore(shards)
-				if indexed {
-					one.EnableIndex()
-					all.EnableIndex()
+	for _, durable := range []bool{false, true} {
+		for _, shards := range []int{1, 2, 7} {
+			for _, indexed := range []bool{false, true} {
+				name := fmt.Sprintf("shards=%d/indexed=%v", shards, indexed)
+				if durable {
+					name = "durable/" + name
 				}
-				rest := docs
-				for _, k := range []int{0, 1, 13, 0, 1, 5, 37} {
-					var want []DocID
-					for _, d := range rest[:k+1] {
-						want = append(want, one.Add(d))
-					}
-					got := append(all.AddAll(rest[:k]), all.Add(rest[k]))
-					rest = rest[k+1:]
-					if !slices.Equal(got, want) {
-						t.Fatalf("batch of %d: AddAll+Add IDs %v, Adds %v", k, got, want)
-					}
+				t.Run(name, func(t *testing.T) {
+					addAllMatchesAdd(t, durable, shards, indexed, docs, p, opt)
+				})
+			}
+		}
+	}
+}
 
-					wantRes, err := one.EvalPlan(ctx, p, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotRes, err := all.EvalPlan(ctx, p, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if g, w := drainResults(t, gotRes), drainResults(t, wantRes); !reflect.DeepEqual(g, w) {
-						t.Fatalf("batch of %d: Eval %v, want %v", k, g, w)
-					}
-					wantN, err := one.CountPlan(ctx, p, nil, opt, true)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotN, err := all.CountPlan(ctx, p, nil, opt, true)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if gotN.Total != wantN.Total || !reflect.DeepEqual(gotN.PerDoc, wantN.PerDoc) {
-						t.Fatalf("batch of %d: Count %v %v, want %v %v", k, gotN.Total, gotN.PerDoc, wantN.Total, wantN.PerDoc)
-					}
-					wantPg, err := one.PagePlan(ctx, p, nil, opt, 2, 5)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotPg, err := all.PagePlan(ctx, p, nil, opt, 2, 5)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if gotPg.Total != wantPg.Total || fmt.Sprint(gotPg.Matches) != fmt.Sprint(wantPg.Matches) {
-						t.Fatalf("batch of %d: Page %v %v, want %v %v", k, gotPg.Total, gotPg.Matches, wantPg.Total, wantPg.Matches)
-					}
-				}
-				if len(rest) != 0 {
-					t.Fatalf("%d documents left over", len(rest))
-				}
-			})
+// addAllMatchesAdd is one leg of TestAddAllMatchesAdd.
+func addAllMatchesAdd(t *testing.T, durable bool, shards int, indexed bool, docs []string, p *enum.Plan, opt EvalOptions) {
+	ctx := context.Background()
+	one, all := NewStore(shards), NewStore(shards)
+	dir := t.TempDir()
+	if durable {
+		var err error
+		if all, err = OpenStore(dir, shards, wal.Options{Policy: wal.SyncNever}, 0); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { all.Close() })
+	}
+	if indexed {
+		one.EnableIndex()
+		all.EnableIndex()
+	}
+	rest := docs
+	for _, k := range []int{0, 1, 13, 0, 1, 5, 37} {
+		var want []DocID
+		for _, d := range rest[:k+1] {
+			want = append(want, one.Add(d))
+		}
+		got := append(all.AddAll(rest[:k]), all.Add(rest[k]))
+		rest = rest[k+1:]
+		if !slices.Equal(got, want) {
+			t.Fatalf("batch of %d: AddAll+Add IDs %v, Adds %v", k, got, want)
+		}
+
+		wantRes, err := one.EvalPlan(ctx, p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotRes, err := all.EvalPlan(ctx, p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := drainResults(t, gotRes), drainResults(t, wantRes); !reflect.DeepEqual(g, w) {
+			t.Fatalf("batch of %d: Eval %v, want %v", k, g, w)
+		}
+		wantN, err := one.CountPlan(ctx, p, nil, opt, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotN, err := all.CountPlan(ctx, p, nil, opt, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotN.Total != wantN.Total || !reflect.DeepEqual(gotN.PerDoc, wantN.PerDoc) {
+			t.Fatalf("batch of %d: Count %v %v, want %v %v", k, gotN.Total, gotN.PerDoc, wantN.Total, wantN.PerDoc)
+		}
+		wantPg, err := one.PagePlan(ctx, p, nil, opt, 2, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotPg, err := all.PagePlan(ctx, p, nil, opt, 2, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotPg.Total != wantPg.Total || fmt.Sprint(gotPg.Matches) != fmt.Sprint(wantPg.Matches) {
+			t.Fatalf("batch of %d: Page %v %v, want %v %v", k, gotPg.Total, gotPg.Matches, wantPg.Total, wantPg.Matches)
+		}
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d documents left over", len(rest))
+	}
+	if !durable {
+		return
+	}
+	if err := all.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenStore(dir, shards, wal.Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != len(docs) {
+		t.Fatalf("reopened store holds %d documents, want %d", re.Len(), len(docs))
+	}
+	for i, d := range docs {
+		if got, ok := re.Get(DocID(i)); !ok || got != d {
+			t.Fatalf("reopened Get(%d) = %q, %v; want %q", i, got, ok, d)
 		}
 	}
 }

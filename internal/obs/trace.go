@@ -39,8 +39,8 @@ const (
 	// StageCount is the counting sweep (the count-kernel fan-out behind
 	// /count and cursor pagination).
 	StageCount Stage = "count"
-	// StageWALAppend is the write-ahead-log record write of one added
-	// document, excluding the fsync.
+	// StageWALAppend is the write-ahead-log record writes of one added
+	// batch of documents, excluding the fsync.
 	StageWALAppend Stage = "wal_append"
 	// StageWALSync is one fsync of the log: the one an append's
 	// SyncAlways policy forces, recorded under the append's context, or

@@ -22,7 +22,7 @@ func buildDir(t *testing.T, dir string, seed []byte, withSnap bool) []string {
 	}
 	var history []string
 	add := func(doc string) {
-		if _, err := rec.Log.Append(context.Background(), uint64ToShard(len(history)), doc); err != nil {
+		if _, err := rec.Log.Append(context.Background(), Record{uint64ToShard(len(history)), doc}); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 		history = append(history, doc)

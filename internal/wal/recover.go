@@ -138,7 +138,7 @@ func Open(dir string, shards int, opt Options) (*Recovered, error) {
 
 	// Open (or create) the active log for append, truncating any torn
 	// tail so new records frame cleanly after the last valid one.
-	l := &Log{dir: dir, opt: opt, gen: activeGen, seq: lastSeq}
+	l := &Log{dir: dir, opt: opt, gen: activeGen, seq: lastSeq, buf: make([]byte, 0, chunkBytes)}
 	path := filepath.Join(dir, logName(activeGen))
 	if _, statErr := os.Stat(path); statErr != nil {
 		if l.f, err = createLogFile(dir, activeGen); err != nil {

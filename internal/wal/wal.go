@@ -5,11 +5,15 @@
 //
 // The contract is the storage-engine classic — log then ack:
 //
-//   - Every Add is appended to the log as one CRC32-C-checksummed record
-//     (sequence number, shard, document bytes) before the caller is
-//     acknowledged; how hard the ack is depends on the fsync policy
-//     (SyncAlways: fsynced before the ack; SyncInterval: written to the
-//     OS, fsynced by a ticker; SyncNever: written to the OS only).
+//   - Every added document is appended to the log as one
+//     CRC32-C-checksummed record (sequence number, shard, document bytes)
+//     before the caller is acknowledged. A batch of documents is that
+//     many records back to back, written in sequence order, and is
+//     acknowledged as a whole; a crash mid-batch can leave a prefix of it
+//     on the file. How hard the ack is depends on the fsync policy
+//     (SyncAlways: one fsync per batch before the ack; SyncInterval:
+//     written to the OS, fsynced by a ticker; SyncNever: written to the
+//     OS only).
 //   - A snapshot is the store's full state written to a temp file,
 //     fsynced, then atomically renamed into place; only after the rename
 //     is durable are older logs and snapshots pruned. Snapshots are
@@ -194,8 +198,7 @@ type Log struct {
 	gen  uint64
 	size int64
 	seq  uint64 // last appended sequence number
-	hdr  [recHdrSize]byte
-	buf  []byte // scratch for payload assembly
+	buf  []byte // one chunk of record framing, reused by every Append
 
 	// dirty tracks whether bytes were written since the last fsync;
 	// wedged is the first unrecoverable I/O error — once set, every
@@ -256,69 +259,101 @@ func parseGen(name, prefix, suffix string) (uint64, bool) {
 	return g, true
 }
 
-// Append writes one record — log-then-ack's "log" half — and returns its
-// sequence number. The bytes are on the file (and, under SyncAlways, on
-// stable storage) when Append returns; the caller applies the document
-// to the in-memory store only after. Returns the wedging error once the
-// log has hit an unrecoverable I/O failure. The record write and the
-// policy fsync are recorded as the wal_append and wal_fsync stages under
-// ctx, which does not cancel the write.
+// Record is one document of an Append batch, with the shard recovery
+// deals it to.
+type Record struct {
+	Shard uint32
+	Doc   string
+}
+
+// chunkBytes bounds one write of a batch, and so the framing buffer the
+// log keeps between appends; a record larger than a chunk is written, and
+// framed, on its own.
+const chunkBytes = 64 << 10
+
+// Append writes a batch of records — log-then-ack's "log" half — and
+// returns the sequence number of its last (the log's last for an empty
+// batch, which touches nothing). Records are numbered in batch order and
+// written in that order, chunk by chunk; under SyncAlways one fsync
+// follows the last. The batch is on the file (and, under SyncAlways, on
+// stable storage) when Append returns; the caller applies it to the
+// in-memory store only after. A document over MaxRecord fails the whole
+// batch before any byte is written and leaves the log usable; a failed
+// write wedges the log, and every later Append returns the wedging
+// error. A crash or a failed write mid-batch can leave a prefix of its
+// records on the file. The writes and the policy fsync are recorded as
+// the wal_append and wal_fsync stages under ctx, which does not cancel
+// the write.
 //
 //spanjoin:stage wal_append
-func (l *Log) Append(ctx context.Context, shard uint32, doc string) (uint64, error) {
+func (l *Log) Append(ctx context.Context, recs ...Record) (uint64, error) {
 	if l.wedged != nil {
 		return 0, l.wedged
 	}
-	if uint64(len(doc))+recMinBody > uint64(l.opt.maxRecord()) {
-		return 0, fmt.Errorf("wal: document of %d bytes exceeds the %d-byte record cap", len(doc), l.opt.maxRecord())
+	for _, r := range recs {
+		if uint64(len(r.Doc))+recMinBody > uint64(l.opt.maxRecord()) {
+			return 0, fmt.Errorf("wal: document of %d bytes exceeds the %d-byte record cap", len(r.Doc), l.opt.maxRecord())
+		}
 	}
-	seq := l.seq + 1
+	if len(recs) == 0 {
+		return l.seq, nil
+	}
 	t0 := time.Now()
-
-	need := recHdrSize + recMinBody + len(doc)
-	if cap(l.buf) < need {
-		l.buf = make([]byte, 0, need+need/2)
+	resilience.Inject(resilience.CrashBeforeAppend, l.seq+1)
+	b, written := l.buf[:0], 0
+	for i, r := range recs {
+		if len(b) > 0 && len(b)+recHdrSize+recMinBody+len(r.Doc) > chunkBytes {
+			if err := l.writeChunk(b); err != nil {
+				return 0, err
+			}
+			written += len(b)
+			b = b[:0]
+		}
+		b = frame(b, l.seq+uint64(i)+1, r)
 	}
-	b := l.buf[:recHdrSize]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(recMinBody+len(doc)))
-	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // seq
-	binary.LittleEndian.PutUint64(b[recHdrSize:], seq)
-	b = append(b, 0, 0, 0, 0) // shard
-	binary.LittleEndian.PutUint32(b[recHdrSize+8:], shard)
-	b = append(b, doc...)
-	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(b[recHdrSize:], crcTable))
-
-	resilience.Inject(resilience.CrashBeforeAppend, seq)
-	n, err := l.write(b, "append")
-	resilience.Inject(resilience.CrashAfterAppend, seq)
-	l.size += int64(n)
-	l.sizeAtomic.Store(uint64(l.size))
-	if err != nil {
-		// A partial record on the file is exactly a torn tail: recovery
-		// truncates it. But this process's view of the log is now past
-		// repair — wedge so no later append frames a record behind the
-		// garbage.
-		l.wedged = fmt.Errorf("wal: append failed, log wedged: %w", err)
-		return 0, l.wedged
+	if err := l.writeChunk(b); err != nil {
+		return 0, err
 	}
-	l.seq = seq
+	l.seq += uint64(len(recs))
+	resilience.Inject(resilience.CrashAfterAppend, l.seq)
 	l.dirty = true
-	l.lastSeq.Store(seq)
-	l.appends.Add(1)
-	l.appendBytes.Add(uint64(len(b)))
+	l.lastSeq.Store(l.seq)
+	l.appends.Add(uint64(len(recs)))
+	l.appendBytes.Add(uint64(written + len(b)))
 	l.opt.Stages.Observe(ctx, obs.StageWALAppend, time.Since(t0))
 	if l.opt.Policy == SyncAlways {
 		if err := l.sync(ctx); err != nil {
 			return 0, err
 		}
 	}
-	return seq, nil
+	return l.seq, nil
 }
 
-// write is the failpoint-instrumented file write shared by appends and
-// snapshot writes; it returns the bytes actually written.
-func (l *Log) write(b []byte, op string) (int, error) {
-	return faultWrite(l.f, b, op)
+// frame appends record seq, carrying r, to b.
+func frame(b []byte, seq uint64, r Record) []byte {
+	at := len(b)
+	b = binary.LittleEndian.AppendUint32(b, uint32(recMinBody+len(r.Doc)))
+	b = binary.LittleEndian.AppendUint32(b, 0) // CRC, set below
+	b = binary.LittleEndian.AppendUint64(b, seq)
+	b = binary.LittleEndian.AppendUint32(b, r.Shard)
+	b = append(b, r.Doc...)
+	binary.LittleEndian.PutUint32(b[at+4:], crc32.Checksum(b[at+recHdrSize:], crcTable))
+	return b
+}
+
+// writeChunk writes framed records at the log's end. A failed write
+// wedges the log: a partial record on the file is exactly a torn tail,
+// which recovery truncates, but this process's view of the log is past
+// repair — no later append may frame a record behind the garbage.
+func (l *Log) writeChunk(b []byte) error {
+	n, err := faultWrite(l.f, b, "append")
+	l.size += int64(n)
+	l.sizeAtomic.Store(uint64(l.size))
+	if err != nil {
+		l.wedged = fmt.Errorf("wal: append failed, log wedged: %w", err)
+		return l.wedged
+	}
+	return nil
 }
 
 // faultWrite writes b to f, honoring an armed wal/io write failpoint:

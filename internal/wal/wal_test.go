@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
+	"spanjoin/internal/obs"
 	"spanjoin/internal/resilience"
 )
 
@@ -51,7 +54,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	rec := openEmpty(t, 3, Options{Policy: SyncNever})
 	docs := []string{"alpha", "", "gamma with spaces", "δδδ utf8", "last"}
 	for i, d := range docs {
-		seq, err := rec.Log.Append(context.Background(), uint32(i%3), d)
+		seq, err := rec.Log.Append(context.Background(), Record{uint32(i % 3), d})
 		if err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
@@ -75,7 +78,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		rec2.Shards[i%3] = sh[1:]
 	}
 	// Appends continue with the recovered sequence.
-	seq, err := rec2.Log.Append(context.Background(), 0, "after recovery")
+	seq, err := rec2.Log.Append(context.Background(), Record{0, "after recovery"})
 	if err != nil {
 		t.Fatalf("post-recovery Append: %v", err)
 	}
@@ -88,7 +91,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 // is a countable, durable document, not an absence.
 func TestEmptyDocumentIsARecord(t *testing.T) {
 	rec := openEmpty(t, 1, Options{Policy: SyncNever})
-	if _, err := rec.Log.Append(context.Background(), 0, ""); err != nil {
+	if _, err := rec.Log.Append(context.Background(), Record{0, ""}); err != nil {
 		t.Fatalf("Append empty: %v", err)
 	}
 	rec2 := reopen(t, rec, 1, Options{})
@@ -104,7 +107,7 @@ func TestTornTailTruncated(t *testing.T) {
 			rec := openEmpty(t, 2, Options{Policy: SyncNever})
 			dir := rec.Log.dir
 			for i := 0; i < 5; i++ {
-				if _, err := rec.Log.Append(context.Background(), uint32(i%2), fmt.Sprintf("doc-%d", i)); err != nil {
+				if _, err := rec.Log.Append(context.Background(), Record{uint32(i % 2), fmt.Sprintf("doc-%d", i)}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -134,7 +137,7 @@ func TestTornTailTruncated(t *testing.T) {
 			}
 			// The torn bytes are gone from the file too: appends resume at
 			// the truncation point and the log replays cleanly again.
-			if _, err := rec2.Log.Append(context.Background(), 0, "resumed"); err != nil {
+			if _, err := rec2.Log.Append(context.Background(), Record{0, "resumed"}); err != nil {
 				t.Fatal(err)
 			}
 			rec3 := reopen(t, rec2, 2, Options{})
@@ -168,7 +171,7 @@ func TestPartialMagicRecreated(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Open with partial magic: %v", err)
 			}
-			if _, err := rec2.Log.Append(context.Background(), 0, "written after repair"); err != nil {
+			if _, err := rec2.Log.Append(context.Background(), Record{0, "written after repair"}); err != nil {
 				t.Fatal(err)
 			}
 			rec3 := reopen(t, rec2, 1, Options{})
@@ -183,7 +186,7 @@ func TestPartialMagicRecreated(t *testing.T) {
 func TestZeroFilledTailIsTorn(t *testing.T) {
 	rec := openEmpty(t, 1, Options{Policy: SyncNever})
 	dir := rec.Log.dir
-	if _, err := rec.Log.Append(context.Background(), 0, "kept"); err != nil {
+	if _, err := rec.Log.Append(context.Background(), Record{0, "kept"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Log.Close(); err != nil {
@@ -215,7 +218,7 @@ func TestMidLogCorruptionIsTyped(t *testing.T) {
 	rec := openEmpty(t, 1, Options{Policy: SyncNever})
 	dir := rec.Log.dir
 	for i := 0; i < 10; i++ {
-		if _, err := rec.Log.Append(context.Background(), 0, fmt.Sprintf("document body %d", i)); err != nil {
+		if _, err := rec.Log.Append(context.Background(), Record{0, fmt.Sprintf("document body %d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +252,7 @@ func TestSnapshotRoundTripAndPrune(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		si := uint32(i % 2)
 		doc := fmt.Sprintf("pre-snap %d", i)
-		if _, err := rec.Log.Append(context.Background(), si, doc); err != nil {
+		if _, err := rec.Log.Append(context.Background(), Record{si, doc}); err != nil {
 			t.Fatal(err)
 		}
 		shards[si] = append(shards[si], doc)
@@ -260,7 +263,7 @@ func TestSnapshotRoundTripAndPrune(t *testing.T) {
 		t.Fatalf("Rotate: %v", err)
 	}
 	appliedSeq := rec.Log.LastSeq()
-	if _, err := rec.Log.Append(context.Background(), 0, "post-rotate"); err != nil {
+	if _, err := rec.Log.Append(context.Background(), Record{0, "post-rotate"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteSnapshot(dir, gen, appliedSeq, shards); err != nil {
@@ -291,7 +294,7 @@ func TestDuplicateReplayIdempotent(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		si := uint32(i % 2)
 		doc := fmt.Sprintf("covered %d", i)
-		if _, err := rec.Log.Append(context.Background(), si, doc); err != nil {
+		if _, err := rec.Log.Append(context.Background(), Record{si, doc}); err != nil {
 			t.Fatal(err)
 		}
 		shards[si] = append(shards[si], doc)
@@ -327,12 +330,12 @@ func TestDuplicateReplaySameGeneration(t *testing.T) {
 	var docs []string
 	for i := 0; i < 3; i++ {
 		doc := fmt.Sprintf("dup %d", i)
-		if _, err := rec.Log.Append(context.Background(), 0, doc); err != nil {
+		if _, err := rec.Log.Append(context.Background(), Record{0, doc}); err != nil {
 			t.Fatal(err)
 		}
 		docs = append(docs, doc)
 	}
-	if _, err := rec.Log.Append(context.Background(), 0, "fresh"); err != nil {
+	if _, err := rec.Log.Append(context.Background(), Record{0, "fresh"}); err != nil {
 		t.Fatal(err)
 	}
 	// Snapshot at generation 0 covering only the first three records:
@@ -400,7 +403,7 @@ func TestSnapshotShardCountChangeRedeals(t *testing.T) {
 	rec := openEmpty(t, 4, Options{Policy: SyncNever})
 	dir := rec.Log.dir
 	for i := 0; i < 8; i++ {
-		if _, err := rec.Log.Append(context.Background(), uint32(i%4), fmt.Sprintf("d%d", i)); err != nil {
+		if _, err := rec.Log.Append(context.Background(), Record{uint32(i % 4), fmt.Sprintf("d%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -420,7 +423,7 @@ func TestSnapshotShardCountChangeRedeals(t *testing.T) {
 func TestEmptyLogAfterSnapshot(t *testing.T) {
 	rec := openEmpty(t, 1, Options{Policy: SyncNever})
 	dir := rec.Log.dir
-	if _, err := rec.Log.Append(context.Background(), 0, "only"); err != nil {
+	if _, err := rec.Log.Append(context.Background(), Record{0, "only"}); err != nil {
 		t.Fatal(err)
 	}
 	gen, err := rec.Log.Rotate()
@@ -442,7 +445,7 @@ func TestSequenceGapIsCorrupt(t *testing.T) {
 	rec := openEmpty(t, 1, Options{Policy: SyncNever})
 	dir := rec.Log.dir
 	for i := 0; i < 3; i++ {
-		if _, err := rec.Log.Append(context.Background(), 0, "x"); err != nil {
+		if _, err := rec.Log.Append(context.Background(), Record{0, "x"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -468,14 +471,96 @@ func TestSequenceGapIsCorrupt(t *testing.T) {
 	}
 }
 
+// TestOversizeRecordRejected: a document over MaxRecord fails its whole
+// batch — alone or among documents that fit — before any byte is
+// written, and the log stays usable.
 func TestOversizeRecordRejected(t *testing.T) {
 	rec := openEmpty(t, 1, Options{MaxRecord: 64})
 	defer rec.Log.Close()
-	if _, err := rec.Log.Append(context.Background(), 0, string(make([]byte, 100))); err == nil {
-		t.Fatal("oversize append accepted")
+	big := string(make([]byte, 100))
+	for i, batch := range [][]Record{{{0, big}}, {{0, "fits"}, {0, big}, {0, "fits too"}}} {
+		before := rec.Log.Stats()
+		if _, err := rec.Log.Append(context.Background(), batch...); err == nil {
+			t.Fatalf("batch %d: oversize append accepted", i)
+		}
+		if after := rec.Log.Stats(); after != before {
+			t.Fatalf("batch %d: rejected append moved the log: %+v → %+v", i, before, after)
+		}
+		if fi, err := os.Stat(filepath.Join(rec.Log.dir, logName(0))); err != nil || fi.Size() != int64(before.Size) {
+			t.Fatalf("batch %d: log file %v, %v after a rejected append; want %d bytes", i, fi, err, before.Size)
+		}
+		// The log is not wedged by a rejected (never-written) batch.
+		if seq, err := rec.Log.Append(context.Background(), Record{0, "small"}); err != nil || seq != uint64(i+1) {
+			t.Fatalf("append after rejected oversize: seq %d, %v; want %d", seq, err, i+1)
+		}
 	}
-	// The log is not wedged by a rejected (never-written) record.
-	if _, err := rec.Log.Append(context.Background(), 0, "small"); err != nil {
-		t.Fatalf("append after rejected oversize: %v", err)
+}
+
+// TestBatchAppend: a batch spanning several chunks is N records in
+// sequence order, logged with one fsync under SyncAlways and traced as
+// one wal_append and one wal_fsync, and recovers record for record, each
+// to its shard.
+func TestBatchAppend(t *testing.T) {
+	rec := openEmpty(t, 3, Options{Policy: SyncAlways, Stages: obs.NewRegistry().Stages()})
+	if _, err := rec.Log.Append(context.Background(), Record{0, "first"}); err != nil {
+		t.Fatal(err)
+	}
+	before := rec.Log.Stats()
+	var batch []Record
+	for i := range 40 {
+		// 40 × 5 KiB is more than three chunks; one document is empty.
+		doc := fmt.Sprintf("%d%s", i, strings.Repeat("x", 5<<10))
+		if i == 7 {
+			doc = ""
+		}
+		batch = append(batch, Record{uint32(i % 3), doc})
+	}
+	ctx, tr := obs.WithTrace(context.Background())
+	last, err := rec.Log.Append(ctx, batch...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range tr.Spans() {
+		if sp.Calls != 1 {
+			t.Fatalf("batch traced %d %s calls, want 1", sp.Calls, sp.Stage)
+		}
+	}
+	if n := len(tr.Spans()); n != 2 {
+		t.Fatalf("batch traced %d stages, want wal_append and wal_fsync", n)
+	}
+	after := rec.Log.Stats()
+	if last != before.LastSeq+40 || after.LastSeq != last || after.SyncedSeq != last {
+		t.Fatalf("Append returned %d; LastSeq %d → %d, SyncedSeq %d; want 40 more", last, before.LastSeq, after.LastSeq, after.SyncedSeq)
+	}
+	if after.Appends-before.Appends != 40 || after.Syncs-before.Syncs != 1 {
+		t.Fatalf("batch of 40: %d appends, %d syncs; want 40 and 1", after.Appends-before.Appends, after.Syncs-before.Syncs)
+	}
+	rec2 := reopen(t, rec, 3, Options{})
+	defer rec2.Log.Close()
+	if rec2.Stats.Replayed != 41 || rec2.Stats.TornBytes != 0 {
+		t.Fatalf("recovery %+v, want 41 records and no torn bytes", rec2.Stats)
+	}
+	want := make([][]string, 3)
+	want[0] = []string{"first"}
+	for _, r := range batch {
+		want[r.Shard] = append(want[r.Shard], r.Doc)
+	}
+	if !reflect.DeepEqual(rec2.Shards, want) {
+		t.Fatal("recovered shards differ from the batch")
+	}
+}
+
+// TestAppendRetainsOneChunk: the framing buffer a log keeps between
+// appends is one chunk, whatever the largest record it has framed — a
+// 16 MiB document (spand's -max-doc-bytes default) is not kept twice.
+func TestAppendRetainsOneChunk(t *testing.T) {
+	rec := openEmpty(t, 1, Options{Policy: SyncNever})
+	defer rec.Log.Close()
+	big := strings.Repeat("y", 16<<20)
+	if _, err := rec.Log.Append(context.Background(), Record{0, "small"}, Record{0, big}, Record{0, "after"}); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(rec.Log.buf); c > chunkBytes {
+		t.Fatalf("log retains a %d-byte buffer after a 16 MiB append, want at most %d", c, chunkBytes)
 	}
 }

@@ -68,10 +68,10 @@ const (
 	// StageCount is the worker pool's lifetime for a counting sweep;
 	// Items counts scanned documents.
 	StageCount = obs.StageCount
-	// StageWALAppend is the write-ahead-log record write of one durable
-	// add, excluding the policy fsync.
+	// StageWALAppend is the write-ahead-log record writes of one durable
+	// add batch (one document or many), excluding the policy fsync.
 	StageWALAppend = obs.StageWALAppend
-	// StageWALSync is one WAL fsync: the one a SyncAlways add paid,
+	// StageWALSync is one WAL fsync: the one a SyncAlways batch paid,
 	// traced with the add, or an interval, rotation, Sync or Close fsync,
 	// which reaches the histogram only.
 	StageWALSync = obs.StageWALSync

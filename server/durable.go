@@ -56,14 +56,14 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(ErrorBody{Error: fmt.Sprintf("document too large (cap %d bytes): %v", s.cfg.maxDocBytes(), err)})
 		return
 	}
-	id, err := s.corpus.AddErrCtx(r.Context(), string(body))
+	ids, err := s.corpus.AddErrCtx(r.Context(), string(body))
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	s.served.Add(1)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(AddBody{ID: uint64(id)})
+	json.NewEncoder(w).Encode(AddBody{ID: uint64(ids[0])})
 }
 
 // handleDoc fetches one document by ID.
