@@ -458,6 +458,7 @@ type ServerStats struct {
 		Hits     uint64  `json:"hits"`
 		Misses   uint64  `json:"misses"`
 		Resident int     `json:"resident"`
+		Bytes    int     `json:"bytes"`
 		HitRate  float64 `json:"hit_rate"`
 	} `json:"cache"`
 	Gate struct {

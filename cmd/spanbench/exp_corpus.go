@@ -87,7 +87,7 @@ func runEC(quick bool) {
 
 	fmt.Println()
 	fmt.Println("Compiled-query cache: distinct patterns queried repeatedly on one corpus")
-	fmt.Println("(singleflight LRU; repeated sources must not recompile).")
+	fmt.Println("(2Q admission, singleflight; repeated sources must not recompile).")
 	fmt.Println()
 	queries := []string{
 		ecPattern,

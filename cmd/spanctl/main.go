@@ -640,8 +640,8 @@ func cmdStats(args []string, stdout io.Writer) error {
 		return json.NewEncoder(stdout).Encode(st)
 	}
 	fmt.Fprintf(stdout, "docs:     %d (%d shards, indexed=%v)\n", st.Docs, st.Shards, st.Indexed)
-	fmt.Fprintf(stdout, "cache:    %d hits, %d misses, %d resident (%.0f%% hit rate)\n",
-		st.Cache.Hits, st.Cache.Misses, st.Cache.Resident, 100*st.Cache.HitRate)
+	fmt.Fprintf(stdout, "cache:    %d hits, %d misses, %d resident, %d bytes (%.0f%% hit rate)\n",
+		st.Cache.Hits, st.Cache.Misses, st.Cache.Resident, st.Cache.Bytes, 100*st.Cache.HitRate)
 	fmt.Fprintf(stdout, "gate:     %d active, %d queued, %d rejected\n",
 		st.Gate.Active, st.Gate.Queued, st.Gate.Rejected)
 	fmt.Fprintf(stdout, "requests: %d served, %d failed\n", st.Server.Served, st.Server.Failed)

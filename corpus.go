@@ -27,9 +27,13 @@ type DocID = corpus.DocID
 // enumerator over the shared compiled automaton). Eval streams (DocID,
 // Match) results through a bounded channel with context cancellation.
 //
-// Repeated operations on the same Anchored or Search pattern hit the LRU
+// Repeated operations on the same Anchored or Search pattern hit the
 // compiled-query cache; concurrent identical misses compile once
-// (singleflight). A Corpus is safe for concurrent use.
+// (singleflight). The cache admits by 2Q: a new pattern's plan waits in a
+// small probation queue, so patterns asked for once cannot flush the
+// ones in use, and a pattern asked for again after it left the cache
+// compiles afresh into the protected LRU, keeping the count memo the
+// cache held on to. A Corpus is safe for concurrent use.
 type Corpus struct {
 	store   *corpus.Store
 	cache   *corpus.Cache
@@ -68,8 +72,12 @@ func WithShards(n int) CorpusOption {
 	return func(c *corpusConfig) { c.shards = n }
 }
 
-// WithCacheCapacity bounds the compiled-query LRU cache (default 128
-// compiled patterns).
+// WithCacheCapacity bounds the compiled patterns the corpus keeps
+// (default 128): an eighth of them, at least one, in probation, where new
+// patterns wait, and the rest in the protected LRU, which a pattern
+// enters when asked for again after it left the cache. The cache also
+// remembers the count memos of up to n evicted patterns, without their
+// plans.
 func WithCacheCapacity(n int) CorpusOption {
 	return func(c *corpusConfig) { c.cacheCap = n }
 }
@@ -132,7 +140,15 @@ func newCorpus(store *corpus.Store, cfg corpusConfig, reg *obs.Registry) *Corpus
 	store.SetRegistry(reg)
 	c.reg.CounterFunc("spanjoin_cache_hits_total", "Compiled-query cache hits, including singleflight joiners.", func() uint64 { h, _ := c.cache.Stats(); return h })
 	c.reg.CounterFunc("spanjoin_cache_misses_total", "Compiled-query cache misses (compilations run).", func() uint64 { _, m := c.cache.Stats(); return m })
-	c.reg.Gauge("spanjoin_cache_resident", "Compiled artifacts currently cached.", func() float64 { return float64(c.cache.Len()) })
+	const resident = "Compiled artifacts currently cached, by 2Q segment."
+	c.reg.Gauge("spanjoin_cache_resident", resident, func() float64 { p, _, _ := c.cache.Segments(); return float64(p) },
+		obs.Label{Key: "segment", Value: "probation"})
+	c.reg.Gauge("spanjoin_cache_resident", resident, func() float64 { _, p, _ := c.cache.Segments(); return float64(p) },
+		obs.Label{Key: "segment", Value: "protected"})
+	c.reg.Gauge("spanjoin_cache_ghosts", "Evicted patterns the cache still keeps with their count memos, without plans.",
+		func() float64 { _, _, g := c.cache.Segments(); return float64(g) })
+	c.reg.Gauge("spanjoin_cache_bytes", "Bytes the compiled-query cache keeps: what the resident plans retain, plus every count memo.",
+		func() float64 { return float64(c.cache.Bytes(spannerBytes)) })
 	return c
 }
 
@@ -171,8 +187,13 @@ type CacheStats struct {
 	Hits uint64
 	// Misses counts compilations actually run.
 	Misses uint64
-	// Resident is the number of compiled artifacts currently cached.
+	// Resident is the number of compiled artifacts currently cached, in
+	// probation and protected.
 	Resident int
+	// Bytes is what the cache keeps: the bytes the resident plans retain
+	// (their letter and transition tables, idle build caches and count
+	// DFAs) plus every count memo, those of evicted patterns included.
+	Bytes int
 }
 
 // HitRate is Hits / (Hits + Misses), or 0 before any lookup.
@@ -187,7 +208,7 @@ func (s CacheStats) HitRate() float64 {
 // CacheStats reports the compiled-query cache counters.
 func (c *Corpus) CacheStats() CacheStats {
 	h, m := c.cache.Stats()
-	return CacheStats{Hits: h, Misses: m, Resident: c.cache.Len()}
+	return CacheStats{Hits: h, Misses: m, Resident: c.cache.Len(), Bytes: c.cache.Bytes(spannerBytes)}
 }
 
 // CorpusMatch is one streamed corpus result: a match bound to the document
@@ -330,14 +351,16 @@ type Target struct {
 
 // Anchored targets a pattern that must match whole documents (Compile),
 // like Spanner.Eval. It compiles through the corpus cache: repeated
-// operations share one compiled plan, and its count memo lets a repeated
-// Count, Page or Sample visit only the documents appended since the
-// pattern's last counting sweep.
+// operations share one compiled plan while the cache keeps it, and the
+// pattern's count memo lets a repeated Count, Page or Sample visit only
+// the documents appended since the pattern's last counting sweep. The
+// memo outlives the plan: a pattern the cache evicted and recompiles
+// still counts only the documents its memo has not.
 func Anchored(pattern string) Target { return Target{mode: "anchor", pattern: pattern} }
 
 // Search targets a pattern with substring semantics (CompileSearch),
-// cached like Anchored but separately from anchored compiles of the same
-// source.
+// cached like Anchored, plan and count memo, but separately from anchored
+// compiles of the same source.
 func Search(pattern string) Target { return Target{mode: "search", pattern: pattern} }
 
 // Of targets a precompiled spanner. It bypasses the cache, and so the
@@ -406,11 +429,9 @@ func (c *Corpus) resolve(ctx context.Context, t Target, o core.Options) (r resol
 		if t.mode == "search" {
 			compile = CompileSearch
 		}
-		var cq *cachedQuery
-		if cq, err = c.compileCached(ctx, t.mode, t.pattern, compile); err != nil {
+		if sp, r.memo, err = c.compileCached(ctx, t.mode, t.pattern, compile); err != nil {
 			return r, err
 		}
-		r.memo, sp = &cq.memo, cq.sp
 	case t.perDocument(o):
 		r.req, r.vars, r.perDoc = t.q.ucq.Requirement(), t.q.ucq.OutVars(), t.q.docEval(o)
 		return r, nil
@@ -457,38 +478,36 @@ func (c *Corpus) Eval(ctx context.Context, t Target, opts ...Option) (*CorpusMat
 	return c.newMatches(res), nil
 }
 
-// cachedQuery is one entry of the compiled-query cache: the compiled
-// spanner and its count memo, which lives and dies with the entry. The
-// memo is what lets a repeated Count, page or Sample of a cached pattern
-// count only the documents appended since the pattern's last sweep.
-type cachedQuery struct {
-	sp   *Spanner
-	memo corpus.CountMemo
-}
-
-// compileCached deduplicates compilation through the LRU cache, keyed by
-// the pattern source plus the compilation mode; concurrent misses on one
-// key compile once. The lookup is recorded as the cache stage, with
-// Items=1 on a miss (the compile closure runs on this goroutine, so the
-// flag needs no synchronization) and Items=0 on a hit.
+// compileCached deduplicates compilation through the compiled-query
+// cache, keyed by the pattern source plus the compilation mode;
+// concurrent misses on one key compile once. It returns the spanner and
+// the key's count memo, which the cache keeps even after it drops the
+// spanner. The lookup is recorded as the cache stage, with Items=1 on a
+// miss (the compile closure runs on this goroutine, so the flag needs no
+// synchronization) and Items=0 on a hit.
 //
 //spanjoin:stage cache
-func (c *Corpus) compileCached(ctx context.Context, mode, pattern string, compile func(string) (*Spanner, error)) (*cachedQuery, error) {
+func (c *Corpus) compileCached(ctx context.Context, mode, pattern string, compile func(string) (*Spanner, error)) (*Spanner, *corpus.CountMemo, error) {
 	t0 := time.Now()
 	var missed int64
-	v, err := c.cache.Get(mode+"\x00"+pattern, func() (any, error) {
+	v, memo, err := c.cache.Get(mode+"\x00"+pattern, func() (any, error) {
 		missed = 1
-		sp, err := compile(pattern)
-		if err != nil {
-			return nil, err
-		}
-		return &cachedQuery{sp: sp}, nil
+		return compile(pattern)
 	})
 	c.reg.Stages().ObserveItems(ctx, obs.StageCache, time.Since(t0), missed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return v.(*cachedQuery), nil
+	return v.(*Spanner), memo, nil
+}
+
+// spannerBytes sizes a cached spanner for the cache's byte count: what
+// its plan retains (enum.Plan.RetainedBytes), 0 before the plan exists.
+func spannerBytes(v any) int {
+	if p := v.(*Spanner).plan.Load(); p != nil {
+		return p.RetainedBytes()
+	}
+	return 0
 }
 
 // recordPlanBuild records a plan compilation that this query actually

@@ -199,22 +199,24 @@ func TestCorpusMatchBindsDocument(t *testing.T) {
 	}
 }
 
-// TestCorpusCompiledQueryCache: repeated queries must hit the cache, and
-// anchored/search compilations of one source must not collide.
+// TestCorpusCompiledQueryCache: repeated queries hit the cache, anchored
+// and search compilations of one source do not collide, and a pattern
+// asked for again after it left probation compiles once more, into
+// protected, where new patterns passing through probation leave it.
 func TestCorpusCompiledQueryCache(t *testing.T) {
-	c := spanjoin.NewCorpus(spanjoin.WithShards(2), spanjoin.WithCacheCapacity(8))
+	c := spanjoin.NewCorpus(spanjoin.WithShards(2), spanjoin.WithCacheCapacity(8)) // probation 1, protected 7
 	c.AddAll("aaa", "aab")
 	ctx := context.Background()
-	for i := 0; i < 10; i++ {
-		ms, err := c.Eval(ctx, spanjoin.Anchored(`x{a+}b?`))
+	docs := func(tg spanjoin.Target) int {
+		t.Helper()
+		ms, err := c.Eval(ctx, tg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// spanlint/closecheck: check the stream before releasing it.
-		if err := ms.Err(); err != nil {
-			t.Fatal(err)
-		}
-		ms.Close()
+		return len(drainByDoc(t, ms))
+	}
+	for i := 0; i < 10; i++ {
+		docs(spanjoin.Anchored(`x{a+}b?`))
 	}
 	st := c.CacheStats()
 	if st.Misses != 1 || st.Hits != 9 {
@@ -223,22 +225,27 @@ func TestCorpusCompiledQueryCache(t *testing.T) {
 	if rate := st.HitRate(); rate < 0.89 {
 		t.Fatalf("hit rate %.2f, want ≥ 0.9", rate)
 	}
-	// Same source, different mode: distinct artifact.
-	anchored, err := c.Eval(ctx, spanjoin.Anchored(`x{a+}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	na := len(drainByDoc(t, anchored))
-	search, err := c.Eval(ctx, spanjoin.Search(`x{a+}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns := len(drainByDoc(t, search))
+	// Same source, different mode: distinct artifacts.
+	na, ns := docs(spanjoin.Anchored(`x{a+}`)), docs(spanjoin.Search(`x{a+}`))
 	if na != 1 || ns != 2 { // anchored matches only "aaa"; search matches both
 		t.Fatalf("anchored matched %d docs, search %d; want 1 and 2", na, ns)
 	}
-	if st := c.CacheStats(); st.Resident != 3 {
-		t.Fatalf("resident = %d, want 3 (x{a+}b?, x{a+} anchored, x{a+} search)", st.Resident)
+	// Each new key took the one probation slot, so only the search
+	// compile is resident; the other two are ghosts.
+	if st := c.CacheStats(); st.Resident != 1 || st.Misses != 3 {
+		t.Fatalf("stats = %+v, want 1 resident after 3 misses", st)
+	}
+	docs(spanjoin.Anchored(`x{a+}b?`)) // a ghost: compiled again, into protected
+	for i := 1; i <= 20; i++ {
+		docs(spanjoin.Anchored(`x{a+}` + strings.Repeat("b?", i+1)))
+	}
+	before := c.CacheStats()
+	docs(spanjoin.Anchored(`x{a+}b?`))
+	if st := c.CacheStats(); st.Misses != before.Misses || st.Hits != before.Hits+1 {
+		t.Fatalf("after 20 new patterns x{a+}b? missed: %+v, then %+v", before, st)
+	}
+	if st := c.CacheStats(); st.Resident != 2 || st.Misses != 24 {
+		t.Fatalf("stats = %+v, want 2 resident (x{a+}b? protected, the newest pattern in probation) after 24 misses", st)
 	}
 }
 

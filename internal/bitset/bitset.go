@@ -171,6 +171,9 @@ func (m *Matrix) Row(i int) Row {
 	return Row(m.bits[off : off+m.words : off+m.words])
 }
 
+// Bytes is the size of the matrix's backing words.
+func (m *Matrix) Bytes() int { return 8 * cap(m.bits) }
+
 // Resize reshapes the matrix to rows×n bits, zeroing all content. The
 // backing slice is reused when large enough.
 func (m *Matrix) Resize(rows, n int) {

@@ -3,21 +3,25 @@ package corpus
 import (
 	"sort"
 	"sync"
+	"unsafe"
 
 	"spanjoin/internal/ranked"
 )
 
-// CountMemo remembers one compiled query's per-document counts across
-// counting sweeps. A document's count under a fixed plan depends on that
-// document alone, and stored documents never change, so a count once
-// computed stays valid for the life of the store. Per shard the memo
-// keeps a high-water position, the running total of the documents below
-// it, and their non-zero (DocID, count) list; a sweep given the memo
-// visits only the positions at or past each shard's mark.
+// CountMemo remembers one pattern's per-document counts, in one
+// compilation mode, across counting sweeps. A document's count depends
+// only on the pattern, the mode and the document, and stored documents
+// never change, so a count once computed stays valid for the life of the
+// store — whichever compiled plan of the pattern computed it. Per shard
+// the memo keeps a high-water position, the running total of the
+// documents below it, and their non-zero (DocID, count) list; a sweep
+// given the memo visits only the positions at or past each shard's mark.
 //
 // The zero value is an empty memo. A memo belongs to one Store and one
-// plan with one literal requirement — the corpus cache keeps one per
-// compiled query. It is safe for concurrent use.
+// cache key. The corpus cache keeps it with the key, so it outlives the
+// key's plan: a key evicted to a ghost keeps its memo, and the plan
+// compiled at its next request continues it. It is safe for concurrent
+// use.
 type CountMemo struct {
 	mu sync.Mutex
 	// shards is copy-on-write: a published slice, and every docs prefix
@@ -51,6 +55,17 @@ func (m *CountMemo) load() []memoShard {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.shards
+}
+
+// bytes is what the memo holds: its per-shard records and their
+// non-zero counts.
+func (m *CountMemo) bytes() int {
+	shards := m.load()
+	n := cap(shards) * int(unsafe.Sizeof(memoShard{}))
+	for _, sh := range shards {
+		n += cap(sh.docs) * int(unsafe.Sizeof(DocCount{}))
+	}
+	return n
 }
 
 // publish extends the memo with a sweep that completed cleanly. Each

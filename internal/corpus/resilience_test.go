@@ -147,7 +147,7 @@ func TestCachePanicIsolated(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = c.Get("k", func() (any, error) {
+			_, _, errs[i] = c.Get("k", func() (any, error) {
 				time.Sleep(time.Millisecond)
 				panic("compile exploded")
 			})
@@ -168,7 +168,7 @@ func TestCachePanicIsolated(t *testing.T) {
 		t.Fatal("no waiter saw the PanicError")
 	}
 	// The key was not poisoned: a later fill succeeds and caches.
-	v, err := c.Get("k", func() (any, error) { return 42, nil })
+	v, _, err := c.Get("k", func() (any, error) { return 42, nil })
 	if err != nil || v.(int) != 42 {
 		t.Fatalf("fill after panic: %v, %v", v, err)
 	}

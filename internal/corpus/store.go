@@ -1,8 +1,9 @@
 // Package corpus is the multi-document layer of the engine: an append-only
 // sharded document store with an optional n-gram skip index, a fan-out
 // evaluator that streams (doc, tuple) results from pooled workers each
-// owning a Reset-able enumerator clone, and an LRU compiled-query cache
-// with singleflight compilation.
+// owning a Reset-able enumerator clone, and a compiled-query cache with
+// 2Q admission, singleflight compilation and count memos that outlive
+// evicted plans.
 //
 // The paper's polynomial-delay guarantees (Theorem 3.3, Theorem 3.11) are
 // per document; this package supplies the layer above them — many
@@ -18,6 +19,7 @@ package corpus
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -160,8 +162,15 @@ func (s *Store) locate(id DocID) (si, pos uint64) {
 }
 
 // Add appends a document and returns its stable ID: AddAll of one, so
-// it panics if a durable store's log has failed.
-func (s *Store) Add(doc string) DocID { return s.AddAll([]string{doc})[0] }
+// it panics if a durable store's log has failed. A RAM store's Add
+// allocates nothing beyond the shard's growth.
+func (s *Store) Add(doc string) DocID {
+	var id [1]DocID
+	if err := s.add(context.Background(), []string{doc}, id[:]); err != nil {
+		panic(err)
+	}
+	return id[0]
+}
 
 // AddAll appends docs and returns their IDs, indexed like docs: AddErrCtx
 // that panics if a durable store's log has failed — callers that want the
@@ -187,8 +196,18 @@ func (s *Store) AddAll(docs []string) []DocID {
 // store never fails, and an empty batch touches nothing.
 func (s *Store) AddErrCtx(ctx context.Context, docs ...string) ([]DocID, error) {
 	ids := make([]DocID, len(docs))
+	if err := s.add(ctx, docs, ids); err != nil {
+		return nil, err
+	}
+	return ids, nil
+}
+
+// add is AddErrCtx writing the IDs into ids, which is as long as docs.
+// Neither slice escapes, so Add's one-document batch stays on its stack:
+// the workers of a parallel fill read and write copies.
+func (s *Store) add(ctx context.Context, docs []string, ids []DocID) error {
 	if len(docs) == 0 {
-		return ids, nil
+		return nil
 	}
 	k, n := uint64(len(docs)), uint64(len(s.shards))
 	if d := s.dur; d != nil {
@@ -202,31 +221,42 @@ func (s *Store) AddErrCtx(ctx context.Context, docs ...string) ([]DocID, error) 
 		}
 		seq, err := d.log.Append(ctx, recs...)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Runs after the fill, before the unlock: logged and visible,
 		// not yet acked.
 		defer resilience.Inject(resilience.CrashBeforeAck, seq)
 	}
 	start := s.rr.Add(k) - k
-	s.eachShard(len(docs), func(si uint64) {
-		// The batch's j-th document goes to shard (start+j) mod n.
-		first := (si + n - start%n) % n
-		if first >= k {
-			return
+	if k == 1 {
+		s.fill(start%n, start, docs, ids)
+		return nil
+	}
+	batch, out := slices.Clone(docs), make([]DocID, k)
+	s.eachShard(len(docs), func(si uint64) { s.fill(si, start, batch, out) })
+	copy(ids, out)
+	return nil
+}
+
+// fill appends shard si's share of the batch whose round-robin slots
+// start at start — its j-th document goes to shard (start+j) mod n — and
+// records their IDs, under the shard's lock.
+func (s *Store) fill(si, start uint64, docs []string, ids []DocID) {
+	k, n := uint64(len(docs)), uint64(len(s.shards))
+	first := (si + n - start%n) % n
+	if first >= k {
+		return
+	}
+	sh := &s.shards[si]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for j := first; j < k; j += n {
+		ids[j] = s.idOf(si, uint64(len(sh.docs)))
+		sh.docs = append(sh.docs, docs[j])
+		if sh.idx != nil {
+			sh.idx.Add(docs[j])
 		}
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		for j := first; j < k; j += n {
-			ids[j] = s.idOf(si, uint64(len(sh.docs)))
-			sh.docs = append(sh.docs, docs[j])
-			if sh.idx != nil {
-				sh.idx.Add(docs[j])
-			}
-		}
-	})
-	return ids, nil
+	}
 }
 
 // Get returns the document with the given ID.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"spanjoin/internal/alloctest"
 	"spanjoin/internal/enum"
 	"spanjoin/internal/prefilter"
 	"spanjoin/internal/rgx"
@@ -86,6 +87,14 @@ func TestStoreSequentialIDs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestStoreAddAllocatesNothing: a single Add to a RAM store allocates
+// nothing but its shard's amortized growth: the one-document batch and
+// its ID stay on Add's stack, and one document needs no parallel fill.
+func TestStoreAddAllocatesNothing(t *testing.T) {
+	s := NewStore(2)
+	alloctest.Assert(t, 1000, 0, func() { s.Add("doc") })
 }
 
 func TestStoreDefaultsShardCount(t *testing.T) {

@@ -444,3 +444,14 @@ func (l *idle[T]) put(x T) {
 	l.items = append(l.items, x)
 	l.mu.Unlock()
 }
+
+// sum adds up bytes over the idle caches.
+func (l *idle[T]) sum(bytes func(T) int) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, x := range l.items {
+		n += bytes(x)
+	}
+	return n
+}

@@ -2,6 +2,7 @@ package enum
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spanjoin/internal/span"
@@ -44,6 +45,9 @@ type Plan struct {
 	letterOf  []int32
 	configs   []vsa.Config
 	tt        *vsa.TransitionTable
+	// kernelBytes is what the letter and transition tables hold, stored
+	// once they are built; RetainedBytes reads it from other goroutines.
+	kernelBytes atomic.Int64
 
 	// The idle build caches (graph builds) and count DFAs (CountDoc): a
 	// run takes one and puts it back.
@@ -77,8 +81,19 @@ func (p *Plan) kernels() *vsa.TransitionTable {
 		p.letterOf, p.configs = internLetters(p.ct, len(p.vars))
 		p.ct = nil
 		p.tt = vsa.NewTransitionTable(p.auto, p.auto.NewClosures())
+		letters := 4*len(p.letterOf) + len(p.configs)*(sliceHeader+len(p.vars)) // a VarState is a byte
+		p.kernelBytes.Store(int64(letters + p.tt.Bytes()))
 	})
 	return p.tt
+}
+
+// RetainedBytes is what the plan keeps between documents beyond its
+// automaton: the letter and transition tables once its first document
+// built them, and its idle build caches and count DFAs. It is safe to
+// call while the plan is in use; a run in progress holds its build cache
+// or count DFA outside the plan and is not counted.
+func (p *Plan) RetainedBytes() int {
+	return int(p.kernelBytes.Load()) + p.builds.sum((*buildCache).retainedBytes) + p.dfas.sum((*countDFA).retainedBytes)
 }
 
 // Vars returns the variable list of the compiled spanner.

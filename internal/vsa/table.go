@@ -161,6 +161,18 @@ func (tt *TransitionTable) Repr(c int) byte { return tt.repr[c] }
 // one, and any document containing one has an empty result.
 func (tt *TransitionTable) ClassMat(c int) *bitset.Matrix { return tt.mats[c] }
 
+// Bytes is what the table holds: its class matrices, start row, class
+// map and class representatives.
+func (tt *TransitionTable) Bytes() int {
+	n := len(tt.classOf) + cap(tt.repr) + 8*(cap(tt.start)+cap(tt.mats))
+	for _, m := range tt.mats {
+		if m != nil {
+			n += m.Bytes()
+		}
+	}
+	return n
+}
+
 // Start returns the masked start row: VE(Init)'s states that read a byte,
 // plus qf when VE(Init) holds it. Callers must not modify it.
 func (tt *TransitionTable) Start() bitset.Row { return tt.start }

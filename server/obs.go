@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"net/url"
+	"runtime/metrics"
 	"strconv"
 	"time"
 
@@ -140,6 +141,13 @@ func traceSpans(r *http.Request, q url.Values) []spanjoin.StageSpan {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WritePrometheus(w)
+}
+
+// heapLiveBytes reads the heap the last GC found live.
+func heapLiveBytes() float64 {
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return float64(s[0].Value.Uint64())
 }
 
 // SlowLogBody is GET /debug/slowlog's response.

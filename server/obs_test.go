@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -39,6 +41,7 @@ func TestMetricsExposition(t *testing.T) {
 	// Drive some traffic so the histograms have observations.
 	_ = cl
 	get(t, url+"/count?q="+testPattern)
+	runtime.GC() // the live heap is the last collection's
 
 	resp, body := get(t, url+"/metrics")
 	if resp.StatusCode != http.StatusOK {
@@ -68,10 +71,22 @@ func TestMetricsExposition(t *testing.T) {
 		`spanjoin_stage_seconds_bucket{stage="count",le="+Inf"}`,
 		"spanjoin_cache_hits_total",
 		"spanjoin_cache_misses_total",
+		`spanjoin_cache_resident{segment="probation"} 1`,
+		`spanjoin_cache_resident{segment="protected"} 0`,
+		"spanjoin_cache_ghosts 0",
 		"spanjoin_docs ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// The counted pattern's swept plan and the live heap are not empty.
+	for _, name := range []string{"spanjoin_cache_bytes", "spanjoin_heap_live_bytes"} {
+		m := regexp.MustCompile(`(?m)^` + name + ` ([0-9.eE+]+)$`).FindStringSubmatch(body)
+		if m == nil {
+			t.Errorf("/metrics missing %s", name)
+		} else if v, err := strconv.ParseFloat(m[1], 64); err != nil || v <= 0 {
+			t.Errorf("%s = %s, want > 0", name, m[1])
 		}
 	}
 }

@@ -3,8 +3,8 @@
 //
 //	GET /eval   paginated evaluation, NDJSON result rows + a trailer
 //	            carrying the exact total and an opaque cursor token;
-//	            any page costs a count of the documents appended since
-//	            the pattern's last sweep plus one ranked descent
+//	            any page costs a count of the documents the pattern's
+//	            count memo has not counted plus one ranked descent
 //	GET /count  exact corpus-wide result count, no enumeration
 //	GET /sample i.i.d. uniform matches from the corpus-wide result set
 //	GET /stats  document, cache, admission-gate, server and (for a
@@ -151,6 +151,7 @@ func New(c *spanjoin.Corpus, cfg Config) *Server {
 	handle("POST /add", "add", s.handleAdd)
 	handle("GET /doc", "doc", s.handleDoc)
 	handle("POST /snapshot", "snapshot", s.handleSnapshot)
+	s.reg.Gauge("spanjoin_heap_live_bytes", "Heap bytes live after the last GC (runtime/metrics /gc/heap/live:bytes); the process's RSS follows it through the GC's heap goal.", heapLiveBytes)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/slowlog", s.handleSlowlog)
 	if cfg.EnablePprof {
@@ -357,9 +358,10 @@ func ndjson(w http.ResponseWriter, status int) *json.Encoder {
 // rows, then a trailer with the exact total and the next page's cursor
 // token. Pagination state lives entirely in the token — the server keeps
 // nothing per client. A page, first or resumed, is a counting sweep over
-// the documents appended since the pattern's last sweep (every document
-// when the pattern is not in the corpus cache) plus one ranked descent,
-// not a re-enumeration. With budget set the page instead runs
+// the documents the pattern's count memo has not counted plus one ranked
+// descent, not a re-enumeration. The corpus cache keeps the memo while it
+// keeps the pattern's plan and, as a ghost, a while after: only a pattern
+// it has never seen or has forgotten sweeps every document. With budget set the page instead runs
 // the streaming evaluator under WithBudget/WithLimit; a spent budget
 // answers 413 with the partial rows in the body.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
@@ -576,6 +578,7 @@ type StatsBody struct {
 		Hits     uint64  `json:"hits"`
 		Misses   uint64  `json:"misses"`
 		Resident int     `json:"resident"`
+		Bytes    int     `json:"bytes"`
 		HitRate  float64 `json:"hit_rate"`
 	} `json:"cache"`
 	Gate struct {
@@ -605,7 +608,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	b.Shards = s.corpus.NumShards()
 	b.Indexed = s.corpus.Indexed()
 	cs := s.corpus.CacheStats()
-	b.Cache.Hits, b.Cache.Misses, b.Cache.Resident, b.Cache.HitRate = cs.Hits, cs.Misses, cs.Resident, cs.HitRate()
+	b.Cache.Hits, b.Cache.Misses, b.Cache.Resident, b.Cache.Bytes, b.Cache.HitRate = cs.Hits, cs.Misses, cs.Resident, cs.Bytes, cs.HitRate()
 	gs := s.corpus.GateStats()
 	b.Gate.Active, b.Gate.Queued, b.Gate.Rejected = gs.Active, gs.Queued, gs.Rejected
 	b.Server.Served, b.Server.Failed = s.served.Load(), s.failed.Load()

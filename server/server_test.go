@@ -317,6 +317,9 @@ func TestStatsOverWire(t *testing.T) {
 	if st.Cache.Misses == 0 {
 		t.Error("cache miss counter did not move")
 	}
+	if st.Cache.Bytes == 0 {
+		t.Error("cache bytes did not count the counted pattern's plan")
+	}
 }
 
 func TestSearchModeOverWire(t *testing.T) {

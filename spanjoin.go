@@ -36,6 +36,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"spanjoin/internal/core"
 	"spanjoin/internal/corpus"
@@ -118,7 +119,7 @@ type Spanner struct {
 	// at most once per Spanner — and therefore at most once per cached
 	// corpus query, since the corpus cache stores Spanners.
 	planOnce sync.Once
-	plan     *enum.Plan
+	plan     atomic.Pointer[enum.Plan] // read by the corpus cache's byte count
 	planErr  error
 }
 
@@ -131,10 +132,11 @@ type Spanner struct {
 // then, so cached queries never report a phantom build.
 func (s *Spanner) compiledPlan() (p *enum.Plan, built bool, err error) {
 	s.planOnce.Do(func() {
-		s.plan, s.planErr = enum.NewPlan(s.auto)
-		built = true
+		plan, err := enum.NewPlan(s.auto)
+		s.plan.Store(plan)
+		s.planErr, built = err, true
 	})
-	return s.plan, built, s.planErr
+	return s.plan.Load(), built, s.planErr
 }
 
 // Compile parses and compiles a regex-formula pattern.
