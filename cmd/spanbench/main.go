@@ -5,8 +5,10 @@
 //
 // Usage:
 //
-//	spanbench [-experiment all|E1|E2|...|E10|F1|G1] [-quick] [-json out.json]
+//	spanbench [-experiment all|<id>] [-quick] [-json out.json]
 //	          [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz]
+//
+// -h lists the registered experiment ids.
 //
 // All workloads are seeded; output is deterministic modulo wall-clock
 // timings. With -json, every printed table is also recorded to the given
@@ -27,6 +29,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"spanjoin/internal/workload"
 )
 
 type experiment struct {
@@ -48,7 +52,12 @@ func main() { os.Exit(run()) }
 // inside the loop would skip. The exit code is a named return so the
 // deferred heap-profile write can fail the run.
 func run() (code int) {
-	which := flag.String("experiment", "all", "experiment id (E1..E10, EB, EC, ED, EN, EP, ER, F1, G1) or 'all'")
+	sort.Slice(experiments, func(i, j int) bool { return experiments[i].id < experiments[j].id })
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	which := flag.String("experiment", "all", "experiment id ("+strings.Join(ids, ", ")+") or 'all'")
 	quick := flag.Bool("quick", false, "smaller parameter sweeps")
 	jsonOut := flag.String("json", "", "also record every table to this file as JSON")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -92,7 +101,6 @@ func run() (code int) {
 	}
 
 	recorder.enabled = *jsonOut != ""
-	sort.Slice(experiments, func(i, j int) bool { return experiments[i].id < experiments[j].id })
 	ran := false
 	for _, e := range experiments {
 		if *which != "all" && !strings.EqualFold(*which, e.id) {
@@ -240,4 +248,20 @@ func timeIt(f func()) time.Duration {
 	start := time.Now()
 	f()
 	return time.Since(start)
+}
+
+// ecPattern is the corpus experiments' search pattern.
+const ecPattern = `mail{[a-z]+@[a-z]+\.[a-z]+}`
+
+// ecDocs generates the corpus workload: seeded synthetic documents, about
+// half containing an e-mail address.
+func ecDocs(n int) []string {
+	r := workload.Rand(4242)
+	docs := make([]string, n)
+	for i := range docs {
+		docs[i] = workload.Document(r, workload.DocumentOptions{
+			Sentences: 4, EmailRate: 0.5,
+		})
+	}
+	return docs
 }

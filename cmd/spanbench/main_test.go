@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -51,7 +52,7 @@ func TestFmtDuration(t *testing.T) {
 }
 
 func TestAllExperimentsRegistered(t *testing.T) {
-	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "EB", "EC", "ED", "EN", "EO", "EP", "ER", "ES", "F1", "G1"}
+	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "EB", "EN", "EO", "ER", "ES", "F1", "G1"}
 	have := map[string]bool{}
 	for _, e := range experiments {
 		have[e.id] = true
@@ -63,6 +64,29 @@ func TestAllExperimentsRegistered(t *testing.T) {
 	}
 	if len(experiments) != len(want) {
 		t.Errorf("registered %d experiments, want %d", len(experiments), len(want))
+	}
+}
+
+// TestUnknownExperimentExits2 pins the exit code of an id the registry
+// does not hold, among them the deleted EC, EP and ED, and that the
+// -experiment help lists every registered id.
+func TestUnknownExperimentExits2(t *testing.T) {
+	oldArgs, oldFlags := os.Args, flag.CommandLine
+	t.Cleanup(func() { os.Args, flag.CommandLine = oldArgs, oldFlags })
+	for _, id := range []string{"EC", "EP", "ED", "nope"} {
+		flag.CommandLine = flag.NewFlagSet("spanbench", flag.ContinueOnError)
+		os.Args = []string{"spanbench", "-experiment", id}
+		var code int
+		captureStdout(t, func() { code = run() })
+		if code != 2 {
+			t.Errorf("-experiment %s exited %d, want 2", id, code)
+		}
+		usage := flag.CommandLine.Lookup("experiment").Usage
+		for _, e := range experiments {
+			if !strings.Contains(usage, e.id+",") && !strings.Contains(usage, e.id+")") {
+				t.Errorf("-experiment help %q omits %s", usage, e.id)
+			}
+		}
 	}
 }
 

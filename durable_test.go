@@ -11,6 +11,7 @@ import (
 
 	"spanjoin"
 	"spanjoin/internal/leakcheck"
+	"spanjoin/internal/workload"
 )
 
 // openDurable opens a durable corpus and registers a cleanup Close.
@@ -414,5 +415,101 @@ func TestDurableIndexRecovery(t *testing.T) {
 	}
 	if st := ms.Stats(); st.SkippedIndex == 0 {
 		t.Fatalf("skip index inert after recovery: %+v", st)
+	}
+}
+
+// durableDocs is the durability benchmarks' corpus: seeded synthetic
+// documents of four sentences (~150 bytes), about half holding an e-mail
+// address.
+func durableDocs(n int) []string {
+	r := workload.Rand(4242)
+	docs := make([]string, n)
+	for i := range docs {
+		docs[i] = workload.Document(r, workload.DocumentOptions{Sentences: 4, EmailRate: 0.5})
+	}
+	return docs
+}
+
+// BenchmarkOpen times crash recovery: one Open plus Close of a data
+// directory written once under SyncNever (the log bytes are the same
+// under every policy). The log leg replays every record; the snapshot leg
+// loads one snapshot and replays an empty log. An op that recovers the
+// wrong number of documents, or counts or replays the wrong number of
+// records, fails the benchmark.
+func BenchmarkOpen(b *testing.B) {
+	ctx := context.Background()
+	for _, snapshot := range []bool{false, true} {
+		leg := "log"
+		if snapshot {
+			leg = "snapshot"
+		}
+		for _, n := range []int{1000, 4000} {
+			dir := b.TempDir()
+			c, err := spanjoin.Open(dir, spanjoin.WithSync(spanjoin.SyncNever))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := c.AddErrCtx(ctx, durableDocs(n)...); err != nil {
+				b.Fatal(err)
+			}
+			if snapshot {
+				if err := c.Snapshot(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := c.Close(); err != nil {
+				b.Fatal(err)
+			}
+			replayed := uint64(n)
+			if snapshot {
+				replayed = 0
+			}
+			b.Run(fmt.Sprintf("%s/docs=%d", leg, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					c, err := spanjoin.Open(dir)
+					if err != nil {
+						b.Fatal(err)
+					}
+					ds, docs := c.DurabilityStats(), c.Len()
+					if err := c.Close(); err != nil {
+						b.Fatal(err)
+					}
+					if docs != n || ds.RecoveredDocs != uint64(n) || ds.ReplayedRecords != replayed {
+						b.Fatalf("recovered %d docs (counted %d) replaying %d records, want %d replaying %d",
+							docs, ds.RecoveredDocs, ds.ReplayedRecords, n, replayed)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkDurableAdd times one single-document AddErrCtx per op: what a
+// caller pays for each durability level, against a RAM corpus. Under
+// SyncAlways every op fsyncs before it returns; under SyncInterval and
+// SyncNever it only writes.
+func BenchmarkDurableAdd(b *testing.B) {
+	ctx := context.Background()
+	docs := durableDocs(256)
+	for _, leg := range []string{"ram", "never", "interval", "always"} {
+		b.Run(leg, func(b *testing.B) {
+			c := spanjoin.NewCorpus()
+			if leg != "ram" {
+				policy, err := spanjoin.ParseSyncPolicy(leg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if c, err = spanjoin.Open(b.TempDir(), spanjoin.WithSync(policy)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			defer c.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.AddErrCtx(ctx, docs[i%len(docs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -30,9 +30,6 @@ func NewRow(n int) Row { return make(Row, WordsFor(n)) }
 // Set sets bit i.
 func (r Row) Set(i int32) { r[i>>wordShift] |= 1 << (uint(i) & wordMask) }
 
-// Clear clears bit i.
-func (r Row) Clear(i int32) { r[i>>wordShift] &^= 1 << (uint(i) & wordMask) }
-
 // Test reports whether bit i is set.
 func (r Row) Test(i int32) bool {
 	return r[i>>wordShift]&(1<<(uint(i)&wordMask)) != 0
@@ -59,13 +56,6 @@ func (r Row) Or(o Row) {
 func (r Row) And(o Row) {
 	for i := range r {
 		r[i] &= o[i]
-	}
-}
-
-// AndNot removes o's bits from r.
-func (r Row) AndNot(o Row) {
-	for i := range r {
-		r[i] &^= o[i]
 	}
 }
 

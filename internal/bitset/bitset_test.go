@@ -61,16 +61,6 @@ func TestWordBoundary65(t *testing.T) {
 	if got := r.NextOne(65); got != -1 {
 		t.Fatalf("NextOne(65) = %d, want -1", got)
 	}
-	r.Clear(63)
-	if r.Test(63) || !r.Test(64) {
-		t.Fatal("Clear(63) touched the wrong bit")
-	}
-	o := NewRow(n)
-	o.Set(64)
-	r.AndNot(o)
-	if r.Test(64) {
-		t.Fatal("AndNot failed across the word boundary")
-	}
 }
 
 func TestOrAndAgainstReference(t *testing.T) {

@@ -42,10 +42,6 @@ func (s Strategy) String() string {
 // Options configure evaluation.
 type Options struct {
 	Strategy Strategy
-	// PolyBoundVarLimit: atoms with at most this many variables count as
-	// polynomially bounded without running the key-attribute test
-	// (|[[α]](s)| ≤ (N+1)^(2v)). Default 1.
-	PolyBoundVarLimit int
 
 	// Timeout, Limit and Budget are the resilience knobs. Timeout bounds
 	// the whole evaluation wall-clock and Limit caps delivered results;
@@ -58,13 +54,6 @@ type Options struct {
 	Timeout time.Duration
 	Limit   uint64
 	Budget  uint64
-}
-
-func (o Options) varLimit() int {
-	if o.PolyBoundVarLimit <= 0 {
-		return 1
-	}
-	return o.PolyBoundVarLimit
 }
 
 // Enumerate evaluates the CQ on s as its one-disjunct union (see
@@ -82,10 +71,15 @@ func (q *CQ) Eval(s string, opts Options) (*rel.Relation, error) {
 	return Drain(it), nil
 }
 
+// polyBoundVars is the k of §3.3.2's "at most k variables": an atom with
+// at most this many variables counts as polynomially bounded without the
+// key-attribute test (|[[α]](s)| ≤ (N+1)^(2v)).
+const polyBoundVars = 1
+
 // polyBounded applies the paper's two sufficient conditions (§3.3.2): at
 // most k variables for fixed k, or a key attribute (Prop 3.6).
-func (a *Atom) polyBounded(opts Options) bool {
-	if len(a.Vars()) <= opts.varLimit() {
+func (a *Atom) polyBounded() bool {
+	if len(a.Vars()) <= polyBoundVars {
 		return true
 	}
 	_, ok, err := vsa.HasKeyAttribute(a.Auto)
@@ -174,7 +168,7 @@ func (u *UCQ) Plan(opts Options) Strategy {
 			return Automata
 		}
 		for _, a := range q.Atoms {
-			if !a.polyBounded(opts) {
+			if !a.polyBounded() {
 				return Automata
 			}
 		}

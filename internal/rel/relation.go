@@ -1,8 +1,8 @@
 // Package rel is the relational engine behind the paper's "canonical
 // relational evaluation" (§3.2–3.3): span relations with projection, natural
-// join, union and string-equality selection, plus hypergraph acyclicity
-// tests (GYO for alpha-acyclicity, gamma-cycle detection for
-// gamma-acyclicity) and Yannakakis' algorithm over join trees.
+// join and union, plus hypergraph acyclicity tests (GYO for alpha-acyclicity,
+// gamma-cycle detection for gamma-acyclicity) and Yannakakis' algorithm over
+// join trees.
 package rel
 
 import (
@@ -184,24 +184,6 @@ func SemiJoin(r, o *Relation) *Relation {
 		}
 	}
 	return out
-}
-
-// SelectStringEq keeps the tuples where the variables x and y span equal
-// substrings of s (the paper's ζ= selection: substring equality, not span
-// equality).
-func (r *Relation) SelectStringEq(s, x, y string) (*Relation, error) {
-	xi := r.Vars.Index(x)
-	yi := r.Vars.Index(y)
-	if xi < 0 || yi < 0 {
-		return nil, fmt.Errorf("rel: ζ= on unknown variable (%s, %s) over %v", x, y, r.Vars)
-	}
-	out := NewRelation(r.Vars)
-	for _, t := range r.Tuples {
-		if t[xi].Substr(s) == t[yi].Substr(s) {
-			out.Add(t)
-		}
-	}
-	return out, nil
 }
 
 func sharedKey(t span.Tuple, idx []int) string {

@@ -134,25 +134,6 @@ func TestSemiJoin(t *testing.T) {
 	}
 }
 
-func TestSelectStringEq(t *testing.T) {
-	s := "abab"
-	r := FromTuples(span.NewVarList("x", "y"), []span.Tuple{
-		{sp(1, 3), sp(3, 5)}, // "ab" = "ab"
-		{sp(1, 3), sp(2, 4)}, // "ab" != "ba"
-		{sp(1, 1), sp(5, 5)}, // "" = ""
-	})
-	sel, err := r.SelectStringEq(s, "x", "y")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.Len() != 2 {
-		t.Errorf("selection has %d tuples, want 2:\n%s", sel.Len(), sel)
-	}
-	if _, err := r.SelectStringEq(s, "x", "nope"); err == nil {
-		t.Error("unknown variable must fail")
-	}
-}
-
 func TestJoinAgainstNestedLoop(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {

@@ -98,13 +98,15 @@ func Open(dir string, shards int, opt Options) (*Recovered, error) {
 	// them would be harmless too — the sequence check drops duplicates.
 	lastSeq := appliedSeq
 	activeGen := rec.Stats.SnapshotGen
+	var valid int64 // the active log's valid prefix, where appends resume
 	for _, gen := range logs {
 		if gen < rec.Stats.SnapshotGen {
 			continue
 		}
 		path := filepath.Join(dir, logName(gen))
 		tail := gen == logs[len(logs)-1]
-		torn, err := replayLog(path, opt.maxRecord(), tail, func(seq uint64, shard uint32, doc string) error {
+		var torn int64
+		valid, torn, err = replayLog(path, opt.maxRecord(), tail, func(seq uint64, shard uint32, doc string) error {
 			if seq <= appliedSeq {
 				rec.Stats.Skipped++
 				return nil
@@ -130,14 +132,13 @@ func Open(dir string, shards int, opt Options) (*Recovered, error) {
 			return nil, err
 		}
 		rec.Stats.TornBytes += uint64(torn)
-		if gen > activeGen {
-			activeGen = gen
-		}
+		activeGen = gen
 	}
 	rec.Stats.LastSeq = lastSeq
 
 	// Open (or create) the active log for append, truncating any torn
-	// tail so new records frame cleanly after the last valid one.
+	// tail so new records frame cleanly after the last valid one. The
+	// active log, when it exists, is the last one replayed.
 	l := &Log{dir: dir, opt: opt, gen: activeGen, seq: lastSeq, buf: make([]byte, 0, chunkBytes)}
 	path := filepath.Join(dir, logName(activeGen))
 	if _, statErr := os.Stat(path); statErr != nil {
@@ -148,11 +149,6 @@ func Open(dir string, shards int, opt Options) (*Recovered, error) {
 	} else {
 		f, err := os.OpenFile(path, os.O_WRONLY, 0)
 		if err != nil {
-			return nil, err
-		}
-		valid, err := validPrefixLen(path, opt.maxRecord())
-		if err != nil {
-			f.Close()
 			return nil, err
 		}
 		if valid < int64(len(logMagic)) {
@@ -208,38 +204,39 @@ var errTorn = errors.New("wal: torn tail")
 // tail says this is the final (active) log: only there is a trailing
 // decode failure accepted as a torn tail — an interior log was rotated
 // away by a completed snapshot cycle, so damage in it is corruption
-// regardless of position. Returns how many trailing bytes were torn.
-func replayLog(path string, maxRecord uint32, tail bool, apply func(seq uint64, shard uint32, doc string) error) (torn int64, err error) {
+// regardless of position. Returns the byte length of the valid prefix —
+// where appends resume — and how many trailing bytes were torn.
+func replayLog(path string, maxRecord uint32, tail bool, apply func(seq uint64, shard uint32, doc string) error) (valid, torn int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if len(data) < len(logMagic) {
 		if tail && prefixOf(data, []byte(logMagic)) {
 			// The crash hit during file creation, before the magic was
 			// complete; the file holds nothing.
-			return int64(len(data)), nil
+			return 0, int64(len(data)), nil
 		}
-		return 0, corruptf("wal: %s: truncated magic", filepath.Base(path))
+		return 0, 0, corruptf("wal: %s: truncated magic", filepath.Base(path))
 	}
 	if string(data[:len(logMagic)]) != logMagic {
-		return 0, corruptf("wal: %s: bad magic", filepath.Base(path))
+		return 0, 0, corruptf("wal: %s: bad magic", filepath.Base(path))
 	}
 	off := len(logMagic)
 	for off < len(data) {
 		n, seq, shard, doc, derr := decodeRecord(data[off:], maxRecord)
 		if derr != nil {
 			if errors.Is(derr, errTorn) && tail {
-				return int64(len(data) - off), nil
+				return int64(off), int64(len(data) - off), nil
 			}
-			return 0, corruptf("wal: %s at offset %d: %v", filepath.Base(path), off, derr)
+			return 0, 0, corruptf("wal: %s at offset %d: %v", filepath.Base(path), off, derr)
 		}
 		if err := apply(seq, shard, doc); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		off += n
 	}
-	return 0, nil
+	return int64(off), 0, nil
 }
 
 // prefixOf reports whether data is a (possibly empty) prefix of full.
@@ -293,27 +290,4 @@ func allZero(b []byte) bool {
 		}
 	}
 	return true
-}
-
-// validPrefixLen re-walks a log file and returns the byte length of its
-// valid prefix — where the append end resumes after truncating the torn
-// tail. The file was already replayed, so failures here are torn-tail
-// only.
-func validPrefixLen(path string, maxRecord uint32) (int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	if len(data) < len(logMagic) {
-		return int64(len(data)), nil
-	}
-	off := len(logMagic)
-	for off < len(data) {
-		n, _, _, _, derr := decodeRecord(data[off:], maxRecord)
-		if derr != nil {
-			break
-		}
-		off += n
-	}
-	return int64(off), nil
 }

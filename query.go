@@ -36,13 +36,6 @@ func WithStrategy(s Strategy) Option {
 	return func(o *core.Options) { o.Strategy = s }
 }
 
-// WithPolyBoundVarLimit sets the variable-count threshold under which an
-// atom is assumed polynomially bounded without running the key-attribute
-// test (default 1).
-func WithPolyBoundVarLimit(k int) Option {
-	return func(o *core.Options) { o.PolyBoundVarLimit = k }
-}
-
 // Query is a conjunctive query over regex atoms, optionally with
 // string-equality predicates and a projection — the paper's regex CQ
 // (with string equalities):

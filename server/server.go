@@ -45,9 +45,6 @@ type Config struct {
 	// /eval's limit and /sample's n. Larger requests are truncated, not
 	// rejected — the cursor makes the rest reachable.
 	MaxPageSize int
-	// DefaultPageSize is /eval's window when the request names none
-	// (default 100).
-	DefaultPageSize int
 	// DefaultTimeout bounds requests that name no timeout (default 30s).
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps request-supplied timeouts (default 2m).
@@ -82,17 +79,6 @@ func (c Config) maxPageSize() int {
 		return 1024
 	}
 	return c.MaxPageSize
-}
-
-func (c Config) defaultPageSize() int {
-	d := c.DefaultPageSize
-	if d <= 0 {
-		d = 100
-	}
-	if m := c.maxPageSize(); d > m {
-		d = m
-	}
-	return d
 }
 
 func (c Config) defaultTimeout() time.Duration {
@@ -330,21 +316,20 @@ func targetOf(q url.Values, what string) (spanjoin.Target, error) {
 	return spanjoin.Cursor{Mode: mode, Pattern: pattern}.Target()
 }
 
-// pageLimitOf resolves /eval's limit and /sample's n against the
-// configured page clamp.
+// defaultPageSize is /eval's window when the request names none.
+const defaultPageSize = 100
+
+// pageLimitOf resolves /eval's limit and /sample's n, or def when the
+// request names none, against the configured page clamp.
 func (s *Server) pageLimitOf(q url.Values, param string, def int) (int, error) {
-	p := q.Get(param)
-	if p == "" {
-		return def, nil
+	n := def
+	if p := q.Get(param); p != "" {
+		var err error
+		if n, err = strconv.Atoi(p); err != nil || n < 1 {
+			return 0, fmt.Errorf("bad %s %q (want a positive integer)", param, p)
+		}
 	}
-	n, err := strconv.Atoi(p)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("bad %s %q (want a positive integer)", param, p)
-	}
-	if m := s.cfg.maxPageSize(); n > m {
-		n = m
-	}
-	return n, nil
+	return min(n, s.cfg.maxPageSize()), nil
 }
 
 // ndjson starts a streamed NDJSON response.
@@ -371,7 +356,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "%v", err)
 		return
 	}
-	limit, err := s.pageLimitOf(q, "limit", s.cfg.defaultPageSize())
+	limit, err := s.pageLimitOf(q, "limit", defaultPageSize)
 	if err != nil {
 		s.badRequest(w, "%v", err)
 		return

@@ -137,6 +137,29 @@ func TestEvalOffsetBoundaryOverWire(t *testing.T) {
 	}
 }
 
+// TestEvalDefaultWindow pins /eval's window when the request names no
+// limit: 100 rows, clamped to MaxPageSize.
+func TestEvalDefaultWindow(t *testing.T) {
+	docs := []string{strings.Repeat("a", 150)} // 150 matches of .*x{a}.*
+	for _, tc := range []struct {
+		cfg  server.Config
+		want int
+	}{
+		{server.Config{}, 100},
+		{server.Config{MaxPageSize: 7}, 7},
+	} {
+		_, cl, _ := newTestServer(t, docs, tc.cfg)
+		page, err := cl.Eval(context.Background(), client.EvalRequest{Pattern: `.*x{a}.*`})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(page.Matches) != tc.want || page.Next == "" {
+			t.Errorf("MaxPageSize %d: %d rows, next %q; want %d rows and a next page",
+				tc.cfg.MaxPageSize, len(page.Matches), page.Next, tc.want)
+		}
+	}
+}
+
 func TestErrorStatuses(t *testing.T) {
 	_, _, base := newTestServer(t, testDocs(), server.Config{})
 	hc := &http.Client{}
