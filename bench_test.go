@@ -348,10 +348,10 @@ func BenchmarkE10_FunctionalizeBlowup(b *testing.B) {
 	}
 }
 
-// BenchmarkClosures measures the variable-ε closure computation — a
-// depth-first search per state into one bitset matrix — as the automaton
-// grows.
-func BenchmarkClosures(b *testing.B) {
+// BenchmarkTransitionTable measures the transition table build — the
+// boundary closures, one depth-first search per state into one scratch
+// row, composed into the class matrices — as the automaton grows.
+func BenchmarkTransitionTable(b *testing.B) {
 	for _, m := range []int{8, 32, 128} {
 		a := rgx.MustCompilePattern(strings.Repeat("(a|b)", m) + ".*x{a+}.*y{b+}.*")
 		t, _, err := a.RequireFunctional()
@@ -360,9 +360,33 @@ func BenchmarkClosures(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("states=%d", t.NumStates()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				t.NewClosures()
+				vsa.NewTransitionTable(t)
 			}
 		})
+	}
+}
+
+// BenchmarkDifference drains one spanner difference: the 126 matches of
+// .*x{[a-z]+}.* on three copies of "the quick brown fox ", each filtered
+// by the membership test of .*x{[a-z]*e[a-z]*}.*, which rejects the 9
+// that hold an e. Both spanners' plans are warm after the first op.
+func BenchmarkDifference(b *testing.B) {
+	a := spanjoin.MustCompile(`.*x{[a-z]+}.*`)
+	sub := spanjoin.MustCompile(`.*x{[a-z]*e[a-z]*}.*`)
+	doc := strings.Repeat("the quick brown fox ", 3)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ms, err := spanjoin.Difference(a, sub, doc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for _, ok := ms.Next(); ok; _, ok = ms.Next() {
+			n++
+		}
+		if err := ms.Err(); err != nil || n != 117 {
+			b.Fatalf("difference = %d matches (err %v), want 117", n, err)
+		}
 	}
 }
 

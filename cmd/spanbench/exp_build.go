@@ -33,8 +33,8 @@ func ebDoc(r interface{ Intn(int) int }, alpha string, n int) string {
 
 func runEB(quick bool) {
 	fmt.Println("Per-document graph construction through the byte-class table, the one build path:")
-	fmt.Println("a single-use plan (enum.Prepare(a, doc) per document: trim, kernels — closures,")
-	fmt.Println("letters, transition table — and a cold build cache, what a per-document automaton")
+	fmt.Println("a single-use plan (enum.Prepare(a, doc) per document: trim, kernels — letters,")
+	fmt.Println("transition table and its closures — and a cold build cache, what a per-document automaton")
 	fmt.Println("such as Thm 5.4's A_eq pays) vs Reset(doc) on a shared plan whose arenas and build")
 	fmt.Println("cache are warm (each level one lookup per pass), which is what the compiled-query")
 	fmt.Println("cache gives every document of a corpus query after the first.")

@@ -250,16 +250,7 @@ func cmdEval(args []string, stdout, stderr io.Writer) error {
 		if *offset > 0 {
 			return usagef("-offset does not combine with -timeout/-budget/-trace")
 		}
-		eff := *limit
-		if eff == 0 || (*maxN > 0 && *maxN < eff) {
-			eff = *maxN
-		}
-		return evalResilient(sp, text, *timeout, eff, *budget, *trace, *asJSON, stdout, stderr)
-	}
-	if *limit > 0 && *offset == 0 {
-		// A plain -limit still stops the engine early rather than merely
-		// truncating output.
-		return evalResilient(sp, text, 0, effLimit(*limit, *maxN), *budget, false, *asJSON, stdout, stderr)
+		return evalResilient(sp, text, *timeout, effLimit(*limit, *maxN), *budget, *trace, *asJSON, stdout, stderr)
 	}
 	it, err := sp.Iterate(context.Background(), text)
 	if err != nil {
@@ -270,7 +261,8 @@ func cmdEval(args []string, stdout, stderr io.Writer) error {
 	}
 	// -offset with -limit is the documented window [offset, offset+limit):
 	// skip to rank offset with one ranked descent, then deliver limit
-	// matches. -max composes as a further cap.
+	// matches. -max composes as a further cap, and the stream stops at the
+	// cap, so the engine stops early.
 	capN := effLimit(*limit, *maxN)
 	enc := json.NewEncoder(stdout)
 	count := 0

@@ -298,10 +298,10 @@ func TestEvalBudgetExitCode(t *testing.T) {
 }
 
 func TestEvalResilientMatchesPlain(t *testing.T) {
-	// The corpus-backed resilient path must print the same matches as the
-	// plain iterator path when no bound fires.
+	// The corpus-backed resilient path (a -timeout leads there) must print
+	// the same matches as the plain iterator path when no bound fires.
 	plain, _, _ := runCtl(t, "eval", "-p", "a*x{a+}a*", "-d", "aaaa")
-	bounded, _, code := runCtl(t, "eval", "-p", "a*x{a+}a*", "-d", "aaaa", "-limit", "100")
+	bounded, _, code := runCtl(t, "eval", "-p", "a*x{a+}a*", "-d", "aaaa", "-timeout", "1m")
 	if code != exitOK {
 		t.Fatal("exit != 0")
 	}

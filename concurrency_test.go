@@ -99,9 +99,10 @@ func (e errMismatch) Error() string { return "concurrent result mismatch" }
 
 // TestQueryMemoFirstUseConcurrent: eight goroutines share one fresh Query
 // and one fresh UnionQuery, each starting at a different operation, so
-// the first uses — Evaluate on the automata plan, Query.Count, and corpus
-// Eval and Count of OfQuery and OfUnion — race for the compiled form the
-// two memoize and for its spanner's plan. Every result must equal a
+// the first uses — Evaluate on the automata plan and under Auto,
+// Query.Count, and corpus Eval and Count of OfQuery and OfUnion — race for
+// the compiled form the two memoize, the Auto planner's verdict and the
+// spanner's plan. Every result must equal a
 // sequential reference from a twin pair built alike.
 func TestQueryMemoFirstUseConcurrent(t *testing.T) {
 	docs := []string{
@@ -179,6 +180,15 @@ func TestQueryMemoFirstUseConcurrent(t *testing.T) {
 			}
 			nu, err := c.Count(ctx, spanjoin.OfUnion(u))
 			return fmt.Sprint(nq, nu), err
+		},
+		func(q *spanjoin.Query, u *spanjoin.UnionQuery) (string, error) {
+			// Under Auto, which resolves the planner once per query.
+			mq, err := q.Evaluate(docs[3])
+			if err != nil {
+				return "", err
+			}
+			mu, err := u.Evaluate(docs[3])
+			return fmt.Sprint(q.PlannedStrategy(), mq, mu), err
 		},
 	}
 	refQ, refU := build()

@@ -6,6 +6,8 @@ import (
 	"io"
 
 	"spanjoin/internal/alphabet"
+	"spanjoin/internal/core"
+	"spanjoin/internal/enum"
 	"spanjoin/internal/prefilter"
 	"spanjoin/internal/rgx"
 	"spanjoin/internal/span"
@@ -45,7 +47,10 @@ func MustCompileSearch(pattern string) *Spanner {
 // MatchesAt decides whether one specific assignment of spans is a result of
 // the spanner on doc, in time O(n²·|doc|) independent of the result count
 // (an application of the paper's configuration-sequence view, §4.1). The
-// assignment must bind exactly the spanner's variables.
+// assignment must bind exactly the spanner's variables. The test runs on
+// the spanner's memoized plan: the first MatchesAt, like the first Eval,
+// builds the plan's transition table, which every later MatchesAt, Eval
+// and Count shares.
 func (s *Spanner) MatchesAt(doc string, assignment map[string]Span) (bool, error) {
 	vars := s.auto.Vars
 	if len(assignment) != len(vars) {
@@ -59,7 +64,11 @@ func (s *Spanner) MatchesAt(doc string, assignment map[string]Span) (bool, error
 		}
 		t[i] = p
 	}
-	return vsa.AcceptsTuple(s.auto, doc, vars, t)
+	p, _, err := s.compiledPlan()
+	if err != nil {
+		return false, err
+	}
+	return p.Accepts(doc, t), nil
 }
 
 // EqualAll adds the k-ary string-equality selection ζ=_{x1,…,xk} as a chain
@@ -110,55 +119,46 @@ func (q *Query) Count(doc string, opts ...Option) (MatchCount, error) {
 // Difference returns the matches of a on doc that are not matches of b
 // (the spanner difference [[a]](doc) \ [[b]](doc); the paper notes regular
 // spanners are closed under difference, §2.2.4). Both spanners must have
-// the same variable set. Each candidate is filtered with the O(n²·|doc|)
-// membership test, so the stream has polynomial delay.
+// the same variable set. Each candidate is filtered with b's O(n²·|doc|)
+// membership test (MatchesAt's) on b's memoized plan, so the stream has
+// polynomial delay and b's functionality is checked once.
 func Difference(a, b *Spanner, doc string) (*Matches, error) {
 	if len(a.auto.Vars) != len(b.auto.Vars) || !a.auto.Vars.Equal(b.auto.Vars) {
 		return nil, fmt.Errorf("spanjoin: difference requires identical variable sets, got %v and %v",
 			a.auto.Vars, b.auto.Vars)
 	}
+	bp, _, err := b.compiledPlan()
+	if err != nil {
+		return nil, err
+	}
 	inner, err := a.Iterate(context.TODO(), doc)
 	if err != nil {
 		return nil, err
 	}
-	bt := b.auto.Trim()
-	if !bt.IsFunctional() {
-		return nil, vsa.ErrNotFunctional
-	}
 	return &Matches{
 		ctx:  inner.ctx,
-		it:   &diffIter{inner: inner.it, b: bt, vars: a.auto.Vars, doc: doc},
+		it:   &diffIter{inner: inner.it, b: bp, doc: doc},
 		vars: a.auto.Vars,
 		doc:  doc,
 	}, nil
 }
 
 type diffIter struct {
-	inner interface {
-		Next() (span.Tuple, bool)
-	}
-	b    *vsa.VSA
-	vars span.VarList
-	doc  string
+	inner core.Iterator
+	b     *enum.Plan
+	doc   string
 }
 
 func (d *diffIter) Next() (span.Tuple, bool) {
 	for {
 		t, ok := d.inner.Next()
-		if !ok {
-			return nil, false
-		}
-		member, err := vsa.AcceptsTuple(d.b, d.doc, d.vars, t)
-		if err != nil {
-			return nil, false
-		}
-		if !member {
-			return t, true
+		if !ok || !d.b.Accepts(d.doc, t) {
+			return t, ok
 		}
 	}
 }
 
-func (d *diffIter) Vars() span.VarList { return d.vars }
+func (d *diffIter) Vars() span.VarList { return d.b.Vars() }
 
 // Dot renders the spanner's automaton in Graphviz dot format.
 func (s *Spanner) Dot(name string) string { return s.auto.Dot(name) }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spanjoin"
+	"spanjoin/internal/alloctest"
 )
 
 func TestCompileSearch(t *testing.T) {
@@ -207,5 +208,32 @@ func TestPlannedStrategy(t *testing.T) {
 	// Forced strategy passes through.
 	if got := keyed.PlannedStrategy(spanjoin.WithStrategy(spanjoin.StrategyAutomata)); got != spanjoin.StrategyAutomata {
 		t.Errorf("forced strategy not honored: %v", got)
+	}
+}
+
+// TestAutoPlansOncePerQuery: the Auto planner's verdict is memoized on the
+// query, so Evaluate under Auto allocates what the same Evaluate under the
+// strategy Auto resolves to does, not a key-attribute product per
+// multi-variable atom per call.
+func TestAutoPlansOncePerQuery(t *testing.T) {
+	q := spanjoin.NewQuery().
+		Atom(`.*x{[a-z]+}@y{[a-z]+}.*`).
+		Atom(`.*y{[a-z]+}\.z{[a-z]+}.*`).
+		MustBuild()
+	doc := " write to alice@example.org and bob@corp.net today "
+	eval := func(opts ...spanjoin.Option) func() {
+		return func() {
+			if _, err := q.Evaluate(doc, opts...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	auto := alloctest.Run(t, 50, eval())
+	forced := alloctest.Run(t, 50, eval(spanjoin.WithStrategy(spanjoin.StrategyAutomata)))
+	if got := q.PlannedStrategy(); got != spanjoin.StrategyAutomata {
+		t.Fatalf("Auto planned %v, want automata", got)
+	}
+	if auto > forced+2 {
+		t.Fatalf("Evaluate allocates %.0f times under Auto, %.0f under StrategyAutomata", auto, forced)
 	}
 }

@@ -1,7 +1,7 @@
 // Package bitset provides dense word-packed bit rows and matrices used by
-// the state-set hot paths of the engine: ε/variable closures, the layered
-// graph construction of Theorem 3.3's enumeration, and the NFA
-// cross-section. A Row packs one bit per automaton state into []uint64
+// the state-set hot paths of the engine: the transition table's class
+// matrices, the layered graph construction of Theorem 3.3's enumeration,
+// and the NFA cross-section. A Row packs one bit per automaton state into []uint64
 // words, so unions, intersections and membership tests over state sets cost
 // one machine word per 64 states instead of one branch per state.
 //
@@ -29,6 +29,9 @@ func NewRow(n int) Row { return make(Row, WordsFor(n)) }
 
 // Set sets bit i.
 func (r Row) Set(i int32) { r[i>>wordShift] |= 1 << (uint(i) & wordMask) }
+
+// Clear clears bit i.
+func (r Row) Clear(i int32) { r[i>>wordShift] &^= 1 << (uint(i) & wordMask) }
 
 // Test reports whether bit i is set.
 func (r Row) Test(i int32) bool {

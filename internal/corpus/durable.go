@@ -125,14 +125,6 @@ func OpenStore(dir string, n int, opt wal.Options, snapThreshold int64) (*Store,
 // Durable reports whether the store has a write-ahead log behind it.
 func (s *Store) Durable() bool { return s.dur != nil }
 
-// RecoveryStats reports what Open found; zero value for a RAM store.
-func (s *Store) RecoveryStats() wal.RecoveryStats {
-	if s.dur == nil {
-		return wal.RecoveryStats{}
-	}
-	return s.dur.recovery
-}
-
 // DurabilityStats snapshots the durable layer's counters; zero value for
 // a RAM store.
 func (s *Store) DurabilityStats() DurabilityStats {

@@ -9,7 +9,7 @@
 // per document; this package supplies the layer above them — many
 // documents, many concurrent queries, shared compiled artifacts — without
 // touching the per-document complexity: every worker amortizes trimming,
-// functionality checking, closure computation and letter interning across
+// functionality checking, the transition table and letter interning across
 // its whole share of the corpus, resetting one enumerator per document.
 // The skip index goes one step further: queries with literal
 // requirements visit only candidate documents instead of paying even a

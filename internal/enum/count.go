@@ -41,8 +41,8 @@ import (
 // CountDoc leaves the enumerator's prepared document, cursor and Rank
 // untouched. The plan's first swept document, if it comes through
 // CountDoc, builds the plan's kernels under their first-use guard — the
-// closures, the letter table and the transition table — and a count
-// builds its count DFA, never a build cache or any graph arena.
+// letter table and the transition table — and a count builds its count
+// DFA, never a build cache or any graph arena.
 //
 //spanjoin:hotpath
 func (e *Enumerator) CountDoc(s string) ranked.Count {

@@ -24,7 +24,7 @@
 // automaton of a string-equality selection (Thm 5.4) or of a UCQ — builds
 // its kernels and a cold build cache for that document, like a shared
 // plan's first one. Every document-independent artifact (trimmed
-// automaton, closures, letter table, transition table) is computed at most
+// automaton, letter table, transition table) is computed at most
 // once per Plan and shared; all but the trim and the functionality check
 // are built on first use.
 // An Enumerator is resettable: Reset(s) rebuilds the layered graph for a
@@ -619,20 +619,6 @@ func (e *Enumerator) Levels() [][]GraphNode {
 
 // LetterConfig returns the configuration a letter id denotes.
 func (e *Enumerator) LetterConfig(letter int32) vsa.Config { return e.plan.configs[letter] }
-
-// GraphSize returns the node and edge counts of G (preprocessing cost
-// witnesses for the benchmarks).
-func (e *Enumerator) GraphSize() (nodes, edges int) {
-	for _, lvl := range e.Levels() {
-		nodes += len(lvl)
-		for _, nd := range lvl {
-			for _, ts := range nd.TargetsByLetter {
-				edges += len(ts)
-			}
-		}
-	}
-	return nodes, edges
-}
 
 // Eval prepares and drains an enumerator in one call, returning the
 // variable list and all tuples of [[A]](s).

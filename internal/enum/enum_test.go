@@ -350,7 +350,15 @@ func TestGraphSizeBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes, edges := e.GraphSize()
+		nodes, edges := 0, 0
+		for _, lvl := range e.Levels() {
+			nodes += len(lvl)
+			for _, nd := range lvl {
+				for _, ts := range nd.TargetsByLetter {
+					edges += len(ts)
+				}
+			}
+		}
 		if nodes > n*(N+1) {
 			t.Errorf("N=%d: %d nodes > n(N+1) = %d", N, nodes, n*(N+1))
 		}

@@ -72,13 +72,13 @@ func refPrepare(a *vsa.VSA, s string) (*refEnumerator, error) {
 		e.empty = true
 		return e, nil
 	}
-	cl := t.NewClosures()
+	ve := refClosures(t)
 	n := t.NumStates()
 	N := len(s)
 
 	levelStates := make([][]int32, N+1)
 	cur := make([]bool, n)
-	for _, q := range cl.VE[t.Init] {
+	for _, q := range ve[t.Init] {
 		cur[q] = true
 	}
 	levelStates[0] = refBoolsToList(cur)
@@ -95,7 +95,7 @@ func refPrepare(a *vsa.VSA, s string) (*refEnumerator, error) {
 				if succ == nil {
 					succ = make([]bool, n)
 				}
-				for _, q := range cl.VE[tr.To] {
+				for _, q := range ve[tr.To] {
 					succ[q] = true
 				}
 			}
@@ -216,6 +216,30 @@ func refInternLetters(t *vsa.VSA, ct *vsa.ConfigTable, e *refEnumerator) []int32
 		letterOf[q] = id[cfg.Key()]
 	}
 	return letterOf
+}
+
+// refClosures is the reference's own variable-ε closure: VE(q), every
+// state a search over ε- and variable transitions reaches from q, q
+// included, for each state q.
+func refClosures(a *vsa.VSA) [][]int32 {
+	ve := make([][]int32, a.NumStates())
+	for q := range ve {
+		seen := make([]bool, a.NumStates())
+		seen[q] = true
+		stack := []int32{int32(q)}
+		for len(stack) > 0 {
+			p := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, tr := range a.Adj[p] {
+				if tr.Kind != vsa.KChar && !seen[tr.To] {
+					seen[tr.To] = true
+					stack = append(stack, tr.To)
+				}
+			}
+		}
+		ve[q] = refBoolsToList(seen)
+	}
+	return ve
 }
 
 func refBoolsToList(b []bool) []int32 {

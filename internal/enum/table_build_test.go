@@ -14,6 +14,7 @@ import (
 	"spanjoin/internal/ranked"
 	"spanjoin/internal/rgx"
 	"spanjoin/internal/span"
+	"spanjoin/internal/strequal"
 	"spanjoin/internal/vsa"
 )
 
@@ -499,10 +500,10 @@ func TestWindowBuildPooledArenaAllocs(t *testing.T) {
 	}
 }
 
-// TestKernelsBuiltOnFirstUse: NewPlan builds no kernel — no closures, no
-// letter table, no transition table; a plan used only through CountDoc
-// builds the closures, the letters, the transition table and a count DFA,
-// never a build cache or a graph arena; the first
+// TestKernelsBuiltOnFirstUse: NewPlan builds no kernel — no letter table,
+// no transition table; a plan used only through CountDoc builds the
+// letters, the transition table and a count DFA, never a build cache or a
+// graph arena; the first
 // graph build adds a build cache. The count kernel and the DAG agree
 // whichever runs first, and a second enumerator over the plan builds
 // nothing.
@@ -510,7 +511,7 @@ func TestKernelsBuiltOnFirstUse(t *testing.T) {
 	a := rgx.MustCompilePattern(".*x{a+}.*y{b+}.*")
 	doc := randDoc(rand.New(rand.NewSource(7)), 40)
 	for _, countFirst := range []bool{true, false} {
-		before, closures := vsa.TableBuildCount(), vsa.ClosureBuildCount()
+		before := vsa.TableBuildCount()
 		p, err := NewPlan(a)
 		if err != nil {
 			t.Fatal(err)
@@ -518,9 +519,6 @@ func TestKernelsBuiltOnFirstUse(t *testing.T) {
 		if p.tt != nil || p.dfas.items != nil || p.builds.items != nil ||
 			p.letterOf != nil || p.configs != nil || p.ct == nil {
 			t.Fatal("NewPlan built a kernel")
-		}
-		if vsa.ClosureBuildCount() != closures {
-			t.Fatal("NewPlan built closures")
 		}
 		e := p.NewEnumerator()
 		var got ranked.Count
@@ -554,20 +552,18 @@ func TestKernelsBuiltOnFirstUse(t *testing.T) {
 		if n := vsa.TableBuildCount() - before; n != 1 {
 			t.Fatalf("countFirst=%v: %d transition tables built, want 1", countFirst, n)
 		}
-		if n := vsa.ClosureBuildCount() - closures; n != 1 {
-			t.Fatalf("countFirst=%v: %d closures built, want 1", countFirst, n)
-		}
 	}
 }
 
 // TestPlanKernelsFirstUseConcurrent: eight enumerators over one fresh plan
 // make its first CountDoc and Reset calls at once, half counting first and
-// half building first, so both kernels are built under contention. Then
+// half building first (two of them after a membership test), so both
+// kernels are built under contention. Then
 // each builds and counts every worker's document, so the plan's build
 // caches and count DFAs pass between workers and their templates are
 // shared, and counts two 4 KiB documents on a second plan whose counts
 // flush their DFA. Every result must match a sequential reference, and the
-// first plan builds one set of closures and letters and one table.
+// first plan builds one set of letters and one table.
 func TestPlanKernelsFirstUseConcurrent(t *testing.T) {
 	a := rgx.MustCompilePattern(".*x{a+}.*y{b+}.*")
 	r := rand.New(rand.NewSource(8))
@@ -588,7 +584,7 @@ func TestPlanKernelsFirstUseConcurrent(t *testing.T) {
 	}
 	long := []string{randDoc(r, 4096), randDoc(r, 4096)}
 	longWant := []ranked.Count{rankCount(t, blowup, long[0]), rankCount(t, blowup, long[1])}
-	before, closures, flushes := vsa.TableBuildCount(), vsa.ClosureBuildCount(), dfaFlushes.Load()
+	before, flushes := vsa.TableBuildCount(), dfaFlushes.Load()
 	p, err := NewPlan(a)
 	if err != nil {
 		t.Fatal(err)
@@ -602,6 +598,9 @@ func TestPlanKernelsFirstUseConcurrent(t *testing.T) {
 			e := p.NewEnumerator()
 			doc := docs[w]
 			<-start
+			if w%4 == 3 && len(want[w]) > 0 && !p.Accepts(doc, want[w][0]) {
+				t.Errorf("worker %d: the membership test rejects a result", w)
+			}
 			var n ranked.Count
 			if w%2 == 0 {
 				n = e.CountDoc(doc)
@@ -642,13 +641,35 @@ func TestPlanKernelsFirstUseConcurrent(t *testing.T) {
 	if n := vsa.TableBuildCount() - before; n != 1 {
 		t.Fatalf("%d transition tables built for one plan, want 1", n)
 	}
-	if n := vsa.ClosureBuildCount() - closures; n != 1 {
-		t.Fatalf("%d closures built for one plan, want 1", n)
-	}
 	if p.letterOf == nil {
 		t.Fatal("the plan has no letters after its first use")
 	}
 	if dfaFlushes.Load() == flushes {
 		t.Fatal("no count flushed its DFA")
+	}
+}
+
+// TestPrepareAllocatesAboutTheTable: a plan's first document composes the
+// transition table from boundary closure lists and never builds an n×n
+// closure matrix beside it, so on E8's A_eq at |s| = 16 (a¹⁶, 3,571
+// states) Prepare plus a drain allocates less than twice the table's
+// bytes. With the matrix built as well it allocated 4.0 MB against a
+// 1.6 MB table.
+func TestPrepareAllocatesAboutTheTable(t *testing.T) {
+	s := strings.Repeat("a", 16)
+	a, err := strequal.Apply(rgx.MustCompilePattern(".*x{a+}.*y{a+}.*"), s, [][2]string{{"x", "y"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e *Enumerator
+	b := alloctest.Bytes(t, 1, func() {
+		if e, err = Prepare(a, s); err != nil {
+			t.Fatal(err)
+		}
+		for _, ok := e.Next(); ok; _, ok = e.Next() {
+		}
+	})
+	if table := e.plan.tt.Bytes(); b >= 2*float64(table) {
+		t.Fatalf("Prepare plus a drain allocated %.0f B, want under twice the table's %d B", b, table)
 	}
 }

@@ -25,8 +25,8 @@ const (
 	// StagePlan is the eager part of the enum.Plan build — automaton
 	// trim and functionality check, both linear. Recorded only when the
 	// plan was actually built (memoized plans cost nothing). The plan's
-	// kernels (closures, letter table, transition matrices, build caches)
-	// are built on first use, inside the stage whose document first needs
+	// kernels (letter table, transition matrices, build caches) are
+	// built on first use, inside the stage whose document first needs
 	// them: count or enumerate, or a page's window build, which is no
 	// stage.
 	StagePlan Stage = "plan_build"

@@ -261,19 +261,6 @@ func (b *builder) expand(g Graph, level int, members []int32) detNode {
 // O(DAG nodes + edges) at build time and O(1) thereafter.
 func (r *Rank) Count() Count { return r.counts[0] }
 
-// NumLevels returns the word length the rank was built for (|s|+1), 0
-// when the result set is empty.
-func (r *Rank) NumLevels() int { return r.levels }
-
-// Size returns the determinized DAG's node and edge counts (cost
-// witnesses for the benchmarks; the descent cost is O(levels·fan-out)).
-func (r *Rank) Size() (nodes, edges int) {
-	for i := range r.nodes {
-		edges += len(r.nodes[i].children)
-	}
-	return len(r.nodes), edges
-}
-
 // WordAt appends the i-th word (0-based, radix order — the enumerator's
 // order) to buf[:0] and returns it; ok is false when i ≥ Count. One
 // descent costs O(levels · fan-out), independent of i.

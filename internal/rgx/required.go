@@ -2,23 +2,6 @@ package rgx
 
 import "spanjoin/internal/prefilter"
 
-// RequiredLiteral computes a conservative necessary factor of the formula:
-// a byte string that occurs in clr(r) for every r ∈ R(α). The empty string
-// means "no useful factor". Evaluators use it to skip documents that cannot
-// match at all — a lightweight version of the filtering direction the
-// paper's conclusion points to (Yang et al.'s negative factors). It is the
-// single-factor view of RequiredLiterals: the longest factor of the set,
-// ties broken lexicographically.
-func RequiredLiteral(n Node) string {
-	best := ""
-	for _, l := range RequiredLiterals(n) {
-		if len(l) > len(best) || (len(l) == len(best) && l < best) {
-			best = l
-		}
-	}
-	return best
-}
-
 func isEpsilonNode(n Node) bool {
 	_, ok := n.(Epsilon)
 	return ok
@@ -26,11 +9,13 @@ func isEpsilonNode(n Node) bool {
 
 // RequiredLiterals computes the full conservative requirement set of the
 // formula: every returned literal occurs in clr(r) for every r ∈ R(α), so a
-// document missing any one of them cannot match. Unlike RequiredLiteral,
-// which keeps only the single longest factor, this surfaces every mandatory
-// run of a concatenation (e.g. `x{ERROR}.*y{op=}` requires both "ERROR" and
-// "op="), which composition layers combine into multi-literal prefilters.
-// The list is raw — callers normalize (dedupe, drop subsumed factors).
+// document missing any one of them cannot match. Evaluators use it to skip
+// documents that cannot match at all — a lightweight version of the
+// filtering direction the paper's conclusion points to (Yang et al.'s
+// negative factors). It surfaces every mandatory run of a concatenation
+// (e.g. `x{ERROR}.*y{op=}` requires both "ERROR" and "op="), which
+// composition layers combine into multi-literal prefilters. The list is
+// raw — callers normalize (dedupe, drop subsumed factors; prefilter.New).
 func RequiredLiterals(n Node) []string {
 	_, req := analyzeAll(n)
 	return req

@@ -6,83 +6,9 @@ import (
 
 	"spanjoin/internal/enum"
 	"spanjoin/internal/oracle"
-	"spanjoin/internal/rgx"
 	"spanjoin/internal/span"
 	"spanjoin/internal/vsa"
 )
-
-// TestAcceptsTupleAgainstEnumeration: membership must agree exactly with
-// the enumerated result over all candidate tuples.
-func TestAcceptsTupleAgainstEnumeration(t *testing.T) {
-	patterns := []string{
-		"a*x{a*}a*",
-		".*x{a+}y{b}.*",
-		"x{.*}y{.*}",
-		".*x{.}.*y{.}.*",
-		"(a|b)*x{ab}(a|b)*",
-	}
-	strs := []string{"", "a", "ab", "aab", "abab"}
-	for _, p := range patterns {
-		a := rgx.MustCompilePattern(p)
-		for _, s := range strs {
-			vars, tuples, err := enum.Eval(a, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inResult := map[string]bool{}
-			for _, tu := range tuples {
-				inResult[tu.Key()] = true
-			}
-			// Every enumerated tuple must be accepted; every other candidate
-			// combination must be rejected.
-			forEachCandidate(len(s), len(vars), func(tu span.Tuple) {
-				got, err := vsa.AcceptsTuple(a, s, vars, tu)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != inResult[tu.Key()] {
-					t.Errorf("[[%s]](%q): AcceptsTuple(%v) = %v, enumeration says %v",
-						p, s, tu.Format(vars), got, inResult[tu.Key()])
-				}
-			})
-		}
-	}
-}
-
-func forEachCandidate(n, v int, fn func(span.Tuple)) {
-	all := span.All(n)
-	tu := make(span.Tuple, v)
-	var rec func(int)
-	rec = func(i int) {
-		if i == v {
-			fn(tu)
-			return
-		}
-		for _, sp := range all {
-			tu[i] = sp
-			rec(i + 1)
-		}
-	}
-	rec(0)
-}
-
-func TestAcceptsTupleErrors(t *testing.T) {
-	a := rgx.MustCompilePattern("x{a}")
-	if _, err := vsa.AcceptsTuple(a, "a", span.NewVarList("y"), span.Tuple{{Start: 1, End: 2}}); err == nil {
-		t.Error("schema mismatch must error")
-	}
-	if _, err := vsa.AcceptsTuple(a, "a", span.NewVarList("x"), span.Tuple{}); err == nil {
-		t.Error("arity mismatch must error")
-	}
-	if _, err := vsa.AcceptsTuple(example26A(), "a", span.NewVarList("x"), span.Tuple{{Start: 1, End: 1}}); err == nil {
-		t.Error("non-functional automaton must error")
-	}
-	// Spans outside the string are simply not matches.
-	ok, err := vsa.AcceptsTuple(a, "a", span.NewVarList("x"), span.Tuple{{Start: 3, End: 9}})
-	if err != nil || ok {
-		t.Errorf("out-of-range span: ok=%v err=%v", ok, err)
-	}
-}
 
 // TestRandomAutomataAlgebraAgainstOracle: generate random functional
 // automata and check Join/Union/Project against the ref-word oracle and

@@ -2,15 +2,17 @@ package vsa
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"spanjoin/internal/alphabet"
+	"spanjoin/internal/span"
 )
 
 // closureFromRef is the pre-bitset slice implementation of the variable-ε
 // closure (BFS over adjacency with a []bool seen set), kept as the golden
-// reference for NewClosures.
+// reference for boundaryClosures.
 func closureFromRef(a *VSA, q int32) []int32 {
 	seen := make([]bool, len(a.Adj))
 	seen[q] = true
@@ -26,9 +28,10 @@ func closureFromRef(a *VSA, q int32) []int32 {
 	return order
 }
 
-// TestClosuresAgainstSliceReference checks the bitset closure against the
-// slice BFS on random automata: same state sets, with the slice views in
-// ascending order and the bitset rows agreeing bit for bit.
+// TestClosuresAgainstSliceReference checks the boundary closures against
+// the slice BFS on random automata: each list must hold, in ascending
+// order, exactly the reference closure's states that read a byte or are
+// qf.
 func TestClosuresAgainstSliceReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
@@ -50,25 +53,53 @@ func TestClosuresAgainstSliceReference(t *testing.T) {
 				a.AddChar(p, alphabet.Single('a'), q)
 			}
 		}
-		cl := a.NewClosures()
+		boundary := make([]bool, n)
+		boundary[a.Final] = true
+		for q, ts := range a.Adj {
+			for _, x := range ts {
+				boundary[q] = boundary[q] || x.Kind == KChar
+			}
+		}
+		ve := a.boundaryClosures()
 		for q := 0; q < n; q++ {
-			want := closureFromRef(a, int32(q))
+			var want []int32
+			for _, p := range closureFromRef(a, int32(q)) {
+				if boundary[p] {
+					want = append(want, p)
+				}
+			}
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			got, row := cl.VE[q], cl.VEB.Row(q)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d state %d: got %v want %v", trial, q, got, want)
+			if !slices.Equal(ve[q], want) {
+				t.Fatalf("trial %d state %d: got %v want %v", trial, q, ve[q], want)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d state %d: got %v want %v", trial, q, got, want)
-				}
-				if !row.Test(want[i]) {
-					t.Fatalf("trial %d state %d: bitset row missing %d", trial, q, want[i])
-				}
-			}
-			if row.Count() != len(want) {
-				t.Fatalf("trial %d state %d: bitset row has extra bits", trial, q)
-			}
+		}
+	}
+}
+
+// TestClosures: the boundary closure of a state lists the states its ε-
+// and variable transitions reach that read a byte or are qf, itself
+// included when it reads one.
+func TestClosures(t *testing.T) {
+	a := New(span.NewVarList("x"))
+	s1 := a.AddState()
+	s2 := a.AddState()
+	s3 := a.AddState()
+	a.AddEps(a.Init, s1)
+	a.AddOpen(s1, 0, s2)
+	a.AddChar(s2, alphabet.Single('a'), s3)
+	a.AddClose(s3, 0, a.Final)
+	ve := a.boundaryClosures()
+	for _, c := range []struct {
+		q    int32
+		want []int32
+	}{
+		{a.Init, []int32{s2}}, // Init, s1 and s2 are reached; only s2 reads
+		{s2, []int32{s2}},
+		{s3, []int32{a.Final}},
+		{a.Final, []int32{a.Final}},
+	} {
+		if !slices.Equal(ve[c.q], c.want) {
+			t.Errorf("boundary VE(%d) = %v, want %v", c.q, ve[c.q], c.want)
 		}
 	}
 }

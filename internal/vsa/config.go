@@ -35,9 +35,6 @@ func (v VarState) String() string {
 // automaton's sorted variable list.
 type Config []VarState
 
-// Clone copies the configuration.
-func (c Config) Clone() Config { return append(Config(nil), c...) }
-
 // Equal reports pointwise equality.
 func (c Config) Equal(o Config) bool {
 	if len(c) != len(o) {

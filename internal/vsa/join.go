@@ -3,8 +3,6 @@ package vsa
 import (
 	"fmt"
 	"strings"
-
-	"spanjoin/internal/bitset"
 )
 
 // Join implements the natural-join operator ⋈ on functional vset-automata
@@ -34,24 +32,18 @@ func Join(a1, a2 *VSA) (*VSA, error) {
 	if err != nil {
 		return nil, err
 	}
-	joint := t1.Vars.Union(t2.Vars)
-	if isEmptyVSA(t1) || isEmptyVSA(t2) {
-		return New(joint), nil
+	if t1.IsEmptyLanguage() || t2.IsEmptyLanguage() {
+		return New(t1.Vars.Union(t2.Vars)), nil
 	}
-	_ = joint
 	j := &joiner{a1: t1, a2: t2, ct1: ct1, ct2: ct2}
 	return j.run()
-}
-
-func isEmptyVSA(a *VSA) bool {
-	return a.NumStates() == 2 && a.NumTransitions() == 0 && a.Init != a.Final
 }
 
 type joiner struct {
 	a1, a2   *VSA
 	ct1, ct2 *ConfigTable
 
-	// veb1[q]/veb2[q]: boundary states in the ε/variable closure of q.
+	// veb1[q]/veb2[q]: the boundary states of VE(q) (boundaryClosures).
 	veb1, veb2 [][]int32
 
 	out *VSA
@@ -80,8 +72,8 @@ func (j *joiner) run() (*VSA, error) {
 			j.shared2 = append(j.shared2, int32(i))
 		}
 	}
-	j.veb1 = boundaryClosures(j.a1)
-	j.veb2 = boundaryClosures(j.a2)
+	j.veb1 = j.a1.boundaryClosures()
+	j.veb2 = j.a2.boundaryClosures()
 	j.ids = make(map[[2]int32]int32)
 	j.chainIDs = make(map[string]int32)
 	j.edgeSeen = make(map[string]bool)
@@ -133,35 +125,6 @@ func (j *joiner) run() (*VSA, error) {
 	}
 	j.out.Final = fid
 	return j.out.Trim(), nil
-}
-
-// boundaryClosures computes, for every state q, the boundary states
-// (character-bearing or final) in the ε/variable closure of q: one AND of
-// the closure row with the boundary mask per state.
-func boundaryClosures(a *VSA) [][]int32 {
-	n := a.NumStates()
-	boundary := bitset.NewRow(n)
-	for q := range a.Adj {
-		for _, t := range a.Adj[q] {
-			if t.Kind == KChar {
-				boundary.Set(int32(q))
-				break
-			}
-		}
-	}
-	boundary.Set(a.Final)
-	cl := a.NewClosures()
-	out := make([][]int32, n)
-	row := bitset.NewRow(n)
-	var arena []int32
-	for q := range out {
-		row.CopyFrom(cl.VEB.Row(q))
-		row.And(boundary)
-		start := len(arena)
-		arena = row.AppendOnes(arena)
-		out[q] = arena[start:len(arena):len(arena)]
-	}
-	return out
 }
 
 func (j *joiner) consistent(q1, q2 int32) bool {

@@ -1,7 +1,5 @@
 package vsa
 
-import "spanjoin/internal/bitset"
-
 // KeyAttribute decides whether the variable x is a key attribute of the
 // functional vset-automaton A (Prop 3.6): x is a key iff for every string s
 // and tuples µ, µ′ ∈ [[A]](s), µ(x) = µ′(x) implies µ = µ′.
@@ -20,23 +18,32 @@ func KeyAttribute(a *VSA, x string) (bool, error) {
 	if xi < 0 {
 		return false, errUnknownVar(x)
 	}
-	if t.NumStates() == 2 && t.NumTransitions() == 0 && t.Init != t.Final {
-		return true, nil // empty language: vacuously a key
-	}
-	cl := t.NewClosures()
-	ns := t.NumStates()
+	return isKey(t, ct, t.boundaryClosures(), xi), nil
+}
 
-	// xMask[v] = states whose configuration assigns value v to x, so "all
-	// partners of e1 agreeing on x" is one AND with the VE closure row.
-	var xMask [3]bitset.Row
-	for v := range xMask {
-		xMask[v] = bitset.NewRow(ns)
+// HasKeyAttribute reports whether any variable of A is a key attribute —
+// the paper's second example of a polynomially bounded class (§3.3.2). It
+// trims A, checks functionality and builds the closures once for all the
+// variables.
+func HasKeyAttribute(a *VSA) (string, bool, error) {
+	t, ct, err := a.RequireFunctional()
+	if err != nil {
+		return "", false, err
 	}
-	for q := 0; q < ns; q++ {
-		xMask[ct.Cfg[q][xi]].Set(int32(q))
+	ve := t.boundaryClosures()
+	for xi, x := range t.Vars {
+		if isKey(t, ct, ve, xi) {
+			return x, true, nil
+		}
 	}
-	partners := bitset.NewRow(ns)
+	return "", false, nil
+}
 
+// isKey runs KeyAttribute's product on the trimmed automaton t, its
+// configuration table and boundary closures ve, for the variable with
+// index xi. An empty language has no boundary state in VE(Init), so its
+// product is empty and every variable is vacuously a key.
+func isKey(t *VSA, ct *ConfigTable, ve [][]int32, xi int) bool {
 	// Tuples are determined by the configuration sequence at the boundary
 	// states q̂_0 … q̂_N (§4.1): q̂_0 ∈ VE(q0), q̂_{i+1} ∈ VE(δ(q̂_i, σ)),
 	// and q̂_N = qf. The product walks pairs of boundary states.
@@ -46,23 +53,21 @@ func KeyAttribute(a *VSA, x string) (bool, error) {
 	}
 	seen := make(map[pkey]bool)
 	var queue []pkey
-	push := func(k pkey) {
-		if !seen[k] {
-			seen[k] = true
-			queue = append(queue, k)
-		}
-	}
-	// pushPairs enqueues all consistent pairs (e1, e2) with e1 ∈ VE(to1),
-	// e2 ∈ VE(to2) agreeing on x, carrying the disagreement flag.
+	// pushPairs enqueues all pairs (e1, e2) with e1 ∈ VE(to1), e2 ∈ VE(to2)
+	// agreeing on x, carrying the disagreement flag.
 	pushPairs := func(to1, to2 int32, flag bool) {
-		for _, e1 := range cl.VE[to1] {
-			partners.CopyFrom(cl.VEB.Row(int(to2)))
-			partners.And(xMask[ct.Cfg[e1][xi]])
-			for e2 := partners.NextOne(0); e2 >= 0; e2 = partners.NextOne(e2 + 1) {
-				push(pkey{
-					flag: flag || !ct.Cfg[e1].Equal(ct.Cfg[e2]),
-					q1:   e1, q2: e2,
-				})
+		for _, e1 := range ve[to1] {
+			c1 := ct.Cfg[e1]
+			for _, e2 := range ve[to2] {
+				c2 := ct.Cfg[e2]
+				if c1[xi] != c2[xi] {
+					continue
+				}
+				k := pkey{flag: flag || !c1.Equal(c2), q1: e1, q2: e2}
+				if !seen[k] {
+					seen[k] = true
+					queue = append(queue, k)
+				}
 			}
 		}
 	}
@@ -72,7 +77,7 @@ func KeyAttribute(a *VSA, x string) (bool, error) {
 		k := queue[0]
 		queue = queue[1:]
 		if k.flag && k.q1 == t.Final && k.q2 == t.Final {
-			return false, nil
+			return false
 		}
 		for _, tr1 := range t.Adj[k.q1] {
 			if tr1.Kind != KChar {
@@ -89,22 +94,7 @@ func KeyAttribute(a *VSA, x string) (bool, error) {
 			}
 		}
 	}
-	return true, nil
-}
-
-// HasKeyAttribute reports whether any variable of A is a key attribute —
-// the paper's second example of a polynomially bounded class (§3.3.2).
-func HasKeyAttribute(a *VSA) (string, bool, error) {
-	for _, x := range a.Vars {
-		ok, err := KeyAttribute(a, x)
-		if err != nil {
-			return "", false, err
-		}
-		if ok {
-			return x, true, nil
-		}
-	}
-	return "", false, nil
+	return true
 }
 
 type errUnknownVar string

@@ -23,26 +23,26 @@ func TableBuildCount() uint64 { return tableBuilds.Load() }
 // compression: the 256 byte values are partitioned into equivalence classes
 // (two bytes are equivalent iff every CharClass on every transition treats
 // them identically), and each class c carries a boundary-to-boundary bitset
-// matrix M_c whose row p is the union of VE-closure rows VE(to) over all
-// character transitions p --σ--> to with σ ∈ c — δ pre-composed with the
-// variable-ε closure. The successor set of a state under one document byte
-// is then a precomputed matrix row.
+// matrix M_c whose row p is the union of the boundary closures of the
+// targets of p's character transitions that accept c — δ pre-composed with
+// the variable-ε closure. The successor set of a state under one document
+// byte is then a precomputed matrix row.
 //
-// The table owns the step mask: the states that read a byte (those with a
-// character transition), plus qf. Every matrix row, and the start row
-// VE(Init), holds only masked states. Any other state has no successor, so
-// a run that enters one never reads another byte: it can sit only at the
-// end of a document, where only qf counts. Dropping those states changes
-// neither a layered graph's pruned nodes nor a count, and keeps the
+// The table's states are the boundary states (see boundaryClosures): the
+// states that read a byte, plus qf. Every matrix row, and the start row
+// VE(Init), holds only boundary states. Any other state has no successor,
+// so a run that enters one never reads another byte: it can sit only at
+// the end of a document, where only qf counts. Dropping those states
+// changes neither a layered graph's pruned nodes nor a count, and keeps the
 // ε-closure states a Thompson automaton crowds into every set out of the
 // builds' and counts' state sets.
 //
 // The table depends only on the compiled automaton, never on a document, so
 // it is built once per compiled query and shared by every enumerator,
 // clone and corpus worker. Memory is NumClasses live matrices of n² bits
-// each, the same order as the closure matrix it is built from, which the
-// plan drops once the table exists; the class of bytes no transition
-// accepts shares a nil matrix.
+// each; the closures it is composed from are lists of boundary states,
+// never a matrix, and the class of bytes no transition accepts shares a
+// nil matrix.
 type TransitionTable struct {
 	classOf    [256]uint8
 	numClasses int
@@ -50,30 +50,27 @@ type TransitionTable struct {
 	// mats[c] is M_c; nil for the dead class (no transition accepts its
 	// bytes — a document containing one cannot match at all).
 	mats  []*bitset.Matrix
-	start bitset.Row // VE(Init), masked
+	start bitset.Row // the boundary states of VE(Init)
 }
 
-// NewTransitionTable compiles the table for a trimmed automaton and its
-// closures (the artifacts RequireFunctional / NewClosures produce). Cost is
-// O(|blocks|·|distinct classes|) word operations for the byte partition
-// plus O(C·m·n/w) to fill the matrices.
-func NewTransitionTable(a *VSA, cl *Closures) *TransitionTable {
+// NewTransitionTable compiles the table for a trimmed automaton (the one
+// RequireFunctional returns). Cost is O(|blocks|·|distinct classes|) word
+// operations for the byte partition, plus the boundary closures and
+// O(C·n²/w) to zero and fill the matrices.
+func NewTransitionTable(a *VSA) *TransitionTable {
 	tableBuilds.Add(1)
 	tt := &TransitionTable{}
 	n := a.NumStates()
 
-	// Distinct character-transition classes, their union, and the step mask.
+	// Distinct character-transition classes and their union.
 	var distinct []alphabet.Class
 	var accepted alphabet.Class
 	seen := make(map[alphabet.Class]struct{})
-	mask := bitset.NewRow(n)
-	mask.Set(a.Final)
-	for q, ts := range a.Adj {
+	for _, ts := range a.Adj {
 		for _, tr := range ts {
 			if tr.Kind != KChar {
 				continue
 			}
-			mask.Set(int32(q))
 			if _, ok := seen[tr.Class]; !ok {
 				seen[tr.Class] = struct{}{}
 				distinct = append(distinct, tr.Class)
@@ -111,29 +108,87 @@ func NewTransitionTable(a *VSA, cl *Closures) *TransitionTable {
 	}
 
 	// Fill M_c row by row: δ restricted to the class, pre-composed with the
-	// variable-ε closure, masked. A class outside every transition label
-	// keeps a nil matrix (the dead class).
+	// boundary closures. A class outside every transition label keeps a
+	// nil matrix (the dead class).
+	ve := a.boundaryClosures()
 	tt.mats = make([]*bitset.Matrix, tt.numClasses)
 	for c, rep := range tt.repr {
 		if !accepted.Contains(rep) {
 			continue
 		}
 		m := bitset.NewMatrix(n, n)
-		for q := 0; q < n; q++ {
-			row := m.Row(q)
-			for _, tr := range a.Adj[q] {
+		for q, ts := range a.Adj {
+			for _, tr := range ts {
 				if tr.Kind == KChar && tr.Class.Contains(rep) {
-					row.Or(cl.VEB.Row(int(tr.To)))
+					setAll(m.Row(q), ve[tr.To])
 				}
 			}
-			row.And(mask)
 		}
 		tt.mats[c] = m
 	}
 	tt.start = bitset.NewRow(n)
-	tt.start.CopyFrom(cl.VEB.Row(int(a.Init)))
-	tt.start.And(mask)
+	setAll(tt.start, ve[a.Init])
 	return tt
+}
+
+// setAll adds the states of list to r.
+func setAll(r bitset.Row, list []int32) {
+	for _, q := range list {
+		r.Set(q)
+	}
+}
+
+// boundaryClosures returns, for every state q, the boundary states of its
+// variable-ε closure VE(q) in ascending order. VE(q) is the set of states
+// reachable from q by ε- and variable transitions, q included (paper,
+// proofs of Thm 3.3 and Lemma 3.10); a boundary state reads a byte or is
+// qf — the q̂ states of §4.1, where a run sits between two bytes. The
+// constructions that step a run over bytes (the transition table, Join,
+// KeyAttribute) read VE only through these lists. Each list comes from one
+// depth-first search into a single scratch row, so the build keeps O(n)
+// words beside the lists and never an n×n matrix.
+func (a *VSA) boundaryClosures() [][]int32 {
+	n := len(a.Adj)
+	boundary := bitset.NewRow(n)
+	boundary.Set(a.Final)
+	for q, ts := range a.Adj {
+		for _, t := range ts {
+			if t.Kind == KChar {
+				boundary.Set(int32(q))
+				break
+			}
+		}
+	}
+	row := bitset.NewRow(n)
+	stack := make([]int32, 0, 16)
+	ends := make([]int, n)
+	arena := make([]int32, 0, n) // a closure seldom holds more than one boundary state
+	for q := range a.Adj {
+		row.Set(int32(q))
+		stack = append(stack[:0], int32(q))
+		for len(stack) > 0 {
+			p := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, t := range a.Adj[p] {
+				if t.Kind != KChar && !row.Test(t.To) {
+					row.Set(t.To)
+					stack = append(stack, t.To)
+				}
+			}
+		}
+		row.And(boundary)
+		arena = row.AppendOnes(arena)
+		ends[q] = len(arena)
+		row.Zero()
+	}
+	// Views into the arena, sliced once it has stopped growing.
+	out := make([][]int32, n)
+	start := 0
+	for q, end := range ends {
+		out[q] = arena[start:end:end]
+		start = end
+	}
+	return out
 }
 
 // lowest returns the smallest byte of a non-empty class.
@@ -173,6 +228,6 @@ func (tt *TransitionTable) Bytes() int {
 	return n
 }
 
-// Start returns the masked start row: VE(Init)'s states that read a byte,
-// plus qf when VE(Init) holds it. Callers must not modify it.
+// Start returns the start row: the boundary states of VE(Init). Callers
+// must not modify it.
 func (tt *TransitionTable) Start() bitset.Row { return tt.start }

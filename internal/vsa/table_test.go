@@ -12,14 +12,33 @@ import (
 	"spanjoin/internal/vsa"
 )
 
-// trimmedWithClosures compiles the table inputs the way enum's Plan does.
-func trimmedWithClosures(t *testing.T, a *vsa.VSA) (*vsa.VSA, *vsa.Closures) {
+// trimmed compiles the table input the way enum's Plan does.
+func trimmed(t *testing.T, a *vsa.VSA) *vsa.VSA {
 	t.Helper()
 	tr, _, err := a.RequireFunctional()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, tr.NewClosures()
+	return tr
+}
+
+// refClosure is the reference variable-ε closure VE(q): every state a
+// search over ε- and variable transitions reaches from q, q included.
+func refClosure(a *vsa.VSA, q int32) bitset.Row {
+	row := bitset.NewRow(a.NumStates())
+	row.Set(q)
+	stack := []int32{q}
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, x := range a.Adj[p] {
+			if x.Kind != vsa.KChar && !row.Test(x.To) {
+				row.Set(x.To)
+				stack = append(stack, x.To)
+			}
+		}
+	}
+	return row
 }
 
 // TestTransitionTablePartition: the byte classes must be a partition of the
@@ -34,8 +53,8 @@ func TestTransitionTablePartition(t *testing.T) {
 	}
 	for _, p := range patterns {
 		a := rgx.MustCompilePattern(p)
-		tr, cl := trimmedWithClosures(t, a)
-		tt := vsa.NewTransitionTable(tr, cl)
+		tr := trimmed(t, a)
+		tt := vsa.NewTransitionTable(tr)
 		if tt.NumClasses() < 1 || tt.NumClasses() > 256 {
 			t.Fatalf("%s: %d classes", p, tt.NumClasses())
 		}
@@ -67,16 +86,17 @@ func TestTransitionTablePartition(t *testing.T) {
 
 // TestTransitionTableRows: every matrix row must equal the union of
 // VE-closure rows over the transitions the class matches, restricted to
-// the step mask (the states with a character transition, plus qf), all
-// recomputed here transition by transition; so must the start row
-// VE(Init). A nil matrix is only allowed for a class no transition accepts.
+// the boundary states (the states with a character transition, plus qf),
+// all recomputed here transition by transition from refClosure; so must
+// the start row VE(Init). A nil matrix is only allowed for a class no
+// transition accepts.
 func TestTransitionTableRows(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	vars := span.NewVarList("x", "y")
 	for trial := 0; trial < 60; trial++ {
 		a := oracle.RandomFunctionalVSA(r, vars, 5, 14)
-		tr, cl := trimmedWithClosures(t, a)
-		tt := vsa.NewTransitionTable(tr, cl)
+		tr := trimmed(t, a)
+		tt := vsa.NewTransitionTable(tr)
 		n := tr.NumStates()
 		mask := bitset.NewRow(n)
 		mask.Set(tr.Final)
@@ -88,7 +108,7 @@ func TestTransitionTableRows(t *testing.T) {
 			}
 		}
 		want := bitset.NewRow(n)
-		want.CopyFrom(cl.VEB.Row(int(tr.Init)))
+		want.CopyFrom(refClosure(tr, tr.Init))
 		want.And(mask)
 		if !tt.Start().Equal(want) {
 			t.Fatalf("trial %d: start row mismatch", trial)
@@ -102,7 +122,7 @@ func TestTransitionTableRows(t *testing.T) {
 				for _, x := range tr.Adj[q] {
 					if x.Kind == vsa.KChar && x.Class.Contains(rep) {
 						live = true
-						want.Or(cl.VEB.Row(int(x.To)))
+						want.Or(refClosure(tr, x.To))
 					}
 				}
 				want.And(mask)
@@ -133,8 +153,8 @@ func TestTransitionTableSingleByteAutomaton(t *testing.T) {
 	q := a.AddState()
 	a.AddChar(mid, alphabet.Single('a'), q)
 	a.AddClose(q, 0, a.Final)
-	tr, cl := trimmedWithClosures(t, a)
-	tt := vsa.NewTransitionTable(tr, cl)
+	tr := trimmed(t, a)
+	tt := vsa.NewTransitionTable(tr)
 	if tt.NumClasses() != 2 {
 		t.Fatalf("classes = %d, want 2 ({a} and the dead rest)", tt.NumClasses())
 	}
@@ -153,10 +173,10 @@ func TestTransitionTableSingleByteAutomaton(t *testing.T) {
 // construction exactly once.
 func TestTableBuildCountMonotonic(t *testing.T) {
 	a := rgx.MustCompilePattern(`x{a}`)
-	tr, cl := trimmedWithClosures(t, a)
+	tr := trimmed(t, a)
 	before := vsa.TableBuildCount()
-	vsa.NewTransitionTable(tr, cl)
-	vsa.NewTransitionTable(tr, cl)
+	vsa.NewTransitionTable(tr)
+	vsa.NewTransitionTable(tr)
 	if got := vsa.TableBuildCount() - before; got != 2 {
 		t.Fatalf("counter advanced by %d, want 2", got)
 	}
@@ -204,8 +224,8 @@ func signatureClasses(a *vsa.VSA) (classOf [256]int, repr []byte) {
 func TestPartitionMatchesSignatures(t *testing.T) {
 	check := func(what string, a *vsa.VSA) {
 		t.Helper()
-		tr, cl := trimmedWithClosures(t, a)
-		tt := vsa.NewTransitionTable(tr, cl)
+		tr := trimmed(t, a)
+		tt := vsa.NewTransitionTable(tr)
 		classOf, repr := signatureClasses(tr)
 		if tt.NumClasses() != len(repr) {
 			t.Fatalf("%s: %d classes, reference %d", what, tt.NumClasses(), len(repr))

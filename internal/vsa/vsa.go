@@ -8,7 +8,7 @@
 //
 //   - the automaton model with byte-class character transitions,
 //   - variable configurations and the functionality test (Thm 2.7),
-//   - trimming and variable-ε closures,
+//   - trimming, and variable-ε closures as lists of boundary states,
 //   - the spanner algebra: projection (Lemma 3.8), union (Lemma 3.9),
 //     natural join (Lemma 3.10),
 //   - functionalization of arbitrary vset-automata (state × configuration
@@ -20,10 +20,8 @@ package vsa
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"spanjoin/internal/alphabet"
-	"spanjoin/internal/bitset"
 	"spanjoin/internal/span"
 )
 
@@ -231,66 +229,12 @@ func (a *VSA) Trim() *VSA {
 	return out
 }
 
-// IsEmptyLanguage reports whether the automaton trivially has no accepting
-// path (checked by reachability; sound and complete for R(A) = ∅).
+// IsEmptyLanguage reports whether a trimmed automaton has no accepting
+// path. Trim turns every automaton whose language is empty into New's two
+// unconnected states, so the test is one shape check; an untrimmed
+// automaton must be trimmed first.
 func (a *VSA) IsEmptyLanguage() bool {
-	t := a.Trim()
-	return t.NumStates() == 2 && t.NumTransitions() == 0 && !(a.Init == a.Final)
-}
-
-// closureBuilds counts NewClosures calls process-wide, so tests can
-// assert that a plan defers its closures to its first swept document.
-var closureBuilds atomic.Uint64
-
-// ClosureBuildCount reports how many closures this process has built.
-func ClosureBuildCount() uint64 { return closureBuilds.Load() }
-
-// Closures holds the memoized variable-ε-closure VE of every state (paper,
-// proofs of Thm 3.3 and Lemma 3.10): VE(q) is the set of states reachable
-// from q using only ε- and variable transitions, q included. The primary
-// representation is an n×n bitset matrix (row q = VE(q)), so closure
-// unions and intersections in the hot paths are word operations; VE is a
-// slice view of the same rows, in ascending state order, for code whose
-// iteration order matters.
-type Closures struct {
-	VE [][]int32
-	// VEB holds the bitset rows backing VE.
-	VEB *bitset.Matrix
-}
-
-// NewClosures computes the closure of every state by a depth-first search
-// per state over the ε- and variable transitions, in O(n·m) time at worst
-// and O(Σ_q |VE(q)|) for the bounded out-degree of compiled formulas.
-func (a *VSA) NewClosures() *Closures {
-	closureBuilds.Add(1)
-	n := len(a.Adj)
-	c := &Closures{VE: make([][]int32, n), VEB: bitset.NewMatrix(n, n)}
-	stack := make([]int32, 0, 16)
-	total := 0
-	for q := 0; q < n; q++ {
-		row := c.VEB.Row(q)
-		row.Set(int32(q))
-		stack = append(stack[:0], int32(q))
-		for len(stack) > 0 {
-			p := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, t := range a.Adj[p] {
-				if t.Kind != KChar && !row.Test(t.To) {
-					row.Set(t.To)
-					stack = append(stack, t.To)
-				}
-			}
-		}
-		total += row.Count()
-	}
-	// Slice views, shared arena, ascending state order.
-	arena := make([]int32, 0, total)
-	for q := 0; q < n; q++ {
-		start := len(arena)
-		arena = c.VEB.Row(q).AppendOnes(arena)
-		c.VE[q] = arena[start:len(arena):len(arena)]
-	}
-	return c
+	return a.NumStates() == 2 && a.NumTransitions() == 0 && a.Init != a.Final
 }
 
 // String summarizes the automaton for debugging.

@@ -135,22 +135,6 @@ func TestTrimEmptyLanguage(t *testing.T) {
 	}
 }
 
-func TestClosures(t *testing.T) {
-	a := vsa.New(span.NewVarList("x"))
-	s1 := a.AddState()
-	s2 := a.AddState()
-	a.AddEps(a.Init, s1)
-	a.AddOpen(s1, 0, s2)
-	a.AddClose(s2, 0, a.Final)
-	cl := a.NewClosures()
-	if got := len(cl.VE[a.Init]); got != 4 { // everything
-		t.Errorf("|VE(init)| = %d, want 4", got)
-	}
-	if got := len(cl.VE[s2]); got != 2 { // s2 + final
-		t.Errorf("|VE(s2)| = %d, want 2", got)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a := example26Afun()
 	b := a.Clone()

@@ -1,13 +1,15 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"spanjoin/internal/resilience"
 )
@@ -195,99 +197,129 @@ func clearTemps(dir string) {
 	}
 }
 
-// errTorn is replay's internal marker for a decode failure that is
-// consistent with a crash mid-append: everything from the failure offset
-// to EOF is the torn tail. Never escapes this package.
-var errTorn = errors.New("wal: torn tail")
-
-// replayLog decodes one log file, calling apply for every valid record.
-// tail says this is the final (active) log: only there is a trailing
-// decode failure accepted as a torn tail — an interior log was rotated
-// away by a completed snapshot cycle, so damage in it is corruption
-// regardless of position. Returns the byte length of the valid prefix —
-// where appends resume — and how many trailing bytes were torn.
+// replayLog decodes one log file record by record through a buffered
+// reader, calling apply for every valid record, so it holds one record at
+// a time, never the file. tail says this is the final (active) log: only
+// there is a trailing decode failure accepted as a torn tail — an interior
+// log was rotated away by a completed snapshot cycle, so damage in it is
+// corruption regardless of position. Returns the byte length of the valid
+// prefix — where appends resume — and how many trailing bytes were torn.
+//
+// A decode failure is torn when a crash mid-append explains it — a write
+// is a prefix of header+payload, so the damage set is: short header,
+// short payload, a zero-filled tail, or a checksum mismatch on the record
+// that reaches EOF. A checksum failure with bytes after the framed record,
+// or a length no append could have written, is real corruption. The
+// verdicts depend on where the file ends, which Stat gives up front.
 func replayLog(path string, maxRecord uint32, tail bool, apply func(seq uint64, shard uint32, doc string) error) (valid, torn int64, err error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(data) < len(logMagic) {
-		if tail && prefixOf(data, []byte(logMagic)) {
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	size, base := st.Size(), filepath.Base(path)
+	r := bufio.NewReaderSize(f, readBufBytes)
+	magic := make([]byte, min(size, int64(len(logMagic))))
+	if _, err := io.ReadFull(r, magic); err != nil {
+		return 0, 0, err
+	}
+	if len(magic) < len(logMagic) {
+		if tail && strings.HasPrefix(logMagic, string(magic)) {
 			// The crash hit during file creation, before the magic was
 			// complete; the file holds nothing.
-			return 0, int64(len(data)), nil
+			return 0, size, nil
 		}
-		return 0, 0, corruptf("wal: %s: truncated magic", filepath.Base(path))
+		return 0, 0, corruptf("wal: %s: truncated magic", base)
 	}
-	if string(data[:len(logMagic)]) != logMagic {
-		return 0, 0, corruptf("wal: %s: bad magic", filepath.Base(path))
+	if string(magic) != logMagic {
+		return 0, 0, corruptf("wal: %s: bad magic", base)
 	}
-	off := len(logMagic)
-	for off < len(data) {
-		n, seq, shard, doc, derr := decodeRecord(data[off:], maxRecord)
-		if derr != nil {
-			if errors.Is(derr, errTorn) && tail {
-				return int64(off), int64(len(data) - off), nil
-			}
-			return 0, 0, corruptf("wal: %s at offset %d: %v", filepath.Base(path), off, derr)
+	off := int64(len(logMagic))
+	// fail reports a decode failure at off: a torn tail when a crash
+	// explains it and this is the tail log, corruption otherwise.
+	fail := func(crash bool, format string, args ...any) (int64, int64, error) {
+		if crash && tail {
+			return off, size - off, nil
 		}
-		if err := apply(seq, shard, doc); err != nil {
+		return 0, 0, corruptf("wal: %s at offset %d: "+format, append([]any{base, off}, args...)...)
+	}
+	var spill []byte
+	for off < size {
+		rem := size - off
+		if rem < recHdrSize {
+			return fail(true, "short header (%d bytes)", rem)
+		}
+		hdr, err := take(r, recHdrSize, &spill)
+		if err != nil {
 			return 0, 0, err
 		}
-		off += n
-	}
-	return int64(off), 0, nil
-}
-
-// prefixOf reports whether data is a (possibly empty) prefix of full.
-func prefixOf(data, full []byte) bool {
-	return len(data) <= len(full) && string(data) == string(full[:len(data)])
-}
-
-// decodeRecord decodes one record from the head of b. It returns errTorn
-// (wrapped) for failures explainable as a crash mid-append — a write is
-// a prefix of header+payload, so the damage set is: short header, short
-// payload, or a checksum mismatch on the record that reaches EOF. A
-// checksum failure with bytes after the framed record, or a length no
-// append could have written, is real corruption.
-func decodeRecord(b []byte, maxRecord uint32) (n int, seq uint64, shard uint32, doc string, err error) {
-	if len(b) < recHdrSize {
-		return 0, 0, 0, "", fmt.Errorf("short header (%d bytes): %w", len(b), errTorn)
-	}
-	length := binary.LittleEndian.Uint32(b[0:4])
-	sum := binary.LittleEndian.Uint32(b[4:8])
-	if length < recMinBody || length > maxRecord {
-		if allZero(b) {
+		length := binary.LittleEndian.Uint32(hdr[0:4])
+		sum := binary.LittleEndian.Uint32(hdr[4:8])
+		if length < recMinBody || length > maxRecord {
 			// A zero-filled tail is filesystem crash residue (size
 			// extended, data blocks never written): torn, not corrupt.
-			return 0, 0, 0, "", fmt.Errorf("zero-filled tail: %w", errTorn)
+			zero, err := zeroTail(hdr, r, rem-recHdrSize)
+			if err != nil {
+				return 0, 0, err
+			}
+			if zero {
+				return fail(true, "zero-filled tail")
+			}
+			return fail(false, "impossible record length %d", length)
 		}
-		return 0, 0, 0, "", fmt.Errorf("impossible record length %d", length)
-	}
-	end := recHdrSize + int(length)
-	if len(b) < end {
-		return 0, 0, 0, "", fmt.Errorf("short payload (%d of %d bytes): %w", len(b)-recHdrSize, length, errTorn)
-	}
-	payload := b[recHdrSize:end]
-	if crc32.Checksum(payload, crcTable) != sum {
-		if len(b) == end {
+		end := recHdrSize + int64(length)
+		if rem < end {
+			return fail(true, "short payload (%d of %d bytes)", rem-recHdrSize, length)
+		}
+		payload, err := take(r, int(length), &spill)
+		if err != nil {
+			return 0, 0, err
+		}
+		if crc32.Checksum(payload, crcTable) != sum {
 			// The bad record is the file's last: consistent with a torn
 			// write whose tail the filesystem zero- or garbage-filled.
-			return 0, 0, 0, "", fmt.Errorf("checksum mismatch on final record: %w", errTorn)
+			return fail(rem == end, "checksum mismatch with %d bytes after the record", rem-end)
 		}
-		return 0, 0, 0, "", fmt.Errorf("checksum mismatch with %d intact bytes after the record", len(b)-end)
+		seq := binary.LittleEndian.Uint64(payload[0:8])
+		shard := binary.LittleEndian.Uint32(payload[8:12])
+		if err := apply(seq, shard, string(payload[12:])); err != nil {
+			return 0, 0, err
+		}
+		off += end
 	}
-	seq = binary.LittleEndian.Uint64(payload[0:8])
-	shard = binary.LittleEndian.Uint32(payload[8:12])
-	return end, seq, shard, string(payload[12:]), nil
+	return off, 0, nil
 }
 
-// allZero reports whether every byte of b is zero.
-func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
+// take returns the next n bytes of r and advances past them: a view of
+// r's buffer, valid until r is read again, when they fit it, else a copy
+// in *spill, which grows to the longest such read.
+func take(r *bufio.Reader, n int, spill *[]byte) ([]byte, error) {
+	if n > r.Size() {
+		*spill = slices.Grow((*spill)[:0], n)[:n]
+		_, err := io.ReadFull(r, *spill)
+		return *spill, err
+	}
+	b, err := r.Peek(n)
+	if err != nil {
+		return nil, err
+	}
+	_, err = r.Discard(n)
+	return b, err
+}
+
+// zeroTail reports whether b and the next n bytes of r are all zero.
+func zeroTail(b []byte, r *bufio.Reader, n int64) (bool, error) {
+	if slices.ContainsFunc(b, func(c byte) bool { return c != 0 }) {
+		return false, nil
+	}
+	for ; n > 0; n-- {
+		if c, err := r.ReadByte(); err != nil || c != 0 {
+			return false, err
 		}
 	}
-	return true
+	return true, nil
 }

@@ -122,66 +122,94 @@ func (fw *faultWriter) Write(b []byte) (int, error) { return faultWrite(fw.f, b,
 // readSnapshot loads a snapshot into shards (created by the caller with
 // the store's shard count) and returns the applied sequence number.
 // Documents written with a different shard count are re-dealt
-// round-robin across the available shards. Every structural or checksum
-// failure is resilience.ErrCorrupt — a snapshot is all-or-nothing.
+// round-robin across the available shards. The body is decoded through a
+// buffered reader and checksummed as it is read, so the file is never
+// held whole. Every structural or checksum failure is resilience.ErrCorrupt —
+// a snapshot is all-or-nothing: Open fails and drops what was decoded.
 func readSnapshot(path string, shards [][]string) (appliedSeq uint64, err error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
 	if err != nil {
 		return 0, err
 	}
 	base := filepath.Base(path)
-	if len(data) < len(snapMagic)+4+8+4 || string(data[:len(snapMagic)]) != snapMagic {
+	if st.Size() < int64(len(snapMagic)+4+8+4) {
 		return 0, corruptf("wal: snapshot %s: bad magic or truncated", base)
 	}
-	body := data[len(snapMagic) : len(data)-4]
-	sum := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, crcTable) != sum {
-		return 0, corruptf("wal: snapshot %s: checksum mismatch", base)
+	head := make([]byte, len(snapMagic))
+	if _, err := io.ReadFull(f, head); err != nil {
+		return 0, err
 	}
-	off := 0
-	need := func(n int) bool { return len(body)-off >= n }
-	if !need(12) {
-		return 0, corruptf("wal: snapshot %s: truncated header", base)
+	if string(head) != snapMagic {
+		return 0, corruptf("wal: snapshot %s: bad magic or truncated", base)
 	}
-	count := binary.LittleEndian.Uint32(body[off:])
-	off += 4
-	appliedSeq = binary.LittleEndian.Uint64(body[off:])
-	off += 8
+	// The body is checksummed as the buffered reader fills from the file,
+	// a block at a time; left counts its bytes not yet decoded, and the
+	// checksum follows them.
+	left := st.Size() - int64(len(snapMagic)) - 4
+	h := crc32.New(crcTable)
+	r := bufio.NewReaderSize(io.TeeReader(io.LimitReader(f, left), h), readBufBytes)
+	var spill []byte
+	// read returns the body's next n bytes (see take), the part named what
+	// of shard si; fewer left is corruption.
+	read := func(n int, what string, si int) ([]byte, error) {
+		if left < int64(n) {
+			return nil, corruptf("wal: snapshot %s: truncated %s in shard %d", base, what, si)
+		}
+		b, err := take(r, n, &spill)
+		if err != nil {
+			return nil, err
+		}
+		left -= int64(n)
+		return b, nil
+	}
+	b, err := read(12, "header", 0)
+	if err != nil {
+		return 0, err
+	}
+	count := binary.LittleEndian.Uint32(b)
+	appliedSeq = binary.LittleEndian.Uint64(b[4:])
 	if count == 0 || count > 1<<20 {
 		return 0, corruptf("wal: snapshot %s: impossible shard count %d", base, count)
 	}
 	redeal := int(count) != len(shards)
 	next := 0
 	for si := 0; si < int(count); si++ {
-		if !need(8) {
-			return 0, corruptf("wal: snapshot %s: truncated shard %d header", base, si)
+		if b, err = read(8, "header", si); err != nil {
+			return 0, err
 		}
-		docs := binary.LittleEndian.Uint64(body[off:])
-		off += 8
-		if docs > uint64(len(body)) {
+		docs := binary.LittleEndian.Uint64(b)
+		if docs > uint64(st.Size()) {
 			return 0, corruptf("wal: snapshot %s: impossible document count %d in shard %d", base, docs, si)
 		}
 		for di := uint64(0); di < docs; di++ {
-			if !need(4) {
-				return 0, corruptf("wal: snapshot %s: truncated document header in shard %d", base, si)
+			if b, err = read(4, "document header", si); err != nil {
+				return 0, err
 			}
-			dlen := binary.LittleEndian.Uint32(body[off:])
-			off += 4
-			if !need(int(dlen)) {
-				return 0, corruptf("wal: snapshot %s: truncated document in shard %d", base, si)
+			if b, err = read(int(binary.LittleEndian.Uint32(b)), "document", si); err != nil {
+				return 0, err
 			}
-			doc := string(body[off : off+int(dlen)])
-			off += int(dlen)
 			tgt := si
 			if redeal {
 				tgt = next % len(shards)
 				next++
 			}
-			shards[tgt] = append(shards[tgt], doc)
+			shards[tgt] = append(shards[tgt], string(b))
 		}
 	}
-	if off != len(body) {
-		return 0, corruptf("wal: snapshot %s: %d trailing bytes", base, len(body)-off)
+	if left != 0 {
+		return 0, corruptf("wal: snapshot %s: %d trailing bytes", base, left)
+	}
+	sum := head[:4]
+	if _, err := io.ReadFull(f, sum); err != nil {
+		return 0, err
+	}
+	if h.Sum32() != binary.LittleEndian.Uint32(sum) {
+		return 0, corruptf("wal: snapshot %s: checksum mismatch", base)
 	}
 	return appliedSeq, nil
 }

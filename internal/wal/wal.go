@@ -271,6 +271,10 @@ type Record struct {
 // framed, on its own.
 const chunkBytes = 64 << 10
 
+// readBufBytes is the read-ahead of recovery's decodes: a log record or a
+// snapshot document that fits it is decoded in place (see take).
+const readBufBytes = 16 << 10
+
 // Append writes a batch of records — log-then-ack's "log" half — and
 // returns the sequence number of its last (the log's last for an empty
 // batch, which touches nothing). Records are numbered in batch order and

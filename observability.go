@@ -55,8 +55,8 @@ const (
 	// StagePlanBuild is plan compilation, recorded only when this query
 	// actually ran it (a cache miss on an unmemoized Spanner or Query).
 	// It covers the plan's eager part only, the trim and the functionality
-	// check; the closures, letter table, transition table and build caches
-	// are built on first use, inside the count or enumerate stage (or the
+	// check; the letter table, transition table and build caches are
+	// built on first use, inside the count or enumerate stage (or the
 	// page window) of the query whose document first needs them.
 	StagePlanBuild = obs.StagePlan
 	// StagePrefilter is snapshot capture plus skip-index candidate

@@ -50,18 +50,33 @@ type Query struct {
 
 // compiled is the form Query and UnionQuery share: a union of conjunctive
 // queries and, memoized on first use (a built query is immutable), the
-// document-independent part of its automata plan. An equality-free union
-// compiles into one automaton (core.UCQ.Compile, Theorem 3.11) held as a
-// Spanner, whose plan memo, literal prefilter, ranked count and arena
-// release every evaluation on a shared plan uses. With string equalities
-// only the disjuncts' atom joins are memoized; each document's equality
-// automata complete them (Theorem 5.4).
+// Auto planner's verdict and the document-independent part of its
+// automata plan. An equality-free union compiles into one automaton
+// (core.UCQ.Compile, Theorem 3.11) held as a Spanner, whose plan memo,
+// literal prefilter, ranked count and arena release every evaluation on a
+// shared plan uses. With string equalities only the disjuncts' atom joins
+// are memoized; each document's equality automata complete them
+// (Theorem 5.4).
 type compiled struct {
 	ucq    *core.UCQ
 	once   sync.Once
 	sp     *Spanner
 	joined []*vsa.VSA
 	err    error
+
+	autoOnce sync.Once
+	auto     core.Strategy
+}
+
+// strategy resolves o's strategy as core.UCQ.Plan does, running the Auto
+// planner's tests (acyclicity, and a key-attribute product per
+// multi-variable atom) once per query.
+func (c *compiled) strategy(o core.Options) core.Strategy {
+	if o.Strategy != core.Auto {
+		return o.Strategy
+	}
+	c.autoOnce.Do(func() { c.auto = c.ucq.Plan(o) })
+	return c.auto
 }
 
 // compile memoizes the equality-free union's spanner, or the atom joins of
@@ -88,12 +103,12 @@ func (c *compiled) shared(o core.Options) bool {
 	return c.ucq.MaxEqualities() == 0 && o.Strategy != core.Canonical
 }
 
-// iterate opens doc's evaluation under the strategy core.UCQ.Plan picks:
+// iterate opens doc's evaluation under the strategy the planner picks:
 // the spanner's stream on the automata plan of a shared union, a
 // per-document iterator otherwise.
 func (c *compiled) iterate(ctx context.Context, doc string, opts []Option) (*Matches, error) {
 	o := buildOptions(opts)
-	o.Strategy = c.ucq.Plan(o)
+	o.Strategy = c.strategy(o)
 	if o.Strategy == core.Automata && c.shared(o) {
 		sp, _, err := c.compile()
 		if err != nil {
@@ -127,7 +142,7 @@ func (c *compiled) docIterator(doc string, o core.Options) (core.Iterator, error
 // probe has no long build to interrupt; the emit path already observes
 // cancellation per tuple.
 func (c *compiled) docEval(o core.Options) corpus.NewDocEval {
-	o.Strategy = c.ucq.Plan(o)
+	o.Strategy = c.strategy(o)
 	return func(func() bool) corpus.DocEval {
 		return func(doc string, emit func(span.Tuple) bool) error {
 			it, err := c.docIterator(doc, o)
@@ -339,5 +354,5 @@ func (u *UnionQuery) Iterate(ctx context.Context, doc string, opts ...Option) (*
 // options (resolving StrategyAuto against the paper's tractability
 // conditions: acyclic shape plus polynomially bounded atoms → canonical).
 func (q *Query) PlannedStrategy(opts ...Option) Strategy {
-	return q.ucq.Plan(buildOptions(opts))
+	return q.strategy(buildOptions(opts))
 }

@@ -114,8 +114,8 @@ type Spanner struct {
 	req prefilter.Requirement
 
 	// plan is the memoized document-independent compiled state (trimmed
-	// automaton and configuration table; closures, letter table and
-	// byte-class transition table once a document is swept), built lazily
+	// automaton and configuration table; letter table and byte-class
+	// transition table once a document is swept), built lazily
 	// at most once per Spanner — and therefore at most once per cached
 	// corpus query, since the corpus cache stores Spanners.
 	planOnce sync.Once
@@ -126,8 +126,8 @@ type Spanner struct {
 // compiledPlan memoizes enum.NewPlan over the spanner's automaton. Every
 // evaluation path (Iterate, EvalAll, the corpus fan-out) shares it, so
 // trimming and the functionality check happen once per Spanner however
-// the spanner is driven, and the plan's closures, letters and transition
-// table at most once, on first use. built reports whether this call ran
+// the spanner is driven, and the plan's letters and transition table at
+// most once, on first use. built reports whether this call ran
 // the compilation — the corpus layer records the plan_build stage only
 // then, so cached queries never report a phantom build.
 func (s *Spanner) compiledPlan() (p *enum.Plan, built bool, err error) {

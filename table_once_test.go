@@ -103,14 +103,14 @@ func TestCompiledTableBuiltOncePerCachedQuery(t *testing.T) {
 // TestZeroCandidateQueryBuildsNoTable: a fresh pattern whose required
 // literal no document contains visits no document — the skip index
 // excludes them all — so its plan never needs, and never builds, the
-// kernels built on first use: the closures, the letter table (built under
-// the same guard as the closures) and the transition table. Neither the
-// count nor the page path may build them.
+// kernels built on first use: the letter table and the transition table
+// (built under one guard). Neither the count nor the page path may build
+// them.
 func TestZeroCandidateQueryBuildsNoTable(t *testing.T) {
 	c := spanjoin.NewCorpus(spanjoin.WithShards(2), spanjoin.WithIndex())
 	c.AddAll("alice sent mail", "bob read mail", "carol", "")
 
-	before, closures := vsa.TableBuildCount(), vsa.ClosureBuildCount()
+	before := vsa.TableBuildCount()
 	n, err := c.Count(context.Background(), spanjoin.Search(`x{zebra}`))
 	if err != nil {
 		t.Fatal(err)
@@ -128,14 +128,11 @@ func TestZeroCandidateQueryBuildsNoTable(t *testing.T) {
 	if got := vsa.TableBuildCount() - before; got != 0 {
 		t.Fatalf("zero-candidate queries built %d transition tables, want 0", got)
 	}
-	if got := vsa.ClosureBuildCount() - closures; got != 0 {
-		t.Fatalf("zero-candidate queries built %d closures, want 0", got)
-	}
-	// The control: a query with a candidate builds each kernel once.
+	// The control: a query with a candidate builds its kernels once.
 	if _, err := c.Count(context.Background(), spanjoin.Search(`x{mail}`)); err != nil {
 		t.Fatal(err)
 	}
-	if got := vsa.ClosureBuildCount() - closures; got != 1 {
-		t.Fatalf("a swept query built %d closures, want 1", got)
+	if got := vsa.TableBuildCount() - before; got != 1 {
+		t.Fatalf("a swept query built %d transition tables, want 1", got)
 	}
 }
